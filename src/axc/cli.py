@@ -35,7 +35,7 @@ from .solvers import (
     maxwell_solve_magnetic,
     vacuum_dirac_classify,
 )
-from .textio import load_form_text, print_form
+from .textio import load_form_text, parse_rational, print_form
 
 _OPS = {
     "d": lambda w: w.d(),
@@ -120,7 +120,10 @@ def _context_from_args(args) -> Context:
     else:
         sig = (1,) * n
     if args.center is not None:
-        center = tuple(Fraction(c) for c in args.center.split(","))
+        try:
+            center = tuple(parse_rational(c) for c in args.center.split(","))
+        except errors.AxcError as exc:
+            raise errors.NonRationalLiteral(f"--center {args.center!r}: {exc}") from None
     else:
         center = (Fraction(0),) * n
     return Context(n, center, sig)
@@ -246,8 +249,22 @@ def _run(args) -> int:
     raise AssertionError("unreachable")
 
 
+def _join_center(argv: list[str]) -> list[str]:
+    """Rewrite ``--center VALUE`` as ``--center=VALUE``: argparse takes a
+    separate value with a leading minus, such as ``-2/9,1/7``, for an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--center":
+            value = next(args, None)
+            if value is not None:
+                arg = f"--center={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_center(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _run(args)
     except errors.NotASolution as exc:

@@ -85,6 +85,31 @@ class Form:
             coeff = Poly.const(ctx.n, 1)
         return cls(ctx, {len(indices): {indices: coeff}})
 
+    @classmethod
+    def from_terms(cls, ctx: Context, terms) -> "Form":
+        """Sum ``(index tuple, exponent tuple, Fraction)`` triples into a form.
+
+        This is the accumulation loop of the term-map operators; entries that
+        cancel are dropped.  Index tuples must already be strictly increasing
+        within 1..n, which every term map here guarantees by construction.
+        """
+        acc: dict[tuple, dict[tuple, Fraction]] = {}
+        for idx, exps, coef in terms:
+            row = acc.setdefault(idx, {})
+            s = row.get(exps)
+            row[exps] = coef if s is None else s + coef
+        comps: dict[int, dict[tuple, Poly]] = {}
+        for idx, row in acc.items():
+            row = {exps: coef for exps, coef in row.items() if coef}
+            if row:
+                p = Poly.__new__(Poly)
+                p.n, p.terms = ctx.n, row
+                comps.setdefault(len(idx), {})[idx] = p
+        f = cls.__new__(cls)
+        f.ctx = ctx
+        f.components = comps
+        return f
+
     # -- linear structure --------------------------------------------------
 
     def _check(self, other: "Form"):
@@ -180,6 +205,21 @@ class Form:
         }
         return f
 
+    def termwise(self, fn) -> "Form":
+        """Linear extension of a map on basis terms.
+
+        ``fn(idx, exps)`` returns the image of ``y^exps dx^idx`` as
+        ``(idx', exps', factor)`` triples; each is scaled by the term's
+        coefficient and summed by :meth:`from_terms`.
+        """
+        return Form.from_terms(self.ctx, (
+            (out_idx, out_exps, coef * factor)
+            for idx_map in self.components.values()
+            for idx, poly in idx_map.items()
+            for exps, coef in poly.terms.items()
+            for out_idx, out_exps, factor in fn(idx, exps)
+        ))
+
     def grade_select(self, k: int) -> "Form":
         if not 0 <= k <= self.ctx.n:
             raise GradeOutOfRange(f"grade {k} outside 0..{self.ctx.n}")
@@ -190,31 +230,7 @@ class Form:
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
-        acc: dict[int, dict[tuple, Poly]] = {}
-        for k, idx_map in self.components.items():
-            if k == self.ctx.n:
-                continue
-            for idx, poly in idx_map.items():
-                for i in range(1, self.ctx.n + 1):
-                    dp = poly.partial(i)
-                    if dp.is_zero:
-                        continue
-                    merged = _merge_indices((i,), idx)
-                    if merged is None:
-                        continue
-                    new_idx, sign = merged
-                    tgt = acc.setdefault(k + 1, {})
-                    term = dp.scale(sign)
-                    s = tgt.get(new_idx)
-                    s = term if s is None else s + term
-                    if s.is_zero:
-                        tgt.pop(new_idx, None)
-                    else:
-                        tgt[new_idx] = s
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = {k: v for k, v in acc.items() if v}
-        return f
+        return self.termwise(d_terms)
 
     def eval_at(self, point, absolute: bool = False) -> "Form":
         """Freeze coefficients to their value at a point; result is a
@@ -291,6 +307,17 @@ class Form:
                 base = "^".join(f"dx{i}" for i in idx) or "1"
                 bits.append(f"({self.components[k][idx]!r})*{base}")
         return "Form(" + " + ".join(bits) + ")"
+
+
+def d_terms(idx: tuple, exps: tuple) -> list:
+    """d on one basis term: d(y^a dx^I) = sum_{i not in I} a_i y^(a - e_i) dx^i ^ dx^I,
+    with dx^i moved into place by the sign of :func:`_merge_indices`."""
+    out = []
+    for i, e in enumerate(exps, start=1):
+        if e and i not in idx:
+            new_idx, sign = _merge_indices((i,), idx)
+            out.append((new_idx, exps[:i - 1] + (e - 1,) + exps[i:], sign * e))
+    return out
 
 
 class VectorField:

@@ -11,8 +11,9 @@ space of forms:
 
 H has a closed monomial form: on a monomial coefficient of total degree m
 sitting on a grade-k basis form, it contracts with the radial field and
-divides by (m + k).  h is kept as the literal star-conjugated composite so
-the star sign conventions can never drift apart.
+divides by (m + k); it runs term by term in one accumulation pass.  h is
+kept as the literal star-conjugated composite so the star sign conventions
+can never drift apart.
 """
 
 from __future__ import annotations
@@ -55,19 +56,21 @@ def k_field(ctx: Context) -> VectorField:
     return VectorField(ctx, [Poly.variable(ctx.n, i) for i in range(1, ctx.n + 1)])
 
 
-def homotopy_H(omega: Form) -> Form:
-    ctx = omega.ctx
-    kf = k_field(ctx)
-    out = Form.zero(ctx)
-    for k, idx_map in omega.components.items():
-        if k == 0:
-            continue
-        for idx, poly in idx_map.items():
-            contracted = interior(kf, Form.basis(ctx, idx))
-            for exps, coef in poly.terms.items():
-                weight = Fraction(coef, sum(exps) + k)
-                out = out + contracted.mul_poly(Poly.monomial(ctx.n, exps, weight))
+def _homotopy_terms(idx: tuple, exps: tuple) -> list:
+    """H(y^a dx^I) = sum_j (-1)^j y^(a + e_{i_j}) dx^{I minus i_j} / (|a| + k):
+    the radial contraction i_K dx^I times the monomial's H weight."""
+    if not idx:
+        return []
+    weight = Fraction(1, sum(exps) + len(idx))
+    out = []
+    for j, axis in enumerate(idx):
+        raised = exps[:axis - 1] + (exps[axis - 1] + 1,) + exps[axis:]
+        out.append((idx[:j] + idx[j + 1:], raised, -weight if j % 2 else weight))
     return out
+
+
+def homotopy_H(omega: Form) -> Form:
+    return omega.termwise(_homotopy_terms)
 
 
 def cohomotopy_h(omega: Form) -> Form:

@@ -21,11 +21,10 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form
-from .hodge import codifferential
+from .forms import Form, d_terms
+from .hodge import codifferential, codifferential_terms
 from .homotopy import SpaceTag, cohomotopy_h, homotopy_H, membership
 from .linsolve import solve_sparse
-from .polyring import Poly
 
 MAX_DEGREE_ENV = "AXC_MAX_DEGREE"
 
@@ -62,6 +61,20 @@ def _degree_bound(rhs: Form) -> int:
     return bound
 
 
+def _box_terms(exps: tuple, signature: tuple) -> list:
+    """The wave operator box = sum_i eps_i d^2/dy_i^2 on the monomial y^exps.
+
+    On a constant diagonal +-1 metric the Laplace-Beltrami operator acts on
+    every coefficient of every grade as box, with no sign and no change of
+    basis term.
+    """
+    out = []
+    for i, e in enumerate(exps):
+        if e > 1:
+            out.append((exps[:i] + (e - 2,) + exps[i + 1:], signature[i] * e * (e - 1)))
+    return out
+
+
 def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int | None = None) -> Form:
     """Particular polynomial solution of ``laplace(beta) = rhs`` at grade k.
 
@@ -69,6 +82,19 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int
     ``"delta"`` (delta beta = 0); the joint system is assembled over the
     monomial basis of coefficient degree <= deg(rhs) + 2 and eliminated
     exactly, free variables pinned to zero in lexicographic order.
+
+    Each unknown y^a dx^I writes its column straight from closed-form term
+    maps, never through the operator composites:
+
+    * laplace rows: box = sum_i eps_i d^2/dy_i^2 on the coefficient
+      (:func:`_box_terms`);
+    * d rows: :func:`axc.forms.d_terms`, the rule ``Form.d`` runs on;
+    * delta rows: :func:`axc.hodge.codifferential_terms`, the rule
+      ``codifferential`` runs on.
+
+    ``tests/test_solvers.py`` checks every row against the composite
+    Laplace-Beltrami, ``Form.d`` and the literal star_inv o d o star o eta,
+    and the solution against a copy of the composite assembly.
     """
     ctx = rhs.ctx
     grade = rhs.homogeneous_grade()
@@ -83,39 +109,15 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int
         raise ValueError(f"unknown side conditions {unknown}")
 
     bound = max_degree if max_degree is not None else _degree_bound(rhs)
-    basis = [
-        (idx, exps)
-        for idx in itertools.combinations(range(1, ctx.n + 1), k)
-        for exps in _monomials_up_to(ctx.n, bound)
-    ]
+    rows = _assemble(ctx, k, side, bound)
 
-    rows: dict[tuple, dict[tuple, Fraction]] = {}
-
-    def record(op_name: str, image: Form, var: tuple):
-        for g, idx_map in image.components.items():
-            for idx, poly in idx_map.items():
-                for exps, coef in poly.terms.items():
-                    rows.setdefault((op_name, g, idx, exps), {})[var] = coef
-
-    for var in basis:
-        idx, exps = var
-        e = Form.basis(ctx, idx, Poly.monomial(ctx.n, exps))
-        record("lap", laplace_beltrami(e), var)
-        if "d" in side:
-            record("d", e.d(), var)
-        if "delta" in side:
-            record("delta", codifferential(e), var)
-
-    rhs_keys = set()
     rhs_values: dict[tuple, Fraction] = {}
     for g, idx_map in rhs.components.items():
         for idx, poly in idx_map.items():
             for exps, coef in poly.terms.items():
-                key = ("lap", g, idx, exps)
-                rhs_keys.add(key)
-                rhs_values[key] = coef
+                rhs_values[("lap", g, idx, exps)] = coef
 
-    all_keys = sorted(set(rows) | rhs_keys)
+    all_keys = sorted(set(rows) | set(rhs_values))
     matrix = [rows.get(key, {}) for key in all_keys]
     vector = [rhs_values.get(key, Fraction(0)) for key in all_keys]
     try:
@@ -126,10 +128,26 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int
             degree_bound=bound,
         ) from None
 
-    out = Form.zero(ctx)
-    for (idx, exps), coef in solution.items():
-        out = out + Form.basis(ctx, idx, Poly.monomial(ctx.n, exps, coef))
-    return out
+    return Form.from_terms(ctx, ((idx, exps, coef) for (idx, exps), coef in solution.items()))
+
+
+def _assemble(ctx, k: int, side: tuple[str, ...], bound: int) -> dict[tuple, dict[tuple, Fraction]]:
+    """Rows of the joint system, keyed ``(operator, grade, index tuple, exponents)``;
+    each row maps an unknown ``(index tuple, exponents)`` to its coefficient."""
+    signature = ctx.signature
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
+    for idx in itertools.combinations(range(1, ctx.n + 1), k):
+        for exps in _monomials_up_to(ctx.n, bound):
+            var = (idx, exps)
+            for out_exps, c in _box_terms(exps, signature):
+                rows.setdefault(("lap", k, idx, out_exps), {})[var] = Fraction(c)
+            if "d" in side:
+                for out_idx, out_exps, c in d_terms(idx, exps):
+                    rows.setdefault(("d", k + 1, out_idx, out_exps), {})[var] = Fraction(c)
+            if "delta" in side:
+                for out_idx, out_exps, c in codifferential_terms(idx, exps, signature):
+                    rows.setdefault(("delta", k - 1, out_idx, out_exps), {})[var] = Fraction(c)
+    return rows
 
 
 # -- Maxwell ---------------------------------------------------------------

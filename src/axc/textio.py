@@ -104,6 +104,8 @@ class _Parser:
         if self.peek()[0] == "/":
             self.take("/")
             den = self.take("int")
+            if int(den[1]) == 0:
+                raise NonRationalLiteral(f"zero denominator at position {den[2]}")
             value /= int(den[1])
         return value
 
@@ -214,6 +216,17 @@ class _Parser:
         return out
 
 
+def parse_rational(text: str) -> Fraction:
+    """One signed rational literal, ``[+|-] int ["/" int]``, by the grammar's rule."""
+    parser = _Parser(text, None)
+    sign = 1
+    if parser.peek()[0] in "+-":
+        sign = -1 if parser.take()[0] == "-" else 1
+    value = parser.parse_rational()
+    parser.take("end")
+    return sign * value
+
+
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form expression; absolute coordinates are re-centered."""
     parsed = _Parser(text, ctx).parse_form()
@@ -300,7 +313,7 @@ def form_from_json(data: dict) -> Form:
             tuple(Fraction(c) for c in data["center"]),
             tuple(int(s) for s in data["metric"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
     zeros = [Fraction(0)] * ctx.n
     out = Form.zero(ctx)
@@ -314,7 +327,11 @@ def form_from_json(data: dict) -> Form:
                 coef = term["coef"]
                 if isinstance(coef, float):
                     raise NonRationalLiteral(f"float coefficient {coef!r} in JSON")
-                poly = poly + Poly.monomial(ctx.n, tuple(term["exp"]), Fraction(str(coef)))
+                try:
+                    value = Fraction(str(coef))
+                except ZeroDivisionError:
+                    raise NonRationalLiteral(f"zero denominator in JSON coefficient {coef!r}") from None
+                poly = poly + Poly.monomial(ctx.n, tuple(term["exp"]), value)
             out = out + Form.basis(ctx, idx, rebase(poly, zeros, ctx.center))
     return out
 

@@ -60,5 +60,13 @@ def all_contexts(max_dim=4):
     return out
 
 
+def oracle_contexts(max_dim=6):
+    """Euclidean, Minkowski and an alternating (-, +, -, ...) signature per n."""
+    out = all_contexts(max_dim)
+    for n in range(1, max_dim + 1):
+        out.append(Context(n, (0,) * n, tuple(-1 if i % 2 == 0 else 1 for i in range(n))))
+    return out
+
+
 def frac(s):
     return Fraction(s)

@@ -5,6 +5,8 @@ import pytest
 from axc import Context, Form, Poly, VectorField, form_linear, interior, k_field
 from axc.errors import GradeOutOfRange
 from axc.randforms import random_form, sample_rng
+from tests.conftest import oracle_contexts
+from tests.oracles import loop_d
 
 
 def B(ctx, idx, poly=None):
@@ -121,6 +123,12 @@ class TestExteriorDerivative:
             lhs = a.wedge(b).d()
             rhs = a.d().wedge(b) + a.eta().wedge(b.d())
             assert lhs == rhs
+
+    def test_term_map_matches_coefficient_loop(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(17, 10 * ctx.n + i))
+                assert w.d() == loop_d(w)
 
 
 class TestGradeBookkeeping:

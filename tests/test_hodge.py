@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from axc import (
 from axc.errors import GradeOutOfRange
 from axc.forms import VectorField
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts
+from tests.conftest import all_contexts, oracle_contexts
+from tests.oracles import composite_codifferential
 
 
 def B(ctx, idx, poly=None):
@@ -132,6 +134,24 @@ class TestCodifferential:
                     acc = acc + interior(VectorField.frame(ctx, a), dw).scale(
                         ctx.signature[a - 1])
                 assert codifferential(w) == acc.scale(-1)
+
+
+    def test_closed_form_matches_literal_composite(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(63, 10 * ctx.n + i))
+                assert codifferential(w) == composite_codifferential(w)
+
+    def test_closed_form_on_every_basis_term(self):
+        mixed = Context(3, (0, 0, 0), (-1, 1, -1))
+        for ctx in (Context.euclidean(3), Context.minkowski(4), Context.euclidean(5), mixed):
+            for k in range(ctx.n + 1):
+                for idx in itertools.combinations(range(1, ctx.n + 1), k):
+                    for exps in itertools.product(range(3), repeat=ctx.n):
+                        if sum(exps) > 2:
+                            continue
+                        e = B(ctx, idx, Poly.monomial(ctx.n, exps))
+                        assert codifferential(e) == composite_codifferential(e)
 
 
 class TestInsertionStarLemma:

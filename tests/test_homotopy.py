@@ -22,7 +22,8 @@ from axc import (
 from axc.errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
 from axc.homotopy import center_pullback, center_top_eval
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts
+from tests.conftest import all_contexts, oracle_contexts
+from tests.oracles import contraction_homotopy_H
 
 
 def B(ctx, idx, poly=None):
@@ -75,6 +76,12 @@ class TestHomotopyOperator:
             w = random_form(e3, sample_rng(79, i))
             assert interior(kf, homotopy_H(w)).is_zero
             assert homotopy_H(interior(kf, w)).is_zero
+
+    def test_term_map_matches_contraction_loop(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(83, 10 * ctx.n + i))
+                assert homotopy_H(w) == contraction_homotopy_H(w)
 
 
 class TestCohomotopyOperator:

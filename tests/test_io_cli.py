@@ -56,6 +56,10 @@ class TestParser:
         with pytest.raises(NonRationalLiteral):
             parse_form("1.5 dx1", e2)
 
+    def test_rejects_zero_denominator(self, e2):
+        with pytest.raises(NonRationalLiteral):
+            parse_form("(1/0) dx1", e2)
+
     def test_rejects_garbage(self, e2):
         with pytest.raises(FormSyntaxError):
             parse_form("dx1 ^^ dx2", e2)
@@ -116,6 +120,12 @@ class TestJson:
         with pytest.raises(NonRationalLiteral):
             form_from_json(doc)
 
+    def test_rejects_zero_denominator(self, e2):
+        doc = form_to_json(B(e2, (1,)))
+        doc["components"]["1"]["[1]"][0]["coef"] = "1/0"
+        with pytest.raises(NonRationalLiteral):
+            form_from_json(doc)
+
 
 def run_cli(args):
     return subprocess.run(
@@ -163,6 +173,34 @@ class TestCli:
         src = tmp_path / "w.txt"
         src.write_text("1.5 dx1")
         assert main(["--dim", "2", "apply", "--op", "d", "--in", str(src)]) == 2
+
+    def test_zero_denominator_in_form_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("(1/0) dx1")
+        assert main(["--dim", "2", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_zero_denominator_in_center_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("x1 dx1")
+        assert main(["--center", "1/0,0", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_decimal_center_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("x1 dx1")
+        assert main(["--center", "1.5,0", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_negative_center_as_separate_argument(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("x1 dx1")
+        assert main(["--center=-2/9,1/7", "apply", "--op", "H", "--in", str(src)]) == 0
+        joined = capsys.readouterr().out
+        assert main(["--center", "-2/9,1/7", "apply", "--op", "H", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == joined
+        assert main(["apply", "--op", "H", "--in", str(src)]) == 0
+        assert capsys.readouterr().out != joined
 
     def test_metric_flag(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

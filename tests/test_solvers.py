@@ -24,7 +24,8 @@ from axc import (
 )
 from axc.errors import GradeMismatch, NotASolution, NotConserved
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import MAX_DEGREE_ENV
+from axc.solvers import MAX_DEGREE_ENV, _assemble, _degree_bound
+from tests.oracles import composite_laplace_solve, composite_rows
 
 
 def B(ctx, idx, poly=None):
@@ -57,6 +58,26 @@ class TestLaplaceSolve:
     def test_grade_mismatch(self, e2):
         with pytest.raises(GradeMismatch):
             laplace_solve(B(e2, (1,)), 2)
+
+    def test_rows_match_composite_images(self, e3, m4):
+        mixed = Context(3, (0, 0, 0), (-1, 1, -1))
+        for ctx in (e3, m4, mixed):
+            for k in range(ctx.n + 1):
+                for side in ((), ("d",), ("delta",)):
+                    assert _assemble(ctx, k, side, 3) == composite_rows(ctx, k, side, 3), (ctx, k, side)
+
+    def test_solution_matches_composite_assembly(self, e3, m4):
+        mixed = Context(3, (0, 0, 0), (-1, 1, -1))
+        cases = [
+            (random_homogeneous(e3, sample_rng(199, 2), 1).d(), 2, ("d",)),
+            (random_homogeneous(m4, sample_rng(199, 5), 2, 2).d(), 3, ("d",)),
+            (codifferential(random_homogeneous(m4, sample_rng(199, 3), 2, 2)), 1, ("delta",)),
+            (random_homogeneous(mixed, sample_rng(199, 4), 1), 1, ()),
+        ]
+        for rhs, k, side in cases:
+            assert not rhs.is_zero
+            expected = composite_laplace_solve(rhs, k, side, _degree_bound(rhs))
+            assert laplace_solve(rhs, k, side) == expected
 
     def test_degree_env_override(self, e2, monkeypatch):
         monkeypatch.setenv(MAX_DEGREE_ENV, "4")
