@@ -7,6 +7,9 @@ Dirac machinery are just forms mixing several grades.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -14,10 +17,12 @@ from .errors import DimensionMismatch, GradeOutOfRange
 from .polyring import Context, Poly, _as_fraction
 
 
+@functools.lru_cache(maxsize=4096)
 def _merge_indices(a: tuple, b: tuple):
     """Concatenate two strictly increasing index tuples.
 
     Returns (sorted tuple, permutation sign) or None when an index repeats.
+    Cached: every term map asks for the same few index pairs again and again.
     """
     merged = list(a)
     sign = 1
@@ -37,31 +42,23 @@ class Form:
     __slots__ = ("ctx", "components")
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
+        terms = []
+        for k, idx_map in (components or {}).items():
+            for idx, poly in idx_map.items():
+                idx = tuple(int(i) for i in idx)
+                if len(idx) != k:
+                    raise GradeOutOfRange(f"index tuple {idx} has wrong length for grade {k}")
+                if list(idx) != sorted(set(idx)):
+                    raise GradeOutOfRange(f"index tuple {idx} not strictly increasing")
+                if idx and (idx[0] < 1 or idx[-1] > ctx.n):
+                    raise GradeOutOfRange(f"index tuple {idx} outside 1..{ctx.n}")
+                if not 0 <= k <= ctx.n:
+                    raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n}")
+                if poly.n != ctx.n:
+                    raise DimensionMismatch("coefficient dimension != context dimension")
+                terms += [(idx, exps, coef) for exps, coef in poly.terms.items()]
         self.ctx = ctx
-        comps: dict[int, dict[tuple, Poly]] = {}
-        if components:
-            for k, idx_map in components.items():
-                for idx, poly in idx_map.items():
-                    idx = tuple(int(i) for i in idx)
-                    if len(idx) != k:
-                        raise GradeOutOfRange(f"index tuple {idx} has wrong length for grade {k}")
-                    if list(idx) != sorted(set(idx)):
-                        raise GradeOutOfRange(f"index tuple {idx} not strictly increasing")
-                    if idx and (idx[0] < 1 or idx[-1] > ctx.n):
-                        raise GradeOutOfRange(f"index tuple {idx} outside 1..{ctx.n}")
-                    if not 0 <= k <= ctx.n:
-                        raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n}")
-                    if poly.n != ctx.n:
-                        raise DimensionMismatch("coefficient dimension != context dimension")
-                    if not poly.is_zero:
-                        grade = comps.setdefault(k, {})
-                        acc = grade.get(idx)
-                        poly = poly if acc is None else acc + poly
-                        if poly.is_zero:
-                            grade.pop(idx, None)
-                        else:
-                            grade[idx] = poly
-        self.components = {k: v for k, v in comps.items() if v}
+        self.components = Form.from_terms(ctx, terms).components
 
     # -- constructors ------------------------------------------------------
 
@@ -95,9 +92,13 @@ class Form:
         """
         acc: dict[tuple, dict[tuple, Fraction]] = {}
         for idx, exps, coef in terms:
-            row = acc.setdefault(idx, {})
-            s = row.get(exps)
-            row[exps] = coef if s is None else s + coef
+            row = acc.get(idx)
+            if row is None:
+                acc[idx] = {exps: coef}
+            elif exps in row:
+                row[exps] += coef
+            else:
+                row[exps] = coef
         comps: dict[int, dict[tuple, Poly]] = {}
         for idx, row in acc.items():
             row = {exps: coef for exps, coef in row.items() if coef}
@@ -117,20 +118,7 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
-        out = {k: dict(v) for k, v in self.components.items()}
-        for k, idx_map in other.components.items():
-            tgt = out.setdefault(k, {})
-            for idx, poly in idx_map.items():
-                s = tgt.get(idx)
-                s = poly if s is None else s + poly
-                if s.is_zero:
-                    tgt.pop(idx, None)
-                else:
-                    tgt[idx] = s
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = {k: v for k, v in out.items() if v}
-        return f
+        return Form.from_terms(self.ctx, itertools.chain(self.terms(), other.terms()))
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -140,70 +128,36 @@ class Form:
 
     def scale(self, c) -> "Form":
         c = _as_fraction(c)
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        if c == 0:
-            f.components = {}
-        else:
-            f.components = {
-                k: {idx: poly.scale(c) for idx, poly in idx_map.items()}
-                for k, idx_map in self.components.items()
-            }
-        return f
+        return self.termwise(lambda idx, exps: [(idx, exps, c)])
 
     def mul_poly(self, p: Poly) -> "Form":
-        if p.n != self.ctx.n:
-            raise DimensionMismatch("polynomial dimension != context dimension")
-        out = {}
-        for k, idx_map in self.components.items():
-            row = {}
-            for idx, poly in idx_map.items():
-                q = poly * p
-                if not q.is_zero:
-                    row[idx] = q
-            if row:
-                out[k] = row
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = out
-        return f
+        return self.wedge(Form.from_poly(self.ctx, p))
 
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
         self._check(other)
-        out = Form.zero(self.ctx)
-        acc: dict[int, dict[tuple, Poly]] = {}
-        for p, left in self.components.items():
-            for q, right in other.components.items():
-                if p + q > self.ctx.n:
-                    continue
-                for idx1, c1 in left.items():
-                    for idx2, c2 in right.items():
-                        merged = _merge_indices(idx1, idx2)
-                        if merged is None:
-                            continue
-                        idx, sign = merged
-                        poly = (c1 * c2).scale(sign)
-                        tgt = acc.setdefault(p + q, {})
-                        s = tgt.get(idx)
-                        s = poly if s is None else s + poly
-                        if s.is_zero:
-                            tgt.pop(idx, None)
-                        else:
-                            tgt[idx] = s
-        out.components = {k: v for k, v in acc.items() if v}
-        return out
+        right = list(other.terms())
+
+        def wedge_terms(idx, exps):
+            for idx2, exps2, coef2 in right:
+                merged = _merge_indices(idx, idx2)
+                if merged is not None:
+                    new_idx, sign = merged
+                    yield new_idx, tuple(a + b for a, b in zip(exps, exps2)), sign * coef2
+
+        return self.termwise(wedge_terms)
 
     def eta(self) -> "Form":
         """Grade-parity involution: (-1)^p on the grade-p part."""
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = {
-            k: (idx_map if k % 2 == 0 else {i: -p for i, p in idx_map.items()})
-            for k, idx_map in self.components.items()
-        }
-        return f
+        return self.termwise(lambda idx, exps: [(idx, exps, (-1) ** len(idx))])
+
+    def terms(self):
+        """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
+        for idx_map in self.components.values():
+            for idx, poly in idx_map.items():
+                for exps, coef in poly.terms.items():
+                    yield idx, exps, coef
 
     def termwise(self, fn) -> "Form":
         """Linear extension of a map on basis terms.
@@ -214,9 +168,7 @@ class Form:
         """
         return Form.from_terms(self.ctx, (
             (out_idx, out_exps, coef * factor)
-            for idx_map in self.components.values()
-            for idx, poly in idx_map.items()
-            for exps, coef in poly.terms.items()
+            for idx, exps, coef in self.terms()
             for out_idx, out_exps, factor in fn(idx, exps)
         ))
 
@@ -240,19 +192,9 @@ class Form:
             raise DimensionMismatch("point length != dimension")
         if absolute:
             point = [x - c for x, c in zip(point, self.ctx.center)]
-        out = {}
-        for k, idx_map in self.components.items():
-            row = {}
-            for idx, poly in idx_map.items():
-                v = poly.eval(point)
-                if v:
-                    row[idx] = Poly.const(self.ctx.n, v)
-            if row:
-                out[k] = row
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = out
-        return f
+        zeros = (0,) * self.ctx.n
+        return self.termwise(lambda idx, exps: [
+            (idx, zeros, math.prod(x ** e for x, e in zip(point, exps) if e))])
 
     def at_center(self) -> "Form":
         return self.eval_at([Fraction(0)] * self.ctx.n)
@@ -354,30 +296,17 @@ class VectorField:
 
 
 def interior(v: VectorField, omega: Form) -> Form:
-    """Insertion antiderivative i_v: contracts each slot with alternating sign."""
+    """Insertion antiderivative i_v: contracts each slot with alternating sign,
+    i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j}."""
     v.ctx.require_same(omega.ctx)
-    acc: dict[int, dict[tuple, Poly]] = {}
-    for k, idx_map in omega.components.items():
-        if k == 0:
-            continue
-        for idx, poly in idx_map.items():
-            for j, axis in enumerate(idx):
-                comp = v.components[axis - 1]
-                if comp.is_zero:
-                    continue
-                term = (poly * comp).scale((-1) ** j)
-                rest = idx[:j] + idx[j + 1:]
-                tgt = acc.setdefault(k - 1, {})
-                s = tgt.get(rest)
-                s = term if s is None else s + term
-                if s.is_zero:
-                    tgt.pop(rest, None)
-                else:
-                    tgt[rest] = s
-    f = Form.__new__(Form)
-    f.ctx = omega.ctx
-    f.components = {k: m for k, m in acc.items() if m}
-    return f
+
+    def interior_terms(idx, exps):
+        for j, axis in enumerate(idx):
+            rest = idx[:j] + idx[j + 1:]
+            for v_exps, v_coef in v.components[axis - 1].terms.items():
+                yield rest, tuple(a + b for a, b in zip(exps, v_exps)), -v_coef if j % 2 else v_coef
+
+    return omega.termwise(interior_terms)
 
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:

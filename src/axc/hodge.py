@@ -6,12 +6,19 @@ Conventions (property-tested, not hand-simplified):
   star_inv   = (-1)^{r(n-r)} * sig(g) * star   on grade r
   delta      = star_inv o d o star o eta, evaluated in closed form per term:
     delta(f dx^I) = -sum_j (-1)^j eps_{i_j} (d f / d y_{i_j}) dx^{I minus i_j}
-  with j the 0-based position of i_j in I.  :func:`codifferential_terms` is
-  the only place this sign rule is written; ``tests/test_hodge.py`` checks it
-  against the literal composite on random forms for n = 1..6.
+  with j the 0-based position of i_j in I.
+
+star, star_inv and delta are maps on basis terms run by ``Form.termwise``,
+and each sign rule is written once: :func:`star_terms` holds the star rule
+(star_inv only multiplies it by its grade sign) and
+:func:`codifferential_terms` the delta rule.  ``tests/test_hodge.py`` checks
+them against the replaced loops and the literal composite on random forms
+for n = 1..6.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import GradeOutOfRange
 from .forms import Form, VectorField, _merge_indices
@@ -20,13 +27,9 @@ from .polyring import Poly
 
 def musical_flat(v: VectorField) -> Form:
     """v^flat: component i picks up the metric sign eps_i."""
-    ctx = v.ctx
-    comps = {}
-    for i, p in enumerate(v.components, start=1):
-        q = p.scale(ctx.signature[i - 1])
-        if not q.is_zero:
-            comps[(i,)] = q
-    return Form(ctx, {1: comps}) if comps else Form.zero(ctx)
+    signature = v.ctx.signature
+    return Form(v.ctx, {1: {(i,): p.scale(signature[i - 1])
+                            for i, p in enumerate(v.components, start=1)}})
 
 
 def musical_sharp(alpha: Form) -> VectorField:
@@ -43,40 +46,26 @@ def musical_sharp(alpha: Form) -> VectorField:
     return VectorField(ctx, comps)
 
 
+def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:
+    """star(y^a dx^I) = eps_I * sgn(I, I^c) * y^a dx^{I^c}, the one star sign
+    rule; ``inverse`` multiplies it by star_inv's sig(g) * (-1)^{k(n-k)}."""
+    comp = tuple(i for i in range(1, len(signature) + 1) if i not in idx)
+    sign = _merge_indices(idx, comp)[1]
+    for i in idx:
+        sign *= signature[i - 1]
+    if inverse:
+        sign *= math.prod(signature) * (-1) ** (len(idx) * len(comp))
+    return [(comp, exps, sign)]
+
+
 def hodge_star(omega: Form) -> Form:
-    ctx = omega.ctx
-    full = tuple(range(1, ctx.n + 1))
-    acc: dict[int, dict[tuple, Poly]] = {}
-    for k, idx_map in omega.components.items():
-        for idx, poly in idx_map.items():
-            comp = tuple(i for i in full if i not in idx)
-            merged = _merge_indices(idx, comp)
-            assert merged is not None
-            _, sign = merged
-            eps = 1
-            for i in idx:
-                eps *= ctx.signature[i - 1]
-            term = poly.scale(sign * eps)
-            tgt = acc.setdefault(ctx.n - k, {})
-            s = tgt.get(comp)
-            s = term if s is None else s + term
-            if s.is_zero:
-                tgt.pop(comp, None)
-            else:
-                tgt[comp] = s
-    f = Form.__new__(Form)
-    f.ctx = ctx
-    f.components = {k: m for k, m in acc.items() if m}
-    return f
+    signature = omega.ctx.signature
+    return omega.termwise(lambda idx, exps: star_terms(idx, exps, signature))
 
 
 def hodge_star_inv(omega: Form) -> Form:
-    ctx = omega.ctx
-    out = Form.zero(ctx)
-    for k in omega.grades():
-        part = hodge_star(omega.grade_select(k))
-        out = out + part.scale(ctx.sig * (-1) ** (k * (ctx.n - k)))
-    return out
+    signature = omega.ctx.signature
+    return omega.termwise(lambda idx, exps: star_terms(idx, exps, signature, inverse=True))
 
 
 def codifferential_terms(idx: tuple, exps: tuple, signature: tuple) -> list:

@@ -9,11 +9,17 @@ space of forms:
     coexact (+) anticoexact    via  delta h + h delta = I - (top-grade
                                     center evaluation)
 
-H has a closed monomial form: on a monomial coefficient of total degree m
-sitting on a grade-k basis form, it contracts with the radial field and
-divides by (m + k); it runs term by term in one accumulation pass.  h is
-kept as the literal star-conjugated composite so the star sign conventions
-can never drift apart.
+Both operators have a closed monomial form and run term by term through
+``Form.termwise``.  On y^a dx^I with |a| = m and |I| = k:
+
+    H(y^a dx^I) =  i_K(y^a dx^I) / (m + k)        (contraction with K)
+    h(y^a dx^I) = -K^flat ^ (y^a dx^I) / (m + n - k)   (zero on top grade)
+
+with K = sum_i y_i d/dx_i the radial field and K^flat = sum_i eps_i y_i dx^i.
+The h rule is the star-conjugate eta star_inv H star worked out per term; its
+signs come from :func:`axc.forms._merge_indices` exactly as in ``d``, and
+``tests/test_homotopy.py`` checks it against that literal composite for
+n = 1..6.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, interior
-from .hodge import codifferential, hodge_star, hodge_star_inv, musical_flat
+from .forms import Form, VectorField, _merge_indices, interior
+from .hodge import codifferential, musical_flat
 from .polyring import Context, Poly
 
 
@@ -73,8 +79,30 @@ def homotopy_H(omega: Form) -> Form:
     return omega.termwise(_homotopy_terms)
 
 
+def _h_weight(idx: tuple, exps: tuple) -> Fraction:
+    """W(y^a dx^I) = y^a dx^I / (|a| + n - k), the weight of h below top grade."""
+    return Fraction(1, sum(exps) + len(exps) - len(idx))
+
+
+def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
+    """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
+    with dx^i moved into place by the sign of :func:`_merge_indices`; the sum
+    is empty on the top grade, where the weight may be 1/0."""
+    if len(idx) == len(exps):
+        return []
+    weight = -_h_weight(idx, exps)
+    out = []
+    for i, e in enumerate(exps, start=1):
+        if i not in idx:
+            new_idx, sign = _merge_indices((i,), idx)
+            raised = exps[:i - 1] + (e + 1,) + exps[i:]
+            out.append((new_idx, raised, sign * signature[i - 1] * weight))
+    return out
+
+
 def cohomotopy_h(omega: Form) -> Form:
-    return hodge_star_inv(homotopy_H(hodge_star(omega))).eta()
+    signature = omega.ctx.signature
+    return omega.termwise(lambda idx, exps: _cohomotopy_terms(idx, exps, signature))
 
 
 def center_pullback(omega: Form) -> Form:
@@ -145,20 +173,8 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
     """For anticoexact omega, a form alpha with K^flat ^ alpha = omega.
 
     Constructive version of the structure result that anticoexact forms are
-    K^flat-multiples.  Members satisfy omega = h(delta(omega)); replaying the
-    h chain on star(delta(omega)) term by term shows each contraction
-    i_K(... dx^I) turns into a wedge with K^flat, leaving the H-weighted
-    coefficient as the factor: alpha = -star_inv of the weighted terms.
+    K^flat-multiples.  Members satisfy omega = h(delta(omega)), and
+    h = -K^flat ^ W with W the weight of :func:`_h_weight`, so
+    alpha = -W(delta(omega)).
     """
-    ctx = omega.ctx
-    beta = hodge_star(codifferential(omega))
-    out = Form.zero(ctx)
-    for k, idx_map in beta.components.items():
-        if k == 0:
-            continue
-        for idx, poly in idx_map.items():
-            weighted = Poly.zero(ctx.n)
-            for exps, coef in poly.terms.items():
-                weighted = weighted + Poly.monomial(ctx.n, exps, Fraction(coef, sum(exps) + k))
-            out = out - hodge_star_inv(Form.basis(ctx, idx, weighted))
-    return out
+    return codifferential(omega).termwise(lambda idx, exps: [(idx, exps, -_h_weight(idx, exps))])

@@ -84,9 +84,11 @@ class Poly:
         clean = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(exps)
                 if len(exps) != n:
                     raise DimensionMismatch("multidegree length != dimension")
+                if not all(isinstance(e, int) for e in exps):
+                    raise DimensionMismatch(f"exponents must be integers, got {exps}")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
                 coef = _as_fraction(coef)

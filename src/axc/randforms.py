@@ -35,18 +35,19 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int 
     return p
 
 
+def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,
+                max_components: int = 2) -> dict:
+    """Random coefficients on 1..max_components distinct grade-k basis forms."""
+    index_sets = list(itertools.combinations(range(1, ctx.n + 1), k))
+    chosen = rng.sample(index_sets, min(len(index_sets), rng.randint(1, max_components)))
+    return {idx: random_poly(rng, ctx.n, max_degree) for idx in chosen}
+
+
 def random_homogeneous(ctx: Context, rng: random.Random, k: int,
                        max_degree: int = 3, max_components: int = 2) -> Form:
-    index_sets = list(itertools.combinations(range(1, ctx.n + 1), k))
-    out = Form.zero(ctx)
-    for idx in rng.sample(index_sets, min(len(index_sets), rng.randint(1, max_components))):
-        out = out + Form.basis(ctx, idx, random_poly(rng, ctx.n, max_degree))
-    return out
+    return Form(ctx, {k: _random_row(ctx, rng, k, max_degree, max_components)})
 
 
 def random_form(ctx: Context, rng: random.Random, max_degree: int = 3) -> Form:
     grades = rng.sample(range(ctx.n + 1), rng.randint(1, min(2, ctx.n + 1)))
-    out = Form.zero(ctx)
-    for k in grades:
-        out = out + random_homogeneous(ctx, rng, k, max_degree)
-    return out
+    return Form(ctx, {k: _random_row(ctx, rng, k, max_degree) for k in grades})

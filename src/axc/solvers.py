@@ -111,11 +111,7 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int
     bound = max_degree if max_degree is not None else _degree_bound(rhs)
     rows = _assemble(ctx, k, side, bound)
 
-    rhs_values: dict[tuple, Fraction] = {}
-    for g, idx_map in rhs.components.items():
-        for idx, poly in idx_map.items():
-            for exps, coef in poly.terms.items():
-                rhs_values[("lap", g, idx, exps)] = coef
+    rhs_values = {("lap", len(idx), idx, exps): coef for idx, exps, coef in rhs.terms()}
 
     all_keys = sorted(set(rows) | set(rhs_values))
     matrix = [rows.get(key, {}) for key in all_keys]

@@ -3,12 +3,18 @@
 Text grammar (coordinates are absolute; the metric and center live in CLI
 flags or the JSON header, never inside an expression):
 
-    form  := [sign] term { ("+" | "-") term }
-    term  := poly ["*"] basis | poly | basis
-    basis := "d" var { "^" "d" var }
-    poly  := "(" polynomial over rationals with + - * ^ ")" | rational
-    var   := "x" digits; aliases x,y,z -> x1,x2,x3 when n <= 3 and
-             t,x,y,z -> x1..x4 when n = 4
+    form   := [sign] term { ("+" | "-") term }
+    term   := factor ["*"] basis | factor | basis
+    basis  := "d" var { "^" "d" var }
+    factor := base ["^" digits]
+    base   := "(" polynomial over rationals with + - * ^ ")" | rational
+              | var | "-" base
+    var    := "x" digits; aliases x,y,z -> x1,x2,x3 when n <= 3 and
+              t,x,y,z -> x1..x4 when n = 4
+
+A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
+``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  Parentheses
+and unary minus signs nest at most :data:`MAX_NESTING` deep.
 
 Printing is canonical: grades ascending, index lists lexicographic,
 monomials lexicographic, rationals reduced; parse o print is the identity.
@@ -20,12 +26,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import AxisOutOfRange, DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from .forms import Form
+from .errors import AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError, NonRationalLiteral
+from .forms import Form, _merge_indices
 from .polyring import Context, Poly, rebase
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
+
+# Deeper polynomial nesting is a syntax error, raised well before the
+# recursive-descent parser could reach Python's recursion limit.
+MAX_NESTING = 100
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -70,6 +80,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -111,20 +122,24 @@ class _Parser:
 
     def parse_poly_base(self) -> Poly:
         kind, value, position = self.peek()
-        if kind == "(":
-            self.take("(")
-            p = self.parse_poly_expr()
-            self.take(")")
-            return p
         if kind == "int":
             return Poly.const(self.ctx.n, self.parse_rational())
         if kind == "name":
             self.take("name")
             return Poly.variable(self.ctx.n, self.axis_of(value, position))
-        if kind == "-":
-            self.take("-")
-            return -self.parse_poly_base()
-        raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
+        if kind not in ("(", "-"):
+            raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormSyntaxError(f"polynomial nested deeper than {MAX_NESTING}", position)
+        self.take(kind)
+        if kind == "(":
+            p = self.parse_poly_expr()
+            self.take(")")
+        else:
+            p = -self.parse_poly_base()
+        self.depth -= 1
+        return p
 
     def parse_poly_factor(self) -> Poly:
         base = self.parse_poly_base()
@@ -144,15 +159,18 @@ class _Parser:
             out = out * self.parse_poly_factor()
         return out
 
+    def take_sign(self) -> int:
+        """Consume an optional "+" or "-" and return its sign."""
+        if self.peek()[0] in ("+", "-"):
+            return -1 if self.take()[0] == "-" else 1
+        return 1
+
     def parse_poly_expr(self) -> Poly:
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.take()[0] == "-" else 1
+        sign = self.take_sign()
         out = self.parse_poly_term().scale(sign)
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            term = self.parse_poly_term()
-            out = out + (term if op == "+" else -term)
+        while self.peek()[0] in ("+", "-"):
+            sign = self.take_sign()
+            out = out + self.parse_poly_term().scale(sign)
         return out
 
     # -- form grammar ------------------------------------------------------
@@ -170,58 +188,43 @@ class _Parser:
                 self.take("^")
                 continue
             break
-        sign = 1
-        ordered = []
-        for axis in axes:
-            pos = len(ordered)
-            while pos > 0 and ordered[pos - 1] > axis:
-                pos -= 1
-            if pos > 0 and ordered[pos - 1] == axis:
-                return (), 0
-            sign *= (-1) ** (len(ordered) - pos)
-            ordered.insert(pos, axis)
-        return tuple(ordered), sign
+        return _merge_indices((), tuple(axes)) or ((), 0)
 
     def at_basis(self) -> bool:
         kind, value, _ = self.peek()
         return kind == "name" and value.startswith("d") and len(value) > 1
 
-    def parse_term(self) -> Form:
-        ctx = self.ctx
+    def parse_term(self) -> tuple[tuple, Poly]:
+        """One term as (index tuple, coefficient); the coefficient is zero
+        when a basis index repeats."""
         if self.at_basis():
-            idx, sign = self.parse_basis()
-            if sign == 0:
-                return Form.zero(ctx)
-            return Form.basis(ctx, idx, Poly.const(ctx.n, sign))
-        poly = self.parse_poly_factor() if self.peek()[0] != "(" else self.parse_poly_base()
-        if self.peek()[0] == "*":
-            self.take("*")
-        if self.at_basis():
-            idx, sign = self.parse_basis()
-            if sign == 0:
-                return Form.zero(ctx)
-            return Form.basis(ctx, idx, poly.scale(sign))
-        return Form.from_poly(ctx, poly)
+            poly = Poly.const(self.ctx.n, 1)
+        else:
+            poly = self.parse_poly_factor()
+            if self.peek()[0] == "*":
+                self.take("*")
+            if not self.at_basis():
+                return (), poly
+        idx, sign = self.parse_basis()
+        return idx, poly.scale(sign)
 
     def parse_form(self) -> Form:
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.take()[0] == "-" else 1
-        out = self.parse_term().scale(sign)
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            term = self.parse_term()
-            out = out + (term if op == "+" else term.scale(-1))
+        """The whole expression, coefficients still in absolute coordinates."""
+        pieces = [(self.take_sign(), self.parse_term())]
+        while self.peek()[0] in ("+", "-"):
+            pieces.append((self.take_sign(), self.parse_term()))
         self.take("end")
-        return out
+        return Form.from_terms(self.ctx, (
+            (idx, exps, sign * coef)
+            for sign, (idx, poly) in pieces
+            for exps, coef in poly.terms.items()
+        ))
 
 
 def parse_rational(text: str) -> Fraction:
     """One signed rational literal, ``[+|-] int ["/" int]``, by the grammar's rule."""
     parser = _Parser(text, None)
-    sign = 1
-    if parser.peek()[0] in "+-":
-        sign = -1 if parser.take()[0] == "-" else 1
+    sign = parser.take_sign()
     value = parser.parse_rational()
     parser.take("end")
     return sign * value
@@ -229,13 +232,16 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form expression; absolute coordinates are re-centered."""
-    parsed = _Parser(text, ctx).parse_form()
+    return _recentered(_Parser(text, ctx).parse_form())
+
+
+def _recentered(absolute: Form) -> Form:
+    """The form whose coefficients are given in absolute coordinates,
+    re-expressed around its chart's center."""
+    ctx = absolute.ctx
     zeros = [Fraction(0)] * ctx.n
-    out = Form.zero(ctx)
-    for k, idx_map in parsed.components.items():
-        for idx, poly in idx_map.items():
-            out = out + Form.basis(ctx, idx, rebase(poly, zeros, ctx.center))
-    return out
+    return Form(ctx, {k: {idx: rebase(poly, zeros, ctx.center) for idx, poly in idx_map.items()}
+                      for k, idx_map in absolute.components.items()})
 
 
 # -- canonical printer -----------------------------------------------------
@@ -264,20 +270,25 @@ def _poly_text(p: Poly) -> str:
     return text
 
 
+def _absolute_components(omega: Form):
+    """``(grade, index tuple, coefficient in absolute coordinates)`` in
+    canonical order: grades ascending, index tuples sorted."""
+    ctx = omega.ctx
+    zeros = [Fraction(0)] * ctx.n
+    for k in omega.grades():
+        for idx in sorted(omega.components[k]):
+            yield k, idx, rebase(omega.components[k][idx], ctx.center, zeros)
+
+
 def print_form(omega: Form, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(form_to_json(omega), indent=2, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    ctx = omega.ctx
-    zeros = [Fraction(0)] * ctx.n
     pieces = []
-    for k in omega.grades():
-        for idx in sorted(omega.components[k]):
-            absolute = rebase(omega.components[k][idx], ctx.center, zeros)
-            base = "^".join(f"dx{i}" for i in idx)
-            body = f"({_poly_text(absolute)})"
-            pieces.append(body + (f" {base}" if base else ""))
+    for _, idx, absolute in _absolute_components(omega):
+        base = "^".join(f"dx{i}" for i in idx)
+        pieces.append(f"({_poly_text(absolute)})" + (f" {base}" if base else ""))
     return " + ".join(pieces) if pieces else "0"
 
 
@@ -285,55 +296,52 @@ def print_form(omega: Form, fmt: str = "text") -> str:
 
 def form_to_json(omega: Form) -> dict:
     """Exact JSON dict: rationals as strings, coordinates absolute."""
-    ctx = omega.ctx
-    zeros = [Fraction(0)] * ctx.n
     components = {}
-    for k in omega.grades():
-        row = {}
-        for idx in sorted(omega.components[k]):
-            absolute = rebase(omega.components[k][idx], ctx.center, zeros)
-            key = "[" + ",".join(str(i) for i in idx) + "]"
-            row[key] = [
-                {"exp": list(exps), "coef": str(coef)}
-                for exps, coef in absolute.sorted_terms()
-            ]
-        components[str(k)] = row
+    for k, idx, absolute in _absolute_components(omega):
+        key = "[" + ",".join(str(i) for i in idx) + "]"
+        components.setdefault(str(k), {})[key] = [
+            {"exp": list(exps), "coef": str(coef)} for exps, coef in absolute.sorted_terms()
+        ]
     return {
-        "n": ctx.n,
-        "center": [str(c) for c in ctx.center],
-        "metric": list(ctx.signature),
+        "n": omega.ctx.n,
+        "center": [str(c) for c in omega.ctx.center],
+        "metric": list(omega.ctx.signature),
         "components": components,
     }
+
+
+def _json_rational(value) -> Fraction:
+    """A JSON number: an integer, or a string read by the grammar's rational rule."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except AxcError as exc:
+            raise NonRationalLiteral(f"JSON number {value!r}: {exc}") from None
+    raise NonRationalLiteral(f"JSON number {value!r} is not an integer or a rational string")
 
 
 def form_from_json(data: dict) -> Form:
     try:
         ctx = Context(
             int(data["n"]),
-            tuple(Fraction(c) for c in data["center"]),
+            tuple(_json_rational(c) for c in data["center"]),
             tuple(int(s) for s in data["metric"]),
         )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
-    zeros = [Fraction(0)] * ctx.n
-    out = Form.zero(ctx)
+    terms = []
     for k_str, row in data.get("components", {}).items():
-        for key, terms in row.items():
+        for key, entries in row.items():
             idx = tuple(int(s) for s in key.strip("[]").split(",") if s)
             if len(idx) != int(k_str):
                 raise DimensionMismatch(f"index list {key} does not match grade {k_str}")
-            poly = Poly.zero(ctx.n)
-            for term in terms:
-                coef = term["coef"]
-                if isinstance(coef, float):
-                    raise NonRationalLiteral(f"float coefficient {coef!r} in JSON")
-                try:
-                    value = Fraction(str(coef))
-                except ZeroDivisionError:
-                    raise NonRationalLiteral(f"zero denominator in JSON coefficient {coef!r}") from None
-                poly = poly + Poly.monomial(ctx.n, tuple(term["exp"]), value)
-            out = out + Form.basis(ctx, idx, rebase(poly, zeros, ctx.center))
-    return out
+            for term in entries:
+                mono = Poly.monomial(ctx.n, term["exp"], _json_rational(term["coef"]))
+                terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
+    # _recentered rebuilds through the Form constructor, which validates idx
+    return _recentered(Form.from_terms(ctx, terms))
 
 
 def load_form_text(text: str, ctx: Context | None = None) -> Form:

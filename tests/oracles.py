@@ -2,7 +2,10 @@
 
 Each one is the literal definition (or the earlier loop) that the kernel
 used to run; the kernel now evaluates the same maps term by term in closed
-form, and the tests require exact equality.
+form, and the tests require exact equality.  No reference calls the operator
+it checks: the stars, the interior product, the wedge and the sum below add
+up whole coefficients with ``Poly`` arithmetic, and the composites are built
+from them.
 """
 
 from __future__ import annotations
@@ -10,28 +13,103 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from axc import Form, Poly, hodge_star, hodge_star_inv, interior, k_field, laplace_beltrami
+from axc import Form, Poly, codifferential, k_field, laplace_beltrami
 from axc.forms import _merge_indices
 from axc.linsolve import solve_sparse
 
 
-def composite_codifferential(omega: Form) -> Form:
-    """delta = star_inv o d o star o eta, operator by operator."""
-    return hodge_star_inv(hodge_star(omega.eta()).d())
+def _form(ctx, acc: dict) -> Form:
+    f = Form.__new__(Form)
+    f.ctx = ctx
+    f.components = {k: m for k, m in acc.items() if m}
+    return f
+
+
+def _accumulate(acc: dict, k: int, idx: tuple, poly: Poly):
+    tgt = acc.setdefault(k, {})
+    s = tgt.get(idx)
+    s = poly if s is None else s + poly
+    if s.is_zero:
+        tgt.pop(idx, None)
+    else:
+        tgt[idx] = s
+
+
+def loop_add(omega: Form, phi: Form) -> Form:
+    """Form sum by adding whole coefficients, grade by grade."""
+    acc = {k: dict(v) for k, v in omega.components.items()}
+    for k, idx_map in phi.components.items():
+        for idx, poly in idx_map.items():
+            _accumulate(acc, k, idx, poly)
+    return _form(omega.ctx, acc)
+
+
+def loop_wedge(omega: Form, phi: Form) -> Form:
+    """Wedge product by multiplying whole coefficients of each basis pair."""
+    acc: dict = {}
+    for p, left in omega.components.items():
+        for q, right in phi.components.items():
+            for idx1, c1 in left.items():
+                for idx2, c2 in right.items():
+                    merged = _merge_indices(idx1, idx2)
+                    if merged is not None:
+                        _accumulate(acc, p + q, merged[0], (c1 * c2).scale(merged[1]))
+    return _form(omega.ctx, acc)
+
+
+def loop_interior(v, omega: Form) -> Form:
+    """i_v by contracting each slot of each basis form with a whole component of v."""
+    acc: dict = {}
+    for k, idx_map in omega.components.items():
+        for idx, poly in idx_map.items():
+            for j, axis in enumerate(idx):
+                comp = v.components[axis - 1]
+                if not comp.is_zero:
+                    _accumulate(acc, k - 1, idx[:j] + idx[j + 1:], (poly * comp).scale((-1) ** j))
+    return _form(omega.ctx, acc)
+
+
+def loop_star(omega: Form) -> Form:
+    """Hodge star basis form by basis form: eps_I sgn(I, I^c) dx^{I^c}."""
+    ctx = omega.ctx
+    acc: dict = {}
+    for k, idx_map in omega.components.items():
+        for idx, poly in idx_map.items():
+            comp = tuple(i for i in range(1, ctx.n + 1) if i not in idx)
+            _, sign = _merge_indices(idx, comp)
+            for i in idx:
+                sign *= ctx.signature[i - 1]
+            _accumulate(acc, ctx.n - k, comp, poly.scale(sign))
+    return _form(ctx, acc)
+
+
+def loop_star_inv(omega: Form) -> Form:
+    """star_inv as star times sig(g) * (-1)^{k(n-k)}, one grade at a time."""
+    ctx = omega.ctx
+    out = Form.zero(ctx)
+    for k in omega.grades():
+        part = loop_star(omega.grade_select(k))
+        out = loop_add(out, part.scale(ctx.sig * (-1) ** (k * (ctx.n - k))))
+    return out
 
 
 def loop_d(omega: Form) -> Form:
     """Exterior derivative by partial derivatives of whole coefficients."""
     ctx = omega.ctx
-    out = Form.zero(ctx)
+    acc: dict = {}
     for k, idx_map in omega.components.items():
         for idx, poly in idx_map.items():
             for i in range(1, ctx.n + 1):
                 merged = _merge_indices((i,), idx)
                 if merged is not None:
                     new_idx, sign = merged
-                    out = out + Form.basis(ctx, new_idx, poly.partial(i).scale(sign))
-    return out
+                    _accumulate(acc, k + 1, new_idx, poly.partial(i).scale(sign))
+    return _form(ctx, acc)
+
+
+def composite_codifferential(omega: Form) -> Form:
+    """delta = star_inv o d o star o eta, operator by operator."""
+    return loop_star_inv(loop_d(loop_star(omega.eta())))
 
 
 def contraction_homotopy_H(omega: Form) -> Form:
@@ -42,10 +120,32 @@ def contraction_homotopy_H(omega: Form) -> Form:
         if k == 0:
             continue
         for idx, poly in idx_map.items():
-            contracted = interior(k_field(ctx), Form.basis(ctx, idx))
+            contracted = loop_interior(k_field(ctx), Form.basis(ctx, idx))
             for exps, coef in poly.terms.items():
                 weight = Fraction(coef, sum(exps) + k)
-                out = out + contracted.mul_poly(Poly.monomial(ctx.n, exps, weight))
+                out = loop_add(out, contracted.mul_poly(Poly.monomial(ctx.n, exps, weight)))
+    return out
+
+
+def composite_cohomotopy_h(omega: Form) -> Form:
+    """h = eta o star_inv o H o star, operator by operator."""
+    return loop_star_inv(contraction_homotopy_H(loop_star(omega))).eta()
+
+
+def loop_anticoexact_wedge_factor(omega: Form) -> Form:
+    """-star_inv of star(delta(omega)) with each monomial weighted by
+    1 / (degree + grade), the h chain replayed basis form by basis form."""
+    ctx = omega.ctx
+    beta = loop_star(codifferential(omega))
+    out = Form.zero(ctx)
+    for k, idx_map in beta.components.items():
+        if k == 0:
+            continue
+        for idx, poly in idx_map.items():
+            weighted = Poly.zero(ctx.n)
+            for exps, coef in poly.terms.items():
+                weighted = weighted + Poly.monomial(ctx.n, exps, Fraction(coef, sum(exps) + k))
+            out = loop_add(out, loop_star_inv(Form.basis(ctx, idx, weighted)).scale(-1))
     return out
 
 

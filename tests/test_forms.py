@@ -4,9 +4,9 @@ import pytest
 
 from axc import Context, Form, Poly, VectorField, form_linear, interior, k_field
 from axc.errors import GradeOutOfRange
-from axc.randforms import random_form, sample_rng
+from axc.randforms import random_form, random_poly, sample_rng
 from tests.conftest import oracle_contexts
-from tests.oracles import loop_d
+from tests.oracles import loop_add, loop_d, loop_interior, loop_wedge
 
 
 def B(ctx, idx, poly=None):
@@ -179,3 +179,29 @@ class TestVectorField:
         e1 = VectorField.frame(e3, 1)
         assert e1.components[0] == Poly.const(3, 1)
         assert e1.components[1].is_zero
+
+
+class TestTermMapsMatchLoops:
+    def test_add(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                rng = sample_rng(405, 10 * ctx.n + i)
+                a, b = random_form(ctx, rng), random_form(ctx, rng)
+                assert a + b == loop_add(a, b)
+                assert a + (-a) == loop_add(a, -a) == Form.zero(ctx)
+
+    def test_wedge(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                rng = sample_rng(407, 10 * ctx.n + i)
+                a, b = random_form(ctx, rng), random_form(ctx, rng)
+                assert a.wedge(b) == loop_wedge(a, b)
+
+    def test_interior(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                rng = sample_rng(409, 10 * ctx.n + i)
+                w = random_form(ctx, rng)
+                v = VectorField(ctx, [random_poly(rng, ctx.n, 2) for _ in range(ctx.n)])
+                for field in (v, k_field(ctx), VectorField.frame(ctx, ctx.n)):
+                    assert interior(field, w) == loop_interior(field, w)

@@ -19,7 +19,7 @@ from axc.errors import GradeOutOfRange
 from axc.forms import VectorField
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import all_contexts, oracle_contexts
-from tests.oracles import composite_codifferential
+from tests.oracles import composite_codifferential, loop_star, loop_star_inv
 
 
 def B(ctx, idx, poly=None):
@@ -152,6 +152,28 @@ class TestCodifferential:
                             continue
                         e = B(ctx, idx, Poly.monomial(ctx.n, exps))
                         assert codifferential(e) == composite_codifferential(e)
+
+
+class TestStarTermMap:
+    def test_star_matches_basis_loop(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(401, 10 * ctx.n + i))
+                assert hodge_star(w) == loop_star(w)
+
+    def test_star_inv_matches_grade_loop(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(403, 10 * ctx.n + i))
+                assert hodge_star_inv(w) == loop_star_inv(w)
+
+    def test_both_stars_on_every_basis_form(self):
+        for ctx in oracle_contexts():
+            for k in range(ctx.n + 1):
+                for idx in itertools.combinations(range(1, ctx.n + 1), k):
+                    e = B(ctx, idx, Poly.variable(ctx.n, 1))
+                    assert hodge_star(e) == loop_star(e)
+                    assert hodge_star_inv(e) == loop_star_inv(e)
 
 
 class TestInsertionStarLemma:

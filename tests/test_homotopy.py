@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,11 @@ from axc.errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
 from axc.homotopy import center_pullback, center_top_eval
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import all_contexts, oracle_contexts
-from tests.oracles import contraction_homotopy_H
+from tests.oracles import (
+    composite_cohomotopy_h,
+    contraction_homotopy_H,
+    loop_anticoexact_wedge_factor,
+)
 
 
 def B(ctx, idx, poly=None):
@@ -85,6 +90,20 @@ class TestHomotopyOperator:
 
 
 class TestCohomotopyOperator:
+    def test_term_map_matches_literal_composite(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(411, 10 * ctx.n + i))
+                assert cohomotopy_h(w) == composite_cohomotopy_h(w)
+
+    def test_term_map_on_every_basis_term(self):
+        for ctx in oracle_contexts(4):
+            for k in range(ctx.n + 1):
+                for idx in itertools.combinations(range(1, ctx.n + 1), k):
+                    for exps in itertools.product(range(2), repeat=ctx.n):
+                        e = B(ctx, idx, Poly.monomial(ctx.n, exps))
+                        assert cohomotopy_h(e) == composite_cohomotopy_h(e)
+
     def test_on_dx1_plane(self, e2):
         assert cohomotopy_h(B(e2, (1,))) == B(e2, (1, 2), var(e2, 2))
 
@@ -249,6 +268,14 @@ class TestCopotential:
 
 
 class TestAnticoexactStructure:
+    def test_wedge_factor_matches_star_loop(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                w = random_form(ctx, sample_rng(413, 10 * ctx.n + i))
+                assert anticoexact_wedge_factor(w) == loop_anticoexact_wedge_factor(w)
+                member = cohomotopy_h(codifferential(w))
+                assert anticoexact_wedge_factor(member) == loop_anticoexact_wedge_factor(member)
+
     def test_wedge_factor_reconstructs(self):
         # every anticoexact form is K-flat wedge something
         for ctx in all_contexts(4):

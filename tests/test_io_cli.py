@@ -7,7 +7,8 @@ import pytest
 
 from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
 from axc.cli import main
-from axc.errors import FormSyntaxError, NonRationalLiteral
+from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
+from axc.textio import MAX_NESTING
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
 
@@ -55,6 +56,19 @@ class TestParser:
     def test_rejects_float_literal(self, e2):
         with pytest.raises(NonRationalLiteral):
             parse_form("1.5 dx1", e2)
+
+    def test_parenthesized_power_coefficient(self, e2):
+        assert parse_form("(x1)^3 dx2", e2) == parse_form("x1^3 dx2", e2)
+        assert parse_form("(x1 + 1)^2", e2) == parse_form("(x1^2 + 2*x1 + 1)", e2)
+
+    def test_nesting_cap(self, e2):
+        ok = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING + " dx1"
+        assert parse_form(ok, e2) == B(e2, (1,), var(e2, 1))
+        deep = "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1) + " dx1"
+        with pytest.raises(FormSyntaxError):
+            parse_form(deep, e2)
+        with pytest.raises(FormSyntaxError):
+            parse_form("-" * (MAX_NESTING + 2) + "1", e2)
 
     def test_rejects_zero_denominator(self, e2):
         with pytest.raises(NonRationalLiteral):
@@ -125,6 +139,30 @@ class TestJson:
         doc["components"]["1"]["[1]"][0]["coef"] = "1/0"
         with pytest.raises(NonRationalLiteral):
             form_from_json(doc)
+
+    def test_rejects_decimal_coefficient_string(self, e2):
+        doc = form_to_json(B(e2, (1,)))
+        doc["components"]["1"]["[1]"][0]["coef"] = "1.5"
+        with pytest.raises(NonRationalLiteral):
+            form_from_json(doc)
+
+    def test_rejects_float_center(self, e2):
+        doc = form_to_json(B(e2, (1,)))
+        doc["center"] = [0.1, "0"]
+        with pytest.raises(NonRationalLiteral):
+            form_from_json(doc)
+
+    def test_rejects_fractional_exponent(self, e2):
+        doc = form_to_json(B(e2, (1,)))
+        doc["components"]["1"]["[1]"][0]["exp"] = [1.5, 0]
+        with pytest.raises(DimensionMismatch):
+            form_from_json(doc)
+
+    def test_rational_strings_in_header_and_body(self):
+        ctx = Context.euclidean(2, [Fraction(-2, 9), Fraction(1, 7)])
+        doc = form_to_json(B(ctx, (2,), Poly.const(2, Fraction(-3, 4))))
+        assert doc["center"] == ["-2/9", "1/7"]
+        assert form_from_json(doc) == B(ctx, (2,), Poly.const(2, Fraction(-3, 4)))
 
 
 def run_cli(args):
@@ -201,6 +239,23 @@ class TestCli:
         assert capsys.readouterr().out == joined
         assert main(["apply", "--op", "H", "--in", str(src)]) == 0
         assert capsys.readouterr().out != joined
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "center": [0.1], "metric": [1], "components": {}}',
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1], "coef": "1.5"}]}}}',
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1.5], "coef": "1"}]}}}',
+    ], ids=["float-center", "decimal-coefficient", "fractional-exponent"])
+    def test_non_rational_json_is_input_error(self, tmp_path, capsys, text):
+        src = tmp_path / "w.json"
+        src.write_text(text)
+        assert main(["apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("(" * 3000 + "1" + ")" * 3000 + " dx1")
+        assert main(["--dim", "2", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_metric_flag(self, tmp_path, capsys):
         src = tmp_path / "w.txt"
