@@ -7,6 +7,7 @@ Exit codes: 0 success / predicate true; 1 predicate false or not a solution;
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .solvers import (
     maxwell_solve_magnetic,
     vacuum_dirac_classify,
 )
-from .textio import load_form_text, parse_rational, print_form
+from .textio import form_to_json, load_form_text, parse_rational, print_form
 
 _OPS = {
     "d": lambda w: w.d(),
@@ -140,16 +141,13 @@ def _emit(omega: Form, as_json: bool):
 
 def _emit_report(report: SolveReport, as_json: bool) -> int:
     if as_json:
-        import json as _json
-
-        from .textio import form_to_json
         doc = {
             "outputs": {k: form_to_json(v) for k, v in report.outputs.items()},
             "residuals": {k: form_to_json(v) for k, v in report.residuals.items()},
             "gauge_notes": report.gauge_notes,
             "success": report.success,
         }
-        print(_json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for name, form in report.outputs.items():
             print(f"{name} = {print_form(form)}")
@@ -174,10 +172,7 @@ def _run(args) -> int:
         dec = decompose(_read_form(args.infile, ctx), mode)
         names = ("exact", "antiexact") if args.mode == "exact" else ("coexact", "anticoexact")
         if args.json:
-            import json as _json
-
-            from .textio import form_to_json
-            print(_json.dumps({names[0]: form_to_json(dec.first),
+            print(json.dumps({names[0]: form_to_json(dec.first),
                                names[1]: form_to_json(dec.second)}, indent=2, sort_keys=True))
         else:
             print(f"{names[0]} = {print_form(dec.first)}")

@@ -222,11 +222,7 @@ class Form:
         return self.components.get(len(indices), {}).get(indices, Poly.zero(self.ctx.n))
 
     def max_coeff_degree(self) -> int:
-        deg = -1
-        for idx_map in self.components.values():
-            for poly in idx_map.values():
-                deg = max(deg, poly.degree())
-        return deg
+        return max((sum(exps) for _, exps, _ in self.terms()), default=-1)
 
     def __eq__(self, other) -> bool:
         return (

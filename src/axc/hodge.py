@@ -22,7 +22,6 @@ import math
 
 from .errors import GradeOutOfRange
 from .forms import Form, VectorField, _merge_indices
-from .polyring import Poly
 
 
 def musical_flat(v: VectorField) -> Form:
@@ -38,12 +37,8 @@ def musical_sharp(alpha: Form) -> VectorField:
     grade = alpha.homogeneous_grade()
     if grade not in (None, 1):
         raise GradeOutOfRange("sharp is defined on 1-forms")
-    comps = []
-    row = alpha.components.get(1, {})
-    for i in range(1, ctx.n + 1):
-        p = row.get((i,), Poly.zero(ctx.n))
-        comps.append(p.scale(ctx.signature[i - 1]))
-    return VectorField(ctx, comps)
+    return VectorField(ctx, [alpha.coefficient((i,)).scale(s)
+                             for i, s in enumerate(ctx.signature, start=1)])
 
 
 def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:

@@ -3,11 +3,16 @@
 Every coefficient anywhere in the kernel is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.
+closed monomial form only in centered coordinates.  Every operation emits
+``(exponent tuple, Fraction)`` pairs into :meth:`Poly.from_terms`, the one
+loop here that accumulates terms and drops the ones that cancel.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -25,6 +30,14 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _binomial_factors(d: Fraction, a: int) -> tuple:
+    """The terms ``(b, C(a, b) * d^(a-b))`` of (y + d)^a; y^a alone when d = 0."""
+    if not d:
+        return ((a, 1),)
+    return tuple((b, math.comb(a, b) * d ** (a - b)) for b in range(a + 1))
 
 
 @dataclass(frozen=True)
@@ -64,10 +77,7 @@ class Context:
     @property
     def sig(self) -> int:
         """sig(g): product of the signature entries, +1 or -1."""
-        out = 1
-        for s in self.signature:
-            out *= s
-        return out
+        return math.prod(self.signature)
 
     def require_same(self, other: "Context"):
         if self != other:
@@ -80,26 +90,18 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
+        pairs = []
+        for exps, coef in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != n:
+                raise DimensionMismatch("multidegree length != dimension")
+            if not all(isinstance(e, int) for e in exps):
+                raise DimensionMismatch(f"exponents must be integers, got {exps}")
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponent")
+            pairs.append((exps, _as_fraction(coef)))
         self.n = n
-        clean = {}
-        if terms:
-            for exps, coef in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n:
-                    raise DimensionMismatch("multidegree length != dimension")
-                if not all(isinstance(e, int) for e in exps):
-                    raise DimensionMismatch(f"exponents must be integers, got {exps}")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent")
-                coef = _as_fraction(coef)
-                if coef != 0:
-                    acc = clean.get(exps)
-                    coef = coef if acc is None else acc + coef
-                    if coef != 0:
-                        clean[exps] = coef
-                    else:
-                        clean.pop(exps, None)
-        self.terms = clean
+        self.terms = Poly.from_terms(n, pairs).terms
 
     # -- constructors ------------------------------------------------------
 
@@ -123,6 +125,20 @@ class Poly:
     def monomial(cls, n: int, exps, coef=1) -> "Poly":
         return cls(n, {tuple(exps): _as_fraction(coef)})
 
+    @classmethod
+    def from_terms(cls, n: int, pairs) -> "Poly":
+        """Sum ``(exponent tuple, Fraction)`` pairs, dropping terms that cancel.
+        Exponent tuples must already be valid for dimension n."""
+        acc: dict[tuple, Fraction] = {}
+        for exps, coef in pairs:
+            if exps in acc:
+                acc[exps] += coef
+            else:
+                acc[exps] = coef
+        p = cls.__new__(cls)
+        p.n, p.terms = n, {exps: coef for exps, coef in acc.items() if coef}
+        return p
+
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -131,22 +147,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            s = out.get(exps, Fraction(0)) + coef
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly.from_terms(self.n, itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return self.scale(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -155,27 +159,17 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly.from_terms(self.n, (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
-        p = Poly.__new__(Poly)
-        p.n = self.n
-        p.terms = {e: c * v for e, v in self.terms.items()} if c else {}
-        return p
+        return Poly.from_terms(self.n, ((exps, c * v) for exps, v in self.terms.items()))
 
     # -- calculus ----------------------------------------------------------
 
@@ -183,54 +177,37 @@ class Poly:
         """Exact partial derivative d/dy_i, 1-based axis."""
         if not 1 <= i <= self.n:
             raise AxisOutOfRange(f"axis {i} not in 1..{self.n}")
-        out = {}
         j = i - 1
-        for exps, coef in self.terms.items():
-            e = exps[j]
-            if e == 0:
-                continue
-            lowered = exps[:j] + (e - 1,) + exps[j + 1:]
-            out[lowered] = out.get(lowered, Fraction(0)) + coef * e
-        return Poly(self.n, out)
+        return Poly.from_terms(self.n, (
+            (exps[:j] + (exps[j] - 1,) + exps[j + 1:], coef * exps[j])
+            for exps, coef in self.terms.items() if exps[j]
+        ))
 
     def eval(self, point) -> Fraction:
         """Value at a centered point (list of n rationals)."""
         point = [_as_fraction(v) for v in point]
         if len(point) != self.n:
             raise DimensionMismatch("point length != dimension")
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            v = coef
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        return sum((coef * math.prod(x ** e for x, e in zip(point, exps) if e)
+                    for exps, coef in self.terms.items()), Fraction(0))
 
     def shift(self, delta) -> "Poly":
-        """Substitute y_i -> y_i + delta_i (exact binomial expansion).
+        """Substitute y_i -> y_i + delta_i, the workhorse of :func:`rebase`.
 
-        This is the workhorse of re-centering: a polynomial centered at c
-        expressed in coordinates centered at c' is ``shift(c' - c)``... with
-        the sign convention handled by :func:`rebase`.
+        Each monomial expands in closed form, one axis at a time:
+        (y_i + delta_i)^a = sum_b C(a, b) * delta_i^(a-b) * y_i^b.  The
+        products of one factor per axis are summed by :meth:`from_terms`,
+        with no polynomial product.  An axis with delta_i = 0 passes its
+        exponent through unchanged.
         """
         delta = [_as_fraction(v) for v in delta]
         if len(delta) != self.n:
             raise DimensionMismatch("shift vector length != dimension")
-        out = Poly.zero(self.n)
-        for exps, coef in self.terms.items():
-            term = Poly.const(self.n, coef)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                base = Poly(self.n, {
-                    tuple(1 if j == i else 0 for j in range(self.n)): Fraction(1),
-                    (0,) * self.n: delta[i],
-                })
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
+        return Poly.from_terms(self.n, (
+            (tuple(b for b, _ in choice), coef * math.prod(c for _, c in choice))
+            for exps, coef in self.terms.items()
+            for choice in itertools.product(*map(_binomial_factors, delta, exps))
+        ))
 
     # -- queries -----------------------------------------------------------
 
@@ -240,9 +217,7 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.n, Fraction(0))

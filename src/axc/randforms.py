@@ -25,14 +25,14 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
-    p = Poly.zero(n)
+    pairs = []
     for _ in range(rng.randint(1, max_terms)):
         budget = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(budget):
             exps[rng.randrange(n)] += 1
-        p = p + Poly.monomial(n, tuple(exps), random_rational(rng))
-    return p
+        pairs.append((tuple(exps), random_rational(rng)))
+    return Poly.from_terms(n, pairs)
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,

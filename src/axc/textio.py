@@ -14,7 +14,8 @@ flags or the JSON header, never inside an expression):
 
 A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
 ``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  Parentheses
-and unary minus signs nest at most :data:`MAX_NESTING` deep.
+and unary minus signs nest at most :data:`MAX_NESTING` deep, and no
+exponent, in text or JSON, exceeds :data:`MAX_EXPONENT`.
 
 Printing is canonical: grades ascending, index lists lexicographic,
 monomials lexicographic, rationals reduced; parse o print is the identity.
@@ -24,11 +25,12 @@ JSON carries every number as an exact string or integer -- never a float.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError, NonRationalLiteral
 from .forms import Form, _merge_indices
-from .polyring import Context, Poly, rebase
+from .polyring import Context, Poly
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -36,6 +38,9 @@ _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
 # Deeper polynomial nesting is a syntax error, raised well before the
 # recursive-descent parser could reach Python's recursion limit.
 MAX_NESTING = 100
+# Larger exponents are an input error, raised before anything is multiplied
+# or re-centered: y^a expands to a + 1 terms on an off-center chart.
+MAX_EXPONENT = 1000
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -143,14 +148,13 @@ class _Parser:
 
     def parse_poly_factor(self) -> Poly:
         base = self.parse_poly_base()
-        if self.peek()[0] == "^":
-            self.take("^")
-            exp_tok = self.take("int")
-            out = Poly.const(self.ctx.n, 1)
-            for _ in range(int(exp_tok[1])):
-                out = out * base
-            return out
-        return base
+        if self.peek()[0] != "^":
+            return base
+        self.take("^")
+        _, digits, position = self.take("int")
+        if int(digits) > MAX_EXPONENT:
+            raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
+        return math.prod([base] * int(digits), start=Poly.const(self.ctx.n, 1))
 
     def parse_poly_term(self) -> Poly:
         out = self.parse_poly_factor()
@@ -239,8 +243,7 @@ def _recentered(absolute: Form) -> Form:
     """The form whose coefficients are given in absolute coordinates,
     re-expressed around its chart's center."""
     ctx = absolute.ctx
-    zeros = [Fraction(0)] * ctx.n
-    return Form(ctx, {k: {idx: rebase(poly, zeros, ctx.center) for idx, poly in idx_map.items()}
+    return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
                       for k, idx_map in absolute.components.items()})
 
 
@@ -274,10 +277,10 @@ def _absolute_components(omega: Form):
     """``(grade, index tuple, coefficient in absolute coordinates)`` in
     canonical order: grades ascending, index tuples sorted."""
     ctx = omega.ctx
-    zeros = [Fraction(0)] * ctx.n
+    back = [-c for c in ctx.center]
     for k in omega.grades():
         for idx in sorted(omega.components[k]):
-            yield k, idx, rebase(omega.components[k][idx], ctx.center, zeros)
+            yield k, idx, omega.components[k][idx].shift(back)
 
 
 def print_form(omega: Form, fmt: str = "text") -> str:
@@ -322,12 +325,19 @@ def _json_rational(value) -> Fraction:
     raise NonRationalLiteral(f"JSON number {value!r} is not an integer or a rational string")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a bool, a float or a string is an input error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DimensionMismatch(f"JSON {what} {value!r} is not an integer")
+
+
 def form_from_json(data: dict) -> Form:
     try:
         ctx = Context(
-            int(data["n"]),
+            _json_int(data["n"], "dimension"),
             tuple(_json_rational(c) for c in data["center"]),
-            tuple(int(s) for s in data["metric"]),
+            tuple(_json_int(s, "metric entry") for s in data["metric"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
@@ -338,7 +348,10 @@ def form_from_json(data: dict) -> Form:
             if len(idx) != int(k_str):
                 raise DimensionMismatch(f"index list {key} does not match grade {k_str}")
             for term in entries:
-                mono = Poly.monomial(ctx.n, term["exp"], _json_rational(term["coef"]))
+                powers = [_json_int(e, "exponent") for e in term["exp"]]
+                if any(e > MAX_EXPONENT for e in powers):
+                    raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {powers}")
+                mono = Poly.monomial(ctx.n, powers, _json_rational(term["coef"]))
                 terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
     # _recentered rebuilds through the Form constructor, which validates idx
     return _recentered(Form.from_terms(ctx, terms))
@@ -348,7 +361,11 @@ def load_form_text(text: str, ctx: Context | None = None) -> Form:
     """Dispatch on content: JSON documents start with '{', else grammar text."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return form_from_json(json.loads(stripped))
+        try:
+            data = json.loads(stripped)
+        except RecursionError:
+            raise FormSyntaxError("JSON document nested too deeply") from None
+        return form_from_json(data)
     if ctx is None:
         raise DimensionMismatch("text form input needs an explicit context")
     return parse_form(stripped, ctx)

@@ -5,7 +5,9 @@ used to run; the kernel now evaluates the same maps term by term in closed
 form, and the tests require exact equality.  No reference calls the operator
 it checks: the stars, the interior product, the wedge and the sum below add
 up whole coefficients with ``Poly`` arithmetic, and the composites are built
-from them.
+from them.  The ``Poly`` references themselves (sum, product, partial
+derivative and shift) work on plain ``dict[exponent tuple, Fraction]`` maps,
+so they call no ``Poly`` arithmetic at all.
 """
 
 from __future__ import annotations
@@ -188,4 +190,59 @@ def composite_laplace_solve(rhs: Form, k: int, side: tuple, bound: int) -> Form:
     out = Form.zero(ctx)
     for (idx, exps), coef in solution.items():
         out = out + Form.basis(ctx, idx, Poly.monomial(ctx.n, exps, coef))
+    return out
+
+
+# -- coefficient arithmetic on plain dicts ----------------------------------
+
+def loop_poly_add(p: dict, q: dict) -> dict:
+    """Sum of two exponent -> coefficient maps, term by term."""
+    out = dict(p)
+    for exps, coef in q.items():
+        s = out.get(exps, Fraction(0)) + coef
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def loop_poly_mul(p: dict, q: dict) -> dict:
+    """Product of two exponent -> coefficient maps, term pair by term pair."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def loop_poly_partial(p: dict, i: int) -> dict:
+    """d/dy_i (1-based axis) of an exponent -> coefficient map."""
+    out: dict = {}
+    j = i - 1
+    for exps, coef in p.items():
+        if exps[j]:
+            lowered = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            out[lowered] = out.get(lowered, Fraction(0)) + coef * exps[j]
+    return {exps: coef for exps, coef in out.items() if coef}
+
+
+def product_shift(p: dict, delta) -> dict:
+    """y_i -> y_i + delta_i by multiplying out (y_i + delta_i) one factor at a time."""
+    n = len(delta)
+    out: dict = {}
+    for exps, coef in p.items():
+        term = {(0,) * n: coef}
+        for i, e in enumerate(exps):
+            base = {tuple(1 if j == i else 0 for j in range(n)): Fraction(1)}
+            if delta[i]:
+                base[(0,) * n] = Fraction(delta[i])
+            for _ in range(e):
+                term = loop_poly_mul(term, base)
+        out = loop_poly_add(out, term)
     return out

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +11,7 @@ import pytest
 from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
 from axc.cli import main
 from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from axc.textio import MAX_NESTING
+from axc.textio import MAX_EXPONENT, MAX_NESTING
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
 
@@ -74,6 +77,14 @@ class TestParser:
         with pytest.raises(NonRationalLiteral):
             parse_form("(1/0) dx1", e2)
 
+    def test_exponent_cap(self, e2):
+        top = Poly.monomial(2, (MAX_EXPONENT, 0))
+        assert parse_form(f"x1^{MAX_EXPONENT} dx1", e2) == B(e2, (1,), top)
+        with pytest.raises(FormSyntaxError):
+            parse_form(f"x1^{MAX_EXPONENT + 1} dx1", e2)
+        with pytest.raises(FormSyntaxError):
+            parse_form(f"(x1 + 1/7)^{MAX_EXPONENT + 1}", e2)
+
     def test_rejects_garbage(self, e2):
         with pytest.raises(FormSyntaxError):
             parse_form("dx1 ^^ dx2", e2)
@@ -103,6 +114,38 @@ class TestPrinter:
                 again = parse_form(text, ctx)
                 assert again == w
                 assert print_form(again) == text
+
+    # SHA-1 of the text and JSON below as printed when ``Poly.shift`` still
+    # multiplied out (y + delta)^e factor by factor; the closed binomial
+    # expansion must print every byte the same.
+    GOLDEN_SHA1 = "0447d82ee8163905f9bf9106105319001eae12c0"
+
+    @staticmethod
+    def _golden_forms():
+        """Dense seeded forms, n = 1..4, on off-center charts with negative centers."""
+        rng = random.Random(6007)
+        entries = [Fraction(-3, 7), Fraction(2, 9), Fraction(-1), Fraction(5, 9),
+                   Fraction(0), Fraction(-4, 9), Fraction(6, 7)]
+        for n in range(1, 5):
+            degree = 5 if n <= 2 else 3
+            for sample in range(3):
+                center = [entries[(sample + 2 * i) % len(entries)] for i in range(n)]
+                signature = [rng.choice((1, -1)) for _ in range(n)]
+                components = {}
+                for k in sorted(rng.sample(range(n + 1), min(2, n + 1))):
+                    idx = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                    components[k] = {idx: Poly(n, {
+                        exps: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for exps in itertools.product(range(degree + 1), repeat=n)
+                        if sum(exps) <= degree})}
+                yield Form(Context(n, center, signature), components)
+
+    def test_golden_digest(self):
+        printed = []
+        for w in self._golden_forms():
+            printed += [print_form(w), print_form(w, "json")]
+        digest = hashlib.sha1("\n".join(printed).encode("utf-8")).hexdigest()
+        assert digest == self.GOLDEN_SHA1
 
 
 class TestJson:
@@ -155,6 +198,14 @@ class TestJson:
     def test_rejects_fractional_exponent(self, e2):
         doc = form_to_json(B(e2, (1,)))
         doc["components"]["1"]["[1]"][0]["exp"] = [1.5, 0]
+        with pytest.raises(DimensionMismatch):
+            form_from_json(doc)
+
+    def test_exponent_cap(self, e2):
+        doc = form_to_json(B(e2, (1,)))
+        doc["components"]["1"]["[1]"][0]["exp"] = [MAX_EXPONENT, 0]
+        assert form_from_json(doc) == B(e2, (1,), Poly.monomial(2, (MAX_EXPONENT, 0)))
+        doc["components"]["1"]["[1]"][0]["exp"] = [0, MAX_EXPONENT + 1]
         with pytest.raises(DimensionMismatch):
             form_from_json(doc)
 
@@ -244,11 +295,34 @@ class TestCli:
         '{"n": 1, "center": [0.1], "metric": [1], "components": {}}',
         '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1], "coef": "1.5"}]}}}',
         '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1.5], "coef": "1"}]}}}',
-    ], ids=["float-center", "decimal-coefficient", "fractional-exponent"])
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [true], "coef": "1"}]}}}',
+        '{"n": 1.9, "center": ["0"], "metric": [1.5], "components": {}}',
+        '{"n": 2, "center": ["0", "0"], "metric": [1, true], "components": {}}',
+        '{"n": "1", "center": ["0"], "metric": [1], "components": {}}',
+        '{"n": 1, "center": ["0"], "metric": ["-1"], "components": {}}',
+    ], ids=["float-center", "decimal-coefficient", "fractional-exponent", "bool-exponent",
+            "float-header", "bool-metric", "string-dimension", "string-metric"])
     def test_non_rational_json_is_input_error(self, tmp_path, capsys, text):
         src = tmp_path / "w.json"
         src.write_text(text)
         assert main(["apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_deep_json_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "w.json"
+        src.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,text", [
+        ("w.txt", "x1^100000000 dx1"),
+        ("w.json", '{"n": 2, "center": ["1/7", "-3/5"], "metric": [1, 1], '
+                   '"components": {"1": {"[1]": [{"exp": [100000000, 0], "coef": "1"}]}}}'),
+    ], ids=["text", "json"])
+    def test_huge_exponent_is_input_error(self, tmp_path, capsys, name, text):
+        src = tmp_path / name
+        src.write_text(text)
+        assert main(["--center=1/7,-3/5", "apply", "--op", "d", "--in", str(src)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):

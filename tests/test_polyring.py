@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from axc import Context, Poly, rebase
 from axc.errors import AxisOutOfRange, DimensionMismatch
 from axc.randforms import random_poly, sample_rng
+from tests.oracles import loop_poly_add, loop_poly_mul, loop_poly_partial, product_shift
 
 
 def y(i, n=2):
@@ -122,3 +125,75 @@ class TestContext:
             Context(2, (0,), (1, 1))
         with pytest.raises(DimensionMismatch):
             Context(2, (0, 0), (1, 2))
+
+
+# Shift entries: zeros, negatives, and denominators 7 and 9.
+_SHIFT_ENTRIES = [Fraction(0), Fraction(-3, 7), Fraction(2, 9), Fraction(0), Fraction(-1),
+                  Fraction(5, 7), Fraction(-4, 9), Fraction(3)]
+
+
+def _seeded_terms(rng: random.Random, n: int) -> dict:
+    """A plain exponent -> coefficient map; empty (the zero polynomial) now and then."""
+    max_degree = 4 if n <= 3 else 3
+    out = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = Fraction(rng.choice([-9, -5, -2, -1, 1, 3, 7]), rng.choice([1, 2, 7, 9]))
+    return out
+
+
+def _seeded_pairs(n: int, count: int = 12):
+    """(p, q) maps for dimension n; every third q cancels part of p."""
+    rng = random.Random(4000 + n)
+    pairs = [({}, _seeded_terms(rng, n)), ({}, {})]
+    for i in range(count):
+        p, q = _seeded_terms(rng, n), _seeded_terms(rng, n)
+        if i % 3 == 0:
+            q.update({exps: -coef for exps, coef in itertools.islice(p.items(), 2)})
+        pairs.append((p, q))
+    return pairs
+
+
+def _shift_vectors(n: int):
+    vectors = [(Fraction(0),) * n]
+    for start in range(4):
+        vectors.append(tuple(_SHIFT_ENTRIES[(start + i) % len(_SHIFT_ENTRIES)] for i in range(n)))
+    return vectors
+
+
+class TestAgainstLoops:
+    """The term driver against the term-by-term loops on plain dicts, n = 1..6."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_add_and_mul(self, n):
+        for p, q in _seeded_pairs(n):
+            assert (Poly(n, p) + Poly(n, q)).terms == loop_poly_add(p, q)
+            assert (Poly(n, p) * Poly(n, q)).terms == loop_poly_mul(p, q)
+            assert (Poly(n, p) - Poly(n, p)).terms == {}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_partial(self, n):
+        for p, _ in _seeded_pairs(n):
+            for i in range(1, n + 1):
+                assert Poly(n, p).partial(i).terms == loop_poly_partial(p, i)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shift(self, n):
+        for p, q in _seeded_pairs(n):
+            for delta in _shift_vectors(n):
+                assert Poly(n, p).shift(delta).terms == product_shift(p, delta)
+                assert Poly(n, q).shift(delta).terms == product_shift(q, delta)
+
+    def test_shift_with_zero_axes(self):
+        p = {(5, 0, 2): Fraction(-3, 7), (0, 9, 1): Fraction(2, 9)}
+        assert Poly(3, p).shift([0, 0, 0]).terms == p
+        assert Poly(3, p).shift([0, Fraction(1, 7), 0]).terms == product_shift(p, [0, Fraction(1, 7), 0])
+
+    def test_scale_and_negation(self):
+        p = {(2, 0, 1): Fraction(-3, 7), (0, 1, 0): Fraction(5, 9), (0, 0, 0): Fraction(1)}
+        assert (-Poly(3, p)).terms == {exps: -coef for exps, coef in p.items()}
+        assert Poly(3, p).scale(Fraction(-2, 9)).terms == {exps: coef * Fraction(-2, 9)
+                                                          for exps, coef in p.items()}
+        assert Poly(3, p).scale(0).terms == {}
