@@ -29,13 +29,26 @@ def clifford_vec_mul(v: VectorField, psi: Form) -> Form:
     return musical_flat(v).wedge(psi) + interior(v, psi)
 
 
+def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
+    """Laplace-Beltrami -(delta d + d delta) on one basis term, the one rule
+    for it: on a constant diagonal +-1 metric it is the wave operator
+    box = sum_i eps_i d^2/dy_i^2 on the coefficient, with no sign and no
+    change of basis term, so it lowers coefficient degree by exactly 2."""
+    out = []
+    for i, e in enumerate(exps):
+        if e > 1:
+            out.append((idx, exps[:i] + (e - 2,) + exps[i + 1:], signature[i] * e * (e - 1)))
+    return out
+
+
 def apply_operator(tag: OperatorTag, psi: Form) -> Form:
     if tag is OperatorTag.DIRAC:
         return psi.d() - codifferential(psi)
     if tag is OperatorTag.ANTI_DIRAC:
         return cohomotopy_h(psi) - homotopy_H(psi)
     if tag is OperatorTag.LAPLACE_BELTRAMI:
-        return -(codifferential(psi.d()) + codifferential(psi).d())
+        signature = psi.ctx.signature
+        return psi.termwise(lambda idx, exps: box_terms(idx, exps, signature))
     if tag is OperatorTag.ANTI_LAPLACE:
         return -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi)))
     if tag is OperatorTag.OSCILLATOR_HBAR:

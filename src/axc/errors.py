@@ -38,11 +38,12 @@ class NotConserved(AxcError):
 
 
 class InconsistentSystem(AxcError):
-    """The exact linear system has no solution within the degree bound."""
+    """The exact linear system has no solution; ``equation`` is ``(name, c)``
+    for the first equation that reduces to 0 = c with c != 0."""
 
-    def __init__(self, message, degree_bound=None):
+    def __init__(self, message, equation=None):
         super().__init__(message)
-        self.degree_bound = degree_bound
+        self.equation = equation
 
 
 class NotASolution(AxcError):

@@ -17,7 +17,8 @@ def solve_sparse(rows, rhs):
 
     rows: list of dict[var, Fraction]; rhs: list of Fraction.
     Returns dict var -> Fraction with free variables omitted (i.e. zero).
-    Raises InconsistentSystem when no solution exists.
+    Raises InconsistentSystem naming the first row, by its index, that
+    reduces to 0 = c with c != 0 when no solution exists.
     """
     system = [(dict(r), Fraction(v)) for r, v in zip(rows, rhs)]
     var_rows: dict[object, set[int]] = {}
@@ -55,7 +56,7 @@ def solve_sparse(rows, rhs):
 
     for ridx, (row, rv) in enumerate(system):
         if not row and rv != 0:
-            raise InconsistentSystem("linear system has no exact solution")
+            raise InconsistentSystem(f"row {ridx} reduces to 0 = {rv}", equation=(ridx, rv))
 
     solution: dict[object, Fraction] = {}
     for var, ridx in sorted(pivot_of.items(), reverse=True):

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clifford import OperatorTag, apply_operator, laplace_beltrami
+from .clifford import OperatorTag, apply_operator, box_terms, laplace_beltrami
 from .errors import (
     GradeMismatch,
     GradeOutOfRange,
@@ -25,8 +24,6 @@ from .forms import Form, d_terms
 from .hodge import codifferential, codifferential_terms
 from .homotopy import SpaceTag, cohomotopy_h, homotopy_H, membership
 from .linsolve import solve_sparse
-
-MAX_DEGREE_ENV = "AXC_MAX_DEGREE"
 
 
 @dataclass
@@ -44,57 +41,33 @@ class SolveReport:
         return not self.failed
 
 
-def _monomials_up_to(n: int, degree: int):
-    ranges = [range(degree + 1)] * n
-    for exps in itertools.product(*ranges):
-        if sum(exps) <= degree:
-            yield exps
+def _monomials_of_degree(n: int, degree: int):
+    """Exponent tuples of the monomials of total degree ``degree`` in n variables."""
+    for axes in itertools.combinations_with_replacement(range(n), degree):
+        yield tuple(axes.count(i) for i in range(n))
 
 
-def _degree_bound(rhs: Form) -> int:
-    # Laplace-Beltrami with a constant diagonal metric lowers coefficient
-    # degree by exactly 2, so deg(rhs) + 2 spans a particular solution.
-    bound = max(rhs.max_coeff_degree(), 0) + 2
-    env = os.environ.get(MAX_DEGREE_ENV)
-    if env:
-        bound = max(bound, int(env))
-    return bound
-
-
-def _box_terms(exps: tuple, signature: tuple) -> list:
-    """The wave operator box = sum_i eps_i d^2/dy_i^2 on the monomial y^exps.
-
-    On a constant diagonal +-1 metric the Laplace-Beltrami operator acts on
-    every coefficient of every grade as box, with no sign and no change of
-    basis term.
-    """
-    out = []
-    for i, e in enumerate(exps):
-        if e > 1:
-            out.append((exps[:i] + (e - 2,) + exps[i + 1:], signature[i] * e * (e - 1)))
-    return out
-
-
-def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int | None = None) -> Form:
+def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = ()) -> Form:
     """Particular polynomial solution of ``laplace(beta) = rhs`` at grade k.
 
     ``side`` may request the exact side conditions ``"d"`` (d beta = 0) and/or
-    ``"delta"`` (delta beta = 0); the joint system is assembled over the
-    monomial basis of coefficient degree <= deg(rhs) + 2 and eliminated
-    exactly, free variables pinned to zero in lexicographic order.
+    ``"delta"`` (delta beta = 0).  The joint system is block-diagonal by
+    coefficient degree: laplace lowers it by exactly 2, d and delta by exactly
+    1, and every row key carries its exponents, so an unknown of degree m
+    meets only laplace rows of degree m - 2 and d/delta rows of degree m - 1.
+    A block whose laplace rows carry no right-hand side solves to zero, so
+    only the degrees deg(t) + 2 of the terms t of rhs are assembled and
+    eliminated exactly, free variables pinned to zero in lexicographic order.
+    No degree bound is needed: any further block adds only zeros.
 
-    Each unknown y^a dx^I writes its column straight from closed-form term
-    maps, never through the operator composites:
-
-    * laplace rows: box = sum_i eps_i d^2/dy_i^2 on the coefficient
-      (:func:`_box_terms`);
-    * d rows: :func:`axc.forms.d_terms`, the rule ``Form.d`` runs on;
-    * delta rows: :func:`axc.hodge.codifferential_terms`, the rule
-      ``codifferential`` runs on.
-
-    ``tests/test_solvers.py`` checks every row against the composite
-    Laplace-Beltrami, ``Form.d`` and the literal star_inv o d o star o eta,
-    and the solution against a copy of the composite assembly.
+    Each unknown y^a dx^I writes its column straight from the term maps the
+    operators run on: :func:`axc.clifford.box_terms` (laplace rows),
+    :func:`axc.forms.d_terms` (d rows) and
+    :func:`axc.hodge.codifferential_terms` (delta rows).  With no solution,
+    :class:`InconsistentSystem` names the first equation
+    ``(operator, grade, index tuple, exponents)`` that reduces to 0 = c != 0.
+    ``tests/test_solvers.py`` checks the rows against the literal composites
+    and the solution against the composite assembly up to deg(rhs) + 4.
     """
     ctx = rhs.ctx
     grade = rhs.homogeneous_grade()
@@ -108,41 +81,43 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = (), max_degree: int
     if unknown:
         raise ValueError(f"unknown side conditions {unknown}")
 
-    bound = max_degree if max_degree is not None else _degree_bound(rhs)
-    rows = _assemble(ctx, k, side, bound)
-
     rhs_values = {("lap", len(idx), idx, exps): coef for idx, exps, coef in rhs.terms()}
+    rows = _assemble(ctx, k, side, sorted({sum(exps) + 2 for _, exps, _ in rhs.terms()}))
 
     all_keys = sorted(set(rows) | set(rhs_values))
     matrix = [rows.get(key, {}) for key in all_keys]
     vector = [rhs_values.get(key, Fraction(0)) for key in all_keys]
     try:
         solution = solve_sparse(matrix, vector)
-    except InconsistentSystem:
+    except InconsistentSystem as exc:
+        row, value = exc.equation
         raise InconsistentSystem(
-            f"no polynomial solution of the joint system within degree {bound}",
-            degree_bound=bound,
+            f"no polynomial solution: equation {all_keys[row]} reduces to 0 = {value}",
+            equation=(all_keys[row], value),
         ) from None
 
     return Form.from_terms(ctx, ((idx, exps, coef) for (idx, exps), coef in solution.items()))
 
 
-def _assemble(ctx, k: int, side: tuple[str, ...], bound: int) -> dict[tuple, dict[tuple, Fraction]]:
-    """Rows of the joint system, keyed ``(operator, grade, index tuple, exponents)``;
+def _assemble(ctx, k: int, side: tuple[str, ...], degrees) -> dict[tuple, dict[tuple, Fraction]]:
+    """Rows of the joint system for the grade-k unknowns of the coefficient
+    degrees in ``degrees``, one disjoint block per degree (see
+    :func:`laplace_solve`), keyed ``(operator, grade, index tuple, exponents)``;
     each row maps an unknown ``(index tuple, exponents)`` to its coefficient."""
     signature = ctx.signature
     rows: dict[tuple, dict[tuple, Fraction]] = {}
     for idx in itertools.combinations(range(1, ctx.n + 1), k):
-        for exps in _monomials_up_to(ctx.n, bound):
-            var = (idx, exps)
-            for out_exps, c in _box_terms(exps, signature):
-                rows.setdefault(("lap", k, idx, out_exps), {})[var] = Fraction(c)
-            if "d" in side:
-                for out_idx, out_exps, c in d_terms(idx, exps):
-                    rows.setdefault(("d", k + 1, out_idx, out_exps), {})[var] = Fraction(c)
-            if "delta" in side:
-                for out_idx, out_exps, c in codifferential_terms(idx, exps, signature):
-                    rows.setdefault(("delta", k - 1, out_idx, out_exps), {})[var] = Fraction(c)
+        for degree in degrees:
+            for exps in _monomials_of_degree(ctx.n, degree):
+                var = (idx, exps)
+                for _, out_exps, c in box_terms(idx, exps, signature):
+                    rows.setdefault(("lap", k, idx, out_exps), {})[var] = Fraction(c)
+                if "d" in side:
+                    for out_idx, out_exps, c in d_terms(idx, exps):
+                        rows.setdefault(("d", k + 1, out_idx, out_exps), {})[var] = Fraction(c)
+                if "delta" in side:
+                    for out_idx, out_exps, c in codifferential_terms(idx, exps, signature):
+                        rows.setdefault(("delta", k - 1, out_idx, out_exps), {})[var] = Fraction(c)
     return rows
 
 
@@ -278,7 +253,7 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
             v = laplace_solve(slack, k - 2, side=("delta",))
             alpha = alpha + v.d()
             notes.append("v solved from {laplace v = delta H(delta beta + B), delta v = 0}")
-    elif approach == 2:
+    else:
         alpha = laplace_solve(-codifferential(B), k - 1, side=("delta",))
         beta = cohomotopy_h(alpha.d() - B)
         slack = beta.d()
@@ -288,8 +263,6 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
             w = laplace_solve(slack, k + 2, side=("d",))
             beta = beta + codifferential(w)
             notes.append("w solved from {laplace w = d h(d alpha - B), d w = 0}")
-    else:
-        raise ValueError("approach must be 1 or 2")
     return SolveReport(
         outputs={"alpha": alpha, "beta": beta, "psi": alpha + beta},
         residuals={

@@ -342,17 +342,20 @@ def form_from_json(data: dict) -> Form:
     except (KeyError, ValueError, TypeError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
     terms = []
-    for k_str, row in data.get("components", {}).items():
-        for key, entries in row.items():
-            idx = tuple(int(s) for s in key.strip("[]").split(",") if s)
-            if len(idx) != int(k_str):
-                raise DimensionMismatch(f"index list {key} does not match grade {k_str}")
-            for term in entries:
-                powers = [_json_int(e, "exponent") for e in term["exp"]]
-                if any(e > MAX_EXPONENT for e in powers):
-                    raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {powers}")
-                mono = Poly.monomial(ctx.n, powers, _json_rational(term["coef"]))
-                terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
+    try:
+        for k_str, row in data.get("components", {}).items():
+            for key, entries in row.items():
+                idx = tuple(int(s) for s in key.strip("[]").split(",") if s)
+                if len(idx) != int(k_str):
+                    raise DimensionMismatch(f"index list {key} does not match grade {k_str}")
+                for term in entries:
+                    powers = [_json_int(e, "exponent") for e in term["exp"]]
+                    if any(e > MAX_EXPONENT for e in powers):
+                        raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {powers}")
+                    mono = Poly.monomial(ctx.n, powers, _json_rational(term["coef"]))
+                    terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise DimensionMismatch(f"bad JSON body: {exc!r}") from None
     # _recentered rebuilds through the Form constructor, which validates idx
     return _recentered(Form.from_terms(ctx, terms))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from axc import Form, Poly, codifferential, k_field, laplace_beltrami
+from axc import Form, Poly, codifferential, k_field
 from axc.forms import _merge_indices
 from axc.linsolve import solve_sparse
 
@@ -114,6 +114,12 @@ def composite_codifferential(omega: Form) -> Form:
     return loop_star_inv(loop_d(loop_star(omega.eta())))
 
 
+def composite_laplace_beltrami(omega: Form) -> Form:
+    """Laplace-Beltrami = -(delta d + d delta), operator by operator."""
+    return loop_add(composite_codifferential(loop_d(omega)),
+                    loop_d(composite_codifferential(omega))).scale(-1)
+
+
 def contraction_homotopy_H(omega: Form) -> Form:
     """H as i_K(dx^I) times each monomial weighted by 1 / (degree + grade)."""
     ctx = omega.ctx
@@ -152,8 +158,9 @@ def loop_anticoexact_wedge_factor(omega: Form) -> Form:
 
 
 def composite_rows(ctx, k: int, side: tuple, bound: int) -> dict:
-    """The Laplace system's rows from operator images of each basis monomial:
-    composite Laplace-Beltrami, ``Form.d`` and the composite delta."""
+    """The Laplace system's rows from operator images of each basis monomial
+    of coefficient degree <= bound: the composite Laplace-Beltrami, the
+    coefficient-loop d and the composite delta."""
     rows: dict[tuple, dict[tuple, Fraction]] = {}
 
     def record(op_name, image, var):
@@ -168,9 +175,9 @@ def composite_rows(ctx, k: int, side: tuple, bound: int) -> dict:
                 continue
             var = (idx, exps)
             e = Form.basis(ctx, idx, Poly.monomial(ctx.n, exps))
-            record("lap", laplace_beltrami(e), var)
+            record("lap", composite_laplace_beltrami(e), var)
             if "d" in side:
-                record("d", e.d(), var)
+                record("d", loop_d(e), var)
             if "delta" in side:
                 record("delta", composite_codifferential(e), var)
     return rows

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from axc import (
 from axc.errors import GradeOutOfRange
 from axc.forms import VectorField
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts
+from tests.conftest import all_contexts, oracle_contexts
+from tests.oracles import composite_laplace_beltrami
 
 
 def B(ctx, idx, poly=None):
@@ -107,6 +109,20 @@ class TestDiracOperators:
                 for k, idx_map in psi.components.items()
             })
             assert laplace_beltrami(psi) == expected
+
+    def test_laplacian_matches_literal_composite(self):
+        for ctx in oracle_contexts():
+            for i in range(10):
+                psi = random_form(ctx, sample_rng(409, 10 * ctx.n + i))
+                assert laplace_beltrami(psi) == composite_laplace_beltrami(psi)
+
+    def test_laplacian_on_every_basis_term(self):
+        for ctx in oracle_contexts(4):
+            for k in range(ctx.n + 1):
+                for idx in itertools.combinations(range(1, ctx.n + 1), k):
+                    for exps in itertools.product(range(3), repeat=ctx.n):
+                        e = B(ctx, idx, Poly.monomial(ctx.n, exps))
+                        assert laplace_beltrami(e) == composite_laplace_beltrami(e)
 
     def test_oscillator_on_anticoexact_plane_sample(self, e2):
         w = (B(e2, (1,), var(e2, 1)) + B(e2, (2,), var(e2, 2))).scale(Fraction(1, 2))

@@ -300,8 +300,12 @@ class TestCli:
         '{"n": 2, "center": ["0", "0"], "metric": [1, true], "components": {}}',
         '{"n": "1", "center": ["0"], "metric": [1], "components": {}}',
         '{"n": 1, "center": ["0"], "metric": ["-1"], "components": {}}',
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": 1, "coef": "1"}]}}}',
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1]}]}}}',
+        '{"n": 1, "center": ["0"], "metric": [1], "components": {"1": [1]}}',
     ], ids=["float-center", "decimal-coefficient", "fractional-exponent", "bool-exponent",
-            "float-header", "bool-metric", "string-dimension", "string-metric"])
+            "float-header", "bool-metric", "string-dimension", "string-metric",
+            "exponent-not-a-list", "missing-coefficient", "grade-not-an-object"])
     def test_non_rational_json_is_input_error(self, tmp_path, capsys, text):
         src = tmp_path / "w.json"
         src.write_text(text)

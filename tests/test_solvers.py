@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -22,9 +21,9 @@ from axc import (
     membership,
     vacuum_dirac_classify,
 )
-from axc.errors import GradeMismatch, NotASolution, NotConserved
+from axc.errors import GradeMismatch, InconsistentSystem, NotASolution, NotConserved
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import MAX_DEGREE_ENV, _assemble, _degree_bound
+from axc.solvers import _assemble
 from tests.oracles import composite_laplace_solve, composite_rows
 
 
@@ -34,6 +33,17 @@ def B(ctx, idx, poly=None):
 
 def var(ctx, i):
     return Poly.variable(ctx.n, i)
+
+
+def composite_cases(e3, m4):
+    """Seeded right-hand sides, grades and side conditions for the solver."""
+    mixed = Context(3, (0, 0, 0), (-1, 1, -1))
+    return [
+        (random_homogeneous(e3, sample_rng(199, 2), 1).d(), 2, ("d",)),
+        (random_homogeneous(m4, sample_rng(199, 5), 2, 2).d(), 3, ("d",)),
+        (codifferential(random_homogeneous(m4, sample_rng(199, 3), 2, 2)), 1, ("delta",)),
+        (random_homogeneous(mixed, sample_rng(199, 4), 1), 1, ()),
+    ]
 
 
 class TestLaplaceSolve:
@@ -64,26 +74,31 @@ class TestLaplaceSolve:
         for ctx in (e3, m4, mixed):
             for k in range(ctx.n + 1):
                 for side in ((), ("d",), ("delta",)):
-                    assert _assemble(ctx, k, side, 3) == composite_rows(ctx, k, side, 3), (ctx, k, side)
+                    rows = _assemble(ctx, k, side, range(4))
+                    assert rows == composite_rows(ctx, k, side, 3), (ctx, k, side)
 
     def test_solution_matches_composite_assembly(self, e3, m4):
-        mixed = Context(3, (0, 0, 0), (-1, 1, -1))
-        cases = [
-            (random_homogeneous(e3, sample_rng(199, 2), 1).d(), 2, ("d",)),
-            (random_homogeneous(m4, sample_rng(199, 5), 2, 2).d(), 3, ("d",)),
-            (codifferential(random_homogeneous(m4, sample_rng(199, 3), 2, 2)), 1, ("delta",)),
-            (random_homogeneous(mixed, sample_rng(199, 4), 1), 1, ()),
-        ]
-        for rhs, k, side in cases:
+        for rhs, k, side in composite_cases(e3, m4):
             assert not rhs.is_zero
-            expected = composite_laplace_solve(rhs, k, side, _degree_bound(rhs))
+            expected = composite_laplace_solve(rhs, k, side, rhs.max_coeff_degree() + 2)
             assert laplace_solve(rhs, k, side) == expected
 
-    def test_degree_env_override(self, e2, monkeypatch):
-        monkeypatch.setenv(MAX_DEGREE_ENV, "4")
-        u = laplace_solve(Form.scalar(e2, 1), 0)
-        assert laplace_beltrami(u) == Form.scalar(e2, 1)
-        assert MAX_DEGREE_ENV in os.environ
+    def test_blocks_above_the_bound_add_nothing(self, e3, m4):
+        # laplace_solve assembles only the degrees deg(t) + 2 of the rhs terms
+        # t; the composite assembly over every degree up to deg(rhs) + 4 (and,
+        # in the test above, deg(rhs) + 2) finds the same solution
+        for rhs, k, side in composite_cases(e3, m4):
+            bound = rhs.max_coeff_degree() + 4
+            assert composite_laplace_solve(rhs, k, side, bound) == laplace_solve(rhs, k, side)
+
+    def test_inconsistent_system_names_the_equation(self, e2):
+        # d beta = 0 makes beta exact on the plane, and laplace(df) = d(laplace f)
+        # is closed, while x1 dx2 is not
+        with pytest.raises(InconsistentSystem) as err:
+            laplace_solve(B(e2, (2,), var(e2, 1)), 1, side=("d",))
+        key = ("lap", 1, (2,), (1, 0))
+        assert err.value.equation == (key, 1)
+        assert str(err.value) == f"no polynomial solution: equation {key} reduces to 0 = 1"
 
 
 class TestMaxwell:
