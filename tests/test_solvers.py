@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from axc import (
     codifferential,
     cohomotopy_h,
     dirac_source_solve,
+    form_to_json,
     kalb_ramond_solve,
     kr_maxwell_couple,
     laplace_beltrami,
@@ -292,3 +295,41 @@ class TestMassiveDirac:
         beta = alpha.d().scale(-1)
         report = massive_dirac_check(alpha, beta, Form.zero(e3), Form.zero(e3))
         assert "laplace_alpha_minus_alpha" in report.failed
+
+
+def golden_reports():
+    """Seeded sources for every pipeline and both Dirac approaches on E3, M4
+    and signature (-, +, -); the Dirac sources reach all four gauge notes."""
+    charts = (Context.euclidean(3), Context.minkowski(4), Context(3, (0, 0, 0), (-1, 1, -1)))
+    for c, ctx in enumerate(charts):
+        def rng(i):
+            return sample_rng(263, 10 * c + i)
+        yield maxwell_solve(codifferential(random_homogeneous(ctx, rng(0), 2)))
+        yield maxwell_solve_magnetic(random_homogeneous(ctx, rng(1), 2).d())
+        yield kalb_ramond_solve(codifferential(random_homogeneous(ctx, rng(2), 3)))
+        for approach in (1, 2):
+            yield dirac_source_solve(Form.zero(ctx), approach)
+        for k in range(1, ctx.n):
+            source = random_homogeneous(ctx, rng(2 + k), k)
+            for approach in (1, 2):
+                yield dirac_source_solve(source, approach)
+
+
+# The solvers' exact answers, gauge included: a refactor of the pipelines must
+# reproduce every output, residual and gauge note byte for byte.
+GOLDEN_SHA1 = "276bb82163c0a4d09a77d52b9287a799aba7f3fb"
+
+
+def test_golden_digest():
+    docs = []
+    for report in golden_reports():
+        assert report.success, report.failed
+        docs.append({
+            "outputs": {k: form_to_json(v) for k, v in report.outputs.items()},
+            "residuals": {k: form_to_json(v) for k, v in report.residuals.items()},
+            "gauge_notes": report.gauge_notes,
+            # sort_keys drops the order in which the CLI prints the names
+            "names": [*report.outputs, *report.residuals],
+        })
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha1(text.encode("utf-8")).hexdigest() == GOLDEN_SHA1
