@@ -36,7 +36,7 @@ from .solvers import (
     maxwell_solve_magnetic,
     vacuum_dirac_classify,
 )
-from .textio import form_to_json, load_form_text, parse_rational, print_form
+from .textio import check_dimension, form_to_json, load_form_text, parse_rational, print_form
 
 _OPS = {
     "d": lambda w: w.d(),
@@ -50,6 +50,16 @@ _OPS = {
     "antidirac": lambda w: apply_operator(OperatorTag.ANTI_DIRAC, w),
     "laplace": lambda w: apply_operator(OperatorTag.LAPLACE_BELTRAMI, w),
     "hbar": lambda w: apply_operator(OperatorTag.OSCILLATOR_HBAR, w),
+}
+
+_POTENTIALS = {"potential": potential, "copotential": copotential}
+
+# solve systems: (source, --approach) -> SolveReport
+_SYSTEMS = {
+    "maxwell": lambda j, _: maxwell_solve(j),
+    "maxwell-magnetic": lambda j, _: maxwell_solve_magnetic(j),
+    "kalb-ramond": lambda J, _: kalb_ramond_solve(J),
+    "dirac-source": dirac_source_solve,
 }
 
 _SPACES = {
@@ -83,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, choices=sorted(_SPACES))
     p.add_argument("--in", dest="infile", required=True)
 
-    for name in ("potential", "copotential"):
+    for name in _POTENTIALS:
         p = sub.add_parser(name, help=f"canonical {name} of a closed/coclosed form")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--json", action="store_true")
@@ -94,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="field-equation pipelines")
-    p.add_argument("system", choices=["maxwell", "maxwell-magnetic", "kalb-ramond", "dirac-source"])
+    p.add_argument("system", choices=list(_SYSTEMS))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--approach", type=int, choices=[1, 2], default=1)
     p.add_argument("--json", action="store_true")
@@ -112,14 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _context_from_args(args) -> Context:
-    n = args.dim
-    if args.metric is not None:
-        sig = tuple(1 if c == "+" else -1 for c in args.metric)
-        if set(args.metric) - {"+", "-"}:
-            raise errors.DimensionMismatch(f"bad metric string {args.metric!r}")
-        n = len(sig)
-    else:
-        sig = (1,) * n
+    n = check_dimension(args.dim if args.metric is None else len(args.metric))
+    metric = "+" * n if args.metric is None else args.metric
+    if set(metric) - {"+", "-"}:
+        raise errors.DimensionMismatch(f"bad metric string {metric!r}")
+    sig = tuple(1 if c == "+" else -1 for c in metric)
     if args.center is not None:
         try:
             center = tuple(parse_rational(c) for c in args.center.split(","))
@@ -184,35 +191,25 @@ def _run(args) -> int:
         print("true" if verdict else "false")
         return 0 if verdict else 1
 
-    if args.command == "potential":
-        _emit(potential(_read_form(args.infile, ctx)), args.json)
-        return 0
-
-    if args.command == "copotential":
-        _emit(copotential(_read_form(args.infile, ctx)), args.json)
+    if args.command in _POTENTIALS:
+        _emit(_POTENTIALS[args.command](_read_form(args.infile, ctx)), args.json)
         return 0
 
     if args.command == "identities":
+        for flag, value, low in (("--samples", args.samples, 1),
+                                 ("--max-degree", args.max_degree, 0)):
+            if value < low:
+                raise ValueError(f"{flag} {value} is below {low}")
         results = run_identities(ctx, args.samples, args.max_degree, args.seed)
         width = max(len(name) for name in CHECKS)
-        ok = True
         for r in results:
             status = "ok  " if r.passed else "FAIL"
             extra = "" if r.passed else f"  (sample {r.first_failure})"
             print(f"{status} {r.name.ljust(width)} samples={r.samples}{extra}")
-            ok = ok and r.passed
-        return 0 if ok else 1
+        return 0 if all(r.passed for r in results) else 1
 
     if args.command == "solve":
-        source = _read_form(args.infile, ctx)
-        if args.system == "maxwell":
-            report = maxwell_solve(source)
-        elif args.system == "maxwell-magnetic":
-            report = maxwell_solve_magnetic(source)
-        elif args.system == "kalb-ramond":
-            report = kalb_ramond_solve(source)
-        else:
-            report = dirac_source_solve(source, args.approach)
+        report = _SYSTEMS[args.system](_read_form(args.infile, ctx), args.approach)
         return _emit_report(report, args.json)
 
     if args.command == "classify":

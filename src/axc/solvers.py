@@ -1,5 +1,13 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
+Each pipeline composes H and h with two dual steps, the only callers of
+:func:`laplace_solve`: ``_close(s, k)`` returns (beta, s + delta beta), closed,
+where laplace beta = d s and d beta = 0, and ``_coclose(s, k)`` returns its
+dual (alpha, s + d alpha), coclosed.  Maxwell and Kalb-Ramond close h j and
+take A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac approach
+1 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
+applies h and closes (gauge form delta w).
+
 Every solver returns a :class:`SolveReport` whose residuals are recomputed
 from scratch through the operator kernel, so a report marked successful is
 certified by exact arithmetic, not by trust in the solver's algebra.
@@ -121,40 +129,62 @@ def _assemble(ctx, k: int, side: tuple[str, ...], degrees) -> dict[tuple, dict[t
     return rows
 
 
-# -- Maxwell ---------------------------------------------------------------
+def _close(s: Form, k: int) -> tuple[Form, Form]:
+    """Closes the k-form s: d(s + delta beta) = d s - laplace beta = 0."""
+    beta = laplace_solve(s.d(), k + 1, side=("d",))
+    return beta, s + codifferential(beta)
+
+
+def _coclose(s: Form, k: int) -> tuple[Form, Form]:
+    """Cocloses the k-form s: delta(s + d alpha) = delta s - laplace alpha = 0."""
+    alpha = laplace_solve(codifferential(s), k - 1, side=("delta",))
+    return alpha, s + alpha.d()
+
+
+# -- Maxwell and Kalb-Ramond -----------------------------------------------
+
+def _electric(j: Form, k: int, names: str, notes: list[str]) -> SolveReport:
+    """dF = 0, delta F = j for a conserved k-form current j: F closes h j and
+    A = H F.  ``names`` spells the symbols for F, A, the wave potential and j."""
+    F_, A_, beta_, j_ = names.split()
+    if j.homogeneous_grade() not in (None, k):
+        raise GradeMismatch(f"current must be a {k}-form")
+    if not codifferential(j).is_zero:
+        raise NotConserved(f"delta {j_} != 0")
+    beta, F = _close(cohomotopy_h(j), k + 1)
+    A = homotopy_H(F)
+    return SolveReport(
+        outputs={F_: F, A_: A, beta_: beta},
+        residuals={f"d{F_}": F.d(), f"delta{F_}_minus_{j_}": codifferential(F) - j,
+                   f"d{A_}_minus_{F_}": A.d() - F},
+        gauge_notes=notes,
+    )
+
 
 def maxwell_solve(j: Form) -> SolveReport:
     """Electric Maxwell system dF = 0, delta F = j for a conserved current."""
-    if j.homogeneous_grade() not in (None, 1):
-        raise GradeMismatch("current must be a 1-form")
-    if not codifferential(j).is_zero:
-        raise NotConserved("delta j != 0")
-    hj = cohomotopy_h(j)
-    alpha = laplace_solve(hj.d(), 3, side=("d",))
-    F = codifferential(alpha) + hj
-    A = homotopy_H(F)
-    return SolveReport(
-        outputs={"F": F, "A": A, "alpha": alpha},
-        residuals={"dF": F.d(), "deltaF_minus_j": codifferential(F) - j, "dA_minus_F": A.d() - F},
-        gauge_notes=[
-            "f = 0 chosen in A = df + H(delta alpha + h j)",
-            "free coefficients of alpha set to zero (lexicographic)",
-        ],
-    )
+    return _electric(j, 1, "F A alpha j", [
+        "f = 0 chosen in A = df + H(delta alpha + h j)",
+        "free coefficients of alpha set to zero (lexicographic)",
+    ])
+
+
+def kalb_ramond_solve(J: Form) -> SolveReport:
+    """Kalb-Ramond system dK = 0, delta K = J for a conserved 2-form current."""
+    return _electric(J, 2, "K B beta J", [
+        "B = H K (the antiexact potential); free coefficients of beta zero",
+    ])
 
 
 def maxwell_solve_magnetic(j: Form) -> SolveReport:
     """Magnetic-monopole variant: dF = j, delta F = 0 for a closed 3-form j."""
-    ctx = j.ctx
-    if ctx.n < 3:
+    if j.ctx.n < 3:
         raise GradeMismatch("magnetic current is a 3-form; need dimension >= 3")
     if j.homogeneous_grade() not in (None, 3):
         raise GradeMismatch("magnetic current must be a 3-form")
     if not j.d().is_zero:
         raise NotConserved("d j != 0")
-    Hj = homotopy_H(j)
-    alpha = laplace_solve(codifferential(Hj), 1, side=("delta",))
-    F = alpha.d() + Hj
+    alpha, F = _coclose(homotopy_H(j), 2)
     A = cohomotopy_h(F)
     return SolveReport(
         outputs={"F": F, "A": A, "alpha": alpha},
@@ -167,25 +197,6 @@ def maxwell_solve_magnetic(j: Form) -> SolveReport:
             "beta = 0 chosen in A = delta beta + h(d alpha + H j)",
             "free coefficients of alpha set to zero (lexicographic)",
         ],
-    )
-
-
-# -- Kalb-Ramond -----------------------------------------------------------
-
-def kalb_ramond_solve(J: Form) -> SolveReport:
-    """Kalb-Ramond system dK = 0, delta K = J for a conserved 2-form current."""
-    if J.homogeneous_grade() not in (None, 2):
-        raise GradeMismatch("Kalb-Ramond current must be a 2-form")
-    if not codifferential(J).is_zero:
-        raise NotConserved("delta J != 0")
-    hJ = cohomotopy_h(J)
-    beta = laplace_solve(hJ.d(), 4, side=("d",))
-    K = codifferential(beta) + hJ
-    B = homotopy_H(K)
-    return SolveReport(
-        outputs={"K": K, "B": B, "beta": beta},
-        residuals={"dK": K.d(), "deltaK_minus_J": codifferential(K) - J, "dB_minus_K": B.d() - K},
-        gauge_notes=["B = H K (the antiexact potential); free coefficients of beta zero"],
     )
 
 
@@ -219,50 +230,29 @@ def kr_maxwell_couple(B: Form, F: Form, j: Form, J: Form) -> SolveReport:
 def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
     """Massless Dirac equation with source: D(alpha + beta) = B.
 
-    Approach 1 solves the wave equation for the upper-grade component beta
-    and integrates alpha = H(delta beta + B); approach 2 is the coexact dual.
-    Either way the lower-order gauge form (dv resp. delta w) is chosen as the
-    minimal correction making the remaining constraint exact, zero whenever
-    the canonical representative already satisfies it.
+    Approach 1 closes B, integrates alpha = H(B + delta beta) and cocloses it
+    with the gauge form dv; approach 2, the dual, cocloses -B, integrates
+    beta = h(d alpha - B) and closes it with delta w.  Either gauge form is
+    zero whenever the integrated component already meets its constraint.
     """
-    ctx = B.ctx
     k = B.homogeneous_grade()
     if approach not in (1, 2):
         raise ValueError("approach must be 1 or 2")
     if k is None:
-        zero = Form.zero(ctx)
-        return SolveReport(
-            outputs={"alpha": zero, "beta": zero, "psi": zero},
-            residuals={
-                "delta_alpha": zero,
-                "d_beta": zero,
-                "d_alpha_minus_delta_beta_minus_B": zero,
-            },
-            gauge_notes=["zero source: canonical zero solution"],
-        )
-    if not 0 < k < ctx.n:
+        alpha = beta = Form.zero(B.ctx)
+        notes = ["zero source: canonical zero solution"]
+    elif not 0 < k < B.ctx.n:
         raise GradeOutOfRange("source must be homogeneous of grade strictly between 0 and n")
-    notes = []
-    if approach == 1:
-        beta = laplace_solve(B.d(), k + 1, side=("d",))
-        alpha = homotopy_H(codifferential(beta) + B)
-        slack = codifferential(alpha)
-        if slack.is_zero:
-            notes.append("v = 0 in alpha = H(delta beta + B) + dv")
-        else:
-            v = laplace_solve(slack, k - 2, side=("delta",))
-            alpha = alpha + v.d()
-            notes.append("v solved from {laplace v = delta H(delta beta + B), delta v = 0}")
+    elif approach == 1:
+        beta, closed = _close(B, k)
+        v, alpha = _coclose(homotopy_H(closed), k - 1)
+        notes = ["v = 0 in alpha = H(delta beta + B) + dv" if v.is_zero else
+                 "v solved from {laplace v = delta H(delta beta + B), delta v = 0}"]
     else:
-        alpha = laplace_solve(-codifferential(B), k - 1, side=("delta",))
-        beta = cohomotopy_h(alpha.d() - B)
-        slack = beta.d()
-        if slack.is_zero:
-            notes.append("w = 0 in beta = h(d alpha - B) + delta w")
-        else:
-            w = laplace_solve(slack, k + 2, side=("d",))
-            beta = beta + codifferential(w)
-            notes.append("w solved from {laplace w = d h(d alpha - B), d w = 0}")
+        alpha, coclosed = _coclose(-B, k)
+        w, beta = _close(cohomotopy_h(coclosed), k + 1)
+        notes = ["w = 0 in beta = h(d alpha - B) + delta w" if w.is_zero else
+                 "w solved from {laplace w = d h(d alpha - B), d w = 0}"]
     return SolveReport(
         outputs={"alpha": alpha, "beta": beta, "psi": alpha + beta},
         residuals={

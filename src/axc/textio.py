@@ -14,8 +14,8 @@ flags or the JSON header, never inside an expression):
 
 A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
 ``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  Parentheses
-and unary minus signs nest at most :data:`MAX_NESTING` deep, and no
-exponent, in text or JSON, exceeds :data:`MAX_EXPONENT`.
+and unary minus signs nest at most :data:`MAX_NESTING` deep; no exponent, in
+text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`.
 
 Printing is canonical: grades ascending, index lists lexicographic,
 monomials lexicographic, rationals reduced; parse o print is the identity.
@@ -41,6 +41,9 @@ MAX_NESTING = 100
 # Larger exponents are an input error, raised before anything is multiplied
 # or re-centered: y^a expands to a + 1 terms on an off-center chart.
 MAX_EXPONENT = 1000
+# Larger dimensions are an input error (CLI --dim and --metric, JSON "n"),
+# raised before anything is built: grade n/2 alone has C(n, n/2) index tuples.
+MAX_DIMENSION = 16
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -225,6 +228,13 @@ class _Parser:
         ))
 
 
+def check_dimension(n: int) -> int:
+    """n itself; a dimension above :data:`MAX_DIMENSION` is an input error."""
+    if n > MAX_DIMENSION:
+        raise DimensionMismatch(f"dimension {n} above {MAX_DIMENSION}")
+    return n
+
+
 def parse_rational(text: str) -> Fraction:
     """One signed rational literal, ``[+|-] int ["/" int]``, by the grammar's rule."""
     parser = _Parser(text, None)
@@ -335,7 +345,7 @@ def _json_int(value, what: str) -> int:
 def form_from_json(data: dict) -> Form:
     try:
         ctx = Context(
-            _json_int(data["n"], "dimension"),
+            check_dimension(_json_int(data["n"], "dimension")),
             tuple(_json_rational(c) for c in data["center"]),
             tuple(_json_int(s, "metric entry") for s in data["metric"]),
         )

@@ -11,7 +11,7 @@ import pytest
 from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
 from axc.cli import main
 from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from axc.textio import MAX_EXPONENT, MAX_NESTING
+from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
 
@@ -334,6 +334,39 @@ class TestCli:
         src.write_text("(" * 3000 + "1" + ")" * 3000 + " dx1")
         assert main(["--dim", "2", "apply", "--op", "d", "--in", str(src)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--samples", "-2"], ["--samples", "0"],
+                                       ["--max-degree", "-1"]])
+    def test_identities_flags_below_range_are_input_errors(self, capsys, flags):
+        assert main(["--dim", "3", "identities", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flags[0] in captured.err
+
+    def test_identities_flags_at_their_lower_bounds(self, capsys):
+        assert main(["--dim", "2", "identities", "--samples", "1", "--max-degree", "0"]) == 0
+        assert "samples=1" in capsys.readouterr().out
+
+    @staticmethod
+    def _dimension_argv(tmp_path, kind, n):
+        """argv applying d to x1 dx2 on an n-dimensional chart named by ``kind``."""
+        src = tmp_path / "w.txt"
+        if kind == "json":
+            src.write_text(json.dumps({
+                "n": n, "center": ["0"] * n, "metric": [1] * n,
+                "components": {"1": {"[2]": [{"exp": [1] + [0] * (n - 1), "coef": "1"}]}}}))
+            return ["apply", "--op", "d", "--in", str(src)]
+        src.write_text("x1 dx2")
+        chart = ["--dim", str(n)] if kind == "dim" else ["--metric=+" + "-" * (n - 1)]
+        return [*chart, "apply", "--op", "d", "--in", str(src)]
+
+    @pytest.mark.parametrize("kind", ["dim", "metric", "json"])
+    def test_dimension_cap(self, tmp_path, capsys, kind):
+        assert main(self._dimension_argv(tmp_path, kind, MAX_DIMENSION)) == 0
+        assert capsys.readouterr().out.strip() == "(1) dx1^dx2"
+        assert main(self._dimension_argv(tmp_path, kind, MAX_DIMENSION + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
 
     def test_metric_flag(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

@@ -3,9 +3,11 @@ it lists must resolve, so a rename fails here instead of in a traced run."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _spans_constant(name: str):
@@ -31,3 +33,33 @@ def test_span_targets_resolve():
 
 def test_identity_checks_are_a_table():
     assert isinstance(importlib.import_module("axc.identities").CHECKS, dict)
+
+
+def _kernel_trees():
+    for path in sorted((ROOT / "src" / "axc").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_kernel_imports_only_the_standard_library():
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.partition(".")[0] in sys.stdlib_module_names, f"{name}: {module}"
+
+
+def test_kernel_reads_no_environment_variable():
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            used = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            assert used not in reads and not reads.intersection(imported), (
+                f"{name}:{node.lineno} reads the environment")
