@@ -38,8 +38,8 @@ class NotConserved(AxcError):
 
 
 class InconsistentSystem(AxcError):
-    """The exact linear system has no solution; ``equation`` is ``(name, c)``
-    for the first equation that reduces to 0 = c with c != 0."""
+    """An exterior system has no polynomial solution; ``equation`` is
+    ``(key, c)`` for the first equation ``key`` that reduces to 0 = c != 0."""
 
     def __init__(self, message, equation=None):
         super().__init__(message)

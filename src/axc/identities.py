@@ -196,6 +196,8 @@ class IdentityResult:
 
 def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
+    if samples < 1 or max_degree < 0:
+        raise ValueError(f"need samples >= 1 and max_degree >= 0, got {samples} and {max_degree}")
     chosen = list(CHECKS) if names is None else list(names)
     results = []
     for cidx, name in enumerate(chosen):

@@ -1,12 +1,13 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
 Each pipeline composes H and h with two dual steps, the only callers of
-:func:`laplace_solve`: ``_close(s, k)`` returns (beta, s + delta beta), closed,
-where laplace beta = d s and d beta = 0, and ``_coclose(s, k)`` returns its
-dual (alpha, s + d alpha), coclosed.  Maxwell and Kalb-Ramond close h j and
-take A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac approach
-1 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
-applies h and closes (gauge form delta w).
+:func:`laplace_solve`, itself a formula in H, h and the right inverse G of
+laplace: ``_close(s, k)`` returns (beta, s + delta beta), closed, with
+beta = d G(H d s), and ``_coclose(s, k)`` returns its dual (alpha, s + d alpha),
+coclosed, with alpha = delta G(h delta s).  Maxwell and Kalb-Ramond close h j
+and take A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac
+approach 1 closes B, applies H and cocloses (gauge form dv); approach 2
+cocloses -B, applies h and closes (gauge form delta w).
 
 Every solver returns a :class:`SolveReport` whose residuals are recomputed
 from scratch through the operator kernel, so a report marked successful is
@@ -16,7 +17,7 @@ certified by exact arithmetic, not by trust in the solver's algebra.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,10 +29,10 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, d_terms
-from .hodge import codifferential, codifferential_terms
+from .forms import Form
+from .hodge import codifferential
 from .homotopy import SpaceTag, cohomotopy_h, homotopy_H, membership
-from .linsolve import solve_sparse
+from .polyring import Poly
 
 
 @dataclass
@@ -49,33 +50,52 @@ class SolveReport:
         return not self.failed
 
 
-def _monomials_of_degree(n: int, degree: int):
-    """Exponent tuples of the monomials of total degree ``degree`` in n variables."""
-    for axes in itertools.combinations_with_replacement(range(n), degree):
-        yield tuple(axes.count(i) for i in range(n))
+@functools.lru_cache(maxsize=4096)
+def _inverse_box(exps: tuple, signature: tuple) -> tuple:
+    """G(y^a) as ``(exponents, Fraction)`` pairs; box G(y^a) = y^a.  With
+    Q = sum_i eps_i y_i^2, m = |a| and a_j = 2(j+1)(n + 2m - 2j) > 0,
+    box(Q^(j+1) f) = a_j Q^j f + Q^(j+1) box f for f of degree m - 2j, so
+    G(g) = sum_j c_j Q^(j+1) box^j g, c_0 = 1/a_0, c_(j+1) = -c_j/a_(j+1),
+    telescopes.  Cached: right-hand sides repeat the same few exponents."""
+    n, m = len(exps), sum(exps)
+    Q = Poly.from_terms(n, ((tuple(2 if i == j else 0 for i in range(n)), Fraction(eps))
+                            for j, eps in enumerate(signature)))
+    term, power, c, out = Poly.monomial(n, exps), Q, Fraction(1), Poly.zero(n)
+    for j in range(m // 2 + 1):
+        c /= 2 * (j + 1) * (n + 2 * m - 2 * j)
+        out = out + (power * term).scale(c)
+        term = Poly.from_terms(n, ((out_exps, coef * f) for e, coef in term.terms.items()
+                                   for _, out_exps, f in box_terms((), e, signature)))
+        power, c = power * Q, -c
+    return tuple(out.terms.items())
+
+
+def _inverse_laplace(omega: Form) -> Form:
+    """G on forms: laplace acts on the coefficients alone."""
+    signature = omega.ctx.signature
+    return omega.termwise(lambda idx, exps: [(idx, e, c) for e, c in _inverse_box(exps, signature)])
+
+
+def _require_zero(operator: str, image: Form):
+    """Raise :class:`InconsistentSystem` on the first term of a nonzero image."""
+    if not image.is_zero:
+        idx, exps, value = min(image.terms())
+        key = (operator, len(idx), idx, exps)
+        raise InconsistentSystem(f"no polynomial solution: equation {key} reduces to 0 = {value}",
+                                 equation=(key, value))
 
 
 def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = ()) -> Form:
-    """Particular polynomial solution of ``laplace(beta) = rhs`` at grade k.
+    """Particular polynomial solution of ``laplace(beta) = rhs`` at grade k, in
+    closed form from H, h and the right inverse G of laplace (:func:`_inverse_box`).
 
-    ``side`` may request the exact side conditions ``"d"`` (d beta = 0) and/or
-    ``"delta"`` (delta beta = 0).  The joint system is block-diagonal by
-    coefficient degree: laplace lowers it by exactly 2, d and delta by exactly
-    1, and every row key carries its exponents, so an unknown of degree m
-    meets only laplace rows of degree m - 2 and d/delta rows of degree m - 1.
-    A block whose laplace rows carry no right-hand side solves to zero, so
-    only the degrees deg(t) + 2 of the terms t of rhs are assembled and
-    eliminated exactly, free variables pinned to zero in lexicographic order.
-    No degree bound is needed: any further block adds only zeros.
-
-    Each unknown y^a dx^I writes its column straight from the term maps the
-    operators run on: :func:`axc.clifford.box_terms` (laplace rows),
-    :func:`axc.forms.d_terms` (d rows) and
-    :func:`axc.hodge.codifferential_terms` (delta rows).  With no solution,
-    :class:`InconsistentSystem` names the first equation
-    ``(operator, grade, index tuple, exponents)`` that reduces to 0 = c != 0.
-    ``tests/test_solvers.py`` checks the rows against the literal composites
-    and the solution against the composite assembly up to deg(rhs) + 4.
+    ``side`` may request ``"d"`` (d beta = 0) and/or ``"delta"`` (delta beta = 0).
+    Laplace commutes with d and delta, so beta = G(g) for g = rhs, d G(H g) with
+    ``"d"`` (d H g = g when d g = 0 off grade 0), delta G(h g) with ``"delta"``
+    (delta h g = g when delta g = 0 below grade n), and 0 with both.  Otherwise
+    :class:`InconsistentSystem` names the first nonzero term of d g, delta g or
+    g as the equation ``(operator, grade, index tuple, exponents)``, operator
+    ``"d"``, ``"delta"`` or ``"lap"``, that reduces to 0 = c != 0.  The gauge is G's.
     """
     ctx = rhs.ctx
     grade = rhs.homogeneous_grade()
@@ -89,44 +109,18 @@ def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = ()) -> Form:
     if unknown:
         raise ValueError(f"unknown side conditions {unknown}")
 
-    rhs_values = {("lap", len(idx), idx, exps): coef for idx, exps, coef in rhs.terms()}
-    rows = _assemble(ctx, k, side, sorted({sum(exps) + 2 for _, exps, _ in rhs.terms()}))
-
-    all_keys = sorted(set(rows) | set(rhs_values))
-    matrix = [rows.get(key, {}) for key in all_keys]
-    vector = [rhs_values.get(key, Fraction(0)) for key in all_keys]
-    try:
-        solution = solve_sparse(matrix, vector)
-    except InconsistentSystem as exc:
-        row, value = exc.equation
-        raise InconsistentSystem(
-            f"no polynomial solution: equation {all_keys[row]} reduces to 0 = {value}",
-            equation=(all_keys[row], value),
-        ) from None
-
-    return Form.from_terms(ctx, ((idx, exps, coef) for (idx, exps), coef in solution.items()))
-
-
-def _assemble(ctx, k: int, side: tuple[str, ...], degrees) -> dict[tuple, dict[tuple, Fraction]]:
-    """Rows of the joint system for the grade-k unknowns of the coefficient
-    degrees in ``degrees``, one disjoint block per degree (see
-    :func:`laplace_solve`), keyed ``(operator, grade, index tuple, exponents)``;
-    each row maps an unknown ``(index tuple, exponents)`` to its coefficient."""
-    signature = ctx.signature
-    rows: dict[tuple, dict[tuple, Fraction]] = {}
-    for idx in itertools.combinations(range(1, ctx.n + 1), k):
-        for degree in degrees:
-            for exps in _monomials_of_degree(ctx.n, degree):
-                var = (idx, exps)
-                for _, out_exps, c in box_terms(idx, exps, signature):
-                    rows.setdefault(("lap", k, idx, out_exps), {})[var] = Fraction(c)
-                if "d" in side:
-                    for out_idx, out_exps, c in d_terms(idx, exps):
-                        rows.setdefault(("d", k + 1, out_idx, out_exps), {})[var] = Fraction(c)
-                if "delta" in side:
-                    for out_idx, out_exps, c in codifferential_terms(idx, exps, signature):
-                        rows.setdefault(("delta", k - 1, out_idx, out_exps), {})[var] = Fraction(c)
-    return rows
+    closed, coclosed = "d" in side, "delta" in side
+    if closed:
+        _require_zero("d", rhs.d())
+    if coclosed:
+        _require_zero("delta", codifferential(rhs))
+    if (closed and k == 0) or (coclosed and k == ctx.n) or (closed and coclosed):
+        _require_zero("lap", rhs)
+    if closed:
+        return _inverse_laplace(homotopy_H(rhs)).d()
+    if coclosed:
+        return codifferential(_inverse_laplace(cohomotopy_h(rhs)))
+    return _inverse_laplace(rhs)
 
 
 def _close(s: Form, k: int) -> tuple[Form, Form]:
@@ -165,14 +159,14 @@ def maxwell_solve(j: Form) -> SolveReport:
     """Electric Maxwell system dF = 0, delta F = j for a conserved current."""
     return _electric(j, 1, "F A alpha j", [
         "f = 0 chosen in A = df + H(delta alpha + h j)",
-        "free coefficients of alpha set to zero (lexicographic)",
+        "alpha = d G(H d h j), G the closed-form right inverse of laplace",
     ])
 
 
 def kalb_ramond_solve(J: Form) -> SolveReport:
     """Kalb-Ramond system dK = 0, delta K = J for a conserved 2-form current."""
     return _electric(J, 2, "K B beta J", [
-        "B = H K (the antiexact potential); free coefficients of beta zero",
+        "B = H K (the antiexact potential); beta = d G(H d h J)",
     ])
 
 
@@ -195,7 +189,7 @@ def maxwell_solve_magnetic(j: Form) -> SolveReport:
         },
         gauge_notes=[
             "beta = 0 chosen in A = delta beta + h(d alpha + H j)",
-            "free coefficients of alpha set to zero (lexicographic)",
+            "alpha = delta G(h delta H j), G the closed-form right inverse of laplace",
         ],
     )
 

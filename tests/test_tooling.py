@@ -3,6 +3,9 @@ it lists must resolve, so a rename fails here instead of in a traced run."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +32,20 @@ def test_span_targets_resolve():
             assert attr in vars(getattr(module, owner_name)), f"{span}: {modname}.{path}"
         else:
             assert callable(getattr(module, attr, None)), f"{span}: {modname}.{path}"
+
+
+def test_span_target_modules_load_with_the_package():
+    # install() imports only these three and then reads every target module
+    # from sys.modules, so each must be loaded by them; a fresh interpreter
+    # keeps the modules this test process imported itself out of the answer
+    code = ("import json, sys; import axc, axc.cli, axc.identities; "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    loaded = set(json.loads(out))
+    missing = {modname for _, modname, _, _ in _spans_constant("TARGETS")} - loaded
+    assert not missing, f"not loaded by import axc, axc.cli, axc.identities: {missing}"
 
 
 def test_identity_checks_are_a_table():
