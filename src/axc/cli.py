@@ -62,15 +62,6 @@ _SYSTEMS = {
     "dirac-source": dirac_source_solve,
 }
 
-_SPACES = {
-    "E": SpaceTag.EXACT,
-    "A": SpaceTag.ANTIEXACT,
-    "C": SpaceTag.COEXACT,
-    "Y": SpaceTag.ANTICOEXACT,
-    "harmonic": SpaceTag.HODGE_HARMONIC,
-    "antiharmonic": SpaceTag.HODGE_ANTIHARMONIC,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="axc", description="exact exterior-calculus kernel")
@@ -85,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("decompose", help="split into (co)exact and anti(co)exact parts")
-    p.add_argument("--mode", required=True, choices=["exact", "coexact"])
+    p.add_argument("--mode", required=True, choices=[m.value for m in DecompositionMode])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("member", help="space membership predicate (exit code carries the verdict)")
-    p.add_argument("--space", required=True, choices=sorted(_SPACES))
+    p.add_argument("--space", required=True, choices=sorted(t.value for t in SpaceTag))
     p.add_argument("--in", dest="infile", required=True)
 
     for name in _POTENTIALS:
@@ -174,10 +165,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "decompose":
-        mode = (DecompositionMode.EXACT_ANTIEXACT if args.mode == "exact"
-                else DecompositionMode.COEXACT_ANTICOEXACT)
-        dec = decompose(_read_form(args.infile, ctx), mode)
-        names = ("exact", "antiexact") if args.mode == "exact" else ("coexact", "anticoexact")
+        dec = decompose(_read_form(args.infile, ctx), DecompositionMode(args.mode))
+        names = (args.mode, "anti" + args.mode)
         if args.json:
             print(json.dumps({names[0]: form_to_json(dec.first),
                                names[1]: form_to_json(dec.second)}, indent=2, sort_keys=True))
@@ -187,7 +176,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "member":
-        verdict = membership(_read_form(args.infile, ctx), _SPACES[args.space])
+        verdict = membership(_read_form(args.infile, ctx), SpaceTag(args.space))
         print("true" if verdict else "false")
         return 0 if verdict else 1
 

@@ -38,8 +38,10 @@ class NotConserved(AxcError):
 
 
 class InconsistentSystem(AxcError):
-    """An exterior system has no polynomial solution; ``equation`` is
-    ``(key, c)`` for the first equation ``key`` that reduces to 0 = c != 0."""
+    """A linear system has no solution; ``equation`` is ``(key, c)`` for the
+    first equation ``key`` that reduces to 0 = c != 0.  The exact elimination
+    of :mod:`axc.linsolve` raises it; the field-equation pipelines solve by
+    formula and never do."""
 
     def __init__(self, message, equation=None):
         super().__init__(message)

@@ -28,7 +28,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        from .textio import parse_rational  # the grammar's rule; textio imports this module
+        return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -55,13 +56,14 @@ class Context:
         if self.n < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.n}")
         object.__setattr__(self, "center", tuple(_as_fraction(c) for c in self.center))
-        object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
+        object.__setattr__(self, "signature", tuple(self.signature))
         if len(self.center) != self.n:
             raise DimensionMismatch("center length != dimension")
         if len(self.signature) != self.n:
             raise DimensionMismatch("signature length != dimension")
-        if any(s not in (1, -1) for s in self.signature):
-            raise DimensionMismatch("signature entries must be +1 or -1")
+        if any(type(s) is not int or s not in (1, -1) for s in self.signature):
+            raise DimensionMismatch(
+                f"signature entries must be the integers 1 or -1: {self.signature}")
 
     @classmethod
     def euclidean(cls, n: int, center: Iterable = None) -> "Context":
@@ -214,10 +216,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.n, Fraction(0))

@@ -1,13 +1,13 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
-Each pipeline composes H and h with two dual steps, the only callers of
-:func:`laplace_solve`, itself a formula in H, h and the right inverse G of
-laplace: ``_close(s, k)`` returns (beta, s + delta beta), closed, with
-beta = d G(H d s), and ``_coclose(s, k)`` returns its dual (alpha, s + d alpha),
-coclosed, with alpha = delta G(h delta s).  Maxwell and Kalb-Ramond close h j
-and take A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac
-approach 1 closes B, applies H and cocloses (gauge form dv); approach 2
-cocloses -B, applies h and closes (gauge form delta w).
+Each pipeline composes H and h with two dual steps, each a formula in H, h
+and the right inverse G of laplace (:func:`laplace_solve`): ``_close(s, k)``
+returns (beta, s + delta beta), closed, with beta = d G(H d s), and
+``_coclose(s, k)`` returns its dual (alpha, s + d alpha), coclosed, with
+alpha = delta G(h delta s).  Maxwell and Kalb-Ramond close h j and take
+A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac approach 1
+closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
+applies h and closes (gauge form delta w).
 
 Every solver returns a :class:`SolveReport` whose residuals are recomputed
 from scratch through the operator kernel, so a report marked successful is
@@ -25,7 +25,6 @@ from .clifford import OperatorTag, apply_operator, box_terms, laplace_beltrami
 from .errors import (
     GradeMismatch,
     GradeOutOfRange,
-    InconsistentSystem,
     NotASolution,
     NotConserved,
 )
@@ -70,68 +69,39 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     return tuple(out.terms.items())
 
 
-def _inverse_laplace(omega: Form) -> Form:
-    """G on forms: laplace acts on the coefficients alone."""
-    signature = omega.ctx.signature
-    return omega.termwise(lambda idx, exps: [(idx, e, c) for e, c in _inverse_box(exps, signature)])
+def laplace_solve(rhs: Form, k: int) -> Form:
+    """The right inverse G of laplace on a k-form right-hand side: laplace acts
+    on the coefficients alone, so G applies :func:`_inverse_box` term by term
+    and ``laplace(laplace_solve(g, k)) = g``.  The gauge is G's.
 
-
-def _require_zero(operator: str, image: Form):
-    """Raise :class:`InconsistentSystem` on the first term of a nonzero image."""
-    if not image.is_zero:
-        idx, exps, value = min(image.terms())
-        key = (operator, len(idx), idx, exps)
-        raise InconsistentSystem(f"no polynomial solution: equation {key} reduces to 0 = {value}",
-                                 equation=(key, value))
-
-
-def laplace_solve(rhs: Form, k: int, side: tuple[str, ...] = ()) -> Form:
-    """Particular polynomial solution of ``laplace(beta) = rhs`` at grade k, in
-    closed form from H, h and the right inverse G of laplace (:func:`_inverse_box`).
-
-    ``side`` may request ``"d"`` (d beta = 0) and/or ``"delta"`` (delta beta = 0).
-    Laplace commutes with d and delta, so beta = G(g) for g = rhs, d G(H g) with
-    ``"d"`` (d H g = g when d g = 0 off grade 0), delta G(h g) with ``"delta"``
-    (delta h g = g when delta g = 0 below grade n), and 0 with both.  Otherwise
-    :class:`InconsistentSystem` names the first nonzero term of d g, delta g or
-    g as the equation ``(operator, grade, index tuple, exponents)``, operator
-    ``"d"``, ``"delta"`` or ``"lap"``, that reduces to 0 = c != 0.  The gauge is G's.
+    A closed or coclosed solution is a formula on top of G, as in
+    :func:`_close` and :func:`_coclose`: for g closed off grade 0,
+    ``laplace_solve(homotopy_H(g), k - 1).d()`` is closed and solves
+    laplace(beta) = g, since laplace commutes with d and d H g = g.
     """
     ctx = rhs.ctx
-    grade = rhs.homogeneous_grade()
     if k < 0 or k > ctx.n:
         if rhs.is_zero:
             return Form.zero(ctx)
         raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n} with nonzero right-hand side")
+    grade = rhs.homogeneous_grade()
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
-    unknown = [s for s in side if s not in ("d", "delta")]
-    if unknown:
-        raise ValueError(f"unknown side conditions {unknown}")
-
-    closed, coclosed = "d" in side, "delta" in side
-    if closed:
-        _require_zero("d", rhs.d())
-    if coclosed:
-        _require_zero("delta", codifferential(rhs))
-    if (closed and k == 0) or (coclosed and k == ctx.n) or (closed and coclosed):
-        _require_zero("lap", rhs)
-    if closed:
-        return _inverse_laplace(homotopy_H(rhs)).d()
-    if coclosed:
-        return codifferential(_inverse_laplace(cohomotopy_h(rhs)))
-    return _inverse_laplace(rhs)
+    signature = ctx.signature
+    return rhs.termwise(lambda idx, exps: [(idx, e, c) for e, c in _inverse_box(exps, signature)])
 
 
 def _close(s: Form, k: int) -> tuple[Form, Form]:
-    """Closes the k-form s: d(s + delta beta) = d s - laplace beta = 0."""
-    beta = laplace_solve(s.d(), k + 1, side=("d",))
+    """Closes the k-form s: beta = d G(H d s) has d beta = 0 and laplace beta =
+    d H d s = d s, so d(s + delta beta) = d s - laplace beta = 0."""
+    beta = laplace_solve(homotopy_H(s.d()), k).d()
     return beta, s + codifferential(beta)
 
 
 def _coclose(s: Form, k: int) -> tuple[Form, Form]:
-    """Cocloses the k-form s: delta(s + d alpha) = delta s - laplace alpha = 0."""
-    alpha = laplace_solve(codifferential(s), k - 1, side=("delta",))
+    """Cocloses the k-form s: alpha = delta G(h delta s) has delta alpha = 0 and
+    laplace alpha = delta h delta s = delta s, so delta(s + d alpha) = 0."""
+    alpha = codifferential(laplace_solve(cohomotopy_h(codifferential(s)), k))
     return alpha, s + alpha.d()
 
 

@@ -15,7 +15,8 @@ flags or the JSON header, never inside an expression):
 A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
 ``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  Parentheses
 and unary minus signs nest at most :data:`MAX_NESTING` deep; no exponent, in
-text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`.
+text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`,
+nor any product, power or re-centered input :data:`MAX_TERMS` terms.
 
 Printing is canonical: grades ascending, index lists lexicographic,
 monomials lexicographic, rationals reduced; parse o print is the identity.
@@ -44,6 +45,9 @@ MAX_EXPONENT = 1000
 # Larger dimensions are an input error (CLI --dim and --metric, JSON "n"),
 # raised before anything is built: grade n/2 alone has C(n, n/2) index tuples.
 MAX_DIMENSION = 16
+# Larger expansions are an input error, raised before each "^" and "*" of the
+# grammar and before re-centering: (x1+...+x9)^8 alone has 12 870 terms.
+MAX_TERMS = 10_000
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -155,15 +159,22 @@ class _Parser:
             return base
         self.take("^")
         _, digits, position = self.take("int")
-        if int(digits) > MAX_EXPONENT:
+        e = int(digits)
+        if e > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
-        return math.prod([base] * int(digits), start=Poly.const(self.ctx.n, 1))
+        # a power of t terms is a sum over the multisets of e of them
+        terms = math.comb(len(base.terms) + e - 1, e) if e else 1
+        _require_terms(_term_bound(self.ctx.n, terms, e * _degree(base)), position)
+        return math.prod([base] * e, start=Poly.const(self.ctx.n, 1))
 
     def parse_poly_term(self) -> Poly:
         out = self.parse_poly_factor()
         while self.peek()[0] == "*":
-            self.take("*")
-            out = out * self.parse_poly_factor()
+            position = self.take("*")[2]
+            factor = self.parse_poly_factor()
+            terms = len(out.terms) * len(factor.terms)
+            _require_terms(_term_bound(self.ctx.n, terms, _degree(out) + _degree(factor)), position)
+            out = out * factor
         return out
 
     def take_sign(self) -> int:
@@ -228,6 +239,26 @@ class _Parser:
         ))
 
 
+def _degree(p: Poly) -> int:
+    return max(map(sum, p.terms), default=0)
+
+
+def _term_bound(n: int, terms: int, degree: int) -> int:
+    """At most ``terms`` terms, and at most the C(n + degree, n) monomials
+    in n variables of degree at most ``degree``."""
+    return min(terms, math.comb(n + degree, n))
+
+
+def _require_terms(bound: int, position: int | None = None):
+    """An expansion bounded by more than :data:`MAX_TERMS` terms is an input
+    error, raised before it is computed."""
+    if bound > MAX_TERMS:
+        message = f"expansion to up to {bound} terms, above {MAX_TERMS}"
+        if position is None:
+            raise DimensionMismatch(message)
+        raise FormSyntaxError(message, position)
+
+
 def check_dimension(n: int) -> int:
     """n itself; a dimension above :data:`MAX_DIMENSION` is an input error."""
     if n > MAX_DIMENSION:
@@ -253,6 +284,11 @@ def _recentered(absolute: Form) -> Form:
     """The form whose coefficients are given in absolute coordinates,
     re-expressed around its chart's center."""
     ctx = absolute.ctx
+    # y^a re-centers to the product of a_i + 1 over the axes that move
+    _require_terms(sum(
+        _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
+                               for exps in poly.terms), _degree(poly))
+        for idx_map in absolute.components.values() for poly in idx_map.values()))
     return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
                       for k, idx_map in absolute.components.items()})
 

@@ -1,4 +1,4 @@
-"""laplace_solve with no side condition is the closed-form right inverse G of
+"""laplace_solve is the closed-form right inverse G of
 box = sum_i eps_i d^2/dy_i^2; sympy's own derivatives check box G(y^a) = y^a
 for every monomial of degree <= 4, n = 1..5, in three signatures."""
 

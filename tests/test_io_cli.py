@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
 from axc.cli import main
 from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING
+from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
 
@@ -328,6 +329,22 @@ class TestCli:
         src.write_text(text)
         assert main(["--center=1/7,-3/5", "apply", "--op", "d", "--in", str(src)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,text,flags", [
+        ("w.txt", "(" + " + ".join(f"x{i}" for i in range(1, 10)) + ")^200 dx1", ["--dim", "9"]),
+        ("w.txt", "(x1^1000*x2^1000*x3^1000) dx1", ["--dim", "3", "--center=1/7,1/7,1/7"]),
+        ("w.json", '{"n": 3, "center": ["1/7", "1/7", "1/7"], "metric": [1, 1, 1], '
+                   '"components": {"1": {"[1]": [{"exp": [1000, 1000, 1000], "coef": "1"}]}}}',
+         ["--dim", "3", "--center=1/7,1/7,1/7"]),
+    ], ids=["power", "recentered-text", "recentered-json"])
+    def test_expansion_cap(self, tmp_path, capsys, name, text, flags):
+        src = tmp_path / name
+        src.write_text(text)
+        start = time.perf_counter()
+        assert main([*flags, "apply", "--op", "d", "--in", str(src)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"above {MAX_TERMS}" in err
 
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

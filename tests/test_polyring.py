@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axc import Context, Poly, rebase
-from axc.errors import AxisOutOfRange, DimensionMismatch
+from axc.errors import AxcError, AxisOutOfRange, DimensionMismatch
 from axc.randforms import random_poly, sample_rng
 from tests.oracles import loop_poly_add, loop_poly_mul, loop_poly_partial, product_shift
 
@@ -125,6 +125,22 @@ class TestContext:
             Context(2, (0,), (1, 1))
         with pytest.raises(DimensionMismatch):
             Context(2, (0, 0), (1, 2))
+
+    def test_signature_entries_are_integers(self):
+        # int() would read 1.9 as 1 and True as 1
+        for signature in [(1.9, -1), (1.0, -1), (True, -1), (Fraction(1), -1), ("1", -1)]:
+            with pytest.raises(DimensionMismatch):
+                Context(2, (0, 0), signature)
+
+    def test_string_values_follow_the_grammar(self):
+        # Fraction(str) would read all of these; the text grammar and JSON reject them
+        assert Poly.const(1, " -3/4 ") == Poly.const(1, Fraction(-3, 4))
+        assert Context(1, ("1/7",), (1,)).center == (Fraction(1, 7),)
+        for text in ["1.5", "1e3", " 1_0 ", "1/0", ""]:
+            with pytest.raises(AxcError):
+                Poly.const(1, text)
+            with pytest.raises(AxcError):
+                Context(1, (text,), (1,))
 
 
 # Shift entries: zeros, negatives, and denominators 7 and 9.

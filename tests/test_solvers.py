@@ -24,8 +24,9 @@ from axc import (
     membership,
     vacuum_dirac_classify,
 )
-from axc.errors import GradeMismatch, InconsistentSystem, NotASolution, NotConserved
+from axc.errors import GradeMismatch, GradeOutOfRange, NotASolution, NotConserved
 from axc.randforms import random_homogeneous, sample_rng
+from axc.solvers import _close, _coclose
 from tests.oracles import (
     composite_codifferential,
     composite_laplace_beltrami,
@@ -44,13 +45,19 @@ def var(ctx, i):
 
 
 def composite_cases(e3, m4):
-    """Seeded right-hand sides, grades and side conditions for the solver."""
+    """Seeded solver calls as (beta, rhs, grade, side conditions): beta is what
+    the call returned, and laplace(beta) = rhs at that grade, with d beta = 0
+    or delta beta = 0 as the side conditions say, is the system it solved."""
     mixed = Context(3, (0, 0, 0), (-1, 1, -1))
+    w1 = random_homogeneous(e3, sample_rng(199, 2), 1)
+    w2 = random_homogeneous(m4, sample_rng(199, 5), 2, 2)
+    w3 = random_homogeneous(m4, sample_rng(199, 3), 2, 2)
+    g = random_homogeneous(mixed, sample_rng(199, 4), 1)
     return [
-        (random_homogeneous(e3, sample_rng(199, 2), 1).d(), 2, ("d",)),
-        (random_homogeneous(m4, sample_rng(199, 5), 2, 2).d(), 3, ("d",)),
-        (codifferential(random_homogeneous(m4, sample_rng(199, 3), 2, 2)), 1, ("delta",)),
-        (random_homogeneous(mixed, sample_rng(199, 4), 1), 1, ()),
+        (_close(w1, 1)[0], w1.d(), 2, ("d",)),
+        (_close(w2, 2)[0], w2.d(), 3, ("d",)),
+        (_coclose(w3, 2)[0], codifferential(w3), 1, ("delta",)),
+        (laplace_solve(g, 1), g, 1, ()),
     ]
 
 
@@ -61,6 +68,7 @@ class TestLaplaceSolve:
 
     def test_zero_source(self, e2):
         assert laplace_solve(Form.zero(e2), 1).is_zero
+        assert laplace_solve(Form.zero(e2), 3).is_zero
 
     def test_minkowski_one_form_source(self, m4):
         rhs = B(m4, (1,), var(m4, 2))
@@ -68,63 +76,41 @@ class TestLaplaceSolve:
         assert laplace_beltrami(beta) == rhs
 
     def test_side_conditions_hold(self, e3):
-        rhs = random_homogeneous(e3, sample_rng(197, 0), 1).d()
-        beta = laplace_solve(rhs, 2, side=("d",))
-        assert laplace_beltrami(beta) == rhs
+        s = random_homogeneous(e3, sample_rng(197, 0), 1)
+        beta, closed = _close(s, 1)
+        assert laplace_beltrami(beta) == s.d()
         assert beta.d().is_zero
+        assert closed.d().is_zero
+        s = random_homogeneous(e3, sample_rng(197, 1), 2)
+        alpha, coclosed = _coclose(s, 2)
+        assert laplace_beltrami(alpha) == codifferential(s)
+        assert codifferential(alpha).is_zero
+        assert codifferential(coclosed).is_zero
 
     def test_grade_mismatch(self, e2):
         with pytest.raises(GradeMismatch):
             laplace_solve(B(e2, (1,)), 2)
 
+    def test_grade_out_of_range(self, e2):
+        with pytest.raises(GradeOutOfRange):
+            laplace_solve(B(e2, (1,)), 3)
+
     def test_solution_matches_composite_assembly(self, e3, m4):
-        for rhs, k, side in composite_cases(e3, m4):
+        for beta, rhs, k, side in composite_cases(e3, m4):
             assert not rhs.is_zero
-            assert_agrees_with_elimination(rhs, k, side, rhs.max_coeff_degree() + 2)
+            assert_agrees_with_elimination(beta, rhs, k, side, rhs.max_coeff_degree() + 2)
 
     def test_blocks_above_the_bound_add_nothing(self, e3, m4):
         # the closed form has coefficient degree deg(rhs) + 2, and eliminating
         # over every degree up to deg(rhs) + 4 finds no solution it misses
-        for rhs, k, side in composite_cases(e3, m4):
-            assert_agrees_with_elimination(rhs, k, side, rhs.max_coeff_degree() + 4)
-
-    def test_inconsistent_system_names_the_equation(self, e2):
-        # d beta = 0 makes beta exact on the plane, and laplace(df) = d(laplace f)
-        # is closed, while x1 dx2 is not: d(x1 dx2) = dx1^dx2
-        with pytest.raises(InconsistentSystem) as err:
-            laplace_solve(B(e2, (2,), var(e2, 1)), 1, side=("d",))
-        key = ("d", 2, (1, 2), (0, 0))
-        assert err.value.equation == (key, 1)
-        assert str(err.value) == f"no polynomial solution: equation {key} reduces to 0 = 1"
-
-    def test_inconsistency_is_structural(self, e2, e3):
-        # each obstruction the closed form names also defeats the elimination
-        x1 = var(e3, 1)
-        cases = [
-            (Form.scalar(e3, 2), 0, ("d",), ("lap", 0, (), (0, 0, 0))),
-            (B(e3, (1, 2, 3)), 3, ("delta",), ("lap", 3, (1, 2, 3), (0, 0, 0))),
-            (B(e3, (1, 2, 3), x1), 3, ("delta",), ("delta", 2, (2, 3), (0, 0, 0))),
-            (B(e3, (1,), x1), 1, ("delta",), ("delta", 0, (), (0, 0, 0))),
-            (B(e3, (1,)).d(), 2, ("d", "delta"), None),
-            (B(e3, (2,)), 1, ("d", "delta"), ("lap", 1, (2,), (0, 0, 0))),
-            (B(e2, (2,), var(e2, 1)), 1, ("d",), ("d", 2, (1, 2), (0, 0))),
-        ]
-        for rhs, k, side, key in cases:
-            if key is None:
-                assert laplace_solve(rhs, k, side).is_zero
-                continue
-            with pytest.raises(InconsistentSystem) as err:
-                laplace_solve(rhs, k, side)
-            assert err.value.equation[0] == key, (rhs, side)
-            with pytest.raises(InconsistentSystem):
-                composite_laplace_solve(rhs, k, side, rhs.max_coeff_degree() + 2)
+        for beta, rhs, k, side in composite_cases(e3, m4):
+            assert_agrees_with_elimination(beta, rhs, k, side, rhs.max_coeff_degree() + 4)
 
 
-def assert_agrees_with_elimination(rhs, k, side, bound):
+def assert_agrees_with_elimination(beta, rhs, k, side, bound):
     """beta satisfies every row of the composite-operator system with unknowns
     of degree <= bound, and differs from its exact elimination by a form the
     composite Laplace-Beltrami and the side operators annihilate."""
-    beta = laplace_solve(rhs, k, side)
     assert beta.max_coeff_degree() <= bound
     rows = composite_rows(rhs.ctx, k, side, bound)
     values = {(idx, exps): coef for idx, exps, coef in beta.terms()}

@@ -1,10 +1,14 @@
 """The benchmark's span recorder wraps kernel functions by name; every name
-it lists must resolve, so a rename fails here instead of in a traced run."""
+it lists must resolve, so a rename fails here instead of in a traced run.
+The kernel's import and environment rules, and the README's lists of CLI
+choices, are checked here too."""
 
+import argparse
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +84,23 @@ def test_kernel_reads_no_environment_variable():
             imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
             assert used not in reads and not reads.intersection(imported), (
                 f"{name}:{node.lineno} reads the environment")
+
+
+def _cli_choices(command: str, dest: str) -> list[str]:
+    """The choices of one option of one ``axc`` subcommand, read from its parser."""
+    parser = importlib.import_module("axc.cli")._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
+    return list(option.choices)
+
+
+def _readme_list(label: str) -> list[str]:
+    """The backquoted names after ``label:`` in the README, up to the sentence's end."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    start = text.index(label + ":") + len(label) + 1
+    return re.findall(r"`([^`]+)`", text[start:text.index(".", start)])
+
+
+def test_readme_lists_the_cli_choices():
+    assert sorted(_readme_list("Operators for `apply`")) == sorted(_cli_choices("apply", "op"))
+    assert sorted(_readme_list("Membership spaces")) == sorted(_cli_choices("member", "space"))
