@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GradeOutOfRange
 from .forms import Form, VectorField, interior
@@ -81,8 +81,7 @@ def grade_block_check(tag: OperatorTag, omega: Form) -> bool:
     return all(g in allowed for g in image.grades())
 
 
-@dataclass(frozen=True)
-class OscillatorReport:
+class OscillatorReport(NamedTuple):
     """Spectral check for the cohomotopic oscillator H-bar = h delta - delta h."""
 
     coexact_part: Form

@@ -25,8 +25,8 @@ n = 1..6.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
 from .forms import Form, VectorField, _merge_indices, interior
@@ -48,8 +48,7 @@ class DecompositionMode(enum.Enum):
     COEXACT_ANTICOEXACT = "coexact"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """first + second = input exactly; first is the closed-side part."""
 
     first: Form

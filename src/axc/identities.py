@@ -7,8 +7,7 @@ doubles as the CLI `identities` subcommand and as the acceptance harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .forms import interior
 from .hodge import codifferential, hodge_star, hodge_star_inv, musical_flat, musical_sharp
@@ -186,8 +185,7 @@ CHECKS: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     passed: bool
     samples: int

@@ -3,19 +3,21 @@
 Every coefficient anywhere in the kernel is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  Every operation emits
-``(exponent tuple, Fraction)`` pairs into :meth:`Poly.from_terms`, the one
-loop here that accumulates terms and drops the ones that cancel.
+closed monomial form only in centered coordinates.  Sum, product,
+derivative and scaling emit ``(exponent tuple, Fraction)`` pairs into
+:meth:`Poly.from_terms`, which accumulates them and drops the ones that
+cancel.  :meth:`Poly.shift` and powers work instead on integer numerators over
+one common denominator (:func:`_over_common_denominator`), so their inner loops
+pay no gcd, and build each output ``Fraction`` once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
 
@@ -33,37 +35,94 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _binomial_factors(d: Fraction, a: int) -> tuple:
-    """The terms ``(b, C(a, b) * d^(a-b))`` of (y + d)^a; y^a alone when d = 0."""
-    if not d:
-        return ((a, 1),)
-    return tuple((b, math.comb(a, b) * d ** (a - b)) for b in range(a + 1))
+def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict]:
+    """``(D, {exponents: integer numerator})`` with each coefficient equal to
+    its numerator over D, the lcm of the denominators (1 for no terms)."""
+    D = math.lcm(*(c.denominator for c in terms.values()))
+    return D, {exps: c.numerator * (D // c.denominator) for exps, c in terms.items()}
 
 
-@dataclass(frozen=True)
-class Context:
-    """Chart descriptor: dimension, star center, diagonal +-1 metric.
+def _from_numerators(n: int, numerators: dict, D: int) -> "Poly":
+    """The polynomial with coefficients ``numerator / D``, each built once."""
+    return Poly.from_terms(n, ((exps, Fraction(v, D)) for exps, v in numerators.items()))
 
-    The orientation is fixed once and for all as dx1^...^dxn positive.
+
+def _int_mul(p: dict, q: dict) -> dict:
+    """Product of two exponent -> integer maps; no Fraction, no gcd."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: v for e, v in out.items() if v}
+
+
+def _taylor_shift_axis(numerators: dict, i: int, delta: Fraction) -> tuple[dict, int]:
+    """Integer numerators of the substitution y_i -> y_i + P/Q, over a common
+    denominator Q^A times the old one, A the largest exponent of y_i; returns
+    them with Q^A.
+
+    The terms that agree off axis i form a line f(z) = sum_a N_a z^a.  Its
+    scaled copy h(z) = Q^A f(z/Q) has integer coefficients N_a Q^(A-a), and
+    h(z + P) = Q^A f((z + P)/Q) comes from synthetic division by z - P, Horner
+    style: O(A^2) additions and products by P.  Read back in y = z/Q, the
+    coefficient of y^b in Q^A f(y + P/Q) is that of z^b in h(z + P) times Q^b.
     """
+    P, Q = delta.numerator, delta.denominator
+    A = max(exps[i] for exps in numerators)
+    q_pow = [1]
+    for _ in range(A):
+        q_pow.append(q_pow[-1] * Q)
+    lines: dict = {}
+    for exps, v in numerators.items():
+        lines.setdefault(exps[:i] + exps[i + 1:], {})[exps[i]] = v
+    out = {}
+    for rest, line in lines.items():
+        top = max(line)
+        c = [line.get(a, 0) * q_pow[A - a] for a in range(top + 1)]
+        for low in range(top):
+            for j in range(top - 1, low - 1, -1):
+                c[j] += P * c[j + 1]
+        for b, v in enumerate(c):
+            if v:
+                out[rest[:i] + (b,) + rest[i:]] = v * q_pow[b]
+    return out, q_pow[A]
 
+
+class _ContextFields(NamedTuple):
     n: int
     center: tuple[Fraction, ...]
     signature: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {self.n}")
-        object.__setattr__(self, "center", tuple(_as_fraction(c) for c in self.center))
-        object.__setattr__(self, "signature", tuple(self.signature))
-        if len(self.center) != self.n:
+
+class Context(_ContextFields):
+    """Chart descriptor: dimension, star center, diagonal +-1 metric.
+
+    Immutable and hashable; the center is read as exact rationals and the
+    signature checked when the context is built.  The orientation is fixed
+    once and for all as dx1^...^dxn positive.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, center: Iterable, signature: Iterable) -> "Context":
+        if n < 1:
+            raise DimensionMismatch(f"dimension must be positive, got {n}")
+        center = tuple(_as_fraction(c) for c in center)
+        signature = tuple(signature)
+        if len(center) != n:
             raise DimensionMismatch("center length != dimension")
-        if len(self.signature) != self.n:
+        if len(signature) != n:
             raise DimensionMismatch("signature length != dimension")
-        if any(type(s) is not int or s not in (1, -1) for s in self.signature):
+        if any(type(s) is not int or s not in (1, -1) for s in signature):
             raise DimensionMismatch(
-                f"signature entries must be the integers 1 or -1: {self.signature}")
+                f"signature entries must be the integers 1 or -1: {signature}")
+        return super().__new__(cls, n, center, signature)
+
+    @classmethod
+    def _make(cls, iterable) -> "Context":
+        """Build through the checks above; ``_replace`` calls this too."""
+        return cls(*iterable)
 
     @classmethod
     def euclidean(cls, n: int, center: Iterable = None) -> "Context":
@@ -196,20 +255,35 @@ class Poly:
     def shift(self, delta) -> "Poly":
         """Substitute y_i -> y_i + delta_i, the workhorse of :func:`rebase`.
 
-        Each monomial expands in closed form, one axis at a time:
-        (y_i + delta_i)^a = sum_b C(a, b) * delta_i^(a-b) * y_i^b.  The
-        products of one factor per axis are summed by :meth:`from_terms`,
-        with no polynomial product.  An axis with delta_i = 0 passes its
-        exponent through unchanged.
+        An exact integer Taylor shift (von zur Gathen and Gerhard, ISSAC
+        1997): the coefficients are put over one common denominator, each axis
+        with delta_i != 0 is shifted line by line by
+        :func:`_taylor_shift_axis` with integer additions and products by
+        delta_i's numerator, and each output ``Fraction`` is built once at the
+        end.  An axis with delta_i = 0 passes its exponent through unchanged.
         """
         delta = [_as_fraction(v) for v in delta]
         if len(delta) != self.n:
             raise DimensionMismatch("shift vector length != dimension")
-        return Poly.from_terms(self.n, (
-            (tuple(b for b, _ in choice), coef * math.prod(c for _, c in choice))
-            for exps, coef in self.terms.items()
-            for choice in itertools.product(*map(_binomial_factors, delta, exps))
-        ))
+        D, numerators = _over_common_denominator(self.terms)
+        for i, d in enumerate(delta):
+            if d and numerators:
+                numerators, scale = _taylor_shift_axis(numerators, i, d)
+                D *= scale
+        return _from_numerators(self.n, numerators, D)
+
+    def __pow__(self, e: int) -> "Poly":
+        """self^e, e >= 0, by repeated squaring on integer numerators over
+        one common denominator; each output ``Fraction`` is built once."""
+        if e < 0:
+            raise ValueError("negative power")
+        D, base = _over_common_denominator(self.terms)
+        out = {(0,) * self.n: 1}
+        for bit in bin(e)[2:]:
+            out = _int_mul(out, out)
+            if bit == "1":
+                out = _int_mul(out, base)
+        return _from_numerators(self.n, out, D ** e)
 
     # -- queries -----------------------------------------------------------
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .clifford import OperatorTag, apply_operator, box_terms, laplace_beltrami
 from .errors import (
@@ -34,11 +34,10 @@ from .homotopy import SpaceTag, cohomotopy_h, homotopy_H, membership
 from .polyring import Poly
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     outputs: dict[str, Form]
     residuals: dict[str, Form]
-    gauge_notes: list[str] = field(default_factory=list)
+    gauge_notes: Sequence[str] = ()
 
     @property
     def failed(self) -> list[str]:
@@ -234,8 +233,7 @@ class VacuumDiracKind(enum.Enum):
     NOT_A_SOLUTION = "not-a-solution"
 
 
-@dataclass
-class VacuumDiracClass:
+class VacuumDiracClass(NamedTuple):
     kind: VacuumDiracKind
     residuals: dict[str, Form]
     harmonic_checks: dict[str, bool]

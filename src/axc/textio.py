@@ -52,6 +52,10 @@ MAX_TERMS = 10_000
 
 # -- tokenizer -------------------------------------------------------------
 
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits.
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -64,9 +68,9 @@ def _tokenize(text: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise NonRationalLiteral(f"floating-point literal at position {i}")
@@ -77,7 +81,7 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isalpha():
                 j += 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
@@ -107,7 +111,7 @@ class _Parser:
     # var names -> 1-based axis, honoring the alias table for the dimension
     def axis_of(self, name: str, position: int) -> int:
         n = self.ctx.n
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
             axis = int(name[1:])
         elif n <= 3 and name in _ALIASES_SMALL:
             axis = _ALIASES_SMALL[name]
@@ -165,7 +169,7 @@ class _Parser:
         # a power of t terms is a sum over the multisets of e of them
         terms = math.comb(len(base.terms) + e - 1, e) if e else 1
         _require_terms(_term_bound(self.ctx.n, terms, e * _degree(base)), position)
-        return math.prod([base] * e, start=Poly.const(self.ctx.n, 1))
+        return base ** e
 
     def parse_poly_term(self) -> Poly:
         out = self.parse_poly_factor()

@@ -12,9 +12,10 @@ import pytest
 from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
 from axc.cli import main
 from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS
+from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_rational
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
+from tests.oracles import loop_poly_mul
 
 
 def B(ctx, idx, poly=None):
@@ -93,6 +94,29 @@ class TestParser:
     def test_rejects_unknown_variable(self, e2):
         with pytest.raises(FormSyntaxError):
             parse_form("q dx1", e2)
+
+    @pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "\u0663"], ids=["sup2", "1sup2", "arabic3"])
+    def test_rejects_non_ascii_digits_in_rationals(self, text):
+        # str.isdigit accepts all three: int() then raised ValueError on the
+        # superscript and read the Arabic-Indic digit as 3
+        with pytest.raises((FormSyntaxError, NonRationalLiteral)):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["x\u0663 dx1", "x1^\u00b2 dx1"], ids=["axis", "exponent"])
+    def test_rejects_non_ascii_digits_in_forms(self, e2, text):
+        with pytest.raises((FormSyntaxError, NonRationalLiteral)):
+            parse_form(text, e2)
+
+    def test_power_matches_repeated_products(self, e2):
+        bases = {"(x1 + 1/7)": {(1, 0): Fraction(1), (0, 0): Fraction(1, 7)},
+                 "(2/3*x1 - 5/9*x2 + 1/2)": {(1, 0): Fraction(2, 3), (0, 1): Fraction(-5, 9),
+                                            (0, 0): Fraction(1, 2)},
+                 "(x2 - 1)": {(0, 1): Fraction(1), (0, 0): Fraction(-1)}}
+        for text, base in bases.items():
+            want = {(0, 0): Fraction(1)}
+            for e in range(7):
+                assert parse_form(f"{text}^{e} dx1", e2) == B(e2, (1,), Poly(2, want))
+                want = loop_poly_mul(want, base)
 
 
 class TestPrinter:
@@ -345,6 +369,12 @@ class TestCli:
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"above {MAX_TERMS}" in err
+
+    def test_high_power_off_center(self, tmp_path, capsys):
+        src = tmp_path / "w.txt"
+        src.write_text("x1^1000 dx2")
+        assert main(["--dim", "2", "--center=1/7,3/5", "apply", "--op", "d", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == "(1000*x1^999) dx1^dx2\n"
 
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

@@ -116,6 +116,23 @@ class TestRingAxioms:
 
 
 class TestContext:
+    def test_equality_hash_and_immutability(self):
+        a = Context(2, ("1/7", 0), (1, -1))
+        b = Context(2, (Fraction(1, 7), Fraction(0)), (1, -1))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Context(2, (Fraction(1, 7), Fraction(0)), (1, 1))
+        assert a.center == (Fraction(1, 7), Fraction(0)) and a.signature == (1, -1)
+        for field in ("n", "center", "signature"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, getattr(b, field))
+        with pytest.raises(DimensionMismatch):
+            Context(0, (), ())
+        with pytest.raises(DimensionMismatch):
+            Context(n=2, center=(0, 0), signature=(1,))
+        with pytest.raises(DimensionMismatch):
+            a._replace(signature=(1, 2))
+        assert a._replace(center=("2/3", 0)).center == (Fraction(2, 3), Fraction(0))
+
     def test_signature_product(self):
         assert Context.minkowski(4).sig == -1
         assert Context.euclidean(3).sig == 1
@@ -206,6 +223,36 @@ class TestAgainstLoops:
         p = {(5, 0, 2): Fraction(-3, 7), (0, 9, 1): Fraction(2, 9)}
         assert Poly(3, p).shift([0, 0, 0]).terms == p
         assert Poly(3, p).shift([0, Fraction(1, 7), 0]).terms == product_shift(p, [0, Fraction(1, 7), 0])
+
+    def test_shift_lines_with_gaps(self):
+        # one line per fixed exponent of the other axis; gaps inside each line
+        p = {(7, 0): Fraction(-3, 7), (2, 3): Fraction(5, 9), (0, 5): Fraction(1),
+             (4, 3): Fraction(2), (0, 0): Fraction(-1, 2)}
+        for delta in ([Fraction(2, 9), 0], [0, Fraction(-3, 7)], [Fraction(5, 7), Fraction(-4, 9)]):
+            assert Poly(2, p).shift(delta).terms == product_shift(p, delta)
+
+    def test_shift_integer_negative_and_zero_entries(self):
+        # every line on an axis is scaled by Q^A with the axis' largest exponent A,
+        # also the lines of lower degree
+        p = {(6, 1, 0): Fraction(1, 3), (1, 0, 2): Fraction(-7, 2), (0, 4, 5): Fraction(4, 9),
+             (2, 2, 2): Fraction(-1)}
+        for delta in ([3, Fraction(-5, 7), 0], [0, -2, Fraction(7, 3)],
+                      [Fraction(-1, 8), 0, -1], [1, 1, 1]):
+            assert Poly(3, p).shift(delta).terms == product_shift(p, delta)
+
+    def test_high_degree_shift_round_trip(self):
+        p = Poly(2, {(1000, 0): Fraction(1), (0, 1000): Fraction(-3, 4)})
+        delta = [Fraction(1, 7), Fraction(3, 5)]
+        there = p.shift(delta)
+        assert len(there.terms) == 2001  # the two constant terms add up
+        assert there.shift([-d for d in delta]) == p
+
+    def test_power(self):
+        for p, _ in _seeded_pairs(2, count=6):
+            want = {(0, 0): Fraction(1)}
+            for e in range(5):
+                assert (Poly(2, p) ** e).terms == want
+                want = loop_poly_mul(want, p)
 
     def test_scale_and_negation(self):
         p = {(2, 0, 1): Fraction(-3, 7), (0, 1, 0): Fraction(5, 9), (0, 0, 0): Fraction(1)}

@@ -52,6 +52,15 @@ def test_span_target_modules_load_with_the_package():
     assert not missing, f"not loaded by import axc, axc.cli, axc.identities: {missing}"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, which costs every axc process milliseconds
+    code = "import json, sys; import axc.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert not {"dataclasses", "inspect"} & set(json.loads(out))
+
+
 def test_identity_checks_are_a_table():
     assert isinstance(importlib.import_module("axc.identities").CHECKS, dict)
 
