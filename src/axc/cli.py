@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oscillator", help="cohomotopic oscillator eigencheck")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 from .errors import GradeOutOfRange
 from .forms import Form, VectorField, interior
 from .hodge import codifferential, musical_flat
-from .homotopy import cohomotopy_h, homotopy_H
+from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
 
 
 class OperatorTag(enum.Enum):
@@ -101,8 +101,7 @@ def oscillator_eigencheck(omega: Form) -> OscillatorReport:
     n = omega.ctx.n
     if k is None or not 0 < k < n:
         raise GradeOutOfRange("oscillator spectrum is clean only for 0 < grade < n")
-    coexact = codifferential(cohomotopy_h(omega))
-    anticoexact = cohomotopy_h(codifferential(omega))
+    coexact, anticoexact, _ = decompose(omega, DecompositionMode.COEXACT_ANTICOEXACT)
     hbar_c = apply_operator(OperatorTag.OSCILLATOR_HBAR, coexact)
     hbar_ac = apply_operator(OperatorTag.OSCILLATOR_HBAR, anticoexact)
     eigenvalue = None

@@ -19,23 +19,16 @@ from .polyring import Context, Poly, _as_fraction
 
 @functools.lru_cache(maxsize=4096)
 def _merge_indices(a: tuple, b: tuple):
-    """Concatenate two strictly increasing index tuples.
+    """dx^a ^ dx^b for any index tuples a and b, in any order.
 
-    Returns (sorted tuple, permutation sign) or None when an index repeats.
-    Cached: every term map asks for the same few index pairs again and again.
+    Returns (sorted tuple, (-1)^(inversions of a + b)) or None when an index
+    repeats.  Cached: every term map asks for the same few index pairs again
+    and again.
     """
-    merged = list(a)
-    sign = 1
-    for idx in b:
-        pos = len(merged)
-        # insertion sort step; each swap flips the sign
-        while pos > 0 and merged[pos - 1] > idx:
-            pos -= 1
-        if pos > 0 and merged[pos - 1] == idx:
-            return None
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, idx)
-    return tuple(merged), sign
+    s = a + b
+    if len(set(s)) < len(s):
+        return None
+    return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
 
 
 class Form:

@@ -118,9 +118,11 @@ def decompose(omega: Form, mode: DecompositionMode) -> Decomposition:
     if mode is DecompositionMode.EXACT_ANTIEXACT:
         closed = homotopy_H(omega).d() + center_pullback(omega)
         rest = homotopy_H(omega.d())
-    else:
+    elif mode is DecompositionMode.COEXACT_ANTICOEXACT:
         closed = codifferential(cohomotopy_h(omega)) + center_top_eval(omega)
         rest = cohomotopy_h(codifferential(omega))
+    else:
+        raise ValueError(f"unknown decomposition mode {mode!r}")
     return Decomposition(closed, rest, mode)
 
 

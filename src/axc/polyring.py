@@ -3,12 +3,13 @@
 Every coefficient anywhere in the kernel is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  Sum, product,
-derivative and scaling emit ``(exponent tuple, Fraction)`` pairs into
+closed monomial form only in centered coordinates.  Sum, derivative and
+scaling emit ``(exponent tuple, Fraction)`` pairs into
 :meth:`Poly.from_terms`, which accumulates them and drops the ones that
-cancel.  :meth:`Poly.shift` and powers work instead on integer numerators over
-one common denominator (:func:`_over_common_denominator`), so their inner loops
-pay no gcd, and build each output ``Fraction`` once.
+cancel.  Products, powers and :meth:`Poly.shift` work instead on integer
+numerators over one common denominator (:func:`_over_common_denominator`), so
+their inner loops pay no gcd, and build each output ``Fraction`` once;
+:func:`_int_mul` is the one product loop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ Rational = Fraction
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         from .textio import parse_rational  # the grammar's rule; textio imports this module
@@ -220,11 +221,9 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return Poly.from_terms(self.n, (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        ))
+        D1, p = _over_common_denominator(self.terms)
+        D2, q = _over_common_denominator(other.terms)
+        return _from_numerators(self.n, _int_mul(p, q), D1 * D2)
 
     __rmul__ = __mul__
 
@@ -290,9 +289,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
 
     def sorted_terms(self):
         """Deterministic (lexicographic by exponent tuple) term iteration."""

@@ -172,12 +172,12 @@ def kr_maxwell_couple(B: Form, F: Form, j: Form, J: Form) -> SolveReport:
     B.ctx.require_same(F.ctx)
     R = B + F
     K = R.d()
-    residuals = {
+    report = SolveReport(outputs={"R": R, "K": K}, residuals={
         "DR_minus_(K-j)": apply_operator(OperatorTag.DIRAC, R) - (K - j),
         "DK_plus_J": apply_operator(OperatorTag.DIRAC, K) + J,
         "deltaB": codifferential(B),
-    }
-    failed = [name for name, form in residuals.items() if not form.is_zero]
+    })
+    failed = report.failed
     if not B.is_zero:
         if not membership(B, SpaceTag.ANTIEXACT):
             failed.append("B_antiexact")
@@ -185,7 +185,7 @@ def kr_maxwell_couple(B: Form, F: Form, j: Form, J: Form) -> SolveReport:
             failed.append("B_coexact")
     if failed:
         raise NotASolution(failed)
-    return SolveReport(outputs={"R": R, "K": K}, residuals=residuals)
+    return report
 
 
 # -- Dirac family ----------------------------------------------------------

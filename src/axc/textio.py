@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError, NonRationalLiteral
 from .forms import Form, _merge_indices
-from .polyring import Context, Poly
+from .polyring import Context, Poly, _as_fraction
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -364,15 +364,15 @@ def form_to_json(omega: Form) -> dict:
 
 
 def _json_rational(value) -> Fraction:
-    """A JSON number: an integer, or a string read by the grammar's rational rule."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except AxcError as exc:
-            raise NonRationalLiteral(f"JSON number {value!r}: {exc}") from None
-    raise NonRationalLiteral(f"JSON number {value!r} is not an integer or a rational string")
+    """A JSON number: an integer, or a string read by the grammar's rational
+    rule; the library's own rule, :func:`axc.polyring._as_fraction`."""
+    try:
+        return _as_fraction(value)
+    except AxcError as exc:
+        raise NonRationalLiteral(f"JSON number {value!r}: {exc}") from None
+    except TypeError:
+        raise NonRationalLiteral(
+            f"JSON number {value!r} is not an integer or a rational string") from None
 
 
 def _json_int(value, what: str) -> int:

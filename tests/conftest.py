@@ -1,3 +1,4 @@
+import argparse
 import re
 from fractions import Fraction
 
@@ -66,6 +67,16 @@ def oracle_contexts(max_dim=6):
     for n in range(1, max_dim + 1):
         out.append(Context(n, (0,) * n, tuple(-1 if i % 2 == 0 else 1 for i in range(n))))
     return out
+
+
+def cli_subcommands_with(dest: str) -> list[str]:
+    """The ``axc`` subcommands whose parser has an option stored in ``dest``."""
+    from axc.cli import _build_parser
+
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [name for name, sub in subparsers.choices.items()
+            if any(a.dest == dest for a in sub._actions)]
 
 
 def frac(s):

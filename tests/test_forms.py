@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from axc import Context, Form, Poly, VectorField, form_linear, interior, k_field
 from axc.errors import GradeOutOfRange
+from axc.forms import _merge_indices
 from axc.randforms import random_form, random_poly, sample_rng
 from tests.conftest import oracle_contexts
 from tests.oracles import loop_add, loop_d, loop_interior, loop_wedge
@@ -31,6 +33,40 @@ class TestLinear:
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
         phi = random_form(e2, sample_rng(1, 1))
         assert form_linear(2, half, 0, phi) == B(e2, (1, 2))
+
+
+def _cycle_sign(perm: tuple) -> int:
+    """(-1)^(length - number of cycles) of the permutation sorting ``perm``."""
+    position = {v: i for i, v in enumerate(sorted(perm))}
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        cycles += start not in seen
+        j = start
+        while j not in seen:
+            seen.add(j)
+            j = position[perm[j]]
+    return (-1) ** (len(perm) - cycles)
+
+
+class TestMergeIndices:
+    def test_sign_is_the_permutation_parity(self):
+        # every ordering of every index set, split at every cut; b need not be
+        # sorted, as the parser passes it in the order it was written
+        for n in range(1, 7):
+            for length in range(5):
+                for indices in itertools.combinations(range(1, n + 1), length):
+                    for perm in itertools.permutations(indices):
+                        for cut in range(length + 1):
+                            got = _merge_indices(perm[:cut], perm[cut:])
+                            assert got == (indices, _cycle_sign(perm)), (perm, cut)
+
+    def test_repeated_index_is_none(self):
+        for n in range(1, 7):
+            for length in range(2, 5):
+                for s in itertools.product(range(1, n + 1), repeat=length):
+                    if len(set(s)) < length:
+                        for cut in range(length + 1):
+                            assert _merge_indices(s[:cut], s[cut:]) is None, (s, cut)
 
 
 class TestWedge:

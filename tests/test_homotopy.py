@@ -182,6 +182,12 @@ class TestDecompose:
                     assert membership(dec.first, tags[0])
                     assert membership(dec.second, tags[1])
 
+    def test_rejects_unknown_mode(self, e2):
+        # a mode string, even the CLI's own "exact", is not a DecompositionMode
+        for mode in ("exact", "coexact", None, SpaceTag.EXACT):
+            with pytest.raises(ValueError):
+                decompose(B(e2, (2,), var(e2, 1)), mode)
+
 
 class TestMembership:
     def test_constant_basis_is_closed(self, e2):

@@ -9,12 +9,29 @@ from fractions import Fraction
 
 import pytest
 
-from axc import Context, Form, Poly, form_from_json, form_to_json, parse_form, print_form
+from axc import (
+    Context,
+    Form,
+    Poly,
+    codifferential,
+    cohomotopy_h,
+    dirac_source_solve,
+    form_from_json,
+    form_to_json,
+    kalb_ramond_solve,
+    maxwell_solve,
+    maxwell_solve_magnetic,
+    oscillator_eigencheck,
+    parse_form,
+    print_form,
+    vacuum_dirac_classify,
+)
 from axc.cli import main
 from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
-from axc.textio import MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_rational
-from axc.randforms import random_form, sample_rng
-from tests.conftest import all_contexts
+from axc.textio import (
+    MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, load_form_text, parse_rational)
+from axc.randforms import random_form, random_homogeneous, sample_rng
+from tests.conftest import all_contexts, cli_subcommands_with
 from tests.oracles import loop_poly_mul
 
 
@@ -218,6 +235,16 @@ class TestJson:
         doc = form_to_json(B(e2, (1,)))
         doc["center"] = [0.1, "0"]
         with pytest.raises(NonRationalLiteral):
+            form_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["coef", "center"])
+    def test_rejects_bool_rational(self, e2, field):
+        doc = form_to_json(B(e2, (1,)))
+        if field == "coef":
+            doc["components"]["1"]["[1]"][0]["coef"] = True
+        else:
+            doc["center"] = [True, "0"]
+        with pytest.raises(NonRationalLiteral, match="^JSON number True"):
             form_from_json(doc)
 
     def test_rejects_fractional_exponent(self, e2):
@@ -440,3 +467,130 @@ class TestCli:
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
         assert "FAIL" not in first.stdout
+
+
+def _write(tmp_path, name: str, omega: Form) -> str:
+    path = tmp_path / name
+    path.write_text(print_form(omega))
+    return str(path)
+
+
+def _named_forms(lines, ctx) -> dict:
+    """``name = form`` lines read back into forms."""
+    return dict((name, load_form_text(text, ctx))
+                for name, text in (line.split(" = ", 1) for line in lines))
+
+
+# A small valid input for each subcommand that takes --json: (arguments, form text).
+_JSON_SAMPLES = {
+    "apply": (["--op", "H"], "(x1^2) dx2"),
+    "decompose": (["--mode", "coexact"], "(x1) dx2"),
+    "potential": ([], "dx1^dx2"),
+    "copotential": ([], "(x2) dx1"),
+    "solve": (["maxwell"], "dx2"),
+}
+
+
+class TestCliAgainstLibrary:
+    """Each subcommand's output read back and compared with the library call."""
+
+    @pytest.mark.parametrize("command", cli_subcommands_with("json"))
+    def test_json_flag_prints_json(self, tmp_path, capsys, command):
+        assert command in _JSON_SAMPLES, f"no sample input for {command} --json"
+        args, text = _JSON_SAMPLES[command]
+        src = tmp_path / "w.txt"
+        src.write_text(text)
+        argv = ["--dim", "2", command, *args, "--in", str(src), "--json"]
+        assert main(argv) == 0
+        json.loads(capsys.readouterr().out)
+
+    def test_classify_vacuum_dirac_gauge_case(self, tmp_path, capsys, e3):
+        alpha, beta = Form.scalar(e3, 1), Form.basis(e3, (1, 2))
+        result = vacuum_dirac_classify(alpha, beta, 1)
+        code = main(["--dim", "3", "classify", "vacuum-dirac", "--grade", "1",
+                     "--alpha", _write(tmp_path, "a.txt", alpha),
+                     "--beta", _write(tmp_path, "b.txt", beta)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines == [result.kind.value] + [
+            f"check {name}: {'true' if ok else 'false'}"
+            for name, ok in result.harmonic_checks.items()]
+
+    def test_classify_vacuum_dirac_not_a_solution(self, tmp_path, capsys, e3):
+        alpha, beta = Form.basis(e3, (2,), var(e3, 1)), Form.zero(e3)
+        result = vacuum_dirac_classify(alpha, beta, 2)
+        code = main(["--dim", "3", "classify", "vacuum-dirac", "--grade", "2",
+                     "--alpha", _write(tmp_path, "a.txt", alpha),
+                     "--beta", _write(tmp_path, "b.txt", beta)])
+        kind, *residuals = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert kind == result.kind.value
+        assert all(line.startswith("residual ") for line in residuals)
+        assert _named_forms([line[len("residual "):] for line in residuals], e3) == {
+            name: form for name, form in result.residuals.items() if not form.is_zero}
+
+    def test_oscillator_eigenvector(self, tmp_path, capsys, e3):
+        w = cohomotopy_h(codifferential(random_homogeneous(e3, sample_rng(191, 0), 2)))
+        report = oscillator_eigencheck(w)
+        assert report.is_eigenvector
+        code = main(["--dim", "3", "oscillator", "--in", _write(tmp_path, "w.txt", w)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"eigenvector with eigenvalue {report.eigenvalue:+d}", "spectral check: passed"]
+
+    def test_oscillator_non_eigenvector(self, tmp_path, capsys, e2):
+        w = Form.basis(e2, (1,), var(e2, 1))
+        report = oscillator_eigencheck(w)
+        code = main(["--dim", "2", "oscillator", "--in", _write(tmp_path, "w.txt", w)])
+        head, *parts, tail = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert (head, tail) == ("not an eigenvector", "spectral check: passed")
+        assert _named_forms(parts, e2) == {"coexact part": report.coexact_part,
+                                           "anticoexact part": report.anticoexact_part}
+
+    @pytest.mark.parametrize("system,flags,approach", [
+        ("maxwell-magnetic", ["--dim", "3"], 1),
+        ("kalb-ramond", ["--metric", "+---"], 1),
+        ("dirac-source", ["--dim", "3"], 2),
+    ])
+    def test_solve_text_report(self, tmp_path, capsys, system, flags, approach):
+        rng = sample_rng(271, 0)
+        if system == "maxwell-magnetic":
+            ctx = Context.euclidean(3)
+            source = random_homogeneous(ctx, rng, 2).d()
+            report = maxwell_solve_magnetic(source)
+        elif system == "kalb-ramond":
+            ctx = Context.minkowski(4)
+            source = codifferential(random_homogeneous(ctx, rng, 3))
+            report = kalb_ramond_solve(source)
+        else:
+            ctx = Context.euclidean(3)
+            source = (codifferential(cohomotopy_h(random_homogeneous(ctx, rng, 1))).d()
+                      - codifferential(random_homogeneous(ctx, rng, 2).d()))
+            report = dirac_source_solve(source, approach)
+        assert report.success and not source.is_zero
+        code = main([*flags, "solve", system, "--approach", str(approach),
+                     "--in", _write(tmp_path, "src.txt", source)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[-1] == "status: success"
+        notes = [line for line in lines if line.startswith("gauge: ")]
+        assert notes == [f"gauge: {note}" for note in report.gauge_notes]
+        residuals = [line[len("residual "):] for line in lines if line.startswith("residual ")]
+        assert _named_forms(residuals, ctx) == report.residuals
+        outputs = lines[:len(report.outputs)]
+        assert _named_forms(outputs, ctx) == report.outputs
+        assert len(lines) == len(outputs) + len(residuals) + len(notes) + 1
+
+    def test_solve_maxwell_json(self, tmp_path, capsys, m4):
+        j = codifferential(random_homogeneous(m4, sample_rng(271, 1), 2))
+        report = maxwell_solve(j)
+        code = main(["--metric", "+---", "solve", "maxwell", "--json",
+                     "--in", _write(tmp_path, "j.txt", j)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc.keys() == {"outputs", "residuals", "gauge_notes", "success"}
+        assert {k: form_from_json(v) for k, v in doc["outputs"].items()} == report.outputs
+        assert {k: form_from_json(v) for k, v in doc["residuals"].items()} == report.residuals
+        assert doc["gauge_notes"] == list(report.gauge_notes)
+        assert doc["success"] is True

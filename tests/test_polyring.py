@@ -149,6 +149,17 @@ class TestContext:
             with pytest.raises(DimensionMismatch):
                 Context(2, (0, 0), signature)
 
+    def test_bools_are_not_rationals(self):
+        # bool is an int subclass; JSON rejects true, and so does the library
+        with pytest.raises(TypeError):
+            Context(2, (True, 0), (1, 1))
+        with pytest.raises(TypeError):
+            Poly.const(2, True)
+        with pytest.raises(TypeError):
+            Poly.monomial(2, (1, 0), False)
+        with pytest.raises(TypeError):
+            y(1).scale(True)
+
     def test_string_values_follow_the_grammar(self):
         # Fraction(str) would read all of these; the text grammar and JSON reject them
         assert Poly.const(1, " -3/4 ") == Poly.const(1, Fraction(-3, 4))

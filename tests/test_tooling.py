@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tests.conftest import cli_subcommands_with
+
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 
@@ -113,3 +115,5 @@ def _readme_list(label: str) -> list[str]:
 def test_readme_lists_the_cli_choices():
     assert sorted(_readme_list("Operators for `apply`")) == sorted(_cli_choices("apply", "op"))
     assert sorted(_readme_list("Membership spaces")) == sorted(_cli_choices("member", "space"))
+    assert sorted(_readme_list("switches their output to JSON")) == sorted(
+        cli_subcommands_with("json"))
