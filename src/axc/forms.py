@@ -37,6 +37,8 @@ class Form:
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
         terms = []
         for k, idx_map in (components or {}).items():
+            if not 0 <= k <= ctx.n:
+                raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n}")
             for idx, poly in idx_map.items():
                 idx = tuple(int(i) for i in idx)
                 if len(idx) != k:
@@ -45,8 +47,6 @@ class Form:
                     raise GradeOutOfRange(f"index tuple {idx} not strictly increasing")
                 if idx and (idx[0] < 1 or idx[-1] > ctx.n):
                     raise GradeOutOfRange(f"index tuple {idx} outside 1..{ctx.n}")
-                if not 0 <= k <= ctx.n:
-                    raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n}")
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
                 terms += [(idx, exps, coef) for exps, coef in poly.terms.items()]

@@ -114,16 +114,21 @@ def center_top_eval(omega: Form) -> Form:
     return omega.grade_select(omega.ctx.n).at_center()
 
 
+def _side(exact: bool) -> tuple:
+    """(differential, its homotopy, center term, name) of the exact half, (d, H,
+    s*_{x0}, "d"), or the coexact half, (delta, h, S_{x0}, "delta").  Looked up
+    per call, so an operator rebound in place (by a tracer) is the one that runs."""
+    if exact:
+        return Form.d, homotopy_H, center_pullback, "d"
+    return codifferential, cohomotopy_h, center_top_eval, "delta"
+
+
 def decompose(omega: Form, mode: DecompositionMode) -> Decomposition:
-    if mode is DecompositionMode.EXACT_ANTIEXACT:
-        closed = homotopy_H(omega).d() + center_pullback(omega)
-        rest = homotopy_H(omega.d())
-    elif mode is DecompositionMode.COEXACT_ANTICOEXACT:
-        closed = codifferential(cohomotopy_h(omega)) + center_top_eval(omega)
-        rest = cohomotopy_h(codifferential(omega))
-    else:
+    """op(inv(omega)) + center(omega) and inv(op(omega)) for the half of ``mode``."""
+    if not isinstance(mode, DecompositionMode):
         raise ValueError(f"unknown decomposition mode {mode!r}")
-    return Decomposition(closed, rest, mode)
+    op, inv, center, _ = _side(mode is DecompositionMode.EXACT_ANTIEXACT)
+    return Decomposition(op(inv(omega)) + center(omega), inv(op(omega)), mode)
 
 
 def membership(omega: Form, tag: SpaceTag) -> bool:

@@ -195,13 +195,14 @@ def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
     if samples < 1 or max_degree < 0:
         raise ValueError(f"need samples >= 1 and max_degree >= 0, got {samples} and {max_degree}")
-    chosen = list(CHECKS) if names is None else list(names)
+    # seeded by a check's place in CHECKS: a subset run draws the full run's samples
+    place = {name: cidx for cidx, name in enumerate(CHECKS)}
     results = []
-    for cidx, name in enumerate(chosen):
+    for name in CHECKS if names is None else names:
         check = CHECKS[name]
         failure = None
         for i in range(samples):
-            rng = sample_rng(seed, cidx * samples + i)
+            rng = sample_rng(seed, place[name] * samples + i)
             w = random_form(ctx, rng, max_degree)
             if not check(ctx, w, rng):
                 failure = i

@@ -1,13 +1,13 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
-Each pipeline composes H and h with two dual steps, each a formula in H, h
-and the right inverse G of laplace (:func:`laplace_solve`): ``_close(s, k)``
-returns (beta, s + delta beta), closed, with beta = d G(H d s), and
-``_coclose(s, k)`` returns its dual (alpha, s + d alpha), coclosed, with
-alpha = delta G(h delta s).  Maxwell and Kalb-Ramond close h j and take
-A = H F; magnetic Maxwell cocloses H j and takes A = h F.  Dirac approach 1
-closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
-applies h and closes (gauge form delta w).
+Each pipeline composes H and h with one closing step, ``_close(s, k, exact)``,
+a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`):
+on the exact half it returns (beta, s + delta beta), closed, with beta =
+d G(H d s), on the coexact half (alpha, s + d alpha), coclosed, with alpha =
+delta G(h delta s).  Maxwell and Kalb-Ramond close h j and take A = H F;
+magnetic Maxwell, the same body on the coexact half, cocloses H j and takes
+A = h F.  Dirac approach 1 closes B, applies H and cocloses (gauge form dv);
+approach 2 cocloses -B, applies h and closes (gauge form delta w).
 
 Every solver returns a :class:`SolveReport` whose residuals are recomputed
 from scratch through the operator kernel, so a report marked successful is
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .forms import Form
 from .hodge import codifferential
-from .homotopy import SpaceTag, cohomotopy_h, homotopy_H, membership
+from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
 from .polyring import Poly
 
 
@@ -74,7 +74,7 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     and ``laplace(laplace_solve(g, k)) = g``.  The gauge is G's.
 
     A closed or coclosed solution is a formula on top of G, as in
-    :func:`_close` and :func:`_coclose`: for g closed off grade 0,
+    :func:`_close`: for g closed off grade 0,
     ``laplace_solve(homotopy_H(g), k - 1).d()`` is closed and solves
     laplace(beta) = g, since laplace commutes with d and d H g = g.
     """
@@ -90,43 +90,43 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     return rhs.termwise(lambda idx, exps: [(idx, e, c) for e, c in _inverse_box(exps, signature)])
 
 
-def _close(s: Form, k: int) -> tuple[Form, Form]:
-    """Closes the k-form s: beta = d G(H d s) has d beta = 0 and laplace beta =
-    d H d s = d s, so d(s + delta beta) = d s - laplace beta = 0."""
-    beta = laplace_solve(homotopy_H(s.d()), k).d()
-    return beta, s + codifferential(beta)
-
-
-def _coclose(s: Form, k: int) -> tuple[Form, Form]:
-    """Cocloses the k-form s: alpha = delta G(h delta s) has delta alpha = 0 and
-    laplace alpha = delta h delta s = delta s, so delta(s + d alpha) = 0."""
-    alpha = codifferential(laplace_solve(cohomotopy_h(codifferential(s)), k))
-    return alpha, s + alpha.d()
+def _close(s: Form, k: int, exact: bool) -> tuple[Form, Form]:
+    """Closes (``exact``) or cocloses the k-form s.  With op, inv the
+    differential and homotopy of that half and dual the other differential,
+    gauge = op G(inv op s) has op gauge = 0 and laplace gauge = op inv op s =
+    op s, so op(s + dual gauge) = op s - laplace gauge = 0."""
+    op, inv, _, _ = _side(exact)
+    gauge = op(laplace_solve(inv(op(s)), k))
+    return gauge, s + _side(not exact)[0](gauge)
 
 
 # -- Maxwell and Kalb-Ramond -----------------------------------------------
 
-def _electric(j: Form, k: int, names: str, notes: list[str]) -> SolveReport:
-    """dF = 0, delta F = j for a conserved k-form current j: F closes h j and
-    A = H F.  ``names`` spells the symbols for F, A, the wave potential and j."""
-    F_, A_, beta_, j_ = names.split()
+def _field(j: Form, k: int, exact: bool, names: str, notes: list[str]) -> SolveReport:
+    """op F = 0, dual F = j for a k-form current j with dual j = 0, on the
+    exact half (electric, A = H F) or the coexact half (magnetic, A = h F):
+    F closes or cocloses the dual homotopy of j.  ``names`` spells the
+    symbols for F, A, the gauge form and j."""
+    F_, A_, gauge_, j_ = names.split()
+    op, inv, _, o = _side(exact)
+    dual, dual_inv, _, du = _side(not exact)
     if j.homogeneous_grade() not in (None, k):
-        raise GradeMismatch(f"current must be a {k}-form")
-    if not codifferential(j).is_zero:
-        raise NotConserved(f"delta {j_} != 0")
-    beta, F = _close(cohomotopy_h(j), k + 1)
-    A = homotopy_H(F)
+        raise GradeMismatch(f"{'' if exact else 'magnetic '}current must be a {k}-form")
+    if not dual(j).is_zero:
+        raise NotConserved(f"{du} {j_} != 0")
+    gauge, F = _close(dual_inv(j), k + 1 if exact else k - 1, exact)
+    A = inv(F)
     return SolveReport(
-        outputs={F_: F, A_: A, beta_: beta},
-        residuals={f"d{F_}": F.d(), f"delta{F_}_minus_{j_}": codifferential(F) - j,
-                   f"d{A_}_minus_{F_}": A.d() - F},
+        outputs={F_: F, A_: A, gauge_: gauge},
+        residuals={f"{o}{F_}": op(F), f"{du}{F_}_minus_{j_}": dual(F) - j,
+                   f"{o}{A_}_minus_{F_}": op(A) - F},
         gauge_notes=notes,
     )
 
 
 def maxwell_solve(j: Form) -> SolveReport:
     """Electric Maxwell system dF = 0, delta F = j for a conserved current."""
-    return _electric(j, 1, "F A alpha j", [
+    return _field(j, 1, True, "F A alpha j", [
         "f = 0 chosen in A = df + H(delta alpha + h j)",
         "alpha = d G(H d h j), G the closed-form right inverse of laplace",
     ])
@@ -134,7 +134,7 @@ def maxwell_solve(j: Form) -> SolveReport:
 
 def kalb_ramond_solve(J: Form) -> SolveReport:
     """Kalb-Ramond system dK = 0, delta K = J for a conserved 2-form current."""
-    return _electric(J, 2, "K B beta J", [
+    return _field(J, 2, True, "K B beta J", [
         "B = H K (the antiexact potential); beta = d G(H d h J)",
     ])
 
@@ -143,24 +143,10 @@ def maxwell_solve_magnetic(j: Form) -> SolveReport:
     """Magnetic-monopole variant: dF = j, delta F = 0 for a closed 3-form j."""
     if j.ctx.n < 3:
         raise GradeMismatch("magnetic current is a 3-form; need dimension >= 3")
-    if j.homogeneous_grade() not in (None, 3):
-        raise GradeMismatch("magnetic current must be a 3-form")
-    if not j.d().is_zero:
-        raise NotConserved("d j != 0")
-    alpha, F = _coclose(homotopy_H(j), 2)
-    A = cohomotopy_h(F)
-    return SolveReport(
-        outputs={"F": F, "A": A, "alpha": alpha},
-        residuals={
-            "deltaF": codifferential(F),
-            "dF_minus_j": F.d() - j,
-            "deltaA_minus_F": codifferential(A) - F,
-        },
-        gauge_notes=[
-            "beta = 0 chosen in A = delta beta + h(d alpha + H j)",
-            "alpha = delta G(h delta H j), G the closed-form right inverse of laplace",
-        ],
-    )
+    return _field(j, 3, False, "F A alpha j", [
+        "beta = 0 chosen in A = delta beta + h(d alpha + H j)",
+        "alpha = delta G(h delta H j), G the closed-form right inverse of laplace",
+    ])
 
 
 def kr_maxwell_couple(B: Form, F: Form, j: Form, J: Form) -> SolveReport:
@@ -207,13 +193,13 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
     elif not 0 < k < B.ctx.n:
         raise GradeOutOfRange("source must be homogeneous of grade strictly between 0 and n")
     elif approach == 1:
-        beta, closed = _close(B, k)
-        v, alpha = _coclose(homotopy_H(closed), k - 1)
+        beta, closed = _close(B, k, True)
+        v, alpha = _close(homotopy_H(closed), k - 1, False)
         notes = ["v = 0 in alpha = H(delta beta + B) + dv" if v.is_zero else
                  "v solved from {laplace v = delta H(delta beta + B), delta v = 0}"]
     else:
-        alpha, coclosed = _coclose(-B, k)
-        w, beta = _close(cohomotopy_h(coclosed), k + 1)
+        alpha, coclosed = _close(-B, k, False)
+        w, beta = _close(cohomotopy_h(coclosed), k + 1, True)
         notes = ["w = 0 in beta = h(d alpha - B) + delta w" if w.is_zero else
                  "w solved from {laplace w = d h(d alpha - B), d w = 0}"]
     return SolveReport(

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
-from .errors import AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError, NonRationalLiteral
+from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
+                     GradeOutOfRange, NonRationalLiteral)
 from .forms import Form, _merge_indices
 from .polyring import Context, Poly, _as_fraction
 
@@ -391,22 +393,27 @@ def form_from_json(data: dict) -> Form:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
-    terms = []
+    terms, keys = [], {}
     try:
         for k_str, row in data.get("components", {}).items():
+            # ASCII digits only, as in the text grammar
+            if not re.fullmatch("[0-9]+", k_str):
+                raise DimensionMismatch(f"JSON grade key {k_str!r} is not a grade")
+            grade = keys.setdefault(int(k_str), {})
             for key, entries in row.items():
-                idx = tuple(int(s) for s in key.strip("[]").split(",") if s)
-                if len(idx) != int(k_str):
-                    raise DimensionMismatch(f"index list {key} does not match grade {k_str}")
+                if not re.fullmatch(r"\[([0-9]+(,[0-9]+)*)?\]", key):
+                    raise DimensionMismatch(f"JSON index key {key!r} is not a list [i,j,...]")
+                idx = tuple(int(s) for s in key[1:-1].split(",") if s)
+                grade[idx] = Poly.zero(ctx.n)
                 for term in entries:
                     powers = [_json_int(e, "exponent") for e in term["exp"]]
                     if any(e > MAX_EXPONENT for e in powers):
                         raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {powers}")
                     mono = Poly.monomial(ctx.n, powers, _json_rational(term["coef"]))
                     terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        Form(ctx, keys)  # the constructor's key rules, on keys without terms too
+    except (KeyError, ValueError, TypeError, AttributeError, GradeOutOfRange) as exc:
         raise DimensionMismatch(f"bad JSON body: {exc!r}") from None
-    # _recentered rebuilds through the Form constructor, which validates idx
     return _recentered(Form.from_terms(ctx, terms))
 
 

@@ -29,6 +29,11 @@ class TestLinear:
         w = random_form(e2, sample_rng(1, 0))
         assert (w + w.scale(-1)).is_zero
 
+    @pytest.mark.parametrize("k", [-1, 3, 9])
+    def test_grade_outside_range_raises_with_no_terms(self, e2, k):
+        with pytest.raises(GradeOutOfRange, match=f"grade {k} outside 0..2"):
+            Form(e2, {k: {}})
+
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
         phi = random_form(e2, sample_rng(1, 1))

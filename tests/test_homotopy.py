@@ -13,6 +13,7 @@ from axc import (
     cohomotopy_h,
     copotential,
     decompose,
+    hodge_star,
     homotopy_H,
     interior,
     k_field,
@@ -181,6 +182,18 @@ class TestDecompose:
                     assert dec.first + dec.second == w
                     assert membership(dec.first, tags[0])
                     assert membership(dec.second, tags[1])
+
+    def test_star_carries_the_exact_split_onto_the_coexact_split(self):
+        # both splits are direct, and star maps closed to coclosed and antiexact
+        # to anticoexact (criterion 3), so the coexact split of star w is star
+        # of the exact split of w; a wrongly paired half fails here
+        for c, ctx in enumerate(oracle_contexts(5)):
+            for i in range(30):
+                w = random_form(ctx, sample_rng(139, 30 * c + i))
+                exact = decompose(w, DecompositionMode.EXACT_ANTIEXACT)
+                coexact = decompose(hodge_star(w), DecompositionMode.COEXACT_ANTICOEXACT)
+                assert coexact.first == hodge_star(exact.first)
+                assert coexact.second == hodge_star(exact.second)
 
     def test_rejects_unknown_mode(self, e2):
         # a mode string, even the CLI's own "exact", is not a DecompositionMode

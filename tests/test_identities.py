@@ -1,6 +1,6 @@
 import pytest
 
-from axc import Context, run_identities
+from axc import Context, identities, run_identities
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": -2}, {"samples": 0}, {"max_degree": -1}])
@@ -8,3 +8,22 @@ def test_out_of_range_arguments_raise(kwargs):
     # a sample count below 1 would check nothing and report every identity as passed
     with pytest.raises(ValueError):
         run_identities(Context.euclidean(3), **kwargs)
+
+
+def test_subset_run_hands_a_check_the_full_run_samples(monkeypatch):
+    # sample i of a check is seeded by the check's place in CHECKS, not in
+    # ``names``, so a failure seen in a subset run replays in the full run
+    name = "star_duality"
+    check = identities.CHECKS[name]
+    seen = []
+
+    def recording(ctx, w, rng):
+        seen.append(w)
+        return check(ctx, w, rng)
+
+    monkeypatch.setitem(identities.CHECKS, name, recording)
+    ctx = Context.minkowski(3)
+    run_identities(ctx, samples=4, seed=5)
+    full, seen[:] = list(seen), []
+    run_identities(ctx, samples=4, seed=5, names=[name, "d2_zero"])
+    assert len(full) == 4 and seen == full

@@ -364,6 +364,40 @@ class TestCli:
         assert main(["apply", "--op", "d", "--in", str(src)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("n, components", [
+        (2, {"7": {}}),
+        (2, {"abc": {}}),
+        (2, {"-1": {}}),
+        (2, {"5": {"[1,2,3,4,5]": []}}),
+        (2, {"2": {"[2,1]": []}}),
+        (2, {"1": {"[0]": []}}),
+        (2, {"1": {"[1,2]": []}}),
+        (2, {"1": {"[x]": []}}),
+        (2, {"1": {"[[2]]": [{"exp": [0, 0], "coef": "1"}]}}),
+        (2, {"2": {"1,2": [{"exp": [0, 0], "coef": "1"}]}}),
+        (2, {"2": {"[1,,2]": [{"exp": [0, 0], "coef": "1"}]}}),
+        (10, {"1": {"[1_0]": [{"exp": [0] * 10, "coef": "1"}]}}),
+        (2, {"1": {"[\u0661]": [{"exp": [0, 0], "coef": "1"}]}}),
+        (2, {"\u0661": {"[1]": [{"exp": [0, 0], "coef": "1"}]}}),
+    ], ids=["empty-grade-above-n", "non-numeric-grade", "negative-grade",
+            "empty-index-above-n", "empty-index-unsorted", "empty-axis-zero",
+            "empty-index-wrong-length", "non-numeric-axis", "double-brackets",
+            "no-brackets", "empty-axis", "underscore-axis",
+            "non-ascii-axis", "non-ascii-grade"])
+    def test_bad_json_key_is_input_error(self, tmp_path, capsys, n, components):
+        doc = {"n": n, "center": ["0"] * n, "metric": [1] * n, "components": components}
+        with pytest.raises(DimensionMismatch):
+            form_from_json(json.loads(json.dumps(doc)))
+        src = tmp_path / "w.json"
+        src.write_text(json.dumps(doc))
+        assert main(["--dim", "2", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_empty_json_maps_under_good_keys_are_zero(self):
+        doc = {"n": 2, "center": ["0", "0"], "metric": [1, 1],
+               "components": {"0": {"[]": []}, "1": {}, "2": {"[1,2]": []}}}
+        assert form_from_json(doc).is_zero
+
     def test_deep_json_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "w.json"
         src.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")

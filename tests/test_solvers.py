@@ -26,7 +26,7 @@ from axc import (
 )
 from axc.errors import GradeMismatch, GradeOutOfRange, NotASolution, NotConserved
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import _close, _coclose
+from axc.solvers import _close
 from tests.oracles import (
     composite_codifferential,
     composite_laplace_beltrami,
@@ -54,9 +54,9 @@ def composite_cases(e3, m4):
     w3 = random_homogeneous(m4, sample_rng(199, 3), 2, 2)
     g = random_homogeneous(mixed, sample_rng(199, 4), 1)
     return [
-        (_close(w1, 1)[0], w1.d(), 2, ("d",)),
-        (_close(w2, 2)[0], w2.d(), 3, ("d",)),
-        (_coclose(w3, 2)[0], codifferential(w3), 1, ("delta",)),
+        (_close(w1, 1, True)[0], w1.d(), 2, ("d",)),
+        (_close(w2, 2, True)[0], w2.d(), 3, ("d",)),
+        (_close(w3, 2, False)[0], codifferential(w3), 1, ("delta",)),
         (laplace_solve(g, 1), g, 1, ()),
     ]
 
@@ -77,12 +77,12 @@ class TestLaplaceSolve:
 
     def test_side_conditions_hold(self, e3):
         s = random_homogeneous(e3, sample_rng(197, 0), 1)
-        beta, closed = _close(s, 1)
+        beta, closed = _close(s, 1, True)
         assert laplace_beltrami(beta) == s.d()
         assert beta.d().is_zero
         assert closed.d().is_zero
         s = random_homogeneous(e3, sample_rng(197, 1), 2)
-        alpha, coclosed = _coclose(s, 2)
+        alpha, coclosed = _close(s, 2, False)
         assert laplace_beltrami(alpha) == codifferential(s)
         assert codifferential(alpha).is_zero
         assert codifferential(coclosed).is_zero
@@ -199,6 +199,36 @@ class TestKalbRamond:
         J = codifferential(random_homogeneous(m4, sample_rng(233, 0), 3))
         report = kalb_ramond_solve(J)
         assert report.outputs["beta"].d().is_zero
+
+
+class TestFieldPipelineErrors:
+    """Each field pipeline's input errors, type and message pinned."""
+
+    @pytest.mark.parametrize("solve, chart, make, error, message", [
+        (maxwell_solve, "m4", lambda c: B(c, (1, 2)), GradeMismatch,
+         "current must be a 1-form"),
+        (maxwell_solve, "m4", lambda c: B(c, (1,), var(c, 1)), NotConserved,
+         "delta j != 0"),
+        (kalb_ramond_solve, "m4", lambda c: B(c, (2,)), GradeMismatch,
+         "current must be a 2-form"),
+        (kalb_ramond_solve, "m4", lambda c: B(c, (1, 2), var(c, 1)), NotConserved,
+         "delta J != 0"),
+        (maxwell_solve_magnetic, "e2", lambda c: B(c, (1, 2)), GradeMismatch,
+         "magnetic current is a 3-form; need dimension >= 3"),
+        # the dimension check runs first, even on the zero current
+        (maxwell_solve_magnetic, "e2", Form.zero, GradeMismatch,
+         "magnetic current is a 3-form; need dimension >= 3"),
+        (maxwell_solve_magnetic, "m4", lambda c: B(c, (1, 2)), GradeMismatch,
+         "magnetic current must be a 3-form"),
+        (maxwell_solve_magnetic, "m4", lambda c: B(c, (1, 2, 3), var(c, 4)), NotConserved,
+         "d j != 0"),
+    ], ids=["maxwell-2-form", "maxwell-not-conserved", "kr-1-form", "kr-not-conserved",
+            "magnetic-e2", "magnetic-e2-zero", "magnetic-2-form", "magnetic-not-closed"])
+    def test_rejects(self, request, solve, chart, make, error, message):
+        with pytest.raises(error) as caught:
+            solve(make(request.getfixturevalue(chart)))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 def coupling_instance(m4):

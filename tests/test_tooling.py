@@ -117,3 +117,34 @@ def test_readme_lists_the_cli_choices():
     assert sorted(_readme_list("Membership spaces")) == sorted(_cli_choices("member", "space"))
     assert sorted(_readme_list("switches their output to JSON")) == sorted(
         cli_subcommands_with("json"))
+
+
+def test_tracer_sees_the_calls_of_both_halves():
+    # spans.install rebinds module globals and Form.d in place, so an operator
+    # captured at import time (in a module-level tuple, say) would run
+    # untraced without any error; the exact and coexact halves must each show
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import spans
+        import axc
+        rec = spans.Recorder()
+        spans.install(rec)
+        ctx = axc.Context.euclidean(3)
+        x1 = axc.Poly.variable(3, 1)
+        j = axc.Form.basis(ctx, (1, 2, 3), x1 * x1)
+        w = axc.Form.basis(ctx, (1,), x1) + axc.Form.basis(ctx, (2, 3), x1)
+        rec.item = 0
+        assert axc.maxwell_solve_magnetic(j).success
+        for mode in axc.DecompositionMode:
+            axc.decompose(w, mode)
+        rec.item = None
+        print(json.dumps({name: rec.stat(name)[0] for name in sys.argv[2:]}))
+    """
+    names = ["forms.d", "hodge.codifferential", "homotopy.H", "homotopy.h",
+             "solvers.laplace_solve"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(SPANS.parent), *names], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    calls = json.loads(out)
+    assert all(calls[name] >= 1 for name in names), calls
