@@ -35,23 +35,27 @@ class Form:
     __slots__ = ("ctx", "components")
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
-        terms = []
+        """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map.
+        Grades and index entries must be ``int``, never coerced (no bool, no
+        float); an index tuple is strictly increasing in 1..n, as long as its grade."""
+        comps: dict[int, dict[tuple, Poly]] = {}
         for k, idx_map in (components or {}).items():
-            if not 0 <= k <= ctx.n:
-                raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n}")
+            if type(k) is not int or not 0 <= k <= ctx.n:
+                raise GradeOutOfRange(f"grade {k!r} outside 0..{ctx.n}")
             for idx, poly in idx_map.items():
-                idx = tuple(int(i) for i in idx)
+                idx = tuple(idx)
                 if len(idx) != k:
                     raise GradeOutOfRange(f"index tuple {idx} has wrong length for grade {k}")
-                if list(idx) != sorted(set(idx)):
-                    raise GradeOutOfRange(f"index tuple {idx} not strictly increasing")
+                if any(type(i) is not int for i in idx) or list(idx) != sorted(set(idx)):
+                    raise GradeOutOfRange(f"index tuple {idx} not strictly increasing integers")
                 if idx and (idx[0] < 1 or idx[-1] > ctx.n):
                     raise GradeOutOfRange(f"index tuple {idx} outside 1..{ctx.n}")
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
-                terms += [(idx, exps, coef) for exps, coef in poly.terms.items()]
+                if poly.terms:
+                    comps.setdefault(k, {})[idx] = poly
         self.ctx = ctx
-        self.components = Form.from_terms(ctx, terms).components
+        self.components = comps
 
     # -- constructors ------------------------------------------------------
 
@@ -177,20 +181,19 @@ class Form:
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
         return self.termwise(d_terms)
 
-    def eval_at(self, point, absolute: bool = False) -> "Form":
+    def eval_at(self, point) -> "Form":
         """Freeze coefficients to their value at a point; result is a
         constant-coefficient form (the pullback along the constant map)."""
         point = [_as_fraction(v) for v in point]
         if len(point) != self.ctx.n:
             raise DimensionMismatch("point length != dimension")
-        if absolute:
-            point = [x - c for x, c in zip(point, self.ctx.center)]
         zeros = (0,) * self.ctx.n
         return self.termwise(lambda idx, exps: [
             (idx, zeros, math.prod(x ** e for x, e in zip(point, exps) if e))])
 
     def at_center(self) -> "Form":
-        return self.eval_at([Fraction(0)] * self.ctx.n)
+        """The constant terms: every coefficient's value at the chart center."""
+        return self.termwise(lambda idx, exps: [] if any(exps) else [(idx, exps, 1)])
 
     # -- queries -----------------------------------------------------------
 

@@ -99,16 +99,17 @@ class _ContextFields(NamedTuple):
 class Context(_ContextFields):
     """Chart descriptor: dimension, star center, diagonal +-1 metric.
 
-    Immutable and hashable; the center is read as exact rationals and the
-    signature checked when the context is built.  The orientation is fixed
-    once and for all as dx1^...^dxn positive.
+    Immutable and hashable; the dimension must be a positive ``int``, the
+    center is read as exact rationals and the signature checked when the
+    context is built.  The orientation is fixed once and for all as
+    dx1^...^dxn positive.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, center: Iterable, signature: Iterable) -> "Context":
-        if n < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {n}")
+        if type(n) is not int or n < 1:
+            raise DimensionMismatch(f"dimension must be a positive integer, got {n!r}")
         center = tuple(_as_fraction(c) for c in center)
         signature = tuple(signature)
         if len(center) != n:
@@ -157,7 +158,7 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != n:
                 raise DimensionMismatch("multidegree length != dimension")
-            if not all(isinstance(e, int) for e in exps):
+            if not all(type(e) is int for e in exps):
                 raise DimensionMismatch(f"exponents must be integers, got {exps}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
@@ -320,10 +321,3 @@ def rebase(p: Poly, old_center, new_center) -> Poly:
     # x - old = (x - new) + (new - old)
     return p.shift([b - a for a, b in zip(old, new)])
 
-
-def eval_absolute(p: Poly, ctx: Context, point) -> Fraction:
-    """Value of ``p`` at a point given in absolute (unshifted) coordinates."""
-    point = [_as_fraction(v) for v in point]
-    if len(point) != ctx.n:
-        raise DimensionMismatch("point length != dimension")
-    return p.eval([x - c for x, c in zip(point, ctx.center)])

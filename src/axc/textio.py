@@ -295,8 +295,9 @@ def _recentered(absolute: Form) -> Form:
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly.terms), _degree(poly))
         for idx_map in absolute.components.values() for poly in idx_map.values()))
-    return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
-                      for k, idx_map in absolute.components.items()})
+    return Form.from_terms(ctx, ((idx, exps, coef) for idx_map in absolute.components.values()
+                                 for idx, poly in idx_map.items()
+                                 for exps, coef in poly.shift(ctx.center).terms.items()))
 
 
 # -- canonical printer -----------------------------------------------------
@@ -377,44 +378,39 @@ def _json_rational(value) -> Fraction:
             f"JSON number {value!r} is not an integer or a rational string") from None
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; a bool, a float or a string is an input error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise DimensionMismatch(f"JSON {what} {value!r} is not an integer")
-
-
 def form_from_json(data: dict) -> Form:
+    """The form of a JSON document, coordinates absolute.  Only the syntax is
+    read here; the integer and range rules are those of :class:`Context`,
+    :class:`Poly` and :class:`Form`, built once each.  Entries that share an
+    index tuple and exponents add up."""
     try:
-        ctx = Context(
-            check_dimension(_json_int(data["n"], "dimension")),
-            tuple(_json_rational(c) for c in data["center"]),
-            tuple(_json_int(s, "metric entry") for s in data["metric"]),
-        )
+        ctx = Context(check_dimension(data["n"]),
+                      tuple(_json_rational(c) for c in data["center"]),
+                      tuple(data["metric"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise DimensionMismatch(f"bad JSON header: {exc}") from None
-    terms, keys = [], {}
+    pairs_by_key = {}
     try:
         for k_str, row in data.get("components", {}).items():
             # ASCII digits only, as in the text grammar
             if not re.fullmatch("[0-9]+", k_str):
                 raise DimensionMismatch(f"JSON grade key {k_str!r} is not a grade")
-            grade = keys.setdefault(int(k_str), {})
+            grade = pairs_by_key.setdefault(int(k_str), {})
             for key, entries in row.items():
                 if not re.fullmatch(r"\[([0-9]+(,[0-9]+)*)?\]", key):
                     raise DimensionMismatch(f"JSON index key {key!r} is not a list [i,j,...]")
-                idx = tuple(int(s) for s in key[1:-1].split(",") if s)
-                grade[idx] = Poly.zero(ctx.n)
+                pairs = grade.setdefault(tuple(int(s) for s in key[1:-1].split(",") if s), [])
                 for term in entries:
-                    powers = [_json_int(e, "exponent") for e in term["exp"]]
-                    if any(e > MAX_EXPONENT for e in powers):
-                        raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {powers}")
-                    mono = Poly.monomial(ctx.n, powers, _json_rational(term["coef"]))
-                    terms += [(idx, exps, coef) for exps, coef in mono.terms.items()]
-        Form(ctx, keys)  # the constructor's key rules, on keys without terms too
+                    exps = term["exp"]
+                    if any(e > MAX_EXPONENT for e in exps):
+                        raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {exps}")
+                    pairs += Poly.monomial(ctx.n, exps, _json_rational(term["coef"])).terms.items()
+        absolute = Form(ctx, {
+            k: {idx: Poly.from_terms(ctx.n, pairs) for idx, pairs in grade.items()}
+            for k, grade in pairs_by_key.items()})
     except (KeyError, ValueError, TypeError, AttributeError, GradeOutOfRange) as exc:
         raise DimensionMismatch(f"bad JSON body: {exc!r}") from None
-    return _recentered(Form.from_terms(ctx, terms))
+    return _recentered(absolute)
 
 
 def load_form_text(text: str, ctx: Context | None = None) -> Form:

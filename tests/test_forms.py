@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from axc import Context, Form, Poly, VectorField, form_linear, interior, k_field
+from axc import Form, Poly, VectorField, form_linear, interior, k_field
 from axc.errors import GradeOutOfRange
 from axc.forms import _merge_indices
 from axc.randforms import random_form, random_poly, sample_rng
@@ -33,6 +33,13 @@ class TestLinear:
     def test_grade_outside_range_raises_with_no_terms(self, e2, k):
         with pytest.raises(GradeOutOfRange, match=f"grade {k} outside 0..2"):
             Form(e2, {k: {}})
+
+    @pytest.mark.parametrize("k, idx", [(1, (1.9,)), (1, ("2",)), (True, (True,)), (1.0, (1,))],
+                             ids=["float-index", "string-index", "bool-grade", "float-grade"])
+    def test_grades_and_indices_are_ints(self, e2, k, idx):
+        # int() would read 1.9 as 1, "2" as 2 and True as 1
+        with pytest.raises(GradeOutOfRange):
+            Form(e2, {k: {idx: Poly.const(2, 1)}})
 
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
@@ -208,11 +215,6 @@ class TestEvaluation:
     def test_constant_form_fixed(self, e2):
         w = Form.scalar(e2, Fraction(3, 7)) + B(e2, (1,), Poly.const(2, 2))
         assert w.eval_at([5, -1]) == w
-
-    def test_eval_absolute_respects_center(self):
-        ctx = Context.euclidean(2, [Fraction(1), Fraction(0)])
-        w = Form.basis(ctx, (1,), Poly.variable(2, 1))  # (x1 - 1) dx1
-        assert w.eval_at([1, 0], absolute=True).is_zero
 
 
 class TestVectorField:

@@ -261,6 +261,30 @@ class TestJson:
         with pytest.raises(DimensionMismatch):
             form_from_json(doc)
 
+    @staticmethod
+    def _doc(center, entries, key="[1]"):
+        return {"n": 2, "center": center, "metric": [1, 1], "components": {"1": {key: entries}}}
+
+    def test_entries_with_one_exponent_add_up(self):
+        ctx = Context.euclidean(2, [Fraction(1, 2), Fraction(0)])
+        doc = self._doc(["1/2", "0"], [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "1/2"}])
+        assert form_from_json(doc) == parse_form("(3/2*x1) dx1", ctx)
+
+    def test_keys_naming_one_index_tuple_add_up(self, e2):
+        doc = self._doc(["0", "0"], [{"exp": [0, 1], "coef": "1"}])
+        doc["components"]["1"]["[01]"] = [{"exp": [0, 1], "coef": "2"}]
+        assert form_from_json(doc) == B(e2, (1,), Poly.monomial(2, (0, 1), 3))
+
+    def test_cancelling_entries_leave_no_key(self):
+        doc = self._doc(["1/2", "0"], [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"}])
+        omega = form_from_json(doc)
+        assert omega.is_zero and omega.components == {}
+
+    def test_exponent_cap_holds_for_zero_coefficients(self):
+        doc = self._doc(["0", "0"], [{"exp": [MAX_EXPONENT + 1, 0], "coef": "0"}])
+        with pytest.raises(DimensionMismatch, match=f"above {MAX_EXPONENT}"):
+            form_from_json(doc)
+
     def test_rational_strings_in_header_and_body(self):
         ctx = Context.euclidean(2, [Fraction(-2, 9), Fraction(1, 7)])
         doc = form_to_json(B(ctx, (2,), Poly.const(2, Fraction(-3, 4))))

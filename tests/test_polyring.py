@@ -66,12 +66,6 @@ class TestCalculus:
         p = y(1) * y(1) + c("7/2")
         assert p.eval([0, 0]) == Fraction(7, 2)
 
-    def test_eval_absolute(self):
-        from axc.polyring import eval_absolute
-        ctx = Context.euclidean(2, [Fraction(1), Fraction(0)])
-        p = y(1) * y(1)  # (x1 - 1)^2
-        assert eval_absolute(p, ctx, [Fraction(3, 2), 0]) == Fraction(1, 4)
-
 
 class TestRebase:
     def test_shift_by_one(self):
@@ -142,6 +136,19 @@ class TestContext:
             Context(2, (0,), (1, 1))
         with pytest.raises(DimensionMismatch):
             Context(2, (0, 0), (1, 2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Context(2.0, (0, 0), (1, 1)),
+        lambda: Context(True, (0,), (1,)),
+        lambda: Poly(1, {(True,): 1}),
+        lambda: Poly.monomial(2, (True, 0)),
+        lambda: Poly.monomial(2, (1.0, 0)),
+    ], ids=["float-dimension", "bool-dimension", "bool-exponent", "bool-monomial",
+            "float-monomial"])
+    def test_dimensions_and_exponents_are_ints(self, build):
+        # bool is an int subclass and 2.0 == 2; neither is a dimension or an exponent
+        with pytest.raises(DimensionMismatch):
+            build()
 
     def test_signature_entries_are_integers(self):
         # int() would read 1.9 as 1 and True as 1
