@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import Context, Poly, _as_fraction
+from .polyring import Context, Poly, _as_fraction, _from_numerators, _require_axis
 
 
 @functools.lru_cache(maxsize=4096)
@@ -31,6 +31,43 @@ def _merge_indices(a: tuple, b: tuple):
     return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
 
 
+def _require_grade(k, n: int) -> None:
+    """A grade: an ``int`` in 0..n, never coerced (no bool, no float)."""
+    if type(k) is not int or not 0 <= k <= n:
+        raise GradeOutOfRange(f"grade {k!r} outside 0..{n}")
+
+
+def _sum_numerators(ctx: Context, quads: list) -> "Form":
+    """Sum ``(index tuple, exponent tuple, numerator, denominator)`` entries
+    into a form, the one accumulation loop of the term-map operators.
+
+    L is the lcm of the distinct denominators; each entry adds
+    ``numerator * (L // denominator)`` to an integer sum, so the loop pays no
+    gcd, and each nonzero sum becomes one ``Fraction`` over L through
+    :func:`axc.polyring._from_numerators`.  Sums that cancel leave no
+    exponent, no index tuple and no grade.
+    """
+    dens = set(map(itemgetter(3), quads))
+    L = math.lcm(*dens)
+    lift = {den: L // den for den in dens}
+    acc: dict[tuple, dict[tuple, int]] = {}
+    for idx, exps, num, den in quads:
+        row = acc.get(idx)
+        if row is None:
+            acc[idx] = {exps: num * lift[den]}
+        else:
+            row[exps] = row.get(exps, 0) + num * lift[den]
+    comps: dict[int, dict[tuple, Poly]] = {}
+    for idx, row in acc.items():
+        p = _from_numerators(ctx.n, row, L)
+        if p.terms:
+            comps.setdefault(len(idx), {})[idx] = p
+    f = Form.__new__(Form)
+    f.ctx = ctx
+    f.components = comps
+    return f
+
+
 class Form:
     __slots__ = ("ctx", "components")
 
@@ -40,8 +77,7 @@ class Form:
         float); an index tuple is strictly increasing in 1..n, as long as its grade."""
         comps: dict[int, dict[tuple, Poly]] = {}
         for k, idx_map in (components or {}).items():
-            if type(k) is not int or not 0 <= k <= ctx.n:
-                raise GradeOutOfRange(f"grade {k!r} outside 0..{ctx.n}")
+            _require_grade(k, ctx.n)
             for idx, poly in idx_map.items():
                 idx = tuple(idx)
                 if len(idx) != k:
@@ -81,32 +117,16 @@ class Form:
 
     @classmethod
     def from_terms(cls, ctx: Context, terms) -> "Form":
-        """Sum ``(index tuple, exponent tuple, Fraction)`` triples into a form.
+        """Sum ``(index tuple, exponent tuple, coefficient)`` triples into a form;
+        a coefficient is an ``int`` or a ``Fraction``.
 
-        This is the accumulation loop of the term-map operators; entries that
-        cancel are dropped.  Index tuples must already be strictly increasing
-        within 1..n, which every term map here guarantees by construction.
+        The sum runs on integers over one common denominator, as in
+        :func:`_sum_numerators`; entries that cancel are dropped.  Index tuples
+        must already be strictly increasing within 1..n, which every term map
+        here guarantees by construction.
         """
-        acc: dict[tuple, dict[tuple, Fraction]] = {}
-        for idx, exps, coef in terms:
-            row = acc.get(idx)
-            if row is None:
-                acc[idx] = {exps: coef}
-            elif exps in row:
-                row[exps] += coef
-            else:
-                row[exps] = coef
-        comps: dict[int, dict[tuple, Poly]] = {}
-        for idx, row in acc.items():
-            row = {exps: coef for exps, coef in row.items() if coef}
-            if row:
-                p = Poly.__new__(Poly)
-                p.n, p.terms = ctx.n, row
-                comps.setdefault(len(idx), {})[idx] = p
-        f = cls.__new__(cls)
-        f.ctx = ctx
-        f.components = comps
-        return f
+        return _sum_numerators(ctx, [(idx, exps, c.numerator, c.denominator)
+                                     for idx, exps, c in terms])
 
     # -- linear structure --------------------------------------------------
 
@@ -160,18 +180,20 @@ class Form:
         """Linear extension of a map on basis terms.
 
         ``fn(idx, exps)`` returns the image of ``y^exps dx^idx`` as
-        ``(idx', exps', factor)`` triples; each is scaled by the term's
-        coefficient and summed by :meth:`from_terms`.
+        ``(idx', exps', factor)`` triples, each factor an ``int`` or a
+        ``Fraction``.  The product of a term's coefficient p/q and a factor
+        r/s is kept as the integer pair (p*r, q*s), and the pairs are summed by
+        :func:`_sum_numerators`: no ``Fraction`` is built per product.
         """
-        return Form.from_terms(self.ctx, (
-            (out_idx, out_exps, coef * factor)
-            for idx, exps, coef in self.terms()
-            for out_idx, out_exps, factor in fn(idx, exps)
-        ))
+        quads = []
+        for idx, exps, coef in self.terms():
+            p, q = coef.numerator, coef.denominator
+            for out_idx, out_exps, f in fn(idx, exps):
+                quads.append((out_idx, out_exps, p * f.numerator, q * f.denominator))
+        return _sum_numerators(self.ctx, quads)
 
     def grade_select(self, k: int) -> "Form":
-        if not 0 <= k <= self.ctx.n:
-            raise GradeOutOfRange(f"grade {k} outside 0..{self.ctx.n}")
+        _require_grade(k, self.ctx.n)
         f = Form.__new__(Form)
         f.ctx = self.ctx
         f.components = {k: dict(self.components[k])} if k in self.components else {}
@@ -272,6 +294,7 @@ class VectorField:
     @classmethod
     def frame(cls, ctx: Context, i: int) -> "VectorField":
         """The constant coordinate vector d/dx_i."""
+        _require_axis(i, ctx.n)
         comps = [Poly.zero(ctx.n) for _ in range(ctx.n)]
         comps[i - 1] = Poly.const(ctx.n, 1)
         return cls(ctx, comps)

@@ -63,14 +63,16 @@ def k_field(ctx: Context) -> VectorField:
 
 def _homotopy_terms(idx: tuple, exps: tuple) -> list:
     """H(y^a dx^I) = sum_j (-1)^j y^(a + e_{i_j}) dx^{I minus i_j} / (|a| + k):
-    the radial contraction i_K dx^I times the monomial's H weight."""
+    the radial contraction i_K dx^I times the monomial's H weight, with the
+    two signed factors built once per term."""
     if not idx:
         return []
-    weight = Fraction(1, sum(exps) + len(idx))
+    w = sum(exps) + len(idx)
+    factors = (Fraction(1, w), Fraction(-1, w))
     out = []
     for j, axis in enumerate(idx):
         raised = exps[:axis - 1] + (exps[axis - 1] + 1,) + exps[axis:]
-        out.append((idx[:j] + idx[j + 1:], raised, -weight if j % 2 else weight))
+        out.append((idx[:j] + idx[j + 1:], raised, factors[j % 2]))
     return out
 
 
@@ -78,24 +80,24 @@ def homotopy_H(omega: Form) -> Form:
     return omega.termwise(_homotopy_terms)
 
 
-def _h_weight(idx: tuple, exps: tuple) -> Fraction:
-    """W(y^a dx^I) = y^a dx^I / (|a| + n - k), the weight of h below top grade."""
-    return Fraction(1, sum(exps) + len(exps) - len(idx))
+def _h_weight(idx: tuple, exps: tuple) -> int:
+    """|a| + n - k: h divides y^a dx^I by it below top grade."""
+    return sum(exps) + len(exps) - len(idx)
 
 
 def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
     with dx^i moved into place by the sign of :func:`_merge_indices`; the sum
-    is empty on the top grade, where the weight may be 1/0."""
+    is empty on the top grade, where the weight may be 0."""
     if len(idx) == len(exps):
         return []
-    weight = -_h_weight(idx, exps)
+    w = _h_weight(idx, exps)
     out = []
     for i, e in enumerate(exps, start=1):
         if i not in idx:
             new_idx, sign = _merge_indices((i,), idx)
             raised = exps[:i - 1] + (e + 1,) + exps[i:]
-            out.append((new_idx, raised, sign * signature[i - 1] * weight))
+            out.append((new_idx, raised, Fraction(-sign * signature[i - 1], w)))
     return out
 
 
@@ -180,7 +182,8 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
 
     Constructive version of the structure result that anticoexact forms are
     K^flat-multiples.  Members satisfy omega = h(delta(omega)), and
-    h = -K^flat ^ W with W the weight of :func:`_h_weight`, so
+    h = -K^flat ^ W with W the division by :func:`_h_weight`, so
     alpha = -W(delta(omega)).
     """
-    return codifferential(omega).termwise(lambda idx, exps: [(idx, exps, -_h_weight(idx, exps))])
+    return codifferential(omega).termwise(
+        lambda idx, exps: [(idx, exps, Fraction(-1, _h_weight(idx, exps)))])

@@ -7,9 +7,11 @@ closed monomial form only in centered coordinates.  Sum, derivative and
 scaling emit ``(exponent tuple, Fraction)`` pairs into
 :meth:`Poly.from_terms`, which accumulates them and drops the ones that
 cancel.  Products, powers and :meth:`Poly.shift` work instead on integer
-numerators over one common denominator (:func:`_over_common_denominator`), so
-their inner loops pay no gcd, and build each output ``Fraction`` once;
-:func:`_int_mul` is the one product loop.
+numerators over one common denominator (:func:`_over_common_denominator`),
+and so does ``axc.forms._sum_numerators``, which sums every
+term map's images; their inner loops pay no gcd, and
+:func:`_from_numerators` builds one ``Fraction`` per nonzero output
+coefficient.  :func:`_int_mul` is the one product loop.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _require_dimension(n) -> None:
+    """The dimension rule of :class:`Context` and :class:`Poly`: a positive
+    ``int``, never coerced (no bool, no float)."""
+    if type(n) is not int or n < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {n!r}")
+
+
+def _require_axis(i, n: int) -> None:
+    """A 1-based axis: an ``int`` in 1..n, never coerced."""
+    if type(i) is not int or not 1 <= i <= n:
+        raise AxisOutOfRange(f"axis {i!r} not in 1..{n}")
+
+
 def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict]:
     """``(D, {exponents: integer numerator})`` with each coefficient equal to
     its numerator over D, the lcm of the denominators (1 for no terms)."""
@@ -44,8 +59,11 @@ def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict
 
 
 def _from_numerators(n: int, numerators: dict, D: int) -> "Poly":
-    """The polynomial with coefficients ``numerator / D``, each built once."""
-    return Poly.from_terms(n, ((exps, Fraction(v, D)) for exps, v in numerators.items()))
+    """The polynomial with coefficients ``numerator / D``, D > 0: one
+    ``Fraction`` per nonzero numerator, and no term for a zero one."""
+    p = Poly.__new__(Poly)
+    p.n, p.terms = n, {exps: Fraction(v, D) for exps, v in numerators.items() if v}
+    return p
 
 
 def _int_mul(p: dict, q: dict) -> dict:
@@ -108,8 +126,7 @@ class Context(_ContextFields):
     __slots__ = ()
 
     def __new__(cls, n: int, center: Iterable, signature: Iterable) -> "Context":
-        if type(n) is not int or n < 1:
-            raise DimensionMismatch(f"dimension must be a positive integer, got {n!r}")
+        _require_dimension(n)
         center = tuple(_as_fraction(c) for c in center)
         signature = tuple(signature)
         if len(center) != n:
@@ -153,6 +170,7 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
+        _require_dimension(n)
         pairs = []
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
@@ -179,8 +197,7 @@ class Poly:
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         """The centered coordinate y_i, 1-based axis."""
-        if not 1 <= i <= n:
-            raise AxisOutOfRange(f"axis {i} not in 1..{n}")
+        _require_axis(i, n)
         exps = tuple(1 if j == i - 1 else 0 for j in range(n))
         return cls(n, {exps: Fraction(1)})
 
@@ -236,8 +253,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Exact partial derivative d/dy_i, 1-based axis."""
-        if not 1 <= i <= self.n:
-            raise AxisOutOfRange(f"axis {i} not in 1..{self.n}")
+        _require_axis(i, self.n)
         j = i - 1
         return Poly.from_terms(self.n, (
             (exps[:j] + (exps[j] - 1,) + exps[j + 1:], coef * exps[j])

@@ -37,6 +37,30 @@ def _accumulate(acc: dict, k: int, idx: tuple, poly: Poly):
         tgt[idx] = s
 
 
+def fraction_fold(ctx, triples) -> Form:
+    """``Form.from_terms`` as a plain fold: each ``(idx, exps, coefficient)``
+    added as a ``Fraction`` to the running ``Fraction`` sum of its basis term;
+    sums that end at zero are dropped."""
+    acc: dict = {}
+    for idx, exps, coef in triples:
+        row = acc.setdefault(len(idx), {}).setdefault(idx, {})
+        row[exps] = row.get(exps, Fraction(0)) + Fraction(coef)
+    return _form(ctx, {k: {idx: Poly(ctx.n, {e: c for e, c in row.items() if c})
+                           for idx, row in idx_map.items() if any(row.values())}
+                       for k, idx_map in acc.items()})
+
+
+def fraction_termwise(omega: Form, fn) -> Form:
+    """``Form.termwise`` as a plain fold: each term's coefficient times each
+    factor of its image, as one ``Fraction`` product per image term."""
+    return fraction_fold(omega.ctx, [
+        (out_idx, out_exps, coef * Fraction(factor))
+        for idx_map in omega.components.values()
+        for idx, poly in idx_map.items()
+        for exps, coef in poly.terms.items()
+        for out_idx, out_exps, factor in fn(idx, exps)])
+
+
 def loop_add(omega: Form, phi: Form) -> Form:
     """Form sum by adding whole coefficients, grade by grade."""
     acc = {k: dict(v) for k, v in omega.components.items()}

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from axc import Form, Poly, VectorField, form_linear, interior, k_field
-from axc.errors import GradeOutOfRange
-from axc.forms import _merge_indices
+from axc.errors import AxisOutOfRange, GradeOutOfRange
+from axc.forms import _merge_indices, d_terms
+from axc.hodge import codifferential_terms
+from axc.homotopy import _cohomotopy_terms, _homotopy_terms
 from axc.randforms import random_form, random_poly, sample_rng
 from tests.conftest import oracle_contexts
-from tests.oracles import loop_add, loop_d, loop_interior, loop_wedge
+from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
+                           loop_wedge)
 
 
 def B(ctx, idx, poly=None):
@@ -190,6 +193,12 @@ class TestGradeBookkeeping:
         with pytest.raises(GradeOutOfRange):
             B(e2, (1,)).grade_select(3)
 
+    @pytest.mark.parametrize("k", [1.0, True, Fraction(1), -1])
+    def test_grade_select_takes_int_grades(self, e2, k):
+        # 1.0 == True == 1, but none of them is a grade
+        with pytest.raises(GradeOutOfRange):
+            B(e2, (1,)).grade_select(k)
+
     def test_eta(self, e2):
         assert B(e2, (1,)).eta() == B(e2, (1,)).scale(-1)
         assert B(e2, (1, 2)).eta() == B(e2, (1, 2))
@@ -223,6 +232,12 @@ class TestVectorField:
         assert e1.components[0] == Poly.const(3, 1)
         assert e1.components[1].is_zero
 
+    @pytest.mark.parametrize("i", [0, -1, 4, True, 1.0])
+    def test_frame_takes_axes_in_range(self, e3, i):
+        # comps[i - 1] would make axis 0 the last axis and True the first
+        with pytest.raises(AxisOutOfRange):
+            VectorField.frame(e3, i)
+
 
 class TestTermMapsMatchLoops:
     def test_add(self):
@@ -248,3 +263,88 @@ class TestTermMapsMatchLoops:
                 v = VectorField(ctx, [random_poly(rng, ctx.n, 2) for _ in range(ctx.n)])
                 for field in (v, k_field(ctx), VectorField.frame(ctx, ctx.n)):
                     assert interior(field, w) == loop_interior(field, w)
+
+
+# Denominators of the term-sum tests: the coprime 7, 9 and 11 make the common
+# denominator a product, not one of the inputs.
+SUM_DENOMINATORS = (1, 2, 7, 9, 11)
+SUM_FACTORS = (3, -1, Fraction(1, 7), Fraction(-2, 9), Fraction(5, 11), Fraction(7, 6))
+
+
+def _sum_triples(ctx, rng, count):
+    """Random triples over three index tuples and three exponent tuples, so
+    that many collide and some cancel; coefficients are ints and Fractions."""
+    indices = [tuple(sorted(rng.sample(range(1, ctx.n + 1), rng.randint(0, ctx.n))))
+               for _ in range(3)]
+    exponents = [tuple(rng.randint(0, 2) for _ in range(ctx.n)) for _ in range(3)]
+    triples = []
+    for _ in range(count):
+        num, den = rng.randint(-3, 3), rng.choice(SUM_DENOMINATORS)
+        triples.append((rng.choice(indices), rng.choice(exponents),
+                        num if den == 1 else Fraction(num, den)))
+    return triples
+
+
+def _sum_map(idx, exps):
+    """A term map with int and Fraction factors whose images collide across terms."""
+    s = sum(exps) + len(idx)
+    zeros = (0,) * len(exps)
+    return [(idx, exps, SUM_FACTORS[s % 6]), ((), zeros, SUM_FACTORS[(s + 1) % 6]),
+            (idx, zeros, SUM_FACTORS[(s + 3) % 6])]
+
+
+def _only_fractions(form):
+    return all(type(c) is Fraction for _, _, c in form.terms())
+
+
+class TestTermSum:
+    """Form.from_terms and Form.termwise sum on integers over one common
+    denominator; a plain Fraction fold must give the same form."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_terms_matches_fraction_fold(self, seed):
+        for ctx in oracle_contexts():
+            triples = _sum_triples(ctx, sample_rng(seed, ctx.n), 40)
+            form = Form.from_terms(ctx, triples)
+            assert form == fraction_fold(ctx, triples)
+            assert _only_fractions(form)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_termwise_matches_fraction_fold(self, seed):
+        for ctx in oracle_contexts():
+            omega = fraction_fold(ctx, _sum_triples(ctx, sample_rng(seed, 10 + ctx.n), 12))
+            signature = ctx.signature
+            for fn in (_sum_map, d_terms, _homotopy_terms,
+                       lambda idx, exps: _cohomotopy_terms(idx, exps, signature),
+                       lambda idx, exps: codifferential_terms(idx, exps, signature)):
+                image = omega.termwise(fn)
+                assert image == fraction_termwise(omega, fn)
+                assert _only_fractions(image)
+
+    def test_cancelled_entries_leave_no_exponent_index_or_grade(self, e2):
+        ninth, seventh = Fraction(1, 9), Fraction(2, 7)
+        form = Form.from_terms(e2, [
+            ((1,), (1, 0), ninth), ((1,), (0, 1), 5), ((1,), (1, 0), -ninth),
+            ((1, 2), (0, 0), seventh), ((1, 2), (0, 0), -seventh),
+            ((), (2, 0), Fraction(3, 11)), ((), (2, 0), Fraction(-3, 11)),
+        ])
+        assert form.components == {1: {(1,): Poly(2, {(0, 1): 5})}}
+        assert list(form.components[1][(1,)].terms) == [(0, 1)]
+        # y1 dx1 / 9 and 2 y2 dx1 / 11 map to 1 and -1 on the same term
+        omega = Form.from_terms(e2, [((1,), (1, 0), ninth), ((1,), (0, 1), Fraction(2, 11))])
+        image = omega.termwise(lambda idx, exps: [((), (0, 0), 9 if exps[0] else Fraction(-11, 2))])
+        assert image.components == {}
+
+    def test_coefficients_are_fractions_never_ints(self, e2):
+        # int coefficients and int factors whose sums all have denominator 1
+        form = Form.from_terms(e2, [((1,), (1, 0), 2), ((1,), (1, 0), 3), ((), (0, 2), 4)])
+        assert form == fraction_fold(e2, [((1,), (1, 0), 5), ((), (0, 2), 4)])
+        for out in (form, form.termwise(lambda idx, exps: [(idx, exps, 5)]), form.d(),
+                    form + form, form.scale(Fraction(1, 5))):
+            assert not out.is_zero and _only_fractions(out)
+
+    def test_empty_input_is_the_zero_form(self, e2):
+        assert Form.from_terms(e2, []) == Form.zero(e2)
+        assert Form.from_terms(e2, iter(())).components == {}
+        assert B(e2, (1,)).termwise(lambda idx, exps: []) == Form.zero(e2)
+        assert Form.zero(e2).termwise(_sum_map) == Form.zero(e2)

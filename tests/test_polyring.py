@@ -59,6 +59,17 @@ class TestCalculus:
         with pytest.raises(AxisOutOfRange):
             y(1).partial(3)
 
+    @pytest.mark.parametrize("i", [True, 1.0, Fraction(1), 0])
+    def test_partial_takes_int_axes(self, i):
+        # True == 1.0 == 1, but none of them is an axis
+        with pytest.raises(AxisOutOfRange):
+            (y(1) * y(2)).partial(i)
+
+    @pytest.mark.parametrize("i", [True, 1.0, Fraction(1), 0, 3])
+    def test_variable_takes_int_axes(self, i):
+        with pytest.raises(AxisOutOfRange):
+            Poly.variable(2, i)
+
     def test_eval(self):
         assert (y(1) * y(2)).eval([2, 3]) == 6
 
@@ -149,6 +160,12 @@ class TestContext:
         # bool is an int subclass and 2.0 == 2; neither is a dimension or an exponent
         with pytest.raises(DimensionMismatch):
             build()
+
+    @pytest.mark.parametrize("n", [2.0, True, 0, -1, Fraction(2)])
+    def test_poly_dimension_is_a_positive_int(self, n):
+        # the rule and the message of Context's dimension
+        with pytest.raises(DimensionMismatch, match="dimension must be a positive integer"):
+            Poly(n)
 
     def test_signature_entries_are_integers(self):
         # int() would read 1.9 as 1 and True as 1

@@ -1,7 +1,7 @@
 """The benchmark's span recorder wraps kernel functions by name; every name
 it lists must resolve, so a rename fails here instead of in a traced run.
-The kernel's import and environment rules, and the README's lists of CLI
-choices, are checked here too."""
+The kernel's import, environment and ``Fraction`` rules, and the README's
+lists of CLI choices, are checked here too."""
 
 import argparse
 import ast
@@ -95,6 +95,23 @@ def test_kernel_reads_no_environment_variable():
             imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
             assert used not in reads and not reads.intersection(imported), (
                 f"{name}:{node.lineno} reads the environment")
+
+
+# Private parts of fractions.Fraction; they change between Python versions
+# (``_normalize=False`` is gone in 3.12), so the kernel uses none of them.
+PRIVATE_FRACTION_API = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+
+
+def test_kernel_uses_no_private_fraction_api():
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            used = (node.attr if isinstance(node, ast.Attribute)
+                    else node.arg if isinstance(node, ast.keyword)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            assert used not in PRIVATE_FRACTION_API, (
+                f"{name}:{node.lineno} uses Fraction.{used}")
 
 
 def _cli_choices(command: str, dest: str) -> list[str]:
