@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import itemgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import Context, Poly, _as_fraction, _from_numerators, _require_axis
+from .polyring import (Context, Poly, _as_fraction, _from_numerators, _require_axis,
+                       _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -37,34 +37,24 @@ def _require_grade(k, n: int) -> None:
         raise GradeOutOfRange(f"grade {k!r} outside 0..{n}")
 
 
-def _sum_numerators(ctx: Context, quads: list) -> "Form":
-    """Sum ``(index tuple, exponent tuple, numerator, denominator)`` entries
-    into a form, the one accumulation loop of the term-map operators.
+def _require_indices(idx: tuple, n: int) -> None:
+    """An index tuple: ``int`` entries, never coerced, strictly increasing in 1..n."""
+    if any(type(i) is not int for i in idx) or list(idx) != sorted(set(idx)):
+        raise GradeOutOfRange(f"index tuple {idx} not strictly increasing integers")
+    if idx and (idx[0] < 1 or idx[-1] > n):
+        raise GradeOutOfRange(f"index tuple {idx} outside 1..{n}")
 
-    L is the lcm of the distinct denominators; each entry adds
-    ``numerator * (L // denominator)`` to an integer sum, so the loop pays no
-    gcd, and each nonzero sum becomes one ``Fraction`` over L through
-    :func:`axc.polyring._from_numerators`.  Sums that cancel leave no
-    exponent, no index tuple and no grade.
-    """
-    dens = set(map(itemgetter(3), quads))
-    L = math.lcm(*dens)
-    lift = {den: L // den for den in dens}
-    acc: dict[tuple, dict[tuple, int]] = {}
-    for idx, exps, num, den in quads:
-        row = acc.get(idx)
-        if row is None:
-            acc[idx] = {exps: num * lift[den]}
-        else:
-            row[exps] = row.get(exps, 0) + num * lift[den]
-    comps: dict[int, dict[tuple, Poly]] = {}
-    for idx, row in acc.items():
+
+def _graded(ctx: Context, quads: list) -> "Form":
+    """Sum ``(index tuple, exponents, numerator, denominator)`` entries into a form
+    by :func:`axc.polyring._sum_numerators`; cancelled sums leave no trace."""
+    rows, L = _sum_numerators(quads)
+    f = Form.__new__(Form)
+    f.ctx, f.components = ctx, {}
+    for idx, row in rows.items():
         p = _from_numerators(ctx.n, row, L)
         if p.terms:
-            comps.setdefault(len(idx), {})[idx] = p
-    f = Form.__new__(Form)
-    f.ctx = ctx
-    f.components = comps
+            f.components.setdefault(len(idx), {})[idx] = p
     return f
 
 
@@ -82,10 +72,7 @@ class Form:
                 idx = tuple(idx)
                 if len(idx) != k:
                     raise GradeOutOfRange(f"index tuple {idx} has wrong length for grade {k}")
-                if any(type(i) is not int for i in idx) or list(idx) != sorted(set(idx)):
-                    raise GradeOutOfRange(f"index tuple {idx} not strictly increasing integers")
-                if idx and (idx[0] < 1 or idx[-1] > ctx.n):
-                    raise GradeOutOfRange(f"index tuple {idx} outside 1..{ctx.n}")
+                _require_indices(idx, ctx.n)
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
                 if poly.terms:
@@ -117,16 +104,10 @@ class Form:
 
     @classmethod
     def from_terms(cls, ctx: Context, terms) -> "Form":
-        """Sum ``(index tuple, exponent tuple, coefficient)`` triples into a form;
-        a coefficient is an ``int`` or a ``Fraction``.
-
-        The sum runs on integers over one common denominator, as in
-        :func:`_sum_numerators`; entries that cancel are dropped.  Index tuples
-        must already be strictly increasing within 1..n, which every term map
-        here guarantees by construction.
-        """
-        return _sum_numerators(ctx, [(idx, exps, c.numerator, c.denominator)
-                                     for idx, exps, c in terms])
+        """Sum ``(index tuple, exponent tuple, int or Fraction)`` triples into a
+        form by :func:`_graded`.  Index tuples must already be strictly
+        increasing within 1..n, which every term map here guarantees."""
+        return _graded(ctx, [(idx, exps, c.numerator, c.denominator) for idx, exps, c in terms])
 
     # -- linear structure --------------------------------------------------
 
@@ -182,15 +163,15 @@ class Form:
         ``fn(idx, exps)`` returns the image of ``y^exps dx^idx`` as
         ``(idx', exps', factor)`` triples, each factor an ``int`` or a
         ``Fraction``.  The product of a term's coefficient p/q and a factor
-        r/s is kept as the integer pair (p*r, q*s), and the pairs are summed by
-        :func:`_sum_numerators`: no ``Fraction`` is built per product.
+        r/s is kept as the integer pair (p*r, q*s), and :func:`_graded` sums
+        the pairs: no ``Fraction`` is built per product.
         """
         quads = []
         for idx, exps, coef in self.terms():
             p, q = coef.numerator, coef.denominator
             for out_idx, out_exps, f in fn(idx, exps):
                 quads.append((out_idx, out_exps, p * f.numerator, q * f.denominator))
-        return _sum_numerators(self.ctx, quads)
+        return _graded(self.ctx, quads)
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
@@ -236,7 +217,9 @@ class Form:
         return gs[0]
 
     def coefficient(self, indices) -> Poly:
+        """The coefficient of dx^indices; the indices follow the constructor's rule."""
         indices = tuple(indices)
+        _require_indices(indices, self.ctx.n)
         return self.components.get(len(indices), {}).get(indices, Poly.zero(self.ctx.n))
 
     def max_coeff_degree(self) -> int:

@@ -193,8 +193,8 @@ class IdentityResult(NamedTuple):
 
 def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
-    if samples < 1 or max_degree < 0:
-        raise ValueError(f"need samples >= 1 and max_degree >= 0, got {samples} and {max_degree}")
+    if not (type(samples) is type(max_degree) is int and samples >= 1 and max_degree >= 0):
+        raise ValueError(f"need int samples >= 1, max_degree >= 0; got {samples!r}, {max_degree!r}")
     # seeded by a check's place in CHECKS: a subset run draws the full run's samples
     place = {name: cidx for cidx, name in enumerate(CHECKS)}
     results = []

@@ -3,23 +3,19 @@
 Every coefficient anywhere in the kernel is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  Sum, derivative and
-scaling emit ``(exponent tuple, Fraction)`` pairs into
-:meth:`Poly.from_terms`, which accumulates them and drops the ones that
-cancel.  Products, powers and :meth:`Poly.shift` work instead on integer
-numerators over one common denominator (:func:`_over_common_denominator`),
-and so does ``axc.forms._sum_numerators``, which sums every
-term map's images; their inner loops pay no gcd, and
-:func:`_from_numerators` builds one ``Fraction`` per nonzero output
-coefficient.  :func:`_int_mul` is the one product loop.
+closed monomial form only in centered coordinates.  Arithmetic runs on
+integer numerators over one common denominator, so no inner loop pays a gcd:
+:func:`_sum_numerators` is the one loop that sums terms, for polynomials and
+forms alike, :func:`_int_mul` the one product loop, and
+:func:`_taylor_shift_axis` re-centers.  :func:`_from_numerators` builds one
+``Fraction`` per nonzero output coefficient.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
@@ -58,12 +54,34 @@ def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict
     return D, {exps: c.numerator * (D // c.denominator) for exps, c in terms.items()}
 
 
+def _sum_numerators(entries: list) -> tuple[dict, int]:
+    """The one loop that sums terms: ``(key, exponents, numerator, denominator)``
+    entries to ``(rows, L)``, L the lcm of the denominators and rows ``{key:
+    {exponents: sum of numerator * (L // denominator)}}``, zero sums kept."""
+    dens = set(map(itemgetter(3), entries))
+    L = math.lcm(*dens)
+    lift = {den: L // den for den in dens}
+    acc: dict[tuple, dict[tuple, int]] = {}
+    for key, exps, num, den in entries:
+        row = acc.get(key)
+        if row is None:
+            acc[key] = {exps: num * lift[den]}
+        else:
+            row[exps] = row.get(exps, 0) + num * lift[den]
+    return acc, L
+
+
+def _poly(n: int, terms: dict) -> "Poly":
+    """The polynomial of valid, distinct, nonzero ``Fraction`` terms, unchecked."""
+    p = Poly.__new__(Poly)
+    p.n, p.terms = n, terms
+    return p
+
+
 def _from_numerators(n: int, numerators: dict, D: int) -> "Poly":
     """The polynomial with coefficients ``numerator / D``, D > 0: one
     ``Fraction`` per nonzero numerator, and no term for a zero one."""
-    p = Poly.__new__(Poly)
-    p.n, p.terms = n, {exps: Fraction(v, D) for exps, v in numerators.items() if v}
-    return p
+    return _poly(n, {exps: Fraction(v, D) for exps, v in numerators.items() if v})
 
 
 def _int_mul(p: dict, q: dict) -> dict:
@@ -170,8 +188,10 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
+        """Keep the nonzero coefficients, summing nothing: two keys that read as
+        one exponent tuple, such as ``range(1, 2)`` and ``(1,)``, are an error."""
         _require_dimension(n)
-        pairs = []
+        coefs = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != n:
@@ -180,9 +200,11 @@ class Poly:
                 raise DimensionMismatch(f"exponents must be integers, got {exps}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            pairs.append((exps, _as_fraction(coef)))
+            if exps in coefs:
+                raise ValueError(f"exponent tuple {exps} given twice")
+            coefs[exps] = _as_fraction(coef)
         self.n = n
-        self.terms = Poly.from_terms(n, pairs).terms
+        self.terms = {exps: coef for exps, coef in coefs.items() if coef}
 
     # -- constructors ------------------------------------------------------
 
@@ -207,17 +229,13 @@ class Poly:
 
     @classmethod
     def from_terms(cls, n: int, pairs) -> "Poly":
-        """Sum ``(exponent tuple, Fraction)`` pairs, dropping terms that cancel.
-        Exponent tuples must already be valid for dimension n."""
-        acc: dict[tuple, Fraction] = {}
-        for exps, coef in pairs:
-            if exps in acc:
-                acc[exps] += coef
-            else:
-                acc[exps] = coef
-        p = cls.__new__(cls)
-        p.n, p.terms = n, {exps: coef for exps, coef in acc.items() if coef}
-        return p
+        """Sum ``(exponent tuple, int or Fraction)`` pairs where their exponents
+        meet, dropping terms that cancel; exponents must be valid for n."""
+        pairs = list(pairs)
+        if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
+            return _poly(n, {exps: _as_fraction(c) for exps, c in pairs if c})
+        rows, L = _sum_numerators([((), exps, c.numerator, c.denominator) for exps, c in pairs])
+        return _from_numerators(n, rows.get((), {}), L)
 
     # -- ring operations ---------------------------------------------------
 
@@ -227,7 +245,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly.from_terms(self.n, itertools.chain(self.terms.items(), other.terms.items()))
+        return Poly.from_terms(self.n, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -246,19 +264,18 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
+        """c times self; sums nothing."""
         c = _as_fraction(c)
-        return Poly.from_terms(self.n, ((exps, c * v) for exps, v in self.terms.items()))
+        return _poly(self.n, {exps: c * v for exps, v in self.terms.items()} if c else {})
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, i: int) -> "Poly":
-        """Exact partial derivative d/dy_i, 1-based axis."""
+        """Exact partial derivative d/dy_i, 1-based axis; sums nothing."""
         _require_axis(i, self.n)
         j = i - 1
-        return Poly.from_terms(self.n, (
-            (exps[:j] + (exps[j] - 1,) + exps[j + 1:], coef * exps[j])
-            for exps, coef in self.terms.items() if exps[j]
-        ))
+        return _poly(self.n, {exps[:j] + (exps[j] - 1,) + exps[j + 1:]: coef * exps[j]
+                              for exps, coef in self.terms.items() if exps[j]})
 
     def eval(self, point) -> Fraction:
         """Value at a centered point (list of n rationals)."""

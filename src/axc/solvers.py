@@ -28,7 +28,7 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form
+from .forms import Form, _require_grade
 from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
 from .polyring import Poly
@@ -79,10 +79,9 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     laplace(beta) = g, since laplace commutes with d and d H g = g.
     """
     ctx = rhs.ctx
-    if k < 0 or k > ctx.n:
-        if rhs.is_zero:
-            return Form.zero(ctx)
-        raise GradeOutOfRange(f"grade {k} outside 0..{ctx.n} with nonzero right-hand side")
+    if rhs.is_zero and type(k) is int:  # G(0) = 0 at every int grade, in 0..n or not
+        return Form.zero(ctx)
+    _require_grade(k, ctx.n)
     grade = rhs.homogeneous_grade()
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
@@ -235,13 +234,14 @@ def vacuum_dirac_classify(alpha: Form, beta: Form, k: int | None = None) -> Vacu
     ctx = alpha.ctx
     ga = alpha.homogeneous_grade()
     gb = beta.homogeneous_grade()
-    if k is None:
-        if ga is not None:
-            k = ga + 1
-        elif gb is not None:
-            k = gb - 1
-        else:
-            k = 1
+    if k is not None:
+        _require_grade(k, ctx.n)
+    elif ga is not None:
+        k = ga + 1
+    elif gb is not None:
+        k = gb - 1
+    else:
+        k = 1
     if ga not in (None, k - 1) or gb not in (None, k + 1):
         raise GradeMismatch(f"expected grades {k - 1} and {k + 1}, got {ga} and {gb}")
     if not 0 < k < ctx.n:

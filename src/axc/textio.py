@@ -189,13 +189,16 @@ class _Parser:
             return -1 if self.take()[0] == "-" else 1
         return 1
 
-    def parse_poly_expr(self) -> Poly:
-        sign = self.take_sign()
-        out = self.parse_poly_term().scale(sign)
+    def signed(self, parse_one):
+        """``[sign] item { ("+" | "-") item }`` as ``(sign, item)`` pairs."""
+        yield self.take_sign(), parse_one()
         while self.peek()[0] in ("+", "-"):
-            sign = self.take_sign()
-            out = out + self.parse_poly_term().scale(sign)
-        return out
+            yield self.take_sign(), parse_one()
+
+    def parse_poly_expr(self) -> Poly:
+        return Poly.from_terms(self.ctx.n, [(exps, sign * coef)
+                                            for sign, poly in self.signed(self.parse_poly_term)
+                                            for exps, coef in poly.terms.items()])
 
     # -- form grammar ------------------------------------------------------
 
@@ -234,9 +237,7 @@ class _Parser:
 
     def parse_form(self) -> Form:
         """The whole expression, coefficients still in absolute coordinates."""
-        pieces = [(self.take_sign(), self.parse_term())]
-        while self.peek()[0] in ("+", "-"):
-            pieces.append((self.take_sign(), self.parse_term()))
+        pieces = list(self.signed(self.parse_term))
         self.take("end")
         return Form.from_terms(self.ctx, (
             (idx, exps, sign * coef)
@@ -295,9 +296,8 @@ def _recentered(absolute: Form) -> Form:
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly.terms), _degree(poly))
         for idx_map in absolute.components.values() for poly in idx_map.values()))
-    return Form.from_terms(ctx, ((idx, exps, coef) for idx_map in absolute.components.values()
-                                 for idx, poly in idx_map.items()
-                                 for exps, coef in poly.shift(ctx.center).terms.items()))
+    return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
+                      for k, idx_map in absolute.components.items()})
 
 
 # -- canonical printer -----------------------------------------------------

@@ -28,6 +28,15 @@ class TestLinear:
         assert s.coefficient((1,)) == Poly.const(2, 1)
         assert s.coefficient((2,)) == Poly.const(2, 1)
 
+    @pytest.mark.parametrize("idx", [(2, 1), (1.0, 2.0), (9,), (1, 1), (0, 1), (True,)],
+                             ids=["unsorted", "float-indices", "above-n", "repeated", "zero",
+                                  "bool-index"])
+    def test_coefficient_takes_the_constructors_index_tuples(self, e3, idx):
+        w = B(e3, (1, 2), var(e3, 3))
+        assert w.coefficient((1, 2)) == var(e3, 3)
+        with pytest.raises(GradeOutOfRange):
+            w.coefficient(idx)
+
     def test_cancellation(self, e2):
         w = random_form(e2, sample_rng(1, 0))
         assert (w + w.scale(-1)).is_zero

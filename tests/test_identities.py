@@ -3,9 +3,11 @@ import pytest
 from axc import Context, identities, run_identities
 
 
-@pytest.mark.parametrize("kwargs", [{"samples": -2}, {"samples": 0}, {"max_degree": -1}])
+@pytest.mark.parametrize("kwargs", [{"samples": -2}, {"samples": 0}, {"max_degree": -1},
+                                    {"samples": True}, {"samples": 2.0}, {"max_degree": 1.0}])
 def test_out_of_range_arguments_raise(kwargs):
-    # a sample count below 1 would check nothing and report every identity as passed
+    # a sample count below 1 would check nothing and report every identity as
+    # passed; counts are ints, never coerced (True would run one sample)
     with pytest.raises(ValueError):
         run_identities(Context.euclidean(3), **kwargs)
 

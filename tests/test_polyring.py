@@ -118,6 +118,10 @@ class TestRingAxioms:
             p = random_poly(sample_rng(31, i), 2, 3, 3)
             q = p * p + p
             assert all(isinstance(v, Fraction) for v in q.terms.values())
+        # int coefficients in, Fractions out, through +, partial and scale too
+        p = Poly.from_terms(2, [((1, 2), 3), ((0, 2), 2), ((1, 2), 4)])
+        for q in (p, p + p, p + Poly.from_terms(2, [((0, 0), 5)]), p.partial(2), p.scale(3)):
+            assert q.terms and all(type(v) is Fraction for v in q.terms.values())
 
 
 class TestContext:
@@ -160,6 +164,13 @@ class TestContext:
         # bool is an int subclass and 2.0 == 2; neither is a dimension or an exponent
         with pytest.raises(DimensionMismatch):
             build()
+
+    @pytest.mark.parametrize("terms", [{range(1, 2): 1, (1,): 2}, {(1,): 0, range(1, 2): 2}],
+                             ids=["both-nonzero", "first-zero"])
+    def test_two_keys_for_one_exponent_tuple_are_an_input_error(self, terms):
+        # the constructor keeps what it is handed and sums nothing
+        with pytest.raises(ValueError, match="given twice"):
+            Poly(1, terms)
 
     @pytest.mark.parametrize("n", [2.0, True, 0, -1, Fraction(2)])
     def test_poly_dimension_is_a_positive_int(self, n):
@@ -240,6 +251,26 @@ class TestAgainstLoops:
             assert (Poly(n, p) + Poly(n, q)).terms == loop_poly_add(p, q)
             assert (Poly(n, p) * Poly(n, q)).terms == loop_poly_mul(p, q)
             assert (Poly(n, p) - Poly(n, p)).terms == {}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_from_terms_over_repeated_exponents(self, n):
+        # few exponent tuples, so they repeat, and some zero coefficients; every
+        # fourth pair cancels an earlier one; short lists often repeat nothing
+        rng = random.Random(4200 + n)
+        pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(4)]
+        for _ in range(10):
+            pairs = []
+            for i in range(rng.randint(0, 14)):
+                if i % 4 == 3:
+                    exps, coef = rng.choice(pairs)
+                    pairs.append((exps, -coef))
+                    continue
+                pairs.append((rng.choice(pool), Fraction(rng.choice([-9, -5, -2, 0, 1, 3, 7]),
+                                                         rng.choice([1, 2, 7, 9, 11]))))
+            want = {}
+            for exps, coef in pairs:
+                want = loop_poly_add(want, {exps: coef})
+            assert Poly.from_terms(n, pairs).terms == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partial(self, n):

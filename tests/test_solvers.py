@@ -95,6 +95,13 @@ class TestLaplaceSolve:
         with pytest.raises(GradeOutOfRange):
             laplace_solve(B(e2, (1,)), 3)
 
+    @pytest.mark.parametrize("k", [1.0, True], ids=["float-grade", "bool-grade"])
+    @pytest.mark.parametrize("zero", [False, True], ids=["source", "zero-source"])
+    def test_grade_is_an_int(self, e3, k, zero):
+        rhs = Form.zero(e3) if zero else B(e3, (1,), var(e3, 1) ** 2)
+        with pytest.raises(GradeOutOfRange):
+            laplace_solve(rhs, k)
+
     def test_solution_matches_composite_assembly(self, e3, m4):
         for beta, rhs, k, side in composite_cases(e3, m4):
             assert not rhs.is_zero
@@ -329,6 +336,11 @@ class TestVacuumDiracClassify:
     def test_grade_mismatch(self, e3):
         with pytest.raises(GradeMismatch):
             vacuum_dirac_classify(B(e3, (1,)), B(e3, (1, 2)), 1)
+
+    @pytest.mark.parametrize("k", [1.0, True], ids=["float-grade", "bool-grade"])
+    def test_grade_is_an_int(self, e3, k):
+        with pytest.raises(GradeOutOfRange):
+            vacuum_dirac_classify(Form.scalar(e3, 1), B(e3, (1, 2)), k)
 
 
 class TestMassiveDirac:

@@ -114,6 +114,20 @@ def test_kernel_uses_no_private_fraction_api():
                 f"{name}:{node.lineno} uses Fraction.{used}")
 
 
+def test_only_polyring_sums_over_an_lcm():
+    # terms are summed in one loop, polyring._sum_numerators; an lcm anywhere
+    # else would be a second summation regime
+    for name, tree in _kernel_trees():
+        if name == "polyring.py":
+            continue
+        for node in ast.walk(tree):
+            used = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            assert used != "lcm" and "lcm" not in imported, f"{name}:{node.lineno} calls lcm"
+
+
 def _cli_choices(command: str, dest: str) -> list[str]:
     """The choices of one option of one ``axc`` subcommand, read from its parser."""
     parser = importlib.import_module("axc.cli")._build_parser()
