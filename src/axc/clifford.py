@@ -47,8 +47,7 @@ def apply_operator(tag: OperatorTag, psi: Form) -> Form:
     if tag is OperatorTag.ANTI_DIRAC:
         return cohomotopy_h(psi) - homotopy_H(psi)
     if tag is OperatorTag.LAPLACE_BELTRAMI:
-        signature = psi.ctx.signature
-        return psi.termwise(lambda idx, exps: box_terms(idx, exps, signature))
+        return psi.termwise(box_terms, psi.ctx.signature)
     if tag is OperatorTag.ANTI_LAPLACE:
         return -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi)))
     if tag is OperatorTag.OSCILLATOR_HBAR:

@@ -31,6 +31,20 @@ def _merge_indices(a: tuple, b: tuple):
     return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
 
 
+@functools.lru_cache(maxsize=4096)
+def _wedge_slots(idx: tuple, n: int) -> tuple:
+    """The generator dx^i ^ on dx^idx: a ``(i - 1, sorted idx + (i,), sign)`` row,
+    axis 0-based, per i in 1..n not in idx; the sign is :func:`_merge_indices`'s."""
+    return tuple((i - 1, *_merge_indices((i,), idx)) for i in range(1, n + 1) if i not in idx)
+
+
+@functools.lru_cache(maxsize=4096)
+def _contract_slots(idx: tuple) -> tuple:
+    """The generator i(d/dx_a) on dx^idx: a ``(a - 1, idx minus a, (-1)^j)`` row,
+    axis 0-based, per slot j of idx, a = idx[j]."""
+    return tuple((a - 1, idx[:j] + idx[j + 1:], (-1) ** j) for j, a in enumerate(idx))
+
+
 def _require_grade(k, n: int) -> None:
     """A grade: an ``int`` in 0..n, never coerced (no bool, no float)."""
     if type(k) is not int or not 0 <= k <= n:
@@ -157,19 +171,20 @@ class Form:
                 for exps, coef in poly.terms.items():
                     yield idx, exps, coef
 
-    def termwise(self, fn) -> "Form":
+    def termwise(self, fn, *args) -> "Form":
         """Linear extension of a map on basis terms.
 
-        ``fn(idx, exps)`` returns the image of ``y^exps dx^idx`` as
+        ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
         ``(idx', exps', factor)`` triples, each factor an ``int`` or a
         ``Fraction``.  The product of a term's coefficient p/q and a factor
         r/s is kept as the integer pair (p*r, q*s), and :func:`_graded` sums
-        the pairs: no ``Fraction`` is built per product.
+        the pairs: no ``Fraction`` is built per product.  ``args`` (such as
+        the signature) spare a closure per call.
         """
         quads = []
         for idx, exps, coef in self.terms():
             p, q = coef.numerator, coef.denominator
-            for out_idx, out_exps, f in fn(idx, exps):
+            for out_idx, out_exps, f in fn(idx, exps, *args):
                 quads.append((out_idx, out_exps, p * f.numerator, q * f.denominator))
         return _graded(self.ctx, quads)
 
@@ -250,13 +265,9 @@ class Form:
 
 def d_terms(idx: tuple, exps: tuple) -> list:
     """d on one basis term: d(y^a dx^I) = sum_{i not in I} a_i y^(a - e_i) dx^i ^ dx^I,
-    with dx^i moved into place by the sign of :func:`_merge_indices`."""
-    out = []
-    for i, e in enumerate(exps, start=1):
-        if e and i not in idx:
-            new_idx, sign = _merge_indices((i,), idx)
-            out.append((new_idx, exps[:i - 1] + (e - 1,) + exps[i:], sign * e))
-    return out
+    over the rows of :func:`_wedge_slots`."""
+    return [(new_idx, exps[:i] + (exps[i] - 1,) + exps[i + 1:], sign * exps[i])
+            for i, new_idx, sign in _wedge_slots(idx, len(exps)) if exps[i]]
 
 
 class VectorField:
@@ -294,15 +305,14 @@ class VectorField:
 
 
 def interior(v: VectorField, omega: Form) -> Form:
-    """Insertion antiderivative i_v: contracts each slot with alternating sign,
+    """Insertion antiderivative i_v over the rows of :func:`_contract_slots`,
     i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j}."""
     v.ctx.require_same(omega.ctx)
 
     def interior_terms(idx, exps):
-        for j, axis in enumerate(idx):
-            rest = idx[:j] + idx[j + 1:]
-            for v_exps, v_coef in v.components[axis - 1].terms.items():
-                yield rest, tuple(a + b for a, b in zip(exps, v_exps)), -v_coef if j % 2 else v_coef
+        for i, rest, sign in _contract_slots(idx):
+            for v_exps, v_coef in v.components[i].terms.items():
+                yield rest, tuple(a + b for a, b in zip(exps, v_exps)), v_coef if sign > 0 else -v_coef
 
     return omega.termwise(interior_terms)
 

@@ -10,10 +10,10 @@ Conventions (property-tested, not hand-simplified):
 
 star, star_inv and delta are maps on basis terms run by ``Form.termwise``,
 and each sign rule is written once: :func:`star_terms` holds the star rule
-(star_inv only multiplies it by its grade sign) and
-:func:`codifferential_terms` the delta rule.  ``tests/test_hodge.py`` checks
-them against the replaced loops and the literal composite on random forms
-for n = 1..6.
+(star_inv only multiplies it by its grade sign), and the (-1)^j of delta is
+read from the rows of :func:`axc.forms._contract_slots`.  ``tests/test_hodge.py``
+checks them against the replaced loops and the literal composite on random
+forms for n = 1..6.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _merge_indices
+from .forms import Form, VectorField, _contract_slots, _merge_indices
 
 
 def musical_flat(v: VectorField) -> Form:
@@ -54,27 +54,19 @@ def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False)
 
 
 def hodge_star(omega: Form) -> Form:
-    signature = omega.ctx.signature
-    return omega.termwise(lambda idx, exps: star_terms(idx, exps, signature))
+    return omega.termwise(star_terms, omega.ctx.signature)
 
 
 def hodge_star_inv(omega: Form) -> Form:
-    signature = omega.ctx.signature
-    return omega.termwise(lambda idx, exps: star_terms(idx, exps, signature, inverse=True))
+    return omega.termwise(star_terms, omega.ctx.signature, True)
 
 
 def codifferential_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """delta on one basis term y^exps dx^idx, as ``(idx', exps', factor)``
     triples (the closed form of the module docstring)."""
-    out = []
-    for j, axis in enumerate(idx):
-        e = exps[axis - 1]
-        if e:
-            sign = signature[axis - 1] if j % 2 else -signature[axis - 1]
-            out.append((idx[:j] + idx[j + 1:], exps[:axis - 1] + (e - 1,) + exps[axis:], sign * e))
-    return out
+    return [(rest, exps[:i] + (exps[i] - 1,) + exps[i + 1:], -sign * signature[i] * exps[i])
+            for i, rest, sign in _contract_slots(idx) if exps[i]]
 
 
 def codifferential(omega: Form) -> Form:
-    signature = omega.ctx.signature
-    return omega.termwise(lambda idx, exps: codifferential_terms(idx, exps, signature))
+    return omega.termwise(codifferential_terms, omega.ctx.signature)

@@ -16,10 +16,10 @@ Both operators have a closed monomial form and run term by term through
     h(y^a dx^I) = -K^flat ^ (y^a dx^I) / (m + n - k)   (zero on top grade)
 
 with K = sum_i y_i d/dx_i the radial field and K^flat = sum_i eps_i y_i dx^i.
-The h rule is the star-conjugate eta star_inv H star worked out per term; its
-signs come from :func:`axc.forms._merge_indices` exactly as in ``d``, and
-``tests/test_homotopy.py`` checks it against that literal composite for
-n = 1..6.
+The h rule is the star-conjugate eta star_inv H star worked out per term.
+Both read their signs from the generator tables of :mod:`axc.forms`, H as
+delta does and h as ``d`` does, and ``tests/test_homotopy.py`` checks h
+against that literal composite for n = 1..6.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _merge_indices, interior
+from .forms import Form, VectorField, _contract_slots, _wedge_slots, interior
 from .hodge import codifferential, musical_flat
 from .polyring import Context, Poly
 
@@ -63,17 +63,11 @@ def k_field(ctx: Context) -> VectorField:
 
 def _homotopy_terms(idx: tuple, exps: tuple) -> list:
     """H(y^a dx^I) = sum_j (-1)^j y^(a + e_{i_j}) dx^{I minus i_j} / (|a| + k):
-    the radial contraction i_K dx^I times the monomial's H weight, with the
-    two signed factors built once per term."""
-    if not idx:
-        return []
+    the radial contraction i_K dx^I times the monomial's H weight, never 0
+    where :func:`axc.forms._contract_slots` has a row."""
     w = sum(exps) + len(idx)
-    factors = (Fraction(1, w), Fraction(-1, w))
-    out = []
-    for j, axis in enumerate(idx):
-        raised = exps[:axis - 1] + (exps[axis - 1] + 1,) + exps[axis:]
-        out.append((idx[:j] + idx[j + 1:], raised, factors[j % 2]))
-    return out
+    return [(rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], Fraction(sign, w))
+            for i, rest, sign in _contract_slots(idx)]
 
 
 def homotopy_H(omega: Form) -> Form:
@@ -87,23 +81,14 @@ def _h_weight(idx: tuple, exps: tuple) -> int:
 
 def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
-    with dx^i moved into place by the sign of :func:`_merge_indices`; the sum
-    is empty on the top grade, where the weight may be 0."""
-    if len(idx) == len(exps):
-        return []
+    the weight never 0 where :func:`axc.forms._wedge_slots` has a row."""
     w = _h_weight(idx, exps)
-    out = []
-    for i, e in enumerate(exps, start=1):
-        if i not in idx:
-            new_idx, sign = _merge_indices((i,), idx)
-            raised = exps[:i - 1] + (e + 1,) + exps[i:]
-            out.append((new_idx, raised, Fraction(-sign * signature[i - 1], w)))
-    return out
+    return [(new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], Fraction(-sign * signature[i], w))
+            for i, new_idx, sign in _wedge_slots(idx, len(exps))]
 
 
 def cohomotopy_h(omega: Form) -> Form:
-    signature = omega.ctx.signature
-    return omega.termwise(lambda idx, exps: _cohomotopy_terms(idx, exps, signature))
+    return omega.termwise(_cohomotopy_terms, omega.ctx.signature)
 
 
 def center_pullback(omega: Form) -> Form:

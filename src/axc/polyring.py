@@ -308,6 +308,8 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         """self^e, e >= 0, by repeated squaring on integer numerators over
         one common denominator; each output ``Fraction`` is built once."""
+        if type(e) is not int:
+            raise TypeError(f"power {e!r} is not an int")
         if e < 0:
             raise ValueError("negative power")
         D, base = _over_common_denominator(self.terms)

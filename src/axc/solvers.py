@@ -58,14 +58,14 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     n, m = len(exps), sum(exps)
     Q = Poly.from_terms(n, ((tuple(2 if i == j else 0 for i in range(n)), Fraction(eps))
                             for j, eps in enumerate(signature)))
-    term, power, c, out = Poly.monomial(n, exps), Q, Fraction(1), Poly.zero(n)
+    term, power, c, pieces = Poly.monomial(n, exps), Q, Fraction(1), []
     for j in range(m // 2 + 1):
         c /= 2 * (j + 1) * (n + 2 * m - 2 * j)
-        out = out + (power * term).scale(c)
+        pieces.extend((e, coef * c) for e, coef in (power * term).terms.items())
         term = Poly.from_terms(n, ((out_exps, coef * f) for e, coef in term.terms.items()
                                    for _, out_exps, f in box_terms((), e, signature)))
         power, c = power * Q, -c
-    return tuple(out.terms.items())
+    return tuple(Poly.from_terms(n, pieces).terms.items())
 
 
 def laplace_solve(rhs: Form, k: int) -> Form:
@@ -184,7 +184,7 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
     zero whenever the integrated component already meets its constraint.
     """
     k = B.homogeneous_grade()
-    if approach not in (1, 2):
+    if type(approach) is not int or approach not in (1, 2):
         raise ValueError("approach must be 1 or 2")
     if k is None:
         alpha = beta = Form.zero(B.ctx)

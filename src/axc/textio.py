@@ -221,8 +221,8 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "name" and value.startswith("d") and len(value) > 1
 
-    def parse_term(self) -> tuple[tuple, Poly]:
-        """One term as (index tuple, coefficient); the coefficient is zero
+    def parse_term(self) -> tuple[tuple, int, Poly]:
+        """One term as (index tuple, basis sign, coefficient); the sign is 0
         when a basis index repeats."""
         if self.at_basis():
             poly = Poly.const(self.ctx.n, 1)
@@ -231,17 +231,16 @@ class _Parser:
             if self.peek()[0] == "*":
                 self.take("*")
             if not self.at_basis():
-                return (), poly
-        idx, sign = self.parse_basis()
-        return idx, poly.scale(sign)
+                return (), 1, poly
+        return (*self.parse_basis(), poly)
 
     def parse_form(self) -> Form:
         """The whole expression, coefficients still in absolute coordinates."""
         pieces = list(self.signed(self.parse_term))
         self.take("end")
         return Form.from_terms(self.ctx, (
-            (idx, exps, sign * coef)
-            for sign, (idx, poly) in pieces
+            (idx, exps, sign * basis_sign * coef)
+            for sign, (idx, basis_sign, poly) in pieces
             for exps, coef in poly.terms.items()
         ))
 

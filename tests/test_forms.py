@@ -5,7 +5,7 @@ import pytest
 
 from axc import Form, Poly, VectorField, form_linear, interior, k_field
 from axc.errors import AxisOutOfRange, GradeOutOfRange
-from axc.forms import _merge_indices, d_terms
+from axc.forms import _contract_slots, _merge_indices, _wedge_slots, d_terms
 from axc.hodge import codifferential_terms
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms
 from axc.randforms import random_form, random_poly, sample_rng
@@ -91,6 +91,28 @@ class TestMergeIndices:
                     if len(set(s)) < length:
                         for cut in range(length + 1):
                             assert _merge_indices(s[:cut], s[cut:]) is None, (s, cut)
+
+
+def _increasing_tuples(n: int):
+    for k in range(n + 1):
+        yield from itertools.combinations(range(1, n + 1), k)
+
+
+class TestGeneratorTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wedge_slots_carry_the_inversion_count_sign(self, n):
+        for idx in _increasing_tuples(n):
+            # dx^i ^ dx^idx: dx^i passes every index of idx below it
+            want = [(i - 1, tuple(sorted(idx + (i,))), (-1) ** sum(i > j for j in idx))
+                    for i in range(1, n + 1) if i not in idx]
+            assert list(_wedge_slots(idx, n)) == want, idx
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_contract_slots_carry_the_slot_sign(self, n):
+        for idx in _increasing_tuples(n):
+            want = [(a - 1, tuple(b for b in idx if b != a), (-1) ** j)
+                    for j, a in enumerate(idx)]
+            assert list(_contract_slots(idx)) == want, idx
 
 
 class TestWedge:

@@ -22,7 +22,7 @@ from axc import (
     potential,
 )
 from axc.errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from axc.homotopy import center_pullback, center_top_eval
+from axc.homotopy import _cohomotopy_terms, _homotopy_terms, center_pullback, center_top_eval
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import all_contexts, oracle_contexts
 from tests.oracles import (
@@ -88,6 +88,19 @@ class TestHomotopyOperator:
             for i in range(10):
                 w = random_form(ctx, sample_rng(83, 10 * ctx.n + i))
                 assert homotopy_H(w) == contraction_homotopy_H(w)
+
+
+@pytest.mark.parametrize("ctx", all_contexts(),
+                         ids=lambda c: "".join("+" if s == 1 else "-" for s in c.signature))
+def test_constants_with_zero_weight_map_to_zero(ctx):
+    # H divides by |a| + k and h by |a| + n - k: both are 0 on these terms,
+    # whose generator tables are empty
+    n, zeros = ctx.n, (0,) * ctx.n
+    top = tuple(range(1, n + 1))
+    assert _homotopy_terms((), zeros) == []
+    assert _cohomotopy_terms(top, zeros, ctx.signature) == []
+    assert homotopy_H(Form.scalar(ctx, Fraction(-3, 2))).is_zero
+    assert cohomotopy_h(B(ctx, top, Poly.const(n, 5))).is_zero
 
 
 class TestCohomotopyOperator:

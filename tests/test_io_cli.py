@@ -58,6 +58,11 @@ class TestParser:
     def test_repeated_basis_is_zero(self, e2):
         assert parse_form("dx1^dx1", e2).is_zero
 
+    def test_term_and_basis_signs_multiply(self, e3):
+        got = parse_form("-(x1 - 2) dx2^dx1 + (3*x2) dx1^dx1 - x2 dx3^dx1^dx2", e3)
+        want = B(e3, (1, 2), var(e3, 1) - Poly.const(3, 2)) + B(e3, (1, 2, 3), -var(e3, 2))
+        assert got == want
+
     def test_mixed_grades(self, e2):
         got = parse_form("3 + x1 dx2", e2)
         assert got == Form.scalar(e2, 3) + B(e2, (2,), var(e2, 1))

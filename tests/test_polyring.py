@@ -184,6 +184,12 @@ class TestContext:
             with pytest.raises(DimensionMismatch):
                 Context(2, (0, 0), signature)
 
+    @pytest.mark.parametrize("e", [True, False, 2.0, Fraction(2)])
+    def test_power_takes_int_exponents(self, e):
+        # True == 1 and 2.0 == 2, but neither is an exponent
+        with pytest.raises(TypeError):
+            Poly.variable(2, 1) ** e
+
     def test_bools_are_not_rationals(self):
         # bool is an int subclass; JSON rejects true, and so does the library
         with pytest.raises(TypeError):

@@ -302,6 +302,12 @@ class TestDiracSource:
                     report = dirac_source_solve(src, approach)
                     assert report.success, (approach, report.failed)
 
+    @pytest.mark.parametrize("approach", [True, 2.0, Fraction(1), 0, 3])
+    def test_approach_is_the_int_1_or_2(self, e3, approach):
+        # True == 1 and 2.0 == 2, but neither names an approach
+        with pytest.raises(ValueError, match="approach must be 1 or 2"):
+            dirac_source_solve(B(e3, (1,)), approach)
+
     def test_approach_difference_is_vacuum_solution(self, e3):
         src = random_solvable_source(e3, sample_rng(257, 0), 2)
         r1 = dirac_source_solve(src, 1)

@@ -114,6 +114,17 @@ def test_kernel_uses_no_private_fraction_api():
                 f"{name}:{node.lineno} uses Fraction.{used}")
 
 
+def _names(node) -> set:
+    """The names an AST node reads, as a bare name or an attribute, or imports."""
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.ImportFrom):
+        return {a.name for a in node.names}
+    return set()
+
+
 def test_only_polyring_sums_over_an_lcm():
     # terms are summed in one loop, polyring._sum_numerators; an lcm anywhere
     # else would be a second summation regime
@@ -121,11 +132,29 @@ def test_only_polyring_sums_over_an_lcm():
         if name == "polyring.py":
             continue
         for node in ast.walk(tree):
-            used = (node.attr if isinstance(node, ast.Attribute)
-                    else node.id if isinstance(node, ast.Name)
-                    else None)
-            imported = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            assert used != "lcm" and "lcm" not in imported, f"{name}:{node.lineno} calls lcm"
+            assert "lcm" not in _names(node), f"{name}:{node.lineno} calls lcm"
+
+
+def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
+    # forms builds the generator tables from _merge_indices, hodge the star's
+    # complement sign and textio the parser's basis sort; every other rule
+    # reads its sign from forms._wedge_slots or forms._contract_slots
+    for name, tree in _kernel_trees():
+        if name in ("forms.py", "hodge.py", "textio.py"):
+            continue
+        for node in ast.walk(tree):
+            assert "_merge_indices" not in _names(node), f"{name}:{node.lineno}"
+
+
+def test_no_lambda_only_forwards_to_a_term_map():
+    # a term map gets its context as Form.termwise(fn, *args), not through a
+    # closure built on every call
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
+                called = _names(node.body.func)
+                assert not any(c.endswith("_terms") for c in called), (
+                    f"{name}:{node.lineno} wraps {called} in a lambda")
 
 
 def _cli_choices(command: str, dest: str) -> list[str]:
