@@ -1,8 +1,8 @@
 """Graded differential forms with polynomial coefficients.
 
-A :class:`Form` is inhomogeneous by design: grades are a map
-``k -> (strictly increasing index tuple -> Poly)``.  Clifford fields in the
-Dirac machinery are just forms mixing several grades.
+A :class:`Form` stores one flat map ``(index tuple, exponents) -> Fraction``
+over its nonzero terms y^a dx^I; ``Form.components`` is a read-only view of it,
+grade -> (index tuple -> Poly).  Clifford fields are forms mixing grades.
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _from_numerators, _require_axis,
+from .polyring import (Context, Poly, _as_fraction, _poly, _require_axis, _require_exponents,
                        _sum_numerators)
 
 
@@ -64,22 +65,21 @@ def _graded(ctx: Context, quads: list) -> "Form":
     by :func:`axc.polyring._sum_numerators`; cancelled sums leave no trace."""
     rows, L = _sum_numerators(quads)
     f = Form.__new__(Form)
-    f.ctx, f.components = ctx, {}
-    for idx, row in rows.items():
-        p = _from_numerators(ctx.n, row, L)
-        if p.terms:
-            f.components.setdefault(len(idx), {})[idx] = p
+    f.ctx, f._terms = ctx, {(idx, exps): Fraction(v, L)
+                            for idx, row in rows.items() for exps, v in row.items() if v}
     return f
 
 
 class Form:
-    __slots__ = ("ctx", "components")
+    """``ctx`` and the flat term map of the module docstring, private to this module."""
+
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
-        """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map.
+        """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map, flat.
         Grades and index entries must be ``int``, never coerced (no bool, no
         float); an index tuple is strictly increasing in 1..n, as long as its grade."""
-        comps: dict[int, dict[tuple, Poly]] = {}
+        rows: dict[tuple, Poly] = {}
         for k, idx_map in (components or {}).items():
             _require_grade(k, ctx.n)
             for idx, poly in idx_map.items():
@@ -89,10 +89,9 @@ class Form:
                 _require_indices(idx, ctx.n)
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
-                if poly.terms:
-                    comps.setdefault(k, {})[idx] = poly
+                rows[idx] = poly
         self.ctx = ctx
-        self.components = comps
+        self._terms = {(idx, e): c for idx, p in rows.items() for e, c in p.terms.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -119,9 +118,16 @@ class Form:
     @classmethod
     def from_terms(cls, ctx: Context, terms) -> "Form":
         """Sum ``(index tuple, exponent tuple, int or Fraction)`` triples into a
-        form by :func:`_graded`.  Index tuples must already be strictly
-        increasing within 1..n, which every term map here guarantees."""
-        return _graded(ctx, [(idx, exps, c.numerator, c.denominator) for idx, exps, c in terms])
+        form by :func:`_graded`.  Every triple, a cancelling one too, is checked
+        first: its index tuple by the constructor's rule (so its grade is in
+        0..n), its exponents and coefficient by :class:`Poly`'s."""
+        quads = []
+        for idx, exps, c in terms:
+            idx, exps, c = tuple(idx), tuple(exps), _as_fraction(c)
+            _require_indices(idx, ctx.n)
+            _require_exponents(exps, ctx.n)
+            quads.append((idx, exps, c.numerator, c.denominator))
+        return _graded(ctx, quads)
 
     # -- linear structure --------------------------------------------------
 
@@ -130,7 +136,8 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
-        return Form.from_terms(self.ctx, itertools.chain(self.terms(), other.terms()))
+        return _graded(self.ctx, [(idx, exps, c.numerator, c.denominator) for (idx, exps), c
+                                  in itertools.chain(self._terms.items(), other._terms.items())])
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -166,10 +173,7 @@ class Form:
 
     def terms(self):
         """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
-        for idx_map in self.components.values():
-            for idx, poly in idx_map.items():
-                for exps, coef in poly.terms.items():
-                    yield idx, exps, coef
+        return ((idx, exps, c) for (idx, exps), c in self._terms.items())
 
     def termwise(self, fn, *args) -> "Form":
         """Linear extension of a map on basis terms.
@@ -182,7 +186,7 @@ class Form:
         the signature) spare a closure per call.
         """
         quads = []
-        for idx, exps, coef in self.terms():
+        for (idx, exps), coef in self._terms.items():
             p, q = coef.numerator, coef.denominator
             for out_idx, out_exps, f in fn(idx, exps, *args):
                 quads.append((out_idx, out_exps, p * f.numerator, q * f.denominator))
@@ -190,10 +194,7 @@ class Form:
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
-        f = Form.__new__(Form)
-        f.ctx = self.ctx
-        f.components = {k: dict(self.components[k])} if k in self.components else {}
-        return f
+        return self.termwise(lambda idx, exps: [(idx, exps, 1)] if len(idx) == k else [])
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
@@ -216,11 +217,19 @@ class Form:
     # -- queries -----------------------------------------------------------
 
     @property
+    def components(self) -> dict[int, dict[tuple, Poly]]:
+        """The grade -> (index tuple -> Poly) view, built anew on each read."""
+        comps: dict = {}
+        for (idx, exps), c in self._terms.items():
+            comps.setdefault(len(idx), {}).setdefault(idx, {})[exps] = c
+        return {k: {i: _poly(self.ctx.n, r) for i, r in rows.items()} for k, rows in comps.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.components
+        return not self._terms
 
     def grades(self) -> list[int]:
-        return sorted(self.components)
+        return sorted({len(idx) for idx, _ in self._terms})
 
     def homogeneous_grade(self):
         """Grade of a homogeneous form; None for zero, error if mixed."""
@@ -238,28 +247,26 @@ class Form:
         return self.components.get(len(indices), {}).get(indices, Poly.zero(self.ctx.n))
 
     def max_coeff_degree(self) -> int:
-        return max((sum(exps) for _, exps, _ in self.terms()), default=-1)
+        return max((sum(exps) for _, exps in self._terms), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Form)
             and self.ctx == other.ctx
-            and self.components == other.components
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(
-            (k, idx, poly) for k, m in self.components.items() for idx, poly in m.items()
-        ))))
+        return hash((self.ctx, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
             return "Form(0)"
         bits = []
-        for k in self.grades():
-            for idx in sorted(self.components[k]):
+        for k, rows in sorted(self.components.items()):
+            for idx in sorted(rows):
                 base = "^".join(f"dx{i}" for i in idx) or "1"
-                bits.append(f"({self.components[k][idx]!r})*{base}")
+                bits.append(f"({rows[idx]!r})*{base}")
         return "Form(" + " + ".join(bits) + ")"
 
 

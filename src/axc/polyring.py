@@ -47,6 +47,17 @@ def _require_axis(i, n: int) -> None:
         raise AxisOutOfRange(f"axis {i!r} not in 1..{n}")
 
 
+def _require_exponents(exps: tuple, n: int) -> None:
+    """An exponent tuple: n ``int`` entries, never coerced (no bool, no float),
+    none negative."""
+    if len(exps) != n:
+        raise DimensionMismatch("multidegree length != dimension")
+    if not all(type(e) is int for e in exps):
+        raise DimensionMismatch(f"exponents must be integers, got {exps}")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+
+
 def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict]:
     """``(D, {exponents: integer numerator})`` with each coefficient equal to
     its numerator over D, the lcm of the denominators (1 for no terms)."""
@@ -76,6 +87,15 @@ def _poly(n: int, terms: dict) -> "Poly":
     p = Poly.__new__(Poly)
     p.n, p.terms = n, terms
     return p
+
+
+def _sum_poly(n: int, pairs) -> "Poly":
+    """:meth:`Poly.from_terms` of valid ``(exponents, Fraction)`` pairs, unchecked."""
+    pairs = list(pairs)
+    if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
+        return _poly(n, {exps: c for exps, c in pairs if c})
+    rows, L = _sum_numerators([((), exps, c.numerator, c.denominator) for exps, c in pairs])
+    return _from_numerators(n, rows.get((), {}), L)
 
 
 def _from_numerators(n: int, numerators: dict, D: int) -> "Poly":
@@ -194,12 +214,7 @@ class Poly:
         coefs = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != n:
-                raise DimensionMismatch("multidegree length != dimension")
-            if not all(type(e) is int for e in exps):
-                raise DimensionMismatch(f"exponents must be integers, got {exps}")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
+            _require_exponents(exps, n)
             if exps in coefs:
                 raise ValueError(f"exponent tuple {exps} given twice")
             coefs[exps] = _as_fraction(coef)
@@ -230,12 +245,13 @@ class Poly:
     @classmethod
     def from_terms(cls, n: int, pairs) -> "Poly":
         """Sum ``(exponent tuple, int or Fraction)`` pairs where their exponents
-        meet, dropping terms that cancel; exponents must be valid for n."""
-        pairs = list(pairs)
-        if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
-            return _poly(n, {exps: _as_fraction(c) for exps, c in pairs if c})
-        rows, L = _sum_numerators([((), exps, c.numerator, c.denominator) for exps, c in pairs])
-        return _from_numerators(n, rows.get((), {}), L)
+        meet, dropping terms that cancel.  Every pair, a cancelling one too,
+        is checked first by the constructor's rules."""
+        _require_dimension(n)
+        pairs = [(tuple(exps), _as_fraction(c)) for exps, c in pairs]
+        for exps, _ in pairs:
+            _require_exponents(exps, n)
+        return _sum_poly(n, pairs)
 
     # -- ring operations ---------------------------------------------------
 
@@ -245,7 +261,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly.from_terms(self.n, [*self.terms.items(), *other.terms.items()])
+        return _sum_poly(self.n, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)

@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _merge_indices
-from .polyring import Context, Poly, _as_fraction
+from .forms import Form, _graded, _merge_indices
+from .polyring import Context, Poly, _as_fraction, _sum_poly
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -196,9 +196,9 @@ class _Parser:
             yield self.take_sign(), parse_one()
 
     def parse_poly_expr(self) -> Poly:
-        return Poly.from_terms(self.ctx.n, [(exps, sign * coef)
-                                            for sign, poly in self.signed(self.parse_poly_term)
-                                            for exps, coef in poly.terms.items()])
+        return _sum_poly(self.ctx.n, [(exps, sign * coef)
+                                      for sign, poly in self.signed(self.parse_poly_term)
+                                      for exps, coef in poly.terms.items()])
 
     # -- form grammar ------------------------------------------------------
 
@@ -238,11 +238,11 @@ class _Parser:
         """The whole expression, coefficients still in absolute coordinates."""
         pieces = list(self.signed(self.parse_term))
         self.take("end")
-        return Form.from_terms(self.ctx, (
-            (idx, exps, sign * basis_sign * coef)
+        return _graded(self.ctx, [
+            (idx, exps, sign * basis_sign * coef.numerator, coef.denominator)
             for sign, (idx, basis_sign, poly) in pieces
             for exps, coef in poly.terms.items()
-        ))
+        ])
 
 
 def _degree(p: Poly) -> int:
@@ -289,21 +289,20 @@ def parse_form(text: str, ctx: Context) -> Form:
 def _recentered(absolute: Form) -> Form:
     """The form whose coefficients are given in absolute coordinates,
     re-expressed around its chart's center."""
-    ctx = absolute.ctx
+    ctx, comps = absolute.ctx, absolute.components
     # y^a re-centers to the product of a_i + 1 over the axes that move
     _require_terms(sum(
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly.terms), _degree(poly))
-        for idx_map in absolute.components.values() for poly in idx_map.values()))
+        for idx_map in comps.values() for poly in idx_map.values()))
     return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
-                      for k, idx_map in absolute.components.items()})
+                      for k, idx_map in comps.items()})
 
 
 # -- canonical printer -----------------------------------------------------
 
 def _poly_text(p: Poly) -> str:
-    if p.is_zero:
-        return "0"
+    """A nonzero polynomial's terms, lexicographic by exponents."""
     pieces = []
     for exps, coef in p.sorted_terms():
         mono = "*".join(
@@ -328,11 +327,10 @@ def _poly_text(p: Poly) -> str:
 def _absolute_components(omega: Form):
     """``(grade, index tuple, coefficient in absolute coordinates)`` in
     canonical order: grades ascending, index tuples sorted."""
-    ctx = omega.ctx
-    back = [-c for c in ctx.center]
-    for k in omega.grades():
-        for idx in sorted(omega.components[k]):
-            yield k, idx, omega.components[k][idx].shift(back)
+    back = [-c for c in omega.ctx.center]
+    for k, rows in sorted(omega.components.items()):
+        for idx in sorted(rows):
+            yield k, idx, rows[idx].shift(back)
 
 
 def print_form(omega: Form, fmt: str = "text") -> str:
@@ -405,7 +403,7 @@ def form_from_json(data: dict) -> Form:
                         raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {exps}")
                     pairs += Poly.monomial(ctx.n, exps, _json_rational(term["coef"])).terms.items()
         absolute = Form(ctx, {
-            k: {idx: Poly.from_terms(ctx.n, pairs) for idx, pairs in grade.items()}
+            k: {idx: _sum_poly(ctx.n, pairs) for idx, pairs in grade.items()}
             for k, grade in pairs_by_key.items()})
     except (KeyError, ValueError, TypeError, AttributeError, GradeOutOfRange) as exc:
         raise DimensionMismatch(f"bad JSON body: {exc!r}") from None

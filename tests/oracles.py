@@ -21,10 +21,7 @@ from axc.linsolve import solve_sparse
 
 
 def _form(ctx, acc: dict) -> Form:
-    f = Form.__new__(Form)
-    f.ctx = ctx
-    f.components = {k: m for k, m in acc.items() if m}
-    return f
+    return Form(ctx, acc)
 
 
 def _accumulate(acc: dict, k: int, idx: tuple, poly: Poly):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from axc import Form, Poly, VectorField, form_linear, interior, k_field
-from axc.errors import AxisOutOfRange, GradeOutOfRange
+from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.forms import _contract_slots, _merge_indices, _wedge_slots, d_terms
 from axc.hodge import codifferential_terms
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms
@@ -52,6 +52,25 @@ class TestLinear:
         # int() would read 1.9 as 1, "2" as 2 and True as 1
         with pytest.raises(GradeOutOfRange):
             Form(e2, {k: {idx: Poly.const(2, 1)}})
+
+    @pytest.mark.parametrize("term, error", [
+        (((True,), (0, 0), 1), GradeOutOfRange),
+        (((2, 1), (0, 0), 1), GradeOutOfRange),
+        (((5,), (0, 0), 1), GradeOutOfRange),
+        (((1,), (0, -1), 1), ValueError),
+        (((1,), (True, 0), 1), DimensionMismatch),
+        (((1,), (1.0, 0), 1), DimensionMismatch),
+        (((1,), (0, 0, 0), 1), DimensionMismatch),
+        (((1,), (0, 0), True), TypeError),
+    ], ids=["bool-index", "unsorted", "above-n", "negative-exponent", "bool-exponent",
+            "float-exponent", "long-exponents", "bool-coefficient"])
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["alone", "cancelled"])
+    def test_from_terms_takes_the_constructors_rules(self, e2, term, error, cancelled):
+        # each triple is checked before anything is summed, so one that a later
+        # triple cancels is an input error too
+        idx, exps, coef = term
+        with pytest.raises(error):
+            Form.from_terms(e2, [term, (idx, exps, -coef)] if cancelled else [term])
 
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
@@ -236,6 +255,30 @@ class TestGradeBookkeeping:
         for i in range(10):
             w = random_form(e2, sample_rng(15, i))
             assert w.eta().eta() == w
+
+    def test_equal_forms_hash_equal(self, e2):
+        # the same form built in another term order, from terms, and through +
+        p, q = var(e2, 1) * var(e2, 2) + Poly.const(2, Fraction(1, 3)), var(e2, 2).scale(-2)
+        forms = [Form(e2, {0: {(): p}, 1: {(2,): q}}), Form(e2, {1: {(2,): q}, 0: {(): p}}),
+                 Form.from_terms(e2, [((2,), (0, 1), -2), ((), (0, 0), Fraction(1, 3)),
+                                      ((), (1, 1), 1)]),
+                 B(e2, (2,), q) + Form.from_poly(e2, p),
+                 Form.from_poly(e2, p) + B(e2, (1,)) + B(e2, (2,), q) - B(e2, (1,))]
+        assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
+        assert len(set(forms)) == 1 and forms[0] not in {Form.from_poly(e2, p)}
+        assert {repr(f) for f in forms} == {
+            "Form((Poly(1/3 + 1*y1^1*y2^1))*1 + (Poly(-2*y2^1))*dx2)"}
+        assert repr(Form.zero(e2)) == "Form(0)"
+
+    def test_components_is_a_read_only_view(self, e2):
+        w = Form.scalar(e2, 2) + B(e2, (1,), var(e2, 2))
+        view = w.components
+        assert view == {0: {(): Poly.const(2, 2)}, 1: {(1,): var(e2, 2)}}
+        view[1][(1,)].terms.clear()
+        view[2] = {(1, 2): Poly.const(2, 1)}
+        assert w.components == {0: {(): Poly.const(2, 2)}, 1: {(1,): var(e2, 2)}}
+        with pytest.raises(AttributeError):
+            w.components = {}
 
     def test_homogeneous_grade(self, e2):
         assert Form.zero(e2).homogeneous_grade() is None

@@ -264,6 +264,10 @@ class TestPotential:
         with pytest.raises(GradeOutOfRange):
             potential(Form.scalar(e2, 1))
 
+    @pytest.mark.parametrize("solve", [potential, copotential])
+    def test_zero_form_has_zero_potential(self, e2, solve):
+        assert solve(Form.zero(e2)) == Form.zero(e2)
+
     def test_d_of_potential_recovers(self, e3):
         for i in range(10):
             closed = random_homogeneous(e3, sample_rng(113, i), 1).d()

@@ -1,6 +1,7 @@
 import pytest
 
 from axc import Context, identities, run_identities
+from axc.identities import IdentityResult
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": -2}, {"samples": 0}, {"max_degree": -1},
@@ -29,3 +30,16 @@ def test_subset_run_hands_a_check_the_full_run_samples(monkeypatch):
     full, seen[:] = list(seen), []
     run_identities(ctx, samples=4, seed=5, names=[name, "d2_zero"])
     assert len(full) == 4 and seen == full
+
+
+def test_a_failing_check_stops_at_its_first_failing_sample(monkeypatch):
+    seen = []
+
+    def third_sample_fails(ctx, w, rng):
+        seen.append(w)
+        return len(seen) < 3
+
+    monkeypatch.setitem(identities.CHECKS, "h2_zero", third_sample_fails)
+    results = run_identities(Context.euclidean(2), samples=5, seed=3, names=["h2_zero", "d2_zero"])
+    assert results == [IdentityResult("h2_zero", False, 5, 2), IdentityResult("d2_zero", True, 5)]
+    assert len(seen) == 3

@@ -18,6 +18,7 @@ from axc import (
     dirac_source_solve,
     form_from_json,
     form_to_json,
+    identities,
     kalb_ramond_solve,
     maxwell_solve,
     maxwell_solve_magnetic,
@@ -108,6 +109,22 @@ class TestParser:
             parse_form(f"x1^{MAX_EXPONENT + 1} dx1", e2)
         with pytest.raises(FormSyntaxError):
             parse_form(f"(x1 + 1/7)^{MAX_EXPONENT + 1}", e2)
+
+    def test_explicit_star_before_a_basis(self, e2):
+        got = parse_form("2*dx1 - x2*dx2^dx1", e2)
+        assert got == parse_form("2 dx1 + x2 dx1^dx2", e2)
+        assert got == B(e2, (1,), Poly.const(2, 2)) + B(e2, (1, 2), var(e2, 2))
+
+    @pytest.mark.parametrize("text, n, terms", [
+        ("((1+x1)^99*(1+x2)^99) dx1", 2, MAX_TERMS),
+        ("((1+x1)^100*(1+x1)^100) dx1", 1, 201),
+    ], ids=["bound-at-cap", "bound-clamped"])
+    def test_expansion_up_to_the_cap_parses(self, text, n, terms):
+        # 100 x 100 products are bounded by exactly MAX_TERMS; the 101 x 101
+        # products in one variable are 10 201 pairs, bounded by the C(1 + 200, 1)
+        # monomials of degree at most 200
+        got = parse_form(text, Context.euclidean(n))
+        assert len(got.coefficient((1,)).terms) == terms
 
     def test_rejects_garbage(self, e2):
         with pytest.raises(FormSyntaxError):
@@ -446,11 +463,12 @@ class TestCli:
 
     @pytest.mark.parametrize("name,text,flags", [
         ("w.txt", "(" + " + ".join(f"x{i}" for i in range(1, 10)) + ")^200 dx1", ["--dim", "9"]),
+        ("w.txt", "((1+x1)^99*(1+x2)^100) dx1", ["--dim", "2"]),
         ("w.txt", "(x1^1000*x2^1000*x3^1000) dx1", ["--dim", "3", "--center=1/7,1/7,1/7"]),
         ("w.json", '{"n": 3, "center": ["1/7", "1/7", "1/7"], "metric": [1, 1, 1], '
                    '"components": {"1": {"[1]": [{"exp": [1000, 1000, 1000], "coef": "1"}]}}}',
          ["--dim", "3", "--center=1/7,1/7,1/7"]),
-    ], ids=["power", "recentered-text", "recentered-json"])
+    ], ids=["power", "product-past-cap", "recentered-text", "recentered-json"])
     def test_expansion_cap(self, tmp_path, capsys, name, text, flags):
         src = tmp_path / name
         src.write_text(text)
@@ -479,6 +497,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and flags[0] in captured.err
+
+    def test_identities_failure_is_exit_1_with_its_sample(self, capsys, monkeypatch):
+        calls = []
+
+        def third_sample_fails(ctx, w, rng):
+            calls.append(w)
+            return len(calls) < 3
+
+        monkeypatch.setitem(identities.CHECKS, "h2_zero", third_sample_fails)
+        assert main(["--dim", "2", "identities", "--samples", "4", "--seed", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(identities.CHECKS) and len(calls) == 3
+        width = max(map(len, identities.CHECKS))
+        assert [line for line in lines if not line.startswith("ok  ")] == [
+            f"FAIL {'h2_zero'.ljust(width)} samples=4  (sample 2)"]
 
     def test_identities_flags_at_their_lower_bounds(self, capsys):
         assert main(["--dim", "2", "identities", "--samples", "1", "--max-degree", "0"]) == 0

@@ -33,6 +33,22 @@ class TestArithmetic:
     def test_mul_difference_of_squares(self):
         assert (y(1) + y(2)) * (y(1) - y(2)) == y(1) * y(1) - y(2) * y(2)
 
+    def test_mul_by_int_scales(self):
+        p = y(1) * y(2) + c("1/3")
+        assert p * 3 == 3 * p == p.scale(3) == p + p + p
+        assert p * 0 == Poly.zero(2)
+
+    def test_equal_polys_hash_equal(self):
+        # the same polynomial built in another term order, from pairs, and through +
+        polys = [Poly(2, {(1, 1): 1, (0, 0): Fraction(1, 3)}),
+                 Poly(2, {(0, 0): Fraction(1, 3), (1, 1): 1}),
+                 Poly.from_terms(2, [((1, 1), 2), ((0, 0), Fraction(1, 3)), ((1, 1), -1)]),
+                 c("1/3") + y(1) * y(2), y(1) * y(2) + y(1) + c("1/3") - y(1)]
+        assert all(p == polys[0] and hash(p) == hash(polys[0]) for p in polys)
+        assert len(set(polys)) == 1 and polys[0] not in {y(1) * y(2), Poly.zero(2)}
+        assert {repr(p) for p in polys} == {"Poly(1/3 + 1*y1^1*y2^1)"}
+        assert repr(Poly.zero(2)) == "Poly(0)"
+
     def test_mul_by_zero(self):
         assert (y(1) + c(5)) * Poly.zero(2) == Poly.zero(2)
 
@@ -171,6 +187,25 @@ class TestContext:
         # the constructor keeps what it is handed and sums nothing
         with pytest.raises(ValueError, match="given twice"):
             Poly(1, terms)
+
+    @pytest.mark.parametrize("exps, error", [
+        ((1,), DimensionMismatch), ((1, -1), ValueError),
+        ((True, 0), DimensionMismatch), ((1.0, 0), DimensionMismatch),
+    ], ids=["short", "negative", "bool", "float"])
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["alone", "cancelled"])
+    def test_from_terms_takes_the_constructors_exponents(self, exps, error, cancelled):
+        # each pair is checked before anything is summed, so one that a later
+        # pair cancels is an input error too
+        with pytest.raises(error):
+            Poly.from_terms(2, [(exps, 1), (exps, -1)] if cancelled else [(exps, 1)])
+
+    def test_from_terms_takes_the_constructors_coefficients_and_dimension(self):
+        # a bool coefficient that would be summed is no rational either
+        with pytest.raises(TypeError):
+            Poly.from_terms(2, [((1, 0), True), ((1, 0), -1)])
+        for n in (0, True, 2.0):
+            with pytest.raises(DimensionMismatch, match="dimension must be a positive integer"):
+                Poly.from_terms(n, [])
 
     @pytest.mark.parametrize("n", [2.0, True, 0, -1, Fraction(2)])
     def test_poly_dimension_is_a_positive_int(self, n):

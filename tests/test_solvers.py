@@ -343,6 +343,21 @@ class TestVacuumDiracClassify:
         with pytest.raises(GradeMismatch):
             vacuum_dirac_classify(B(e3, (1,)), B(e3, (1, 2)), 1)
 
+    @pytest.mark.parametrize("alpha, beta, k", [
+        (lambda c: B(c, (1,)), lambda c: Form.zero(c), 2),
+        (lambda c: Form.zero(c), lambda c: B(c, (1, 2, 3)), 2),
+        (lambda c: Form.zero(c), lambda c: Form.zero(c), 1),
+    ], ids=["from-alpha", "from-beta", "default"])
+    def test_middle_grade_inferred(self, e3, alpha, beta, k):
+        # k = 1 would not fit the first two pairs; grade 1 is the default
+        alpha, beta = alpha(e3), beta(e3)
+        verdict = vacuum_dirac_classify(alpha, beta)
+        assert verdict == vacuum_dirac_classify(alpha, beta, k)
+        assert verdict.kind is VacuumDiracKind.GAUGE_CASE
+        if k != 1:
+            with pytest.raises(GradeMismatch):
+                vacuum_dirac_classify(alpha, beta, 1)
+
     @pytest.mark.parametrize("k", [1.0, True], ids=["float-grade", "bool-grade"])
     def test_grade_is_an_int(self, e3, k):
         with pytest.raises(GradeOutOfRange):
