@@ -10,12 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
 from .polyring import (Context, Poly, _as_fraction, _poly, _require_axis, _require_exponents,
-                       _sum_numerators)
+                       _sum_fractions, _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -60,13 +59,11 @@ def _require_indices(idx: tuple, n: int) -> None:
         raise GradeOutOfRange(f"index tuple {idx} outside 1..{n}")
 
 
-def _graded(ctx: Context, quads: list) -> "Form":
-    """Sum ``(index tuple, exponents, numerator, denominator)`` entries into a form
-    by :func:`axc.polyring._sum_numerators`; cancelled sums leave no trace."""
-    rows, L = _sum_numerators(quads)
+def _form(ctx: Context, terms: dict) -> "Form":
+    """The form of valid, distinct, nonzero ``{(index tuple, exponents): Fraction}``
+    terms, unchecked."""
     f = Form.__new__(Form)
-    f.ctx, f._terms = ctx, {(idx, exps): Fraction(v, L)
-                            for idx, row in rows.items() for exps, v in row.items() if v}
+    f.ctx, f._terms = ctx, terms
     return f
 
 
@@ -76,7 +73,8 @@ class Form:
     __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
-        """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map, flat.
+        """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map, flat,
+        summing nothing: two keys that read as one index tuple are an error.
         Grades and index entries must be ``int``, never coerced (no bool, no
         float); an index tuple is strictly increasing in 1..n, as long as its grade."""
         rows: dict[tuple, Poly] = {}
@@ -89,6 +87,8 @@ class Form:
                 _require_indices(idx, ctx.n)
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
+                if idx in rows:
+                    raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
         self._terms = {(idx, e): c for idx, p in rows.items() for e, c in p.terms.items()}
@@ -118,16 +118,16 @@ class Form:
     @classmethod
     def from_terms(cls, ctx: Context, terms) -> "Form":
         """Sum ``(index tuple, exponent tuple, int or Fraction)`` triples into a
-        form by :func:`_graded`.  Every triple, a cancelling one too, is checked
-        first: its index tuple by the constructor's rule (so its grade is in
-        0..n), its exponents and coefficient by :class:`Poly`'s."""
-        quads = []
+        form by :func:`_sum_fractions`.  Every triple, a cancelling one too, is
+        checked first: its index tuple by the constructor's rule (so its grade is
+        in 0..n), its exponents and coefficient by :class:`Poly`'s."""
+        pairs = []
         for idx, exps, c in terms:
             idx, exps, c = tuple(idx), tuple(exps), _as_fraction(c)
             _require_indices(idx, ctx.n)
             _require_exponents(exps, ctx.n)
-            quads.append((idx, exps, c.numerator, c.denominator))
-        return _graded(ctx, quads)
+            pairs.append(((idx, exps), c))
+        return _form(ctx, _sum_fractions(pairs))
 
     # -- linear structure --------------------------------------------------
 
@@ -136,8 +136,7 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
-        return _graded(self.ctx, [(idx, exps, c.numerator, c.denominator) for (idx, exps), c
-                                  in itertools.chain(self._terms.items(), other._terms.items())])
+        return _form(self.ctx, _sum_fractions([*self._terms.items(), *other._terms.items()]))
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -181,16 +180,16 @@ class Form:
         ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
         ``(idx', exps', factor)`` triples, each factor an ``int`` or a
         ``Fraction``.  The product of a term's coefficient p/q and a factor
-        r/s is kept as the integer pair (p*r, q*s), and :func:`_graded` sums
-        the pairs: no ``Fraction`` is built per product.  ``args`` (such as
-        the signature) spare a closure per call.
+        r/s is kept as the integer pair (p*r, q*s), summed by :func:`_sum_numerators`:
+        no ``Fraction`` is built per product.  ``args`` (such as the signature)
+        spare a closure per call.
         """
-        quads = []
+        entries = []
         for (idx, exps), coef in self._terms.items():
             p, q = coef.numerator, coef.denominator
             for out_idx, out_exps, f in fn(idx, exps, *args):
-                quads.append((out_idx, out_exps, p * f.numerator, q * f.denominator))
-        return _graded(self.ctx, quads)
+                entries.append(((out_idx, out_exps), p * f.numerator, q * f.denominator))
+        return _form(self.ctx, _sum_numerators(entries))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
@@ -244,7 +243,7 @@ class Form:
         """The coefficient of dx^indices; the indices follow the constructor's rule."""
         indices = tuple(indices)
         _require_indices(indices, self.ctx.n)
-        return self.components.get(len(indices), {}).get(indices, Poly.zero(self.ctx.n))
+        return _poly(self.ctx.n, {e: c for (i, e), c in self._terms.items() if i == indices})
 
     def max_coeff_degree(self) -> int:
         return max((sum(exps) for _, exps in self._terms), default=-1)

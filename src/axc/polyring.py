@@ -7,8 +7,8 @@ closed monomial form only in centered coordinates.  Arithmetic runs on
 integer numerators over one common denominator, so no inner loop pays a gcd:
 :func:`_sum_numerators` is the one loop that sums terms, for polynomials and
 forms alike, :func:`_int_mul` the one product loop, and
-:func:`_taylor_shift_axis` re-centers.  :func:`_from_numerators` builds one
-``Fraction`` per nonzero output coefficient.
+:func:`_taylor_shift_axis` re-centers.  Summing takes keys of any kind,
+and :func:`_from_common_denominator` builds one ``Fraction`` per nonzero sum.
 """
 
 from __future__ import annotations
@@ -58,28 +58,39 @@ def _require_exponents(exps: tuple, n: int) -> None:
         raise ValueError("negative exponent")
 
 
-def _over_common_denominator(terms: Mapping[tuple, Fraction]) -> tuple[int, dict]:
-    """``(D, {exponents: integer numerator})`` with each coefficient equal to
-    its numerator over D, the lcm of the denominators (1 for no terms)."""
+def _over_common_denominator(terms: Mapping) -> tuple[int, dict]:
+    """``(D, {key: integer numerator})`` with each coefficient equal to its
+    numerator over D, the lcm of the denominators (1 for no terms)."""
     D = math.lcm(*(c.denominator for c in terms.values()))
-    return D, {exps: c.numerator * (D // c.denominator) for exps, c in terms.items()}
+    return D, {key: c.numerator * (D // c.denominator) for key, c in terms.items()}
 
 
-def _sum_numerators(entries: list) -> tuple[dict, int]:
-    """The one loop that sums terms: ``(key, exponents, numerator, denominator)``
-    entries to ``(rows, L)``, L the lcm of the denominators and rows ``{key:
-    {exponents: sum of numerator * (L // denominator)}}``, zero sums kept."""
-    dens = set(map(itemgetter(3), entries))
+def _from_common_denominator(numerators: Mapping, D: int) -> dict:
+    """``{key: numerator / D}`` over the nonzero numerators, D > 0: one
+    ``Fraction`` per key, the inverse of :func:`_over_common_denominator`."""
+    return {key: Fraction(v, D) for key, v in numerators.items() if v}
+
+
+def _sum_numerators(entries: list) -> dict:
+    """The one loop that sums terms: ``(key, numerator, denominator)`` entries
+    to ``{key: Fraction}`` over the nonzero sums, summed as integers over the
+    lcm of the denominators."""
+    dens = set(map(itemgetter(2), entries))
     L = math.lcm(*dens)
     lift = {den: L // den for den in dens}
-    acc: dict[tuple, dict[tuple, int]] = {}
-    for key, exps, num, den in entries:
-        row = acc.get(key)
-        if row is None:
-            acc[key] = {exps: num * lift[den]}
-        else:
-            row[exps] = row.get(exps, 0) + num * lift[den]
-    return acc, L
+    acc: dict = {}
+    for key, num, den in entries:
+        acc[key] = acc.get(key, 0) + num * lift[den]
+    return _from_common_denominator(acc, L)
+
+
+def _sum_fractions(pairs) -> dict:
+    """``(key, Fraction)`` pairs summed where their keys meet, as
+    ``{key: Fraction}`` over the nonzero sums; kept as given when none meet."""
+    pairs = list(pairs)
+    if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
+        return {key: c for key, c in pairs if c}
+    return _sum_numerators([(key, c.numerator, c.denominator) for key, c in pairs])
 
 
 def _poly(n: int, terms: dict) -> "Poly":
@@ -87,21 +98,6 @@ def _poly(n: int, terms: dict) -> "Poly":
     p = Poly.__new__(Poly)
     p.n, p.terms = n, terms
     return p
-
-
-def _sum_poly(n: int, pairs) -> "Poly":
-    """:meth:`Poly.from_terms` of valid ``(exponents, Fraction)`` pairs, unchecked."""
-    pairs = list(pairs)
-    if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
-        return _poly(n, {exps: c for exps, c in pairs if c})
-    rows, L = _sum_numerators([((), exps, c.numerator, c.denominator) for exps, c in pairs])
-    return _from_numerators(n, rows.get((), {}), L)
-
-
-def _from_numerators(n: int, numerators: dict, D: int) -> "Poly":
-    """The polynomial with coefficients ``numerator / D``, D > 0: one
-    ``Fraction`` per nonzero numerator, and no term for a zero one."""
-    return _poly(n, {exps: Fraction(v, D) for exps, v in numerators.items() if v})
 
 
 def _int_mul(p: dict, q: dict) -> dict:
@@ -251,7 +247,7 @@ class Poly:
         pairs = [(tuple(exps), _as_fraction(c)) for exps, c in pairs]
         for exps, _ in pairs:
             _require_exponents(exps, n)
-        return _sum_poly(n, pairs)
+        return _poly(n, _sum_fractions(pairs))
 
     # -- ring operations ---------------------------------------------------
 
@@ -261,7 +257,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return _sum_poly(self.n, [*self.terms.items(), *other.terms.items()])
+        return _poly(self.n, _sum_fractions([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -275,7 +271,7 @@ class Poly:
         self._check(other)
         D1, p = _over_common_denominator(self.terms)
         D2, q = _over_common_denominator(other.terms)
-        return _from_numerators(self.n, _int_mul(p, q), D1 * D2)
+        return _poly(self.n, _from_common_denominator(_int_mul(p, q), D1 * D2))
 
     __rmul__ = __mul__
 
@@ -319,7 +315,7 @@ class Poly:
             if d and numerators:
                 numerators, scale = _taylor_shift_axis(numerators, i, d)
                 D *= scale
-        return _from_numerators(self.n, numerators, D)
+        return _poly(self.n, _from_common_denominator(numerators, D))
 
     def __pow__(self, e: int) -> "Poly":
         """self^e, e >= 0, by repeated squaring on integer numerators over
@@ -334,7 +330,7 @@ class Poly:
             out = _int_mul(out, out)
             if bit == "1":
                 out = _int_mul(out, base)
-        return _from_numerators(self.n, out, D ** e)
+        return _poly(self.n, _from_common_denominator(out, D ** e))
 
     # -- queries -----------------------------------------------------------
 

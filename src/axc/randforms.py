@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .forms import Form
-from .polyring import Context, Poly, _sum_poly
+from .polyring import Context, Poly, _poly, _sum_fractions
 
 
 def sample_rng(seed: int, index: int) -> random.Random:
@@ -32,7 +32,7 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int 
         for _ in range(budget):
             exps[rng.randrange(n)] += 1
         pairs.append((tuple(exps), random_rational(rng)))
-    return _sum_poly(n, pairs)
+    return _poly(n, _sum_fractions(pairs))
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,

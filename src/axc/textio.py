@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _graded, _merge_indices
-from .polyring import Context, Poly, _as_fraction, _sum_poly
+from .forms import Form, _form, _merge_indices
+from .polyring import Context, Poly, _as_fraction, _poly, _sum_fractions, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -196,9 +196,9 @@ class _Parser:
             yield self.take_sign(), parse_one()
 
     def parse_poly_expr(self) -> Poly:
-        return _sum_poly(self.ctx.n, [(exps, sign * coef)
-                                      for sign, poly in self.signed(self.parse_poly_term)
-                                      for exps, coef in poly.terms.items()])
+        pairs = [(exps, sign * coef) for sign, poly in self.signed(self.parse_poly_term)
+                 for exps, coef in poly.terms.items()]
+        return _poly(self.ctx.n, _sum_fractions(pairs))
 
     # -- form grammar ------------------------------------------------------
 
@@ -238,11 +238,11 @@ class _Parser:
         """The whole expression, coefficients still in absolute coordinates."""
         pieces = list(self.signed(self.parse_term))
         self.take("end")
-        return _graded(self.ctx, [
-            (idx, exps, sign * basis_sign * coef.numerator, coef.denominator)
+        return _form(self.ctx, _sum_numerators([
+            ((idx, exps), sign * basis_sign * coef.numerator, coef.denominator)
             for sign, (idx, basis_sign, poly) in pieces
             for exps, coef in poly.terms.items()
-        ])
+        ]))
 
 
 def _degree(p: Poly) -> int:
@@ -401,9 +401,9 @@ def form_from_json(data: dict) -> Form:
                     exps = term["exp"]
                     if any(e > MAX_EXPONENT for e in exps):
                         raise DimensionMismatch(f"JSON exponent above {MAX_EXPONENT} in {exps}")
-                    pairs += Poly.monomial(ctx.n, exps, _json_rational(term["coef"])).terms.items()
+                    pairs.append((exps, _json_rational(term["coef"])))
         absolute = Form(ctx, {
-            k: {idx: _sum_poly(ctx.n, pairs) for idx, pairs in grade.items()}
+            k: {idx: Poly.from_terms(ctx.n, pairs) for idx, pairs in grade.items()}
             for k, grade in pairs_by_key.items()})
     except (KeyError, ValueError, TypeError, AttributeError, GradeOutOfRange) as exc:
         raise DimensionMismatch(f"bad JSON body: {exc!r}") from None

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,9 @@ class TestLinear:
         s = B(e2, (1,)) + B(e2, (2,))
         assert s.coefficient((1,)) == Poly.const(2, 1)
         assert s.coefficient((2,)) == Poly.const(2, 1)
+        mixed = B(e2, (1,)) + B(e2, (1, 2), var(e2, 2))
+        assert mixed.coefficient((1, 2)) == var(e2, 2)
+        assert mixed.coefficient((2,)) == mixed.coefficient(()) == Poly.zero(2)
 
     @pytest.mark.parametrize("idx", [(2, 1), (1.0, 2.0), (9,), (1, 1), (0, 1), (True,)],
                              ids=["unsorted", "float-indices", "above-n", "repeated", "zero",
@@ -36,6 +40,13 @@ class TestLinear:
         assert w.coefficient((1, 2)) == var(e3, 3)
         with pytest.raises(GradeOutOfRange):
             w.coefficient(idx)
+
+    @pytest.mark.parametrize("k, idx, same", [(1, (1,), range(1, 2)), (2, (1, 2), range(1, 3))],
+                             ids=["grade-1", "grade-2"])
+    def test_index_tuple_given_twice_raises(self, e2, k, idx, same):
+        # as Poly does for exponents: two keys naming one index tuple are not summed
+        with pytest.raises(ValueError, match=re.escape(f"index tuple {idx} given twice")):
+            Form(e2, {k: {idx: var(e2, 1), same: var(e2, 2)}})
 
     def test_cancellation(self, e2):
         w = random_form(e2, sample_rng(1, 0))

@@ -27,8 +27,10 @@ from axc import (
     print_form,
     vacuum_dirac_classify,
 )
+from axc import cli
 from axc.cli import main
-from axc.errors import DimensionMismatch, FormSyntaxError, NonRationalLiteral
+from axc.errors import (DimensionMismatch, FormSyntaxError, InconsistentSystem,
+                        NonRationalLiteral, NotASolution)
 from axc.textio import (
     MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, load_form_text, parse_rational)
 from axc.randforms import random_form, random_homogeneous, sample_rng
@@ -296,6 +298,11 @@ class TestJson:
         doc = self._doc(["0", "0"], [{"exp": [0, 1], "coef": "1"}])
         doc["components"]["1"]["[01]"] = [{"exp": [0, 1], "coef": "2"}]
         assert form_from_json(doc) == B(e2, (1,), Poly.monomial(2, (0, 1), 3))
+        # the form is built after grouping, so it never sees two keys for (1, 2)
+        doc["components"]["2"] = {"[1,2]": [{"exp": [1, 0], "coef": "1"}],
+                                  "[01,002]": [{"exp": [1, 0], "coef": "-1/2"}]}
+        assert form_from_json(doc) == (B(e2, (1,), Poly.monomial(2, (0, 1), 3))
+                                       + B(e2, (1, 2), Poly.monomial(2, (1, 0), Fraction(1, 2))))
 
     def test_cancelling_entries_leave_no_key(self):
         doc = self._doc(["1/2", "0"], [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"}])
@@ -512,6 +519,23 @@ class TestCli:
         width = max(map(len, identities.CHECKS))
         assert [line for line in lines if not line.startswith("ok  ")] == [
             f"FAIL {'h2_zero'.ljust(width)} samples=4  (sample 2)"]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (NotASolution(["gauss"]), 1, "not a solution: violated equations: gauss"),
+        (InconsistentSystem("0 = 1"), 3, "inconsistent system: 0 = 1"),
+    ], ids=["not-a-solution", "inconsistent"])
+    def test_solve_error_exit_codes(self, tmp_path, capsys, monkeypatch, error, code, prefix):
+        # no shipped system raises either error, so one is made to; the contract
+        # still gives each its own exit code and stderr line
+        def raises(source, approach):
+            raise error
+
+        monkeypatch.setitem(cli._SYSTEMS, "maxwell", raises)
+        src = tmp_path / "j.txt"
+        src.write_text("dx2")
+        assert main(["--dim", "2", "solve", "maxwell", "--in", str(src)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(prefix)
 
     def test_identities_flags_at_their_lower_bounds(self, capsys):
         assert main(["--dim", "2", "identities", "--samples", "1", "--max-degree", "0"]) == 0

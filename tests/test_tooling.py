@@ -135,6 +135,33 @@ def test_only_polyring_sums_over_an_lcm():
             assert "lcm" not in _names(node), f"{name}:{node.lineno} calls lcm"
 
 
+def _new_callers(cls: str) -> list[str]:
+    """``module.function`` of the innermost function around each kernel call
+    of ``cls.__new__`` or ``X.__new__(cls, ...)``; ``module.<module>`` outside one."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and cls in _names(node.func.value) | _names(node.args[0] if node.args else None)):
+            found.append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for name, tree in _kernel_trees():
+        visit(tree, name.removesuffix(".py"), "<module>")
+    return found
+
+
+def test_poly_and_form_are_built_unchecked_in_one_function_each():
+    # every other builder goes through the checked constructor or through these
+    # two, which take valid, distinct, nonzero terms as they are
+    assert _new_callers("Poly") == ["polyring._poly"]
+    assert _new_callers("Form") == ["forms._form"]
+
+
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
     # forms builds the generator tables from _merge_indices, hodge the star's
     # complement sign and textio the parser's basis sort; every other rule
