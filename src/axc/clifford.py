@@ -1,4 +1,7 @@
-"""Clifford action on forms, Dirac-type operators, and grade bookkeeping."""
+"""Clifford action on forms, Dirac-type operators, and grade bookkeeping.
+
+The five operators live in one table, ``_OPERATORS``, tag -> (image, grade-block
+offsets), read by :func:`apply_operator` and :func:`grade_block_check`."""
 
 from __future__ import annotations
 
@@ -41,43 +44,35 @@ def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     return out
 
 
+# Offsets: image grade minus k on a grade-k form, the paper's block matrices
+# reduced to what is falsifiable.  Each image reads the module globals of the
+# operators it calls at call time, so a rebinding of them is seen.
+_OPERATORS = {
+    OperatorTag.DIRAC: (lambda psi: psi.d() - codifferential(psi), (-1, +1)),
+    OperatorTag.ANTI_DIRAC: (lambda psi: cohomotopy_h(psi) - homotopy_H(psi), (-1, +1)),
+    OperatorTag.LAPLACE_BELTRAMI: (lambda psi: psi.termwise(box_terms, psi.ctx.signature), (0,)),
+    OperatorTag.ANTI_LAPLACE: (
+        lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))), (0,)),
+    OperatorTag.OSCILLATOR_HBAR: (
+        lambda psi: cohomotopy_h(codifferential(psi)) - codifferential(cohomotopy_h(psi)), (0,)),
+}
+
+
 def apply_operator(tag: OperatorTag, psi: Form) -> Form:
-    if tag is OperatorTag.DIRAC:
-        return psi.d() - codifferential(psi)
-    if tag is OperatorTag.ANTI_DIRAC:
-        return cohomotopy_h(psi) - homotopy_H(psi)
-    if tag is OperatorTag.LAPLACE_BELTRAMI:
-        return psi.termwise(box_terms, psi.ctx.signature)
-    if tag is OperatorTag.ANTI_LAPLACE:
-        return -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi)))
-    if tag is OperatorTag.OSCILLATOR_HBAR:
-        return cohomotopy_h(codifferential(psi)) - codifferential(cohomotopy_h(psi))
-    raise ValueError(f"unknown operator tag {tag!r}")
+    if not isinstance(tag, OperatorTag):
+        raise ValueError(f"unknown operator tag {tag!r}")
+    return _OPERATORS[tag][0](psi)
 
 
 def laplace_beltrami(psi: Form) -> Form:
     return apply_operator(OperatorTag.LAPLACE_BELTRAMI, psi)
 
 
-# Image grades of each operator on a homogeneous grade-k form; the paper's
-# block matrices reduced to what is falsifiable.
-_BLOCK_PATTERN = {
-    OperatorTag.DIRAC: (-1, +1),
-    OperatorTag.ANTI_DIRAC: (-1, +1),
-    OperatorTag.LAPLACE_BELTRAMI: (0,),
-    OperatorTag.ANTI_LAPLACE: (0,),
-    OperatorTag.OSCILLATOR_HBAR: (0,),
-}
-
-
 def grade_block_check(tag: OperatorTag, omega: Form) -> bool:
     """True iff the operator image stays in the operator's grade block."""
-    k = omega.homogeneous_grade()
-    if k is None:
-        return True
-    allowed = {k + off for off in _BLOCK_PATTERN[tag]}
     image = apply_operator(tag, omega)
-    return all(g in allowed for g in image.grades())
+    k = omega.homogeneous_grade()
+    return k is None or all(g - k in _OPERATORS[tag][1] for g in image.grades())
 
 
 class OscillatorReport(NamedTuple):

@@ -1,8 +1,9 @@
 """Graded differential forms with polynomial coefficients.
 
 A :class:`Form` stores one flat map ``(index tuple, exponents) -> Fraction``
-over its nonzero terms y^a dx^I; ``Form.components`` is a read-only view of it,
-grade -> (index tuple -> Poly).  Clifford fields are forms mixing grades.
+over its nonzero terms y^a dx^I.  One walk, :func:`_rows`, reads its rows in
+canonical order for ``repr``, the read-only view ``Form.components`` (grade ->
+(index tuple -> Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def _form(ctx: Context, terms: dict) -> "Form":
     f = Form.__new__(Form)
     f.ctx, f._terms = ctx, terms
     return f
+
+
+def _rows(form: "Form") -> list:
+    """The one walk over a form's rows: ``(index tuple, Poly)`` pairs, grades
+    ascending and then index tuples sorted."""
+    rows: dict = {}
+    for (idx, exps), c in form._terms.items():
+        rows.setdefault(idx, {})[exps] = c
+    return [(idx, _poly(form.ctx.n, rows[idx])) for idx in sorted(rows, key=lambda i: (len(i), i))]
 
 
 class Form:
@@ -131,11 +141,8 @@ class Form:
 
     # -- linear structure --------------------------------------------------
 
-    def _check(self, other: "Form"):
-        self.ctx.require_same(other.ctx)
-
     def __add__(self, other: "Form") -> "Form":
-        self._check(other)
+        self.ctx.require_same(other.ctx)
         return _form(self.ctx, _sum_fractions([*self._terms.items(), *other._terms.items()]))
 
     def __neg__(self) -> "Form":
@@ -154,7 +161,7 @@ class Form:
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        self._check(other)
+        self.ctx.require_same(other.ctx)
         right = list(other.terms())
 
         def wedge_terms(idx, exps):
@@ -217,11 +224,11 @@ class Form:
 
     @property
     def components(self) -> dict[int, dict[tuple, Poly]]:
-        """The grade -> (index tuple -> Poly) view, built anew on each read."""
+        """The grade -> (index tuple -> Poly) view of :func:`_rows`, built anew on each read."""
         comps: dict = {}
-        for (idx, exps), c in self._terms.items():
-            comps.setdefault(len(idx), {}).setdefault(idx, {})[exps] = c
-        return {k: {i: _poly(self.ctx.n, r) for i, r in rows.items()} for k, rows in comps.items()}
+        for idx, poly in _rows(self):
+            comps.setdefault(len(idx), {})[idx] = poly
+        return comps
 
     @property
     def is_zero(self) -> bool:
@@ -259,14 +266,9 @@ class Form:
         return hash((self.ctx, frozenset(self._terms.items())))
 
     def __repr__(self):
-        if self.is_zero:
-            return "Form(0)"
-        bits = []
-        for k, rows in sorted(self.components.items()):
-            for idx in sorted(rows):
-                base = "^".join(f"dx{i}" for i in idx) or "1"
-                bits.append(f"({rows[idx]!r})*{base}")
-        return "Form(" + " + ".join(bits) + ")"
+        bits = [f"({poly!r})*" + ("^".join(f"dx{i}" for i in idx) or "1")
+                for idx, poly in _rows(self)]
+        return "Form(" + (" + ".join(bits) or "0") + ")"
 
 
 def d_terms(idx: tuple, exps: tuple) -> list:
@@ -325,5 +327,4 @@ def interior(v: VectorField, omega: Form) -> Form:
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:
     """a*omega + b*phi, gradewise."""
-    omega._check(phi)
     return omega.scale(a) + phi.scale(b)

@@ -18,8 +18,9 @@ and unary minus signs nest at most :data:`MAX_NESTING` deep; no exponent, in
 text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`,
 nor any product, power or re-centered input :data:`MAX_TERMS` terms.
 
-Printing is canonical: grades ascending, index lists lexicographic,
-monomials lexicographic, rationals reduced; parse o print is the identity.
+Printing, JSON and re-centering read rows by one walk, :func:`axc.forms._rows`.
+Printing is canonical: grades ascending, index lists lexicographic (that walk's
+order), monomials lexicographic, rationals reduced; parse o print is the identity.
 JSON carries every number as an exact string or integer -- never a float.
 """
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _form, _merge_indices
+from .forms import Form, _form, _merge_indices, _rows
 from .polyring import Context, Poly, _as_fraction, _poly, _sum_fractions, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
@@ -289,14 +290,14 @@ def parse_form(text: str, ctx: Context) -> Form:
 def _recentered(absolute: Form) -> Form:
     """The form whose coefficients are given in absolute coordinates,
     re-expressed around its chart's center."""
-    ctx, comps = absolute.ctx, absolute.components
+    ctx, rows = absolute.ctx, _rows(absolute)
     # y^a re-centers to the product of a_i + 1 over the axes that move
     _require_terms(sum(
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly.terms), _degree(poly))
-        for idx_map in comps.values() for poly in idx_map.values()))
-    return Form(ctx, {k: {idx: poly.shift(ctx.center) for idx, poly in idx_map.items()}
-                      for k, idx_map in comps.items()})
+        for _, poly in rows))
+    return _form(ctx, {(idx, exps): c for idx, poly in rows
+                       for exps, c in poly.shift(ctx.center).terms.items()})
 
 
 # -- canonical printer -----------------------------------------------------
@@ -324,24 +325,16 @@ def _poly_text(p: Poly) -> str:
     return text
 
 
-def _absolute_components(omega: Form):
-    """``(grade, index tuple, coefficient in absolute coordinates)`` in
-    canonical order: grades ascending, index tuples sorted."""
-    back = [-c for c in omega.ctx.center]
-    for k, rows in sorted(omega.components.items()):
-        for idx in sorted(rows):
-            yield k, idx, rows[idx].shift(back)
-
-
 def print_form(omega: Form, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(form_to_json(omega), indent=2, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
+    back = [-c for c in omega.ctx.center]
     pieces = []
-    for _, idx, absolute in _absolute_components(omega):
+    for idx, poly in _rows(omega):
         base = "^".join(f"dx{i}" for i in idx)
-        pieces.append(f"({_poly_text(absolute)})" + (f" {base}" if base else ""))
+        pieces.append(f"({_poly_text(poly.shift(back))})" + (f" {base}" if base else ""))
     return " + ".join(pieces) if pieces else "0"
 
 
@@ -349,11 +342,12 @@ def print_form(omega: Form, fmt: str = "text") -> str:
 
 def form_to_json(omega: Form) -> dict:
     """Exact JSON dict: rationals as strings, coordinates absolute."""
+    back = [-c for c in omega.ctx.center]
     components = {}
-    for k, idx, absolute in _absolute_components(omega):
+    for idx, poly in _rows(omega):
         key = "[" + ",".join(str(i) for i in idx) + "]"
-        components.setdefault(str(k), {})[key] = [
-            {"exp": list(exps), "coef": str(coef)} for exps, coef in absolute.sorted_terms()
+        components.setdefault(str(len(idx)), {})[key] = [
+            {"exp": list(exps), "coef": str(coef)} for exps, coef in poly.shift(back).sorted_terms()
         ]
     return {
         "n": omega.ctx.n,
@@ -410,7 +404,7 @@ def form_from_json(data: dict) -> Form:
     return _recentered(absolute)
 
 
-def load_form_text(text: str, ctx: Context | None = None) -> Form:
+def load_form_text(text: str, ctx: Context) -> Form:
     """Dispatch on content: JSON documents start with '{', else grammar text."""
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -419,6 +413,4 @@ def load_form_text(text: str, ctx: Context | None = None) -> Form:
         except RecursionError:
             raise FormSyntaxError("JSON document nested too deeply") from None
         return form_from_json(data)
-    if ctx is None:
-        raise DimensionMismatch("text form input needs an explicit context")
     return parse_form(stripped, ctx)

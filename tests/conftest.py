@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from axc import Context
+from axc import Context, Form, Poly
 
 _CRITERIA = {
     1: "exact identity suite (n=1..4, both signatures, 100 samples)",
@@ -51,6 +51,16 @@ def e3():
 @pytest.fixture
 def m4():
     return Context.minkowski(4)
+
+
+def B(ctx, idx, poly=None):
+    """The basis form poly * dx^idx, 1 when poly is None."""
+    return Form.basis(ctx, idx, poly)
+
+
+def var(ctx, i):
+    """The centered coordinate y_i as a polynomial on ctx."""
+    return Poly.variable(ctx.n, i)
 
 
 def all_contexts(max_dim=4):

@@ -18,16 +18,8 @@ from axc import (
 from axc.errors import GradeOutOfRange
 from axc.forms import VectorField
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts, oracle_contexts
+from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import composite_laplace_beltrami
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 def const_vector(ctx, values):
@@ -149,6 +141,18 @@ class TestGradeBlocks:
         for i in range(10):
             w = random_homogeneous(m4, sample_rng(181, i), 2)
             assert grade_block_check(OperatorTag.ANTI_DIRAC, w)
+
+    @pytest.mark.parametrize("tag", list(OperatorTag), ids=[t.value for t in OperatorTag])
+    def test_zero_form_is_in_every_block(self, e3, tag):
+        assert grade_block_check(tag, Form.zero(e3))
+
+    @pytest.mark.parametrize("form", [lambda c: B(c, (1,), var(c, 1)), Form.zero],
+                             ids=["one-form", "zero"])
+    @pytest.mark.parametrize("check", [apply_operator, grade_block_check])
+    def test_rejects_a_tag_name(self, e2, check, form):
+        # the CLI's "dirac" names the operator, but only an OperatorTag is one
+        with pytest.raises(ValueError, match="unknown operator tag 'dirac'"):
+            check("dirac", form(e2))
 
 
 class TestOscillatorEigencheck:

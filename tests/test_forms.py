@@ -4,23 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from axc import Form, Poly, VectorField, form_linear, interior, k_field
+from axc import (Context, Form, Poly, VectorField, clifford_vec_mul, form_linear, interior,
+                 k_field, kr_maxwell_couple, vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.forms import _contract_slots, _merge_indices, _wedge_slots, d_terms
 from axc.hodge import codifferential_terms
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms
 from axc.randforms import random_form, random_poly, sample_rng
-from tests.conftest import oracle_contexts
+from tests.conftest import B, oracle_contexts, var
 from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
                            loop_wedge)
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 class TestLinear:
@@ -82,6 +75,10 @@ class TestLinear:
         idx, exps, coef = term
         with pytest.raises(error):
             Form.from_terms(e2, [term, (idx, exps, -coef)] if cancelled else [term])
+
+    def test_coefficient_dimension_is_the_contexts(self, e2):
+        with pytest.raises(DimensionMismatch, match="coefficient dimension != context dimension"):
+            Form(e2, {1: {(1,): Poly.const(3, 1)}})
 
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
@@ -298,6 +295,30 @@ class TestGradeBookkeeping:
             (Form.scalar(e2, 1) + B(e2, (1,))).homogeneous_grade()
 
 
+# Operations on two operands, built on charts a and b; each must refuse a pair
+# whose charts differ, in metric or in center alone.
+CROSS_CHART_OPERATIONS = {
+    "add": lambda a, b: B(a, (1,)) + B(b, (1,)),
+    "sub": lambda a, b: B(a, (1,)) - B(b, (1,)),
+    "wedge": lambda a, b: B(a, (1,)).wedge(B(b, (2,))),
+    "interior": lambda a, b: interior(VectorField.frame(a, 1), B(b, (1,))),
+    "form_linear": lambda a, b: form_linear(1, B(a, (1,)), 1, B(b, (1,))),
+    "clifford_vec_mul": lambda a, b: clifford_vec_mul(VectorField.frame(a, 1), B(b, (1,))),
+    "kr_maxwell_couple": lambda a, b: kr_maxwell_couple(B(a, (1, 2)), B(b, (1,)),
+                                                        Form.zero(a), Form.zero(a)),
+    "vacuum_dirac_classify": lambda a, b: vacuum_dirac_classify(Form.zero(a), B(b, (1, 2))),
+}
+
+
+@pytest.mark.parametrize("other", [Context.minkowski(2), Context.euclidean(2, (Fraction(1, 7), 0))],
+                         ids=["metric", "center"])
+@pytest.mark.parametrize("operation", CROSS_CHART_OPERATIONS.values(),
+                         ids=CROSS_CHART_OPERATIONS.keys())
+def test_operands_on_different_charts_raise(e2, other, operation):
+    with pytest.raises(DimensionMismatch, match="^operands live in different contexts$"):
+        operation(e2, other)
+
+
 class TestEvaluation:
     def test_at_center(self, e2):
         assert B(e2, (2,), var(e2, 1)).at_center().is_zero
@@ -309,6 +330,10 @@ class TestEvaluation:
     def test_constant_form_fixed(self, e2):
         w = Form.scalar(e2, Fraction(3, 7)) + B(e2, (1,), Poly.const(2, 2))
         assert w.eval_at([5, -1]) == w
+
+    def test_point_has_one_entry_per_axis(self, e2):
+        with pytest.raises(DimensionMismatch, match="point length != dimension"):
+            B(e2, (1,)).eval_at([1, 2, 3])
 
 
 class TestVectorField:
@@ -322,6 +347,17 @@ class TestVectorField:
         # comps[i - 1] would make axis 0 the last axis and True the first
         with pytest.raises(AxisOutOfRange):
             VectorField.frame(e3, i)
+
+    @pytest.mark.parametrize("components, message", [
+        ([Poly.const(3, 1)] * 2, "vector field needs n components"),
+        ([Poly.const(2, 1)] * 3, "component dimension != context dimension"),
+    ], ids=["count", "dimension"])
+    def test_components_are_n_polys_on_the_chart(self, e3, components, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            VectorField(e3, components)
+
+    def test_repr(self, e2):
+        assert repr(VectorField.frame(e2, 2)) == "VectorField([Poly(0), Poly(1)])"
 
 
 class TestTermMapsMatchLoops:

@@ -18,16 +18,8 @@ from axc import (
 from axc.errors import GradeOutOfRange
 from axc.forms import VectorField
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts, oracle_contexts
+from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import composite_codifferential, loop_star, loop_star_inv
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 class TestMusical:

@@ -24,20 +24,12 @@ from axc import (
 from axc.errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms, center_pullback, center_top_eval
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts, oracle_contexts
+from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import (
     composite_cohomotopy_h,
     contraction_homotopy_H,
     loop_anticoexact_wedge_factor,
 )
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 class TestRadialField:
@@ -227,6 +219,11 @@ class TestMembership:
     def test_anticoexact_sample(self, e2):
         w = (B(e2, (1,), var(e2, 1)) + B(e2, (2,), var(e2, 2))).scale(Fraction(1, 2))
         assert membership(w, SpaceTag.ANTICOEXACT)
+
+    def test_rejects_a_tag_name(self, e2):
+        # "E" is the CLI's name of the exact space, not a SpaceTag
+        with pytest.raises(ValueError, match="unknown space tag 'E'"):
+            membership(B(e2, (1,)), "E")
 
     def test_harmonic_and_antiharmonic(self, e2):
         assert membership(B(e2, (1,)), SpaceTag.HODGE_HARMONIC)

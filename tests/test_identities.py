@@ -1,6 +1,6 @@
 import pytest
 
-from axc import Context, identities, run_identities
+from axc import Context, Form, identities, run_identities
 from axc.identities import IdentityResult
 
 
@@ -11,6 +11,13 @@ def test_out_of_range_arguments_raise(kwargs):
     # passed; counts are ints, never coerced (True would run one sample)
     with pytest.raises(ValueError):
         run_identities(Context.euclidean(3), **kwargs)
+
+
+@pytest.mark.parametrize("ctx", [Context.euclidean(2), Context.minkowski(3)],
+                         ids=["e2", "m3"])
+def test_zero_form_is_the_direct_sums_one_common_element(ctx):
+    # the zero form sits in both halves of either decomposition, and the check says so
+    assert identities.CHECKS["direct_sum_triviality"](ctx, Form.zero(ctx), None)
 
 
 def test_subset_run_hands_a_check_the_full_run_samples(monkeypatch):

@@ -34,16 +34,8 @@ from axc.errors import (DimensionMismatch, FormSyntaxError, InconsistentSystem,
 from axc.textio import (
     MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, load_form_text, parse_rational)
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import all_contexts, cli_subcommands_with
+from tests.conftest import B, all_contexts, cli_subcommands_with, var
 from tests.oracles import loop_poly_mul
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 class TestParser:
@@ -166,6 +158,10 @@ class TestPrinter:
 
     def test_negative_area_form(self, e2):
         assert print_form(B(e2, (1, 2)).scale(-1)) == "(-1) dx1^dx2"
+
+    def test_rejects_unknown_format(self, e2):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            print_form(B(e2, (1,)), "xml")
 
     def test_prints_absolute_coordinates(self):
         ctx = Context.euclidean(2, [Fraction(1), Fraction(0)])
@@ -362,6 +358,20 @@ class TestCli:
         src = tmp_path / "w.txt"
         src.write_text("dx1^dx2")
         assert main(["--dim", "2", "copotential", "--in", str(src)]) == 2
+
+    @pytest.mark.parametrize("flags, command, text", [
+        (["--metric", "+x-"], ["apply", "--op", "d"], "dx1"),
+        (["--dim", "2"], ["apply", "--op", "d"], "x3 dx1"),
+        (["--dim", "2"], ["apply", "--op", "d"], "dx1^x2"),
+        (["--dim", "2"], ["apply", "--op", "d"], ""),
+        (["--dim", "2"], ["solve", "dirac-source"], "x1"),
+    ], ids=["metric-letter", "axis-above-dim", "basis-not-a-differential", "empty-input",
+            "dirac-source-0-form"])
+    def test_input_error_exit_code(self, tmp_path, capsys, flags, command, text):
+        src = tmp_path / "w.txt"
+        src.write_text(text)
+        assert main([*flags, *command, "--in", str(src)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_syntax_error_exit_code(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

@@ -93,6 +93,16 @@ class TestCalculus:
         p = y(1) * y(1) + c("7/2")
         assert p.eval([0, 0]) == Fraction(7, 2)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: p.eval([1]), "point length != dimension"),
+        (lambda p: p.shift([1, 2, 3]), "shift vector length != dimension"),
+        (lambda p: rebase(p, [0], [0, 0]), "center length != dimension"),
+        (lambda p: rebase(p, [0, 0], [0, 0, 0]), "center length != dimension"),
+    ], ids=["eval", "shift", "rebase-old", "rebase-new"])
+    def test_points_have_one_entry_per_axis(self, call, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            call(y(1) + c(1))
+
 
 class TestRebase:
     def test_shift_by_one(self):
@@ -224,6 +234,10 @@ class TestContext:
         # True == 1 and 2.0 == 2, but neither is an exponent
         with pytest.raises(TypeError):
             Poly.variable(2, 1) ** e
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            Poly.variable(2, 1) ** -1
 
     def test_bools_are_not_rationals(self):
         # bool is an int subclass; JSON rejects true, and so does the library

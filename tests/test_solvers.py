@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from axc import (
     Context,
     Form,
-    Poly,
     SpaceTag,
     VacuumDiracKind,
     codifferential,
@@ -27,6 +27,7 @@ from axc import (
 from axc.errors import GradeMismatch, GradeOutOfRange, NotASolution, NotConserved
 from axc.randforms import random_homogeneous, sample_rng
 from axc.solvers import _close
+from tests.conftest import B, var
 from tests.oracles import (
     composite_codifferential,
     composite_laplace_beltrami,
@@ -34,14 +35,6 @@ from tests.oracles import (
     composite_rows,
     loop_d,
 )
-
-
-def B(ctx, idx, poly=None):
-    return Form.basis(ctx, idx, poly)
-
-
-def var(ctx, i):
-    return Poly.variable(ctx.n, i)
 
 
 def composite_cases(e3, m4):
@@ -363,6 +356,14 @@ class TestVacuumDiracClassify:
         with pytest.raises(GradeOutOfRange):
             vacuum_dirac_classify(Form.scalar(e3, 1), B(e3, (1, 2)), k)
 
+    @pytest.mark.parametrize("alpha, beta, k", [
+        (lambda c: B(c, (1, 2)), Form.zero, 3),
+        (Form.zero, lambda c: B(c, (1,)), None),
+    ], ids=["grade-n", "grade-0-inferred"])
+    def test_middle_grade_strictly_inside(self, e3, alpha, beta, k):
+        with pytest.raises(GradeMismatch, match="must satisfy 0 < k < 3"):
+            vacuum_dirac_classify(alpha(e3), beta(e3), k)
+
 
 class TestMassiveDirac:
     def test_zero_solution_accepted(self, e3):
@@ -374,6 +375,15 @@ class TestMassiveDirac:
         z = Form.zero(e3)
         report = massive_dirac_check(B(e3, (1,)), z, z, z)
         assert not report.success
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ((1,), (1, 2, 3), "beta grade 3 must be alpha grade 1 + 1"),
+        ((), (1,), "alpha grade must be at least 1"),
+    ], ids=["grades-apart", "alpha-grade-0"])
+    def test_grade_rules(self, e3, alpha, beta, message):
+        z = Form.zero(e3)
+        with pytest.raises(GradeMismatch, match=re.escape(message)):
+            massive_dirac_check(B(e3, alpha), B(e3, beta), z, z)
 
     def test_eigen_equation_reported(self, e3):
         alpha = B(e3, (1,), var(e3, 2))

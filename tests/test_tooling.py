@@ -173,6 +173,15 @@ def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
             assert "_merge_indices" not in _names(node), f"{name}:{node.lineno}"
 
 
+def test_textio_reads_rows_through_the_one_walk():
+    # the printer, the JSON writer and re-centering read a form's rows through
+    # forms._rows, in its canonical order, never through the components view
+    tree = dict(_kernel_trees())["textio.py"]
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "components"), (
+            f"textio.py:{node.lineno} reads components")
+
+
 def test_no_lambda_only_forwards_to_a_term_map():
     # a term map gets its context as Form.termwise(fn, *args), not through a
     # closure built on every call
