@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / predicate true; 1 predicate false or not a solution;
 2 input error; 3 solver inconsistency.
+
+The ``dirac``, ``antidirac``, ``laplace`` and ``hbar`` rows of ``apply --op`` come
+from :class:`OperatorTag`; ``--in`` and ``--json`` are declared once, as parent parsers.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import errors
 from .clifford import OperatorTag, apply_operator, oscillator_eigencheck
@@ -46,10 +48,9 @@ _OPS = {
     "star": hodge_star,
     "star-inv": hodge_star_inv,
     "eta": lambda w: w.eta(),
-    "dirac": lambda w: apply_operator(OperatorTag.DIRAC, w),
-    "antidirac": lambda w: apply_operator(OperatorTag.ANTI_DIRAC, w),
-    "laplace": lambda w: apply_operator(OperatorTag.LAPLACE_BELTRAMI, w),
-    "hbar": lambda w: apply_operator(OperatorTag.OSCILLATOR_HBAR, w),
+    # each row reads the apply_operator global when called, so a rebinding is seen
+    **{tag.value: lambda w, tag=tag: apply_operator(tag, w)
+       for tag in OperatorTag if tag is not OperatorTag.ANTI_LAPLACE},
 }
 
 _POTENTIALS = {"potential": potential, "copotential": copotential}
@@ -69,36 +70,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metric", default=None, help="signature string of + and -, e.g. +---")
     parser.add_argument("--center", default=None, help="comma-separated rationals for the star center")
     sub = parser.add_subparsers(dest="command", required=True)
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    both = [infile, as_json]
 
-    p = sub.add_parser("apply", help="apply an operator to a form")
+    p = sub.add_parser("apply", parents=both, help="apply an operator to a form")
     p.add_argument("--op", required=True, choices=sorted(_OPS))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("decompose", help="split into (co)exact and anti(co)exact parts")
+    p = sub.add_parser("decompose", parents=both, help="split into (co)exact and anti(co)exact parts")
     p.add_argument("--mode", required=True, choices=[m.value for m in DecompositionMode])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("member", help="space membership predicate (exit code carries the verdict)")
+    p = sub.add_parser("member", parents=[infile],
+                       help="space membership predicate (exit code carries the verdict)")
     p.add_argument("--space", required=True, choices=sorted(t.value for t in SpaceTag))
-    p.add_argument("--in", dest="infile", required=True)
 
     for name in _POTENTIALS:
-        p = sub.add_parser(name, help=f"canonical {name} of a closed/coclosed form")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--json", action="store_true")
+        sub.add_parser(name, parents=both, help=f"canonical {name} of a closed/coclosed form")
 
     p = sub.add_parser("identities", help="run the randomized exact identity suite")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("solve", help="field-equation pipelines")
+    p = sub.add_parser("solve", parents=both, help="field-equation pipelines")
     p.add_argument("system", choices=list(_SYSTEMS))
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--approach", type=int, choices=[1, 2], default=1)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="classify candidate solutions")
     p.add_argument("what", choices=["vacuum-dirac"])
@@ -106,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--grade", type=int, default=None)
 
-    p = sub.add_parser("oscillator", help="cohomotopic oscillator eigencheck")
-    p.add_argument("--in", dest="infile", required=True)
+    sub.add_parser("oscillator", parents=[infile], help="cohomotopic oscillator eigencheck")
     return parser
 
 
@@ -117,13 +114,12 @@ def _context_from_args(args) -> Context:
     if set(metric) - {"+", "-"}:
         raise errors.DimensionMismatch(f"bad metric string {metric!r}")
     sig = tuple(1 if c == "+" else -1 for c in metric)
+    center = (0,) * n
     if args.center is not None:
         try:
             center = tuple(parse_rational(c) for c in args.center.split(","))
         except errors.AxcError as exc:
             raise errors.NonRationalLiteral(f"--center {args.center!r}: {exc}") from None
-    else:
-        center = (Fraction(0),) * n
     return Context(n, center, sig)
 
 
@@ -136,20 +132,23 @@ def _emit(omega: Form, as_json: bool):
     print(print_form(omega, "json" if as_json else "text"))
 
 
+def _print_named(forms: dict, prefix: str = ""):
+    for name, form in forms.items():
+        print(f"{prefix}{name} = {print_form(form)}")
+
+
+def _json_named(forms: dict) -> dict:
+    return {name: form_to_json(form) for name, form in forms.items()}
+
+
 def _emit_report(report: SolveReport, as_json: bool) -> int:
     if as_json:
-        doc = {
-            "outputs": {k: form_to_json(v) for k, v in report.outputs.items()},
-            "residuals": {k: form_to_json(v) for k, v in report.residuals.items()},
-            "gauge_notes": report.gauge_notes,
-            "success": report.success,
-        }
+        doc = {"outputs": _json_named(report.outputs), "residuals": _json_named(report.residuals),
+               "gauge_notes": report.gauge_notes, "success": report.success}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for name, form in report.outputs.items():
-            print(f"{name} = {print_form(form)}")
-        for name, form in report.residuals.items():
-            print(f"residual {name} = {print_form(form)}")
+        _print_named(report.outputs)
+        _print_named(report.residuals, "residual ")
         for note in report.gauge_notes:
             print(f"gauge: {note}")
         print("status: " + ("success" if report.success else "FAILED " + ",".join(report.failed)))
@@ -165,13 +164,11 @@ def _run(args) -> int:
 
     if args.command == "decompose":
         dec = decompose(_read_form(args.infile, ctx), DecompositionMode(args.mode))
-        names = (args.mode, "anti" + args.mode)
+        parts = {args.mode: dec.first, "anti" + args.mode: dec.second}
         if args.json:
-            print(json.dumps({names[0]: form_to_json(dec.first),
-                               names[1]: form_to_json(dec.second)}, indent=2, sort_keys=True))
+            print(json.dumps(_json_named(parts), indent=2, sort_keys=True))
         else:
-            print(f"{names[0]} = {print_form(dec.first)}")
-            print(f"{names[1]} = {print_form(dec.second)}")
+            _print_named(parts)
         return 0
 
     if args.command == "member":
@@ -201,32 +198,28 @@ def _run(args) -> int:
         return _emit_report(report, args.json)
 
     if args.command == "classify":
-        alpha = _read_form(args.alpha, ctx)
-        beta = _read_form(args.beta, ctx)
-        result = vacuum_dirac_classify(alpha, beta, args.grade)
+        result = vacuum_dirac_classify(_read_form(args.alpha, ctx), _read_form(args.beta, ctx),
+                                       args.grade)
         print(result.kind.value)
         for name, passed in result.harmonic_checks.items():
             print(f"check {name}: {'true' if passed else 'false'}")
         if result.kind is VacuumDiracKind.NOT_A_SOLUTION:
-            for name, form in result.residuals.items():
-                if not form.is_zero:
-                    print(f"residual {name} = {print_form(form)}")
+            _print_named({name: form for name, form in result.residuals.items()
+                          if not form.is_zero}, "residual ")
             return 1
         return 0
 
-    if args.command == "oscillator":
-        report = oscillator_eigencheck(_read_form(args.infile, ctx))
-        if report.is_eigenvector:
-            print(f"eigenvector with eigenvalue {report.eigenvalue:+d}")
-        else:
-            print("not an eigenvector")
-            print(f"coexact part = {print_form(report.coexact_part)}")
-            print(f"anticoexact part = {print_form(report.anticoexact_part)}")
-        verified = report.coexact_verified and report.anticoexact_verified
-        print("spectral check: " + ("passed" if verified else "FAILED"))
-        return 0 if verified else 1
-
-    raise AssertionError("unreachable")
+    # oscillator: the subcommand is required, so argparse admits no other
+    report = oscillator_eigencheck(_read_form(args.infile, ctx))
+    if report.is_eigenvector:
+        print(f"eigenvector with eigenvalue {report.eigenvalue:+d}")
+    else:
+        print("not an eigenvector")
+        _print_named({"coexact part": report.coexact_part,
+                      "anticoexact part": report.anticoexact_part})
+    verified = report.coexact_verified and report.anticoexact_verified
+    print("spectral check: " + ("passed" if verified else "FAILED"))
+    return 0 if verified else 1
 
 
 def _join_center(argv: list[str]) -> list[str]:
@@ -253,10 +246,7 @@ def main(argv=None) -> int:
     except errors.InconsistentSystem as exc:
         print(f"inconsistent system: {exc}", file=sys.stderr)
         return 3
-    except errors.AxcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (errors.AxcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,17 +10,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistentSystem
+from .polyring import _as_fraction
 
 
 def solve_sparse(rows, rhs):
     """Solve ``rows . x = rhs`` exactly.
 
-    rows: list of dict[var, Fraction]; rhs: list of Fraction.
+    rows: list of dict[var, rational]; rhs: list of rational.  Every entry is
+    read by the library's exact-rational rule: a ``Fraction``, an ``int`` or a
+    rational string; a float or a bool raises ``TypeError``.
     Returns dict var -> Fraction with free variables omitted (i.e. zero).
     Raises InconsistentSystem naming the first row, by its index, that
     reduces to 0 = c with c != 0 when no solution exists.
     """
-    system = [(dict(r), Fraction(v)) for r, v in zip(rows, rhs)]
+    system = [({var: _as_fraction(c) for var, c in r.items()}, _as_fraction(v))
+              for r, v in zip(rows, rhs)]
     var_rows: dict[object, set[int]] = {}
     for ridx, (r, _) in enumerate(system):
         for var in r:

@@ -79,14 +79,24 @@ def oracle_contexts(max_dim=6):
     return out
 
 
-def cli_subcommands_with(dest: str) -> list[str]:
-    """The ``axc`` subcommands whose parser has an option stored in ``dest``."""
+def _cli_subparsers() -> dict:
+    """The ``axc`` subcommand parsers by name, read from the CLI's own parser."""
     from axc.cli import _build_parser
 
-    subparsers = next(a for a in _build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return [name for name, sub in subparsers.choices.items()
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def cli_subcommands_with(dest: str) -> list[str]:
+    """The ``axc`` subcommands whose parser has an option stored in ``dest``."""
+    return [name for name, sub in _cli_subparsers().items()
             if any(a.dest == dest for a in sub._actions)]
+
+
+def cli_choices(command: str, dest: str) -> list[str]:
+    """The choices of one option of one ``axc`` subcommand."""
+    option = next(a for a in _cli_subparsers()[command]._actions if a.dest == dest)
+    return list(option.choices)
 
 
 def frac(s):

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from axc import (
     Context,
-    DecompositionMode,
     Form,
     OperatorTag,
     Poly,
@@ -22,7 +21,6 @@ from axc import (
     apply_operator,
     codifferential,
     cohomotopy_h,
-    decompose,
     dirac_source_solve,
     homotopy_H,
     interior,

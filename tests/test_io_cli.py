@@ -12,12 +12,17 @@ import pytest
 from axc import (
     Context,
     Form,
+    OperatorTag,
     Poly,
+    apply_operator,
     codifferential,
     cohomotopy_h,
     dirac_source_solve,
     form_from_json,
     form_to_json,
+    hodge_star,
+    hodge_star_inv,
+    homotopy_H,
     identities,
     kalb_ramond_solve,
     maxwell_solve,
@@ -34,7 +39,7 @@ from axc.errors import (DimensionMismatch, FormSyntaxError, InconsistentSystem,
 from axc.textio import (
     MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, load_form_text, parse_rational)
 from axc.randforms import random_form, random_homogeneous, sample_rng
-from tests.conftest import B, all_contexts, cli_subcommands_with, var
+from tests.conftest import B, all_contexts, cli_choices, cli_subcommands_with, var
 from tests.oracles import loop_poly_mul
 
 
@@ -621,8 +626,39 @@ _JSON_SAMPLES = {
 }
 
 
+# The library call behind each `axc apply --op` choice.
+_APPLY_OPS = {
+    "d": Form.d,
+    "delta": codifferential,
+    "H": homotopy_H,
+    "h": cohomotopy_h,
+    "star": hodge_star,
+    "star-inv": hodge_star_inv,
+    "eta": Form.eta,
+    "dirac": lambda w: apply_operator(OperatorTag.DIRAC, w),
+    "antidirac": lambda w: apply_operator(OperatorTag.ANTI_DIRAC, w),
+    "laplace": lambda w: apply_operator(OperatorTag.LAPLACE_BELTRAMI, w),
+    "hbar": lambda w: apply_operator(OperatorTag.OSCILLATOR_HBAR, w),
+}
+
+
 class TestCliAgainstLibrary:
     """Each subcommand's output read back and compared with the library call."""
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("op", cli_choices("apply", "op"))
+    def test_apply_prints_the_library_operator(self, tmp_path, capsys, op, as_json):
+        # every grade, on a signature with an odd number of minus signs (so
+        # that star_inv = -star) and an off-origin center
+        ctx = Context(3, (Fraction(1, 7), Fraction(-2, 5), 3), (1, 1, -1))
+        w = load_form_text("(x1^2*x2 - 3*x3) + (x2^2 + 1/2*x1*x3) dx1 - (x3^3) dx2"
+                           " + (x1*x3^2) dx2^dx3 + (x1^2 - x2) dx1^dx2^dx3", ctx)
+        argv = ["--metric", "++-", "--center=1/7,-2/5,3", "apply", "--op", op,
+                "--in", _write(tmp_path, "w.txt", w)]
+        assert main(argv + ["--json"] * as_json) == 0
+        expected = _APPLY_OPS[op](w)
+        assert not expected.is_zero
+        assert capsys.readouterr().out == print_form(expected, "json" if as_json else "text") + "\n"
 
     @pytest.mark.parametrize("command", cli_subcommands_with("json"))
     def test_json_flag_prints_json(self, tmp_path, capsys, command):

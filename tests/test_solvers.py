@@ -24,7 +24,9 @@ from axc import (
     membership,
     vacuum_dirac_classify,
 )
-from axc.errors import GradeMismatch, GradeOutOfRange, NotASolution, NotConserved
+from axc.errors import (GradeMismatch, GradeOutOfRange, InconsistentSystem, NotASolution,
+                        NotConserved)
+from axc.linsolve import solve_sparse
 from axc.randforms import random_homogeneous, sample_rng
 from axc.solvers import _close
 from tests.conftest import B, var
@@ -105,6 +107,27 @@ class TestLaplaceSolve:
         # over every degree up to deg(rhs) + 4 finds no solution it misses
         for beta, rhs, k, side in composite_cases(e3, m4):
             assert_agrees_with_elimination(beta, rhs, k, side, rhs.max_coeff_degree() + 4)
+
+
+class TestSolveSparse:
+    """The exact elimination the oracles check the closed forms against."""
+
+    def test_int_rows_solve_to_fractions(self):
+        solution = solve_sparse([{"x": 2, "y": 1}, {"y": 3}], [1, 1])
+        assert solution == {"x": Fraction(1, 3), "y": Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in solution.values())
+
+    def test_inconsistent_row_is_named_exactly(self):
+        with pytest.raises(InconsistentSystem, match=r"^row 1 reduces to 0 = 1$") as info:
+            solve_sparse([{"x": 1}, {"x": 1}], [1, 2])
+        assert info.value.equation == (1, Fraction(1))
+        assert type(info.value.equation[1]) is Fraction
+
+    @pytest.mark.parametrize("rows,rhs", [([{"x": 1.0}], [1]), ([{"x": 1}], [0.5]),
+                                          ([{"x": True}], [1])])
+    def test_float_or_bool_entry_raises(self, rows, rhs):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            solve_sparse(rows, rhs)
 
 
 def assert_agrees_with_elimination(beta, rhs, k, side, bound):

@@ -1,9 +1,9 @@
 """The benchmark's span recorder wraps kernel functions by name; every name
 it lists must resolve, so a rename fails here instead of in a traced run.
-The kernel's import, environment and ``Fraction`` rules, and the README's
-lists of CLI choices, are checked here too."""
+The kernel's import, environment and ``Fraction`` rules, the README's lists
+of CLI choices, the CLI's shared flags and the absence of unused imports are
+checked here too."""
 
-import argparse
 import ast
 import importlib
 import json
@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tests.conftest import cli_subcommands_with
+from tests.conftest import cli_choices, cli_subcommands_with
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -193,14 +193,6 @@ def test_no_lambda_only_forwards_to_a_term_map():
                     f"{name}:{node.lineno} wraps {called} in a lambda")
 
 
-def _cli_choices(command: str, dest: str) -> list[str]:
-    """The choices of one option of one ``axc`` subcommand, read from its parser."""
-    parser = importlib.import_module("axc.cli")._build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    option = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
-    return list(option.choices)
-
-
 def _readme_list(label: str) -> list[str]:
     """The backquoted names after ``label:`` in the README, up to the sentence's end."""
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
@@ -208,9 +200,16 @@ def _readme_list(label: str) -> list[str]:
     return re.findall(r"`([^`]+)`", text[start:text.index(".", start)])
 
 
+def test_input_flag_is_shared_by_the_form_commands():
+    # --in is declared once, as a parent parser; a subcommand that drops its
+    # parent loses the flag and fails here
+    assert sorted(cli_subcommands_with("infile")) == sorted(
+        ["apply", "decompose", "member", "potential", "copotential", "solve", "oscillator"])
+
+
 def test_readme_lists_the_cli_choices():
-    assert sorted(_readme_list("Operators for `apply`")) == sorted(_cli_choices("apply", "op"))
-    assert sorted(_readme_list("Membership spaces")) == sorted(_cli_choices("member", "space"))
+    assert sorted(_readme_list("Operators for `apply`")) == sorted(cli_choices("apply", "op"))
+    assert sorted(_readme_list("Membership spaces")) == sorted(cli_choices("member", "space"))
     assert sorted(_readme_list("switches their output to JSON")) == sorted(
         cli_subcommands_with("json"))
 
@@ -244,3 +243,52 @@ def test_tracer_sees_the_calls_of_both_halves():
                          capture_output=True, text=True, check=True, timeout=60).stdout
     calls = json.loads(out)
     assert all(calls[name] >= 1 for name in names), calls
+
+
+def test_tracer_sees_the_clifford_rows_of_the_cli(tmp_path):
+    # the CLI's Clifford rows must look up apply_operator when they run; a row
+    # bound to the function itself (a functools.partial, say) keeps the
+    # unwrapped one and runs untraced without any error
+    code = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        import spans
+        import axc.cli
+        rec = spans.Recorder()
+        spans.install(rec)
+        rec.item = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            for op in ("dirac", "antidirac", "laplace", "hbar"):
+                assert axc.cli.main(["--dim", "3", "apply", "--op", op, "--in", sys.argv[2]]) == 0
+        rec.item = None
+        print(rec.stat("clifford.apply_operator")[0])
+    """
+    src = tmp_path / "w.txt"
+    src.write_text("(x1^2*x2) dx1 + (x3^3) dx2^dx3")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(SPANS.parent), str(src)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert int(out) == 4
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``line: name`` of each name that a file imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    # the package's __init__.py imports to re-export, so it is left out
+    paths = [p for p in (ROOT / "src" / "axc").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    unused = {str(p.relative_to(ROOT)): _unused_imports(p) for p in sorted(paths)}
+    assert not {p: names for p, names in unused.items() if names}
