@@ -4,7 +4,8 @@ Exit codes: 0 success / predicate true; 1 predicate false or not a solution;
 2 input error; 3 solver inconsistency.
 
 The ``dirac``, ``antidirac``, ``laplace`` and ``hbar`` rows of ``apply --op`` come
-from :class:`OperatorTag`; ``--in`` and ``--json`` are declared once, as parent parsers.
+from :class:`OperatorTag`; ``--in`` and ``--json`` are declared once, as parent parsers,
+and the ``--in`` form is read once, before the subcommand runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .homotopy import (
 from .identities import CHECKS, run_identities
 from .polyring import Context
 from .solvers import (
-    SolveReport,
     VacuumDiracKind,
     dirac_source_solve,
     kalb_ramond_solve,
@@ -128,10 +128,6 @@ def _read_form(path: str, ctx: Context) -> Form:
         return load_form_text(fh.read(), ctx)
 
 
-def _emit(omega: Form, as_json: bool):
-    print(print_form(omega, "json" if as_json else "text"))
-
-
 def _print_named(forms: dict, prefix: str = ""):
     for name, form in forms.items():
         print(f"{prefix}{name} = {print_form(form)}")
@@ -141,29 +137,17 @@ def _json_named(forms: dict) -> dict:
     return {name: form_to_json(form) for name, form in forms.items()}
 
 
-def _emit_report(report: SolveReport, as_json: bool) -> int:
-    if as_json:
-        doc = {"outputs": _json_named(report.outputs), "residuals": _json_named(report.residuals),
-               "gauge_notes": report.gauge_notes, "success": report.success}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _print_named(report.outputs)
-        _print_named(report.residuals, "residual ")
-        for note in report.gauge_notes:
-            print(f"gauge: {note}")
-        print("status: " + ("success" if report.success else "FAILED " + ",".join(report.failed)))
-    return 0 if report.success else 1
-
-
 def _run(args) -> int:
     ctx = _context_from_args(args)
+    omega = _read_form(args.infile, ctx) if "infile" in args else None
 
-    if args.command == "apply":
-        _emit(_OPS[args.op](_read_form(args.infile, ctx)), args.json)
+    unary = _OPS[args.op] if args.command == "apply" else _POTENTIALS.get(args.command)
+    if unary is not None:
+        print(print_form(unary(omega), "json" if args.json else "text"))
         return 0
 
     if args.command == "decompose":
-        dec = decompose(_read_form(args.infile, ctx), DecompositionMode(args.mode))
+        dec = decompose(omega, DecompositionMode(args.mode))
         parts = {args.mode: dec.first, "anti" + args.mode: dec.second}
         if args.json:
             print(json.dumps(_json_named(parts), indent=2, sort_keys=True))
@@ -172,13 +156,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "member":
-        verdict = membership(_read_form(args.infile, ctx), SpaceTag(args.space))
+        verdict = membership(omega, SpaceTag(args.space))
         print("true" if verdict else "false")
         return 0 if verdict else 1
-
-    if args.command in _POTENTIALS:
-        _emit(_POTENTIALS[args.command](_read_form(args.infile, ctx)), args.json)
-        return 0
 
     if args.command == "identities":
         for flag, value, low in (("--samples", args.samples, 1),
@@ -194,8 +174,19 @@ def _run(args) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "solve":
-        report = _SYSTEMS[args.system](_read_form(args.infile, ctx), args.approach)
-        return _emit_report(report, args.json)
+        report = _SYSTEMS[args.system](omega, args.approach)
+        if args.json:
+            print(json.dumps({"outputs": _json_named(report.outputs),
+                              "residuals": _json_named(report.residuals),
+                              "gauge_notes": report.gauge_notes, "success": report.success},
+                             indent=2, sort_keys=True))
+        else:
+            _print_named(report.outputs)
+            _print_named(report.residuals, "residual ")
+            for note in report.gauge_notes:
+                print(f"gauge: {note}")
+            print("status:", "success" if report.success else "FAILED " + ",".join(report.failed))
+        return 0 if report.success else 1
 
     if args.command == "classify":
         result = vacuum_dirac_classify(_read_form(args.alpha, ctx), _read_form(args.beta, ctx),
@@ -210,7 +201,7 @@ def _run(args) -> int:
         return 0
 
     # oscillator: the subcommand is required, so argparse admits no other
-    report = oscillator_eigencheck(_read_form(args.infile, ctx))
+    report = oscillator_eigencheck(omega)
     if report.is_eigenvector:
         print(f"eigenvector with eigenvalue {report.eigenvalue:+d}")
     else:
