@@ -1,9 +1,12 @@
 """Graded differential forms with polynomial coefficients.
 
-A :class:`Form` stores one flat map ``(index tuple, exponents) -> Fraction``
-over its nonzero terms y^a dx^I.  One walk, :func:`_rows`, reads its rows in
-canonical order for ``repr``, the read-only view ``Form.components`` (grade ->
-(index tuple -> Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
+A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators
+``(index tuple, exponents) -> int`` over one denominator D > 0, with
+gcd(D, every numerator) == 1, so equal forms store equal maps and operators,
+sums and negation build no ``Fraction``.  Only the reads build them:
+``Form.terms``, ``Form.coefficient`` and the one walk :func:`_rows`, which
+reads rows in canonical order for ``repr``, the view ``Form.components``
+(grade -> (index tuple -> Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _poly, _require_axis, _require_exponents,
-                       _sum_fractions, _sum_numerators)
+from .polyring import (Context, Poly, _as_fraction, _from_common_denominator,
+                       _over_common_denominator, _poly, _require_axis, _require_exponents,
+                       _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -60,11 +65,11 @@ def _require_indices(idx: tuple, n: int) -> None:
         raise GradeOutOfRange(f"index tuple {idx} outside 1..{n}")
 
 
-def _form(ctx: Context, terms: dict) -> "Form":
-    """The form of valid, distinct, nonzero ``{(index tuple, exponents): Fraction}``
-    terms, unchecked."""
+def _form(ctx: Context, D: int, nums: dict) -> "Form":
+    """The form of valid, distinct, nonzero ``{(index tuple, exponents): int}``
+    numerators over D, canonical as in the module docstring, unchecked."""
     f = Form.__new__(Form)
-    f.ctx, f._terms = ctx, terms
+    f.ctx, f._den, f._nums = ctx, D, nums
     return f
 
 
@@ -72,15 +77,16 @@ def _rows(form: "Form") -> list:
     """The one walk over a form's rows: ``(index tuple, Poly)`` pairs, grades
     ascending and then index tuples sorted."""
     rows: dict = {}
-    for (idx, exps), c in form._terms.items():
-        rows.setdefault(idx, {})[exps] = c
-    return [(idx, _poly(form.ctx.n, rows[idx])) for idx in sorted(rows, key=lambda i: (len(i), i))]
+    for (idx, exps), v in form._nums.items():
+        rows.setdefault(idx, {})[exps] = v
+    return [(idx, _poly(form.ctx.n, _from_common_denominator(form._den, rows[idx])))
+            for idx in sorted(rows, key=lambda i: (len(i), i))]
 
 
 class Form:
-    """``ctx`` and the flat term map of the module docstring, private to this module."""
+    """``ctx`` and the numerators ``_nums`` over ``_den`` of the module docstring, private to it."""
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_den", "_nums")
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
         """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map, flat,
@@ -101,7 +107,8 @@ class Form:
                     raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
-        self._terms = {(idx, e): c for idx, p in rows.items() for e, c in p.terms.items()}
+        self._den, self._nums = _over_common_denominator(
+            {(idx, e): c for idx, p in rows.items() for e, c in p.terms.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -128,25 +135,26 @@ class Form:
     @classmethod
     def from_terms(cls, ctx: Context, terms) -> "Form":
         """Sum ``(index tuple, exponent tuple, int or Fraction)`` triples into a
-        form by :func:`_sum_fractions`.  Every triple, a cancelling one too, is
+        form by :func:`_sum_numerators`.  Every triple, a cancelling one too, is
         checked first: its index tuple by the constructor's rule (so its grade is
         in 0..n), its exponents and coefficient by :class:`Poly`'s."""
-        pairs = []
+        entries = []
         for idx, exps, c in terms:
             idx, exps, c = tuple(idx), tuple(exps), _as_fraction(c)
             _require_indices(idx, ctx.n)
             _require_exponents(exps, ctx.n)
-            pairs.append(((idx, exps), c))
-        return _form(ctx, _sum_fractions(pairs))
+            entries.append(((idx, exps), c.numerator, c.denominator))
+        return _form(ctx, *_sum_numerators(entries))
 
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
         self.ctx.require_same(other.ctx)
-        return _form(self.ctx, _sum_fractions([*self._terms.items(), *other._terms.items()]))
+        return _form(self.ctx, *_sum_numerators(
+            [(key, v, f._den) for f in (self, other) for key, v in f._nums.items()]))
 
     def __neg__(self) -> "Form":
-        return self.scale(-1)
+        return _form(self.ctx, self._den, {key: -v for key, v in self._nums.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -179,24 +187,23 @@ class Form:
 
     def terms(self):
         """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
-        return ((idx, exps, c) for (idx, exps), c in self._terms.items())
+        return ((idx, exps, Fraction(v, self._den)) for (idx, exps), v in self._nums.items())
 
     def termwise(self, fn, *args) -> "Form":
         """Linear extension of a map on basis terms.
 
         ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
         ``(idx', exps', factor)`` triples, each factor an ``int`` or a
-        ``Fraction``.  The product of a term's coefficient p/q and a factor
-        r/s is kept as the integer pair (p*r, q*s), summed by :func:`_sum_numerators`:
-        no ``Fraction`` is built per product.  ``args`` (such as the signature)
-        spare a closure per call.
+        ``Fraction``.  A term's numerator N times a factor r/s enters
+        :func:`_sum_numerators` as the entry (N*r, s) over the form's
+        denominator: no ``Fraction`` is built per product.  ``args`` (such as
+        the signature) spare a closure per call.
         """
         entries = []
-        for (idx, exps), coef in self._terms.items():
-            p, q = coef.numerator, coef.denominator
+        for (idx, exps), N in self._nums.items():
             for out_idx, out_exps, f in fn(idx, exps, *args):
-                entries.append(((out_idx, out_exps), p * f.numerator, q * f.denominator))
-        return _form(self.ctx, _sum_numerators(entries))
+                entries.append(((out_idx, out_exps), N * f.numerator, f.denominator))
+        return _form(self.ctx, *_sum_numerators(entries, self._den))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
@@ -232,10 +239,10 @@ class Form:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def grades(self) -> list[int]:
-        return sorted({len(idx) for idx, _ in self._terms})
+        return sorted({len(idx) for idx, _ in self._nums})
 
     def homogeneous_grade(self):
         """Grade of a homogeneous form; None for zero, error if mixed."""
@@ -250,20 +257,22 @@ class Form:
         """The coefficient of dx^indices; the indices follow the constructor's rule."""
         indices = tuple(indices)
         _require_indices(indices, self.ctx.n)
-        return _poly(self.ctx.n, {e: c for (i, e), c in self._terms.items() if i == indices})
+        return _poly(self.ctx.n, _from_common_denominator(
+            self._den, {e: v for (i, e), v in self._nums.items() if i == indices}))
 
     def max_coeff_degree(self) -> int:
-        return max((sum(exps) for _, exps in self._terms), default=-1)
+        return max((sum(exps) for _, exps in self._nums), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Form)
             and self.ctx == other.ctx
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self._terms.items())))
+        return hash((self.ctx, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         bits = [f"({poly!r})*" + ("^".join(f"dx{i}" for i in idx) or "1")

@@ -1,14 +1,15 @@
 """Exact multivariate polynomials over the rationals, centered at a chart point.
 
-Every coefficient anywhere in the kernel is a :class:`fractions.Fraction`;
+Every coefficient the kernel hands out is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
 closed monomial form only in centered coordinates.  Arithmetic runs on
 integer numerators over one common denominator, so no inner loop pays a gcd:
 :func:`_sum_numerators` is the one loop that sums terms, for polynomials and
 forms alike, :func:`_int_mul` the one product loop, and
-:func:`_taylor_shift_axis` re-centers.  Summing takes keys of any kind,
-and :func:`_from_common_denominator` builds one ``Fraction`` per nonzero sum.
+:func:`_taylor_shift_axis` re-centers.  Summing takes keys of any kind and
+returns integer numerators over one reduced denominator; a ``Poly`` turns them
+into one ``Fraction`` per nonzero sum by :func:`_from_common_denominator`.
 """
 
 from __future__ import annotations
@@ -60,28 +61,31 @@ def _require_exponents(exps: tuple, n: int) -> None:
 
 def _over_common_denominator(terms: Mapping) -> tuple[int, dict]:
     """``(D, {key: integer numerator})`` with each coefficient equal to its
-    numerator over D, the lcm of the denominators (1 for no terms)."""
+    numerator over D, the lcm of the denominators (1 for no terms); from
+    reduced Fractions, gcd(D, every numerator) == 1."""
     D = math.lcm(*(c.denominator for c in terms.values()))
     return D, {key: c.numerator * (D // c.denominator) for key, c in terms.items()}
 
 
-def _from_common_denominator(numerators: Mapping, D: int) -> dict:
+def _from_common_denominator(D: int, numerators: Mapping) -> dict:
     """``{key: numerator / D}`` over the nonzero numerators, D > 0: one
     ``Fraction`` per key, the inverse of :func:`_over_common_denominator`."""
     return {key: Fraction(v, D) for key, v in numerators.items() if v}
 
 
-def _sum_numerators(entries: list) -> dict:
-    """The one loop that sums terms: ``(key, numerator, denominator)`` entries
-    to ``{key: Fraction}`` over the nonzero sums, summed as integers over the
-    lcm of the denominators."""
+def _sum_numerators(entries: list, D: int = 1) -> tuple[int, dict]:
+    """The one loop that sums terms: ``(key, numerator, denominator)`` entries,
+    each numerator / (denominator * D), summed as integers over the lcm of the
+    denominators to ``(D', {key: int})`` over the nonzero sums, gcd(D', all) == 1."""
     dens = set(map(itemgetter(2), entries))
     L = math.lcm(*dens)
     lift = {den: L // den for den in dens}
     acc: dict = {}
     for key, num, den in entries:
         acc[key] = acc.get(key, 0) + num * lift[den]
-    return _from_common_denominator(acc, L)
+    acc = {key: v for key, v in acc.items() if v}
+    g = math.gcd(D * L, *acc.values())
+    return D * L // g, ({key: v // g for key, v in acc.items()} if g > 1 else acc)
 
 
 def _sum_fractions(pairs) -> dict:
@@ -90,7 +94,8 @@ def _sum_fractions(pairs) -> dict:
     pairs = list(pairs)
     if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
         return {key: c for key, c in pairs if c}
-    return _sum_numerators([(key, c.numerator, c.denominator) for key, c in pairs])
+    return _from_common_denominator(*_sum_numerators([(key, c.numerator, c.denominator)
+                                                       for key, c in pairs]))
 
 
 def _poly(n: int, terms: dict) -> "Poly":
@@ -271,7 +276,7 @@ class Poly:
         self._check(other)
         D1, p = _over_common_denominator(self.terms)
         D2, q = _over_common_denominator(other.terms)
-        return _poly(self.n, _from_common_denominator(_int_mul(p, q), D1 * D2))
+        return _poly(self.n, _from_common_denominator(D1 * D2, _int_mul(p, q)))
 
     __rmul__ = __mul__
 
@@ -315,7 +320,7 @@ class Poly:
             if d and numerators:
                 numerators, scale = _taylor_shift_axis(numerators, i, d)
                 D *= scale
-        return _poly(self.n, _from_common_denominator(numerators, D))
+        return _poly(self.n, _from_common_denominator(D, numerators))
 
     def __pow__(self, e: int) -> "Poly":
         """self^e, e >= 0, by repeated squaring on integer numerators over
@@ -330,7 +335,7 @@ class Poly:
             out = _int_mul(out, out)
             if bit == "1":
                 out = _int_mul(out, base)
-        return _poly(self.n, _from_common_denominator(out, D ** e))
+        return _poly(self.n, _from_common_denominator(D ** e, out))
 
     # -- queries -----------------------------------------------------------
 

@@ -10,8 +10,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from .forms import Form
-from .polyring import Context, Poly, _poly, _sum_fractions
+from .forms import Form, _form, _require_grade
+from .polyring import Context, Poly, _from_common_denominator, _poly, _sum_numerators
+
+_NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)
 
 
 def sample_rng(seed: int, index: int) -> random.Random:
@@ -19,35 +21,42 @@ def sample_rng(seed: int, index: int) -> random.Random:
 
 
 def random_rational(rng: random.Random) -> Fraction:
-    num = rng.choice([v for v in range(-9, 10) if v != 0])
-    den = rng.randint(1, 4)
-    return Fraction(num, den)
+    return Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
 
 
-def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
-    pairs = []
+def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 2) -> list:
+    """``(exponents, numerator, denominator)`` draws, each as :func:`random_rational`'s."""
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         budget = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(budget):
             exps[rng.randrange(n)] += 1
-        pairs.append((tuple(exps), random_rational(rng)))
-    return _poly(n, _sum_fractions(pairs))
+        terms.append((tuple(exps), rng.choice(_NUMERATORS), rng.randint(1, 4)))
+    return terms
+
+
+def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
+    terms = _random_terms(rng, n, max_degree, max_terms)
+    return _poly(n, _from_common_denominator(*_sum_numerators(terms)))
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,
-                max_components: int = 2) -> dict:
-    """Random coefficients on 1..max_components distinct grade-k basis forms."""
+                max_components: int = 2) -> list:
+    """``((index tuple, exponents), num, den)`` draws on 1..max_components grade-k forms."""
     index_sets = list(itertools.combinations(range(1, ctx.n + 1), k))
     chosen = rng.sample(index_sets, min(len(index_sets), rng.randint(1, max_components)))
-    return {idx: random_poly(rng, ctx.n, max_degree) for idx in chosen}
+    return [((idx, exps), num, den) for idx in chosen
+            for exps, num, den in _random_terms(rng, ctx.n, max_degree)]
 
 
 def random_homogeneous(ctx: Context, rng: random.Random, k: int,
                        max_degree: int = 3, max_components: int = 2) -> Form:
-    return Form(ctx, {k: _random_row(ctx, rng, k, max_degree, max_components)})
+    _require_grade(k, ctx.n)
+    return _form(ctx, *_sum_numerators(_random_row(ctx, rng, k, max_degree, max_components)))
 
 
 def random_form(ctx: Context, rng: random.Random, max_degree: int = 3) -> Form:
     grades = rng.sample(range(ctx.n + 1), rng.randint(1, min(2, ctx.n + 1)))
-    return Form(ctx, {k: _random_row(ctx, rng, k, max_degree) for k in grades})
+    return _form(ctx, *_sum_numerators([entry for k in grades
+                                        for entry in _random_row(ctx, rng, k, max_degree)]))

@@ -34,7 +34,8 @@ from fractions import Fraction
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
 from .forms import Form, _form, _merge_indices, _rows
-from .polyring import Context, Poly, _as_fraction, _poly, _sum_fractions, _sum_numerators
+from .polyring import (Context, Poly, _as_fraction, _over_common_denominator, _poly,
+                       _sum_fractions, _sum_numerators)
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -239,7 +240,7 @@ class _Parser:
         """The whole expression, coefficients still in absolute coordinates."""
         pieces = list(self.signed(self.parse_term))
         self.take("end")
-        return _form(self.ctx, _sum_numerators([
+        return _form(self.ctx, *_sum_numerators([
             ((idx, exps), sign * basis_sign * coef.numerator, coef.denominator)
             for sign, (idx, basis_sign, poly) in pieces
             for exps, coef in poly.terms.items()
@@ -296,8 +297,8 @@ def _recentered(absolute: Form) -> Form:
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly.terms), _degree(poly))
         for _, poly in rows))
-    return _form(ctx, {(idx, exps): c for idx, poly in rows
-                       for exps, c in poly.shift(ctx.center).terms.items()})
+    return _form(ctx, *_over_common_denominator({
+        (idx, exps): c for idx, poly in rows for exps, c in poly.shift(ctx.center).terms.items()}))
 
 
 # -- canonical printer -----------------------------------------------------

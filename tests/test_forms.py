@@ -469,3 +469,50 @@ class TestTermSum:
         assert Form.from_terms(e2, iter(())).components == {}
         assert B(e2, (1,)).termwise(lambda idx, exps: []) == Form.zero(e2)
         assert Form.zero(e2).termwise(_sum_map) == Form.zero(e2)
+
+
+class TestCanonicalForm:
+    """A form reached by different routes compares and hashes the same: equal
+    forms are stored alike, whatever sums and scalings built them."""
+
+    @staticmethod
+    def _same(a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_adding_then_subtracting_gives_the_form_back(self):
+        for ctx in oracle_contexts():
+            rng = sample_rng(431, ctx.n)
+            for _ in range(6):
+                w, v = random_form(ctx, rng), random_form(ctx, rng)
+                self._same((w + v) - v, w)
+                self._same(w - w, Form.zero(ctx))
+
+    def test_scaling_there_and_back_gives_the_form_back(self):
+        for ctx in oracle_contexts():
+            w = random_form(ctx, sample_rng(433, ctx.n))
+            self._same(w.scale(Fraction(2, 3)).scale(Fraction(3, 2)), w)
+            self._same(-(-w), w)
+
+    def test_summed_sixths_are_a_third(self, e2):
+        sixth = Fraction(1, 6)
+        summed = Form.from_terms(e2, [((1,), (1, 0), sixth), ((1,), (1, 0), sixth)])
+        self._same(summed, Form.from_terms(e2, [((1,), (1, 0), Fraction(1, 3))]))
+        self._same(summed, B(e2, (1,), var(e2, 1)).scale(Fraction(1, 3)))
+
+    def test_a_sum_that_cancels_is_the_zero_form(self, e2):
+        w = Form.from_terms(e2, [((1,), (1, 0), Fraction(2, 7)), ((), (0, 1), Fraction(5, 3))])
+        v = Form.from_terms(e2, [((1,), (1, 0), Fraction(-4, 14)), ((), (0, 1), Fraction(-10, 6))])
+        self._same(w + v, Form.zero(e2))
+        self._same(Form.from_terms(e2, [*w.terms(), *v.terms()]), Form.zero(e2))
+
+    def test_every_read_gives_fractions(self, e2):
+        w = Form.from_terms(e2, [((1,), (1, 0), 2), ((1,), (0, 1), Fraction(3, 4)),
+                                 ((1, 2), (0, 0), Fraction(-5, 6))])
+        for out in (w, -w, w + w, w.scale(Fraction(4, 3)), w.d()):
+            assert _only_fractions(out)
+            for row in out.components.values():
+                for poly in row.values():
+                    assert all(type(c) is Fraction for c in poly.terms.values())
+            for idx in ((1,), (1, 2)):
+                assert all(type(c) is Fraction for c in out.coefficient(idx).terms.values())

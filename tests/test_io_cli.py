@@ -660,6 +660,20 @@ class TestCliAgainstLibrary:
         assert not expected.is_zero
         assert capsys.readouterr().out == print_form(expected, "json" if as_json else "text") + "\n"
 
+    @pytest.mark.parametrize("flags", [["--metric", "+++"], ["--dim", "2", "--center=-2/9,1/7"]],
+                             ids=["metric", "dim-and-center"])
+    def test_json_header_overrides_the_chart_flags(self, tmp_path, capsys, flags):
+        # a JSON document names its own chart: its n, metric and center win
+        # over --dim, --metric and --center
+        ctx = Context(3, (Fraction(1, 2), 0, -1), (1, 1, -1))
+        w = load_form_text("(x1*x3) dx1 + (x2^2) dx2^dx3", ctx)
+        src = tmp_path / "w.json"
+        src.write_text(json.dumps(form_to_json(w)))
+        assert main([*flags, "apply", "--op", "star", "--in", str(src), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n"], out["metric"], out["center"]) == (3, [1, 1, -1], ["1/2", "0", "-1"])
+        assert out == form_to_json(hodge_star(w))
+
     @pytest.mark.parametrize("command", cli_subcommands_with("json"))
     def test_json_flag_prints_json(self, tmp_path, capsys, command):
         assert command in _JSON_SAMPLES, f"no sample input for {command} --json"

@@ -162,6 +162,30 @@ def test_poly_and_form_are_built_unchecked_in_one_function_each():
     assert _new_callers("Form") == ["forms._form"]
 
 
+# The calls that build a Fraction per term: the constructor itself and the
+# polyring helpers that call it on every nonzero sum.
+FRACTION_BUILDERS = {"Fraction", "_from_common_denominator", "_sum_fractions"}
+
+
+def test_forms_builds_fractions_only_where_coefficients_are_read():
+    # a Form holds integer numerators over one denominator, so operators, sums
+    # and negation build no Fraction; only the reads of its coefficients do
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and _names(node.func) & FRACTION_BUILDERS:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(dict(_kernel_trees())["forms.py"], "")
+    assert "Form.terms" in found
+    assert found <= {"_rows", "Form.terms", "Form.coefficient"}, found
+    assert importlib.import_module("axc.forms").Form.__slots__ == ("ctx", "_den", "_nums")
+
+
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
     # forms builds the generator tables from _merge_indices, hodge the star's
     # complement sign and textio the parser's basis sort; every other rule
