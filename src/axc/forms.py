@@ -2,11 +2,11 @@
 
 A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators
 ``(index tuple, exponents) -> int`` over one denominator D > 0, with
-gcd(D, every numerator) == 1, so equal forms store equal maps and operators,
-sums and negation build no ``Fraction``.  Only the reads build them:
-``Form.terms``, ``Form.coefficient`` and the one walk :func:`_rows`, which
-reads rows in canonical order for ``repr``, the view ``Form.components``
-(grade -> (index tuple -> Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
+gcd(D, every numerator) == 1, as a :class:`axc.polyring.Poly` stores its
+terms, so equal forms store equal maps and only ``Form.terms`` builds a
+``Fraction``.  The one walk :func:`_rows` reads rows as ``Poly``s in canonical
+order for ``repr``, the view ``Form.components`` (grade -> (index tuple ->
+Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _from_common_denominator,
-                       _over_common_denominator, _poly, _require_axis, _require_exponents,
-                       _sum_numerators)
+from .polyring import (Context, Poly, _as_fraction, _poly, _reduced, _require_axis,
+                       _require_exponents, _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -79,7 +78,7 @@ def _rows(form: "Form") -> list:
     rows: dict = {}
     for (idx, exps), v in form._nums.items():
         rows.setdefault(idx, {})[exps] = v
-    return [(idx, _poly(form.ctx.n, _from_common_denominator(form._den, rows[idx])))
+    return [(idx, _poly(form.ctx.n, *_reduced(form._den, rows[idx])))
             for idx in sorted(rows, key=lambda i: (len(i), i))]
 
 
@@ -107,8 +106,8 @@ class Form:
                     raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
-        self._den, self._nums = _over_common_denominator(
-            {(idx, e): c for idx, p in rows.items() for e, c in p.terms.items()})
+        self._den, self._nums = _sum_numerators(
+            [((idx, e), v, p._den) for idx, p in rows.items() for e, v in p._nums.items()])
 
     # -- constructors ------------------------------------------------------
 
@@ -257,7 +256,7 @@ class Form:
         """The coefficient of dx^indices; the indices follow the constructor's rule."""
         indices = tuple(indices)
         _require_indices(indices, self.ctx.n)
-        return _poly(self.ctx.n, _from_common_denominator(
+        return _poly(self.ctx.n, *_reduced(
             self._den, {e: v for (i, e), v in self._nums.items() if i == indices}))
 
     def max_coeff_degree(self) -> int:
@@ -325,10 +324,11 @@ def interior(v: VectorField, omega: Form) -> Form:
     """Insertion antiderivative i_v over the rows of :func:`_contract_slots`,
     i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j}."""
     v.ctx.require_same(omega.ctx)
+    components = [p.terms.items() for p in v.components]
 
     def interior_terms(idx, exps):
         for i, rest, sign in _contract_slots(idx):
-            for v_exps, v_coef in v.components[i].terms.items():
+            for v_exps, v_coef in components[i]:
                 yield rest, tuple(a + b for a, b in zip(exps, v_exps)), v_coef if sign > 0 else -v_coef
 
     return omega.termwise(interior_terms)

@@ -3,13 +3,14 @@
 Every coefficient the kernel hands out is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  Arithmetic runs on
-integer numerators over one common denominator, so no inner loop pays a gcd:
+closed monomial form only in centered coordinates.  A :class:`Poly` stores
+integer numerators ``{exponents: int}`` over one denominator D > 0, with
+gcd(D, every numerator) == 1, as a :class:`axc.forms.Form` does, so equal
+polynomials store equal integers and arithmetic runs on integers alone:
 :func:`_sum_numerators` is the one loop that sums terms, for polynomials and
-forms alike, :func:`_int_mul` the one product loop, and
-:func:`_taylor_shift_axis` re-centers.  Summing takes keys of any kind and
-returns integer numerators over one reduced denominator; a ``Poly`` turns them
-into one ``Fraction`` per nonzero sum by :func:`_from_common_denominator`.
+forms alike, :func:`_int_mul` the one product loop, :func:`_taylor_shift_axis`
+re-centers and :func:`_reduced` divides out the common gcd once per result.
+Only the reads, ``Poly.terms`` and ``Poly.eval``, build ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -59,20 +60,6 @@ def _require_exponents(exps: tuple, n: int) -> None:
         raise ValueError("negative exponent")
 
 
-def _over_common_denominator(terms: Mapping) -> tuple[int, dict]:
-    """``(D, {key: integer numerator})`` with each coefficient equal to its
-    numerator over D, the lcm of the denominators (1 for no terms); from
-    reduced Fractions, gcd(D, every numerator) == 1."""
-    D = math.lcm(*(c.denominator for c in terms.values()))
-    return D, {key: c.numerator * (D // c.denominator) for key, c in terms.items()}
-
-
-def _from_common_denominator(D: int, numerators: Mapping) -> dict:
-    """``{key: numerator / D}`` over the nonzero numerators, D > 0: one
-    ``Fraction`` per key, the inverse of :func:`_over_common_denominator`."""
-    return {key: Fraction(v, D) for key, v in numerators.items() if v}
-
-
 def _sum_numerators(entries: list, D: int = 1) -> tuple[int, dict]:
     """The one loop that sums terms: ``(key, numerator, denominator)`` entries,
     each numerator / (denominator * D), summed as integers over the lcm of the
@@ -83,25 +70,21 @@ def _sum_numerators(entries: list, D: int = 1) -> tuple[int, dict]:
     acc: dict = {}
     for key, num, den in entries:
         acc[key] = acc.get(key, 0) + num * lift[den]
-    acc = {key: v for key, v in acc.items() if v}
-    g = math.gcd(D * L, *acc.values())
-    return D * L // g, ({key: v // g for key, v in acc.items()} if g > 1 else acc)
+    return _reduced(D * L, {key: v for key, v in acc.items() if v})
 
 
-def _sum_fractions(pairs) -> dict:
-    """``(key, Fraction)`` pairs summed where their keys meet, as
-    ``{key: Fraction}`` over the nonzero sums; kept as given when none meet."""
-    pairs = list(pairs)
-    if len(dict(pairs)) == len(pairs):  # no two pairs meet: nothing to sum
-        return {key: c for key, c in pairs if c}
-    return _from_common_denominator(*_sum_numerators([(key, c.numerator, c.denominator)
-                                                       for key, c in pairs]))
+def _reduced(D: int, nums: dict) -> tuple[int, dict]:
+    """``(D', {key: int})``, the nonzero numerators ``nums`` over D > 0 with
+    their common gcd divided out, so gcd(D', all) == 1 (D' == 1 for none)."""
+    g = math.gcd(D, *nums.values())
+    return D // g, ({key: v // g for key, v in nums.items()} if g > 1 else nums)
 
 
-def _poly(n: int, terms: dict) -> "Poly":
-    """The polynomial of valid, distinct, nonzero ``Fraction`` terms, unchecked."""
+def _poly(n: int, D: int, nums: dict) -> "Poly":
+    """The polynomial of valid, distinct, nonzero ``{exponents: int}``
+    numerators over D, canonical as in the module docstring, unchecked."""
     p = Poly.__new__(Poly)
-    p.n, p.terms = n, terms
+    p.n, p._den, p._nums = n, D, nums
     return p
 
 
@@ -184,13 +167,13 @@ class Context(_ContextFields):
 
     @classmethod
     def euclidean(cls, n: int, center: Iterable = None) -> "Context":
-        center = tuple(center) if center is not None else (Fraction(0),) * n
+        center = tuple(center) if center is not None else (0,) * n
         return cls(n, center, (1,) * n)
 
     @classmethod
     def minkowski(cls, n: int, center: Iterable = None) -> "Context":
         """Signature (+, -, ..., -)."""
-        center = tuple(center) if center is not None else (Fraction(0),) * n
+        center = tuple(center) if center is not None else (0,) * n
         return cls(n, center, (1,) + (-1,) * (n - 1))
 
     @property
@@ -204,9 +187,9 @@ class Context(_ContextFields):
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero Fractions."""
+    """``n`` and the numerators ``_nums`` over ``_den`` of the module docstring, private to it."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_den", "_nums")
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
         """Keep the nonzero coefficients, summing nothing: two keys that read as
@@ -220,7 +203,8 @@ class Poly:
                 raise ValueError(f"exponent tuple {exps} given twice")
             coefs[exps] = _as_fraction(coef)
         self.n = n
-        self.terms = {exps: coef for exps, coef in coefs.items() if coef}
+        self._den, self._nums = _sum_numerators(
+            [(exps, c.numerator, c.denominator) for exps, c in coefs.items()])
 
     # -- constructors ------------------------------------------------------
 
@@ -235,9 +219,9 @@ class Poly:
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         """The centered coordinate y_i, 1-based axis."""
+        _require_dimension(n)
         _require_axis(i, n)
-        exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {exps: Fraction(1)})
+        return _poly(n, 1, {tuple(1 if j == i - 1 else 0 for j in range(n)): 1})
 
     @classmethod
     def monomial(cls, n: int, exps, coef=1) -> "Poly":
@@ -252,7 +236,7 @@ class Poly:
         pairs = [(tuple(exps), _as_fraction(c)) for exps, c in pairs]
         for exps, _ in pairs:
             _require_exponents(exps, n)
-        return _poly(n, _sum_fractions(pairs))
+        return _poly(n, *_sum_numerators([(exps, c.numerator, c.denominator) for exps, c in pairs]))
 
     # -- ring operations ---------------------------------------------------
 
@@ -262,28 +246,29 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return _poly(self.n, _sum_fractions([*self.terms.items(), *other.terms.items()]))
+        return _poly(self.n, *_sum_numerators(
+            [(exps, v, p._den) for p in (self, other) for exps, v in p._nums.items()]))
 
     def __neg__(self) -> "Poly":
-        return self.scale(-1)
+        return _poly(self.n, self._den, {exps: -v for exps, v in self._nums.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        """The product with a ``Poly``, or :meth:`scale` by anything else."""
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        D1, p = _over_common_denominator(self.terms)
-        D2, q = _over_common_denominator(other.terms)
-        return _poly(self.n, _from_common_denominator(D1 * D2, _int_mul(p, q)))
+        return _poly(self.n, *_reduced(self._den * other._den, _int_mul(self._nums, other._nums)))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         """c times self; sums nothing."""
         c = _as_fraction(c)
-        return _poly(self.n, {exps: c * v for exps, v in self.terms.items()} if c else {})
+        return _poly(self.n, *_reduced(self._den * c.denominator, {
+            exps: v * c.numerator for exps, v in self._nums.items()} if c else {}))
 
     # -- calculus ----------------------------------------------------------
 
@@ -291,8 +276,9 @@ class Poly:
         """Exact partial derivative d/dy_i, 1-based axis; sums nothing."""
         _require_axis(i, self.n)
         j = i - 1
-        return _poly(self.n, {exps[:j] + (exps[j] - 1,) + exps[j + 1:]: coef * exps[j]
-                              for exps, coef in self.terms.items() if exps[j]})
+        return _poly(self.n, *_reduced(self._den, {
+            exps[:j] + (exps[j] - 1,) + exps[j + 1:]: v * exps[j]
+            for exps, v in self._nums.items() if exps[j]}))
 
     def eval(self, point) -> Fraction:
         """Value at a centered point (list of n rationals)."""
@@ -306,52 +292,56 @@ class Poly:
         """Substitute y_i -> y_i + delta_i, the workhorse of :func:`rebase`.
 
         An exact integer Taylor shift (von zur Gathen and Gerhard, ISSAC
-        1997): the coefficients are put over one common denominator, each axis
-        with delta_i != 0 is shifted line by line by
-        :func:`_taylor_shift_axis` with integer additions and products by
-        delta_i's numerator, and each output ``Fraction`` is built once at the
-        end.  An axis with delta_i = 0 passes its exponent through unchanged.
+        1997): each axis with delta_i != 0 shifts the stored numerators line
+        by line by :func:`_taylor_shift_axis`, with integer additions and
+        products by delta_i's numerator, and the result is reduced once at
+        the end.  An axis with delta_i = 0 passes its exponent through unchanged.
         """
         delta = [_as_fraction(v) for v in delta]
         if len(delta) != self.n:
             raise DimensionMismatch("shift vector length != dimension")
-        D, numerators = _over_common_denominator(self.terms)
+        D, numerators = self._den, self._nums
         for i, d in enumerate(delta):
             if d and numerators:
                 numerators, scale = _taylor_shift_axis(numerators, i, d)
                 D *= scale
-        return _poly(self.n, _from_common_denominator(D, numerators))
+        return _poly(self.n, *_reduced(D, numerators))
 
     def __pow__(self, e: int) -> "Poly":
-        """self^e, e >= 0, by repeated squaring on integer numerators over
-        one common denominator; each output ``Fraction`` is built once."""
+        """self^e, e >= 0, by repeated squaring on the integer numerators,
+        reduced once at the end."""
         if type(e) is not int:
             raise TypeError(f"power {e!r} is not an int")
         if e < 0:
             raise ValueError("negative power")
-        D, base = _over_common_denominator(self.terms)
         out = {(0,) * self.n: 1}
         for bit in bin(e)[2:]:
             out = _int_mul(out, out)
             if bit == "1":
-                out = _int_mul(out, base)
-        return _poly(self.n, _from_common_denominator(D ** e, out))
+                out = _int_mul(out, self._nums)
+        return _poly(self.n, *_reduced(self._den ** e, out))
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """``{exponents: Fraction}`` over the nonzero terms, built anew on each read."""
+        return {exps: Fraction(v, self._den) for exps, v in self._nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def sorted_terms(self):
         """Deterministic (lexicographic by exponent tuple) term iteration."""
         return sorted(self.terms.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+        return (isinstance(other, Poly) and self.n == other.n
+                and self._den == other._den and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         if self.is_zero:

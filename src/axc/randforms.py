@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .forms import Form, _form, _require_grade
-from .polyring import Context, Poly, _from_common_denominator, _poly, _sum_numerators
+from .polyring import Context, Poly, _poly, _sum_numerators
 
 _NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)
 
@@ -38,7 +38,7 @@ def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
     terms = _random_terms(rng, n, max_degree, max_terms)
-    return _poly(n, _from_common_denominator(*_sum_numerators(terms)))
+    return _poly(n, *_sum_numerators(terms))
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,

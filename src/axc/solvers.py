@@ -31,7 +31,7 @@ from .errors import (
 from .forms import Form, _require_grade
 from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
-from .polyring import Poly, _poly, _sum_fractions
+from .polyring import Poly, _poly, _sum_numerators
 
 
 class SolveReport(NamedTuple):
@@ -56,16 +56,20 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     G(g) = sum_j c_j Q^(j+1) box^j g, c_0 = 1/a_0, c_(j+1) = -c_j/a_(j+1),
     telescopes.  Cached: right-hand sides repeat the same few exponents."""
     n, m = len(exps), sum(exps)
-    Q = _poly(n, {tuple(2 if i == j else 0 for i in range(n)): Fraction(eps)
-                  for j, eps in enumerate(signature)})
+    Q = _poly(n, 1, {tuple(2 if i == j else 0 for i in range(n)): eps
+                     for j, eps in enumerate(signature)})
     term, power, c, pieces = Poly.monomial(n, exps), Q, Fraction(1), []
     for j in range(m // 2 + 1):
         c /= 2 * (j + 1) * (n + 2 * m - 2 * j)
-        pieces.extend((e, coef * c) for e, coef in (power * term).terms.items())
-        term = _poly(n, _sum_fractions((out_exps, coef * f) for e, coef in term.terms.items()
-                                       for _, out_exps, f in box_terms((), e, signature)))
+        piece = power * term
+        pieces.extend((e, v * c.numerator, piece._den * c.denominator)
+                      for e, v in piece._nums.items())
+        term = _poly(n, *_sum_numerators([(out_exps, v * f, term._den)
+                                          for e, v in term._nums.items()
+                                          for _, out_exps, f in box_terms((), e, signature)]))
         power, c = power * Q, -c
-    return tuple(_sum_fractions(pieces).items())
+    D, nums = _sum_numerators(pieces)
+    return tuple((e, Fraction(v, D)) for e, v in nums.items())
 
 
 def laplace_solve(rhs: Form, k: int) -> Form:

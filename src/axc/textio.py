@@ -34,8 +34,7 @@ from fractions import Fraction
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
 from .forms import Form, _form, _merge_indices, _rows
-from .polyring import (Context, Poly, _as_fraction, _over_common_denominator, _poly,
-                       _sum_fractions, _sum_numerators)
+from .polyring import Context, Poly, _as_fraction, _poly, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -171,7 +170,7 @@ class _Parser:
         if e > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
         # a power of t terms is a sum over the multisets of e of them
-        terms = math.comb(len(base.terms) + e - 1, e) if e else 1
+        terms = math.comb(len(base._nums) + e - 1, e) if e else 1
         _require_terms(_term_bound(self.ctx.n, terms, e * _degree(base)), position)
         return base ** e
 
@@ -180,7 +179,7 @@ class _Parser:
         while self.peek()[0] == "*":
             position = self.take("*")[2]
             factor = self.parse_poly_factor()
-            terms = len(out.terms) * len(factor.terms)
+            terms = len(out._nums) * len(factor._nums)
             _require_terms(_term_bound(self.ctx.n, terms, _degree(out) + _degree(factor)), position)
             out = out * factor
         return out
@@ -198,9 +197,9 @@ class _Parser:
             yield self.take_sign(), parse_one()
 
     def parse_poly_expr(self) -> Poly:
-        pairs = [(exps, sign * coef) for sign, poly in self.signed(self.parse_poly_term)
-                 for exps, coef in poly.terms.items()]
-        return _poly(self.ctx.n, _sum_fractions(pairs))
+        return _poly(self.ctx.n, *_sum_numerators([
+            (exps, sign * v, poly._den) for sign, poly in self.signed(self.parse_poly_term)
+            for exps, v in poly._nums.items()]))
 
     # -- form grammar ------------------------------------------------------
 
@@ -241,14 +240,14 @@ class _Parser:
         pieces = list(self.signed(self.parse_term))
         self.take("end")
         return _form(self.ctx, *_sum_numerators([
-            ((idx, exps), sign * basis_sign * coef.numerator, coef.denominator)
+            ((idx, exps), sign * basis_sign * v, poly._den)
             for sign, (idx, basis_sign, poly) in pieces
-            for exps, coef in poly.terms.items()
+            for exps, v in poly._nums.items()
         ]))
 
 
 def _degree(p: Poly) -> int:
-    return max(map(sum, p.terms), default=0)
+    return max(map(sum, p._nums), default=0)
 
 
 def _term_bound(n: int, terms: int, degree: int) -> int:
@@ -295,10 +294,11 @@ def _recentered(absolute: Form) -> Form:
     # y^a re-centers to the product of a_i + 1 over the axes that move
     _require_terms(sum(
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
-                               for exps in poly.terms), _degree(poly))
+                               for exps in poly._nums), _degree(poly))
         for _, poly in rows))
-    return _form(ctx, *_over_common_denominator({
-        (idx, exps): c for idx, poly in rows for exps, c in poly.shift(ctx.center).terms.items()}))
+    shifted = [(idx, poly.shift(ctx.center)) for idx, poly in rows]
+    return _form(ctx, *_sum_numerators(
+        [((idx, exps), v, p._den) for idx, p in shifted for exps, v in p._nums.items()]))
 
 
 # -- canonical printer -----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from axc import Context, Poly, rebase
 from axc.errors import AxcError, AxisOutOfRange, DimensionMismatch
-from axc.randforms import random_poly, sample_rng
+from axc.randforms import _random_terms, random_poly, random_rational, sample_rng
 from tests.oracles import loop_poly_add, loop_poly_mul, loop_poly_partial, product_shift
 
 
@@ -37,6 +37,13 @@ class TestArithmetic:
         p = y(1) * y(2) + c("1/3")
         assert p * 3 == 3 * p == p.scale(3) == p + p + p
         assert p * 0 == Poly.zero(2)
+
+    @pytest.mark.parametrize("product", [lambda p: p * 2.0, lambda p: 2.0 * p, lambda p: p * None],
+                             ids=["poly*float", "float*poly", "poly*None"])
+    def test_mul_by_a_non_rational_is_a_type_error(self, product):
+        # the scalar rule is scale's, as for Poly.scale(2.0) and Poly * True
+        with pytest.raises(TypeError, match="not an exact rational"):
+            product(y(1) + c("1/3"))
 
     def test_equal_polys_hash_equal(self):
         # the same polynomial built in another term order, from pairs, and through +
@@ -148,6 +155,67 @@ class TestRingAxioms:
         p = Poly.from_terms(2, [((1, 2), 3), ((0, 2), 2), ((1, 2), 4)])
         for q in (p, p + p, p + Poly.from_terms(2, [((0, 0), 5)]), p.partial(2), p.scale(3)):
             assert q.terms and all(type(v) is Fraction for v in q.terms.values())
+
+
+class TestCanonicalForm:
+    """A polynomial reached by different routes compares and hashes the same:
+    equal polynomials store equal integers over one reduced denominator."""
+
+    @staticmethod
+    def _same(a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_summed_sixths_are_a_third(self):
+        summed = Poly.const(1, Fraction(1, 6)) + Poly.const(1, Fraction(1, 6))
+        self._same(summed, Poly.const(1, Fraction(1, 3)))
+        assert summed._den == 3
+
+    def test_sums_and_scalings_there_and_back_give_the_poly_back(self):
+        for i in range(20):
+            rng = sample_rng(37, i)
+            p, q = random_poly(rng, 3, 3, 3), random_poly(rng, 3, 3, 3)
+            self._same((p + q) - q, p)
+            self._same(p.scale(Fraction(2, 3)).scale(Fraction(3, 2)), p)
+            self._same(p - p, Poly.zero(3))
+            assert (p - p)._den == 1
+
+    def test_integer_results_store_denominator_one(self):
+        half_sq = Poly.monomial(2, (2, 0), Fraction(1, 2))
+        self._same(half_sq.partial(1), y(1))
+        assert half_sq.partial(1)._den == 1
+        product = y(2).scale(Fraction(2, 3)) * y(1).scale(Fraction(3, 2))
+        self._same(product, y(1) * y(2))
+        assert product._den == 1
+
+    def test_every_read_gives_fractions(self):
+        p = Poly.from_terms(2, [((1, 0), 2), ((0, 1), Fraction(3, 4)), ((0, 0), -5)])
+        shifted = p.shift([1, Fraction(1, 2)])
+        for q in (p, -p, p * p, p.scale(Fraction(4, 3)), p.partial(1), shifted):
+            assert q.terms and all(type(v) is Fraction for v in q.terms.values())
+            assert all(type(v) is Fraction for _, v in q.sorted_terms())
+            for point in ([0, 0], [1, Fraction(1, 3)]):
+                assert type(q.eval(point)) is Fraction
+
+    def test_terms_is_read_only(self):
+        p = y(1) + c("1/3")
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        p.terms.clear()  # a fresh dict per read: clearing it leaves p as it was
+        assert p == y(1) + c("1/3")
+
+
+class TestRandomDraws:
+    def test_random_rational_draws_as_random_terms_do(self):
+        # the benchmark draws dense coefficients by random_rational and the
+        # kernel's random forms by _random_terms; both take the same two draws
+        for i in range(30):
+            terms_rng, rational_rng = sample_rng(41, i), sample_rng(41, i)
+            [(_, num, den)] = _random_terms(terms_rng, 1, max_degree=0, max_terms=1)
+            rational_rng.randint(1, 1)  # the term count _random_terms draws first
+            rational_rng.randint(0, 0)  # and the degree budget, which draws no exponent
+            assert random_rational(rational_rng) == Fraction(num, den)
+            assert rational_rng.getstate() == terms_rng.getstate()
 
 
 class TestContext:

@@ -162,14 +162,12 @@ def test_poly_and_form_are_built_unchecked_in_one_function_each():
     assert _new_callers("Form") == ["forms._form"]
 
 
-# The calls that build a Fraction per term: the constructor itself and the
-# polyring helpers that call it on every nonzero sum.
-FRACTION_BUILDERS = {"Fraction", "_from_common_denominator", "_sum_fractions"}
+# The calls that build a Fraction per term.
+FRACTION_BUILDERS = {"Fraction"}
 
 
-def test_forms_builds_fractions_only_where_coefficients_are_read():
-    # a Form holds integer numerators over one denominator, so operators, sums
-    # and negation build no Fraction; only the reads of its coefficients do
+def _fraction_builders(module: str) -> set:
+    """``Class.function``, or ``function``, around each Fraction call in ``module``."""
     found = set()
 
     def visit(node, where):
@@ -180,10 +178,26 @@ def test_forms_builds_fractions_only_where_coefficients_are_read():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(dict(_kernel_trees())["forms.py"], "")
+    visit(dict(_kernel_trees())[module], "")
+    return found
+
+
+def test_forms_builds_fractions_only_where_coefficients_are_read():
+    # a Form holds integer numerators over one denominator, so operators, sums
+    # and negation build no Fraction; only the reads of its coefficients do
+    found = _fraction_builders("forms.py")
     assert "Form.terms" in found
     assert found <= {"_rows", "Form.terms", "Form.coefficient"}, found
     assert importlib.import_module("axc.forms").Form.__slots__ == ("ctx", "_den", "_nums")
+
+
+def test_polyring_builds_fractions_only_where_coefficients_are_read():
+    # a Poly holds integer numerators over one denominator, as a Form does;
+    # only the rational rule and the reads of its coefficients build a Fraction
+    found = _fraction_builders("polyring.py")
+    assert {"Poly.terms", "Poly.eval"} <= found
+    assert found <= {"_as_fraction", "Poly.terms", "Poly.eval"}, found
+    assert importlib.import_module("axc.polyring").Poly.__slots__ == ("n", "_den", "_nums")
 
 
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
