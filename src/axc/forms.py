@@ -1,12 +1,11 @@
 """Graded differential forms with polynomial coefficients.
 
-A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators
-``(index tuple, exponents) -> int`` over one denominator D > 0, with
-gcd(D, every numerator) == 1, as a :class:`axc.polyring.Poly` stores its
-terms, so equal forms store equal maps and only ``Form.terms`` builds a
-``Fraction``.  The one walk :func:`_rows` reads rows as ``Poly``s in canonical
-order for ``repr``, the view ``Form.components`` (grade -> (index tuple ->
-Poly)) and :mod:`axc.textio`.  Clifford fields mix grades.
+A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators keyed
+by ``(index tuple, exponents)`` in the format of :class:`axc.polyring._Numerators`,
+as a ``Poly`` does, so only ``Form.terms`` builds a ``Fraction``.  The one walk
+:func:`_rows` reads rows as ``Poly``s in canonical order for ``repr``, the view
+``Form.components`` (grade -> (index tuple -> Poly)) and :mod:`axc.textio`, and
+:func:`_lifted` lifts rows back.  Clifford fields mix grades.
 """
 
 from __future__ import annotations
@@ -15,11 +14,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _poly, _reduced, _require_axis,
-                       _require_exponents, _sum_numerators)
+from .polyring import (Context, Poly, _as_fraction, _Numerators, _poly, _reduced,
+                       _require_axis, _require_exponents, _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -66,7 +66,7 @@ def _require_indices(idx: tuple, n: int) -> None:
 
 def _form(ctx: Context, D: int, nums: dict) -> "Form":
     """The form of valid, distinct, nonzero ``{(index tuple, exponents): int}``
-    numerators over D, canonical as in the module docstring, unchecked."""
+    numerators over D, canonical as :class:`_Numerators` states, unchecked."""
     f = Form.__new__(Form)
     f.ctx, f._den, f._nums = ctx, D, nums
     return f
@@ -82,10 +82,17 @@ def _rows(form: "Form") -> list:
             for idx in sorted(rows, key=lambda i: (len(i), i))]
 
 
-class Form:
-    """``ctx`` and the numerators ``_nums`` over ``_den`` of the module docstring, private to it."""
+def _lifted(rows) -> tuple[int, dict]:
+    """The inverse of :func:`_rows`: ``(D, nums)`` of (index tuple, Poly) rows, summed."""
+    return _sum_numerators([((idx, e), v, p._den) for idx, p in rows for e, v in p._nums.items()])
+
+
+class Form(_Numerators):
+    """``ctx`` and the numerators ``_nums`` over ``_den`` of :class:`_Numerators`, private to it."""
 
     __slots__ = ("ctx", "_den", "_nums")
+    _space = property(attrgetter("ctx"))
+    _build = staticmethod(_form)
 
     def __init__(self, ctx: Context, components: Mapping[int, Mapping[tuple, Poly]] | None = None):
         """Keep the nonzero coefficients of a grade -> (index tuple -> Poly) map, flat,
@@ -100,14 +107,15 @@ class Form:
                 if len(idx) != k:
                     raise GradeOutOfRange(f"index tuple {idx} has wrong length for grade {k}")
                 _require_indices(idx, ctx.n)
+                if not isinstance(poly, Poly):
+                    raise TypeError(f"coefficient {poly!r} is not a Poly")
                 if poly.n != ctx.n:
                     raise DimensionMismatch("coefficient dimension != context dimension")
                 if idx in rows:
                     raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
-        self._den, self._nums = _sum_numerators(
-            [((idx, e), v, p._den) for idx, p in rows.items() for e, v in p._nums.items()])
+        self._den, self._nums = _lifted(rows.items())
 
     # -- constructors ------------------------------------------------------
 
@@ -147,20 +155,8 @@ class Form:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other: "Form") -> "Form":
-        self.ctx.require_same(other.ctx)
-        return _form(self.ctx, *_sum_numerators(
-            [(key, v, f._den) for f in (self, other) for key, v in f._nums.items()]))
-
-    def __neg__(self) -> "Form":
-        return _form(self.ctx, self._den, {key: -v for key, v in self._nums.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
-    def scale(self, c) -> "Form":
-        c = _as_fraction(c)
-        return self.termwise(lambda idx, exps: [(idx, exps, c)])
+    # bound here, not only inherited, so that the tracer can wrap Form's own
+    __add__ = _Numerators.__add__
 
     def mul_poly(self, p: Poly) -> "Form":
         return self.wedge(Form.from_poly(self.ctx, p))
@@ -236,10 +232,6 @@ class Form:
             comps.setdefault(len(idx), {})[idx] = poly
         return comps
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def grades(self) -> list[int]:
         return sorted({len(idx) for idx, _ in self._nums})
 
@@ -261,17 +253,6 @@ class Form:
 
     def max_coeff_degree(self) -> int:
         return max((sum(exps) for _, exps in self._nums), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.ctx == other.ctx
-            and self._den == other._den
-            and self._nums == other._nums
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         bits = [f"({poly!r})*" + ("^".join(f"dx{i}" for i in idx) or "1")
@@ -296,6 +277,8 @@ class VectorField:
         if len(components) != ctx.n:
             raise DimensionMismatch("vector field needs n components")
         for p in components:
+            if not isinstance(p, Poly):
+                raise TypeError(f"component {p!r} is not a Poly")
             if p.n != ctx.n:
                 raise DimensionMismatch("component dimension != context dimension")
         self.ctx = ctx

@@ -3,21 +3,20 @@
 Every coefficient the kernel hands out is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  A :class:`Poly` stores
-integer numerators ``{exponents: int}`` over one denominator D > 0, with
-gcd(D, every numerator) == 1, as a :class:`axc.forms.Form` does, so equal
-polynomials store equal integers and arithmetic runs on integers alone:
-:func:`_sum_numerators` is the one loop that sums terms, for polynomials and
-forms alike, :func:`_int_mul` the one product loop, :func:`_taylor_shift_axis`
-re-centers and :func:`_reduced` divides out the common gcd once per result.
-Only the reads, ``Poly.terms`` and ``Poly.eval``, build ``Fraction``s.
+closed monomial form only in centered coordinates.  A :class:`Poly` and an
+:class:`axc.forms.Form` share the integer format and the arithmetic of
+:class:`_Numerators`, so arithmetic runs on integers alone:
+:func:`_sum_numerators` is the one loop that sums terms, :func:`_int_mul` the
+one product loop, :func:`_taylor_shift_axis` re-centers and :func:`_reduced`
+divides out the common gcd once per result.  Only the reads, ``Poly.terms``
+and ``Poly.eval``, build ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
@@ -41,6 +40,12 @@ def _require_dimension(n) -> None:
     ``int``, never coerced (no bool, no float)."""
     if type(n) is not int or n < 1:
         raise DimensionMismatch(f"dimension must be a positive integer, got {n!r}")
+
+
+def _require_same(a, b) -> None:
+    """Operands in one space: equal contexts, or equal dimensions."""
+    if a != b:
+        raise DimensionMismatch("operands live in different contexts")
 
 
 def _require_axis(i, n: int) -> None:
@@ -82,7 +87,7 @@ def _reduced(D: int, nums: dict) -> tuple[int, dict]:
 
 def _poly(n: int, D: int, nums: dict) -> "Poly":
     """The polynomial of valid, distinct, nonzero ``{exponents: int}``
-    numerators over D, canonical as in the module docstring, unchecked."""
+    numerators over D, canonical as :class:`_Numerators` states, unchecked."""
     p = Poly.__new__(Poly)
     p.n, p._den, p._nums = n, D, nums
     return p
@@ -181,15 +186,58 @@ class Context(_ContextFields):
         """sig(g): product of the signature entries, +1 or -1."""
         return math.prod(self.signature)
 
-    def require_same(self, other: "Context"):
-        if self != other:
-            raise DimensionMismatch("operands live in different contexts")
+    require_same = _require_same
 
 
-class Poly:
-    """``n`` and the numerators ``_nums`` over ``_den`` of the module docstring, private to it."""
+class _Numerators:
+    """Nonzero integer numerators ``_nums`` (key -> int) over one denominator
+    ``_den`` > 0, gcd(D, every numerator) == 1, so equal values store equal
+    integers; the arithmetic of that format, once.  A subclass supplies its
+    ``_space``, which ``==``, ``hash`` and the same-space check read, and
+    ``_build(space, D, nums)``, its unchecked builder."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _require_same(self._space, other._space)
+        return self._build(self._space, *_sum_numerators(
+            [(key, v, x._den) for x in (self, other) for key, v in x._nums.items()]))
+
+    def __neg__(self):
+        return self._build(self._space, self._den, {key: -v for key, v in self._nums.items()})
+
+    def __sub__(self, other):
+        # a check of its own, so that a wrong operand's TypeError names "-"
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        """c times self; sums nothing."""
+        c = _as_fraction(c)
+        return self._build(self._space, *_reduced(self._den * c.denominator, {
+            key: v * c.numerator for key, v in self._nums.items()} if c else {}))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self._space == other._space
+                and self._den == other._den and self._nums == other._nums)
+
+    def __hash__(self):
+        return hash((self._space, self._den, frozenset(self._nums.items())))
+
+
+class Poly(_Numerators):
+    """``n`` and the numerators ``_nums`` over ``_den`` of :class:`_Numerators`, private to it."""
 
     __slots__ = ("n", "_den", "_nums")
+    _space = property(attrgetter("n"))
+    _build = staticmethod(_poly)
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
         """Keep the nonzero coefficients, summing nothing: two keys that read as
@@ -240,35 +288,17 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.n != other.n:
-            raise DimensionMismatch("polynomials over different dimensions")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return _poly(self.n, *_sum_numerators(
-            [(exps, v, p._den) for p in (self, other) for exps, v in p._nums.items()]))
-
-    def __neg__(self) -> "Poly":
-        return _poly(self.n, self._den, {exps: -v for exps, v in self._nums.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    # bound here, not only inherited, so that the tracer can wrap Poly's own
+    __add__ = _Numerators.__add__
 
     def __mul__(self, other) -> "Poly":
         """The product with a ``Poly``, or :meth:`scale` by anything else."""
         if not isinstance(other, Poly):
             return self.scale(other)
-        self._check(other)
+        _require_same(self.n, other.n)
         return _poly(self.n, *_reduced(self._den * other._den, _int_mul(self._nums, other._nums)))
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        """c times self; sums nothing."""
-        c = _as_fraction(c)
-        return _poly(self.n, *_reduced(self._den * c.denominator, {
-            exps: v * c.numerator for exps, v in self._nums.items()} if c else {}))
 
     # -- calculus ----------------------------------------------------------
 
@@ -328,20 +358,9 @@ class Poly:
         """``{exponents: Fraction}`` over the nonzero terms, built anew on each read."""
         return {exps: Fraction(v, self._den) for exps, v in self._nums.items()}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def sorted_terms(self):
         """Deterministic (lexicographic by exponent tuple) term iteration."""
         return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.n == other.n
-                and self._den == other._den and self._nums == other._nums)
-
-    def __hash__(self):
-        return hash((self.n, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         if self.is_zero:

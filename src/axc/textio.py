@@ -18,7 +18,8 @@ and unary minus signs nest at most :data:`MAX_NESTING` deep; no exponent, in
 text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`,
 nor any product, power or re-centered input :data:`MAX_TERMS` terms.
 
-Printing, JSON and re-centering read rows by one walk, :func:`axc.forms._rows`.
+Printing, JSON and re-centering read rows by one walk, :func:`axc.forms._rows`;
+the parser and re-centering lift rows back into a form by :func:`axc.forms._lifted`.
 Printing is canonical: grades ascending, index lists lexicographic (that walk's
 order), monomials lexicographic, rationals reduced; parse o print is the identity.
 JSON carries every number as an exact string or integer -- never a float.
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _form, _merge_indices, _rows
+from .forms import Form, _form, _lifted, _merge_indices, _rows
 from .polyring import Context, Poly, _as_fraction, _poly, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
@@ -239,11 +240,8 @@ class _Parser:
         """The whole expression, coefficients still in absolute coordinates."""
         pieces = list(self.signed(self.parse_term))
         self.take("end")
-        return _form(self.ctx, *_sum_numerators([
-            ((idx, exps), sign * basis_sign * v, poly._den)
-            for sign, (idx, basis_sign, poly) in pieces
-            for exps, v in poly._nums.items()
-        ]))
+        return _form(self.ctx, *_lifted([(idx, poly.scale(sign * basis_sign))
+                                         for sign, (idx, basis_sign, poly) in pieces]))
 
 
 def _degree(p: Poly) -> int:
@@ -296,9 +294,7 @@ def _recentered(absolute: Form) -> Form:
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly._nums), _degree(poly))
         for _, poly in rows))
-    shifted = [(idx, poly.shift(ctx.center)) for idx, poly in rows]
-    return _form(ctx, *_sum_numerators(
-        [((idx, exps), v, p._den) for idx, p in shifted for exps, v in p._nums.items()]))
+    return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows]))
 
 
 # -- canonical printer -----------------------------------------------------

@@ -10,6 +10,7 @@ from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.forms import _contract_slots, _merge_indices, _wedge_slots, d_terms
 from axc.hodge import codifferential_terms
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms
+from axc.polyring import _as_fraction
 from axc.randforms import random_form, random_poly, sample_rng
 from tests.conftest import B, oracle_contexts, var
 from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
@@ -79,6 +80,15 @@ class TestLinear:
     def test_coefficient_dimension_is_the_contexts(self, e2):
         with pytest.raises(DimensionMismatch, match="coefficient dimension != context dimension"):
             Form(e2, {1: {(1,): Poly.const(3, 1)}})
+
+    @pytest.mark.parametrize("build", [
+        lambda ctx: Form(ctx, {0: {(): 5}}),
+        lambda ctx: Form.basis(ctx, (1,), 3),
+        lambda ctx: Form.from_poly(ctx, 3),
+    ], ids=["constructor", "basis", "from_poly"])
+    def test_a_coefficient_that_is_not_a_poly_is_a_type_error(self, e2, build):
+        with pytest.raises(TypeError, match="is not a Poly$"):
+            build(e2)
 
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
@@ -348,12 +358,13 @@ class TestVectorField:
         with pytest.raises(AxisOutOfRange):
             VectorField.frame(e3, i)
 
-    @pytest.mark.parametrize("components, message", [
-        ([Poly.const(3, 1)] * 2, "vector field needs n components"),
-        ([Poly.const(2, 1)] * 3, "component dimension != context dimension"),
-    ], ids=["count", "dimension"])
-    def test_components_are_n_polys_on_the_chart(self, e3, components, message):
-        with pytest.raises(DimensionMismatch, match=message):
+    @pytest.mark.parametrize("components, error, message", [
+        ([Poly.const(3, 1)] * 2, DimensionMismatch, "vector field needs n components"),
+        ([Poly.const(2, 1)] * 3, DimensionMismatch, "component dimension != context dimension"),
+        ([1, 2, 3], TypeError, "component 1 is not a Poly"),
+    ], ids=["count", "dimension", "not-a-poly"])
+    def test_components_are_n_polys_on_the_chart(self, e3, components, error, message):
+        with pytest.raises(error, match=message):
             VectorField(e3, components)
 
     def test_repr(self, e2):
@@ -493,6 +504,12 @@ class TestCanonicalForm:
             w = random_form(ctx, sample_rng(433, ctx.n))
             self._same(w.scale(Fraction(2, 3)).scale(Fraction(3, 2)), w)
             self._same(-(-w), w)
+            # scale multiplies the numerators; the term map sums them anew
+            for c in (0, -1, Fraction(3, 7), "-2/9", 5):
+                factor = _as_fraction(c)
+                self._same(w.scale(c), w.termwise(lambda idx, exps: [(idx, exps, factor)]))
+            with pytest.raises(TypeError, match=re.escape("not an exact rational: 2.0")):
+                w.scale(2.0)
 
     def test_summed_sixths_are_a_third(self, e2):
         sixth = Fraction(1, 6)

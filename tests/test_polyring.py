@@ -1,10 +1,12 @@
 import itertools
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from axc import Context, Poly, rebase
+from axc import Context, Form, Poly, rebase
 from axc.errors import AxcError, AxisOutOfRange, DimensionMismatch
 from axc.randforms import _random_terms, random_poly, random_rational, sample_rng
 from tests.oracles import loop_poly_add, loop_poly_mul, loop_poly_partial, product_shift
@@ -45,6 +47,27 @@ class TestArithmetic:
         with pytest.raises(TypeError, match="not an exact rational"):
             product(y(1) + c("1/3"))
 
+    @pytest.mark.parametrize("op, operation", [
+        ("+", lambda p, w: p + 1),
+        ("-", lambda p, w: p - 2.0),
+        ("+", lambda p, w: p + None),
+        ("+", lambda p, w: w + 1),
+        ("-", lambda p, w: w - p),
+        ("+", lambda p, w: p + w),
+    ], ids=["poly+int", "poly-float", "poly+None", "form+int", "form-poly", "poly+form"])
+    def test_add_and_sub_of_another_class_are_type_errors(self, op, operation):
+        # a number is not lifted to a constant, and the error names the
+        # operator the caller wrote, "-" too
+        p = y(1) + c("1/3")
+        w = Form.from_poly(Context.euclidean(2), p)
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {op}:")):
+            operation(p, w)
+
+    def test_a_poly_never_equals_a_form(self):
+        p = y(1) + c("1/3")
+        w = Form.from_poly(Context.euclidean(2), p)
+        assert p != w and w != p
+
     def test_equal_polys_hash_equal(self):
         # the same polynomial built in another term order, from pairs, and through +
         polys = [Poly(2, {(1, 1): 1, (0, 0): Fraction(1, 3)}),
@@ -63,8 +86,10 @@ class TestArithmetic:
         assert (y(1).scale(Fraction(1, 3))) * (y(2).scale(3)) == y(1) * y(2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            Poly.variable(2, 1) + Poly.variable(3, 1)
+        # the message a Form's operands on different charts raise
+        for operation in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(DimensionMismatch, match="^operands live in different contexts$"):
+                operation(Poly.variable(2, 1), Poly.variable(3, 1))
 
 
 class TestCalculus:

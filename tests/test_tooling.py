@@ -166,14 +166,15 @@ def test_poly_and_form_are_built_unchecked_in_one_function_each():
 FRACTION_BUILDERS = {"Fraction"}
 
 
-def _fraction_builders(module: str) -> set:
-    """``Class.function``, or ``function``, around each Fraction call in ``module``."""
+def _callers(module: str, called: set) -> set:
+    """``Class.function``, or ``function``, around each call in ``module`` of a
+    name in ``called``."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             where = f"{where}.{node.name}" if where else node.name
-        if isinstance(node, ast.Call) and _names(node.func) & FRACTION_BUILDERS:
+        if isinstance(node, ast.Call) and _names(node.func) & called:
             found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -185,7 +186,7 @@ def _fraction_builders(module: str) -> set:
 def test_forms_builds_fractions_only_where_coefficients_are_read():
     # a Form holds integer numerators over one denominator, so operators, sums
     # and negation build no Fraction; only the reads of its coefficients do
-    found = _fraction_builders("forms.py")
+    found = _callers("forms.py", FRACTION_BUILDERS)
     assert "Form.terms" in found
     assert found <= {"_rows", "Form.terms", "Form.coefficient"}, found
     assert importlib.import_module("axc.forms").Form.__slots__ == ("ctx", "_den", "_nums")
@@ -194,10 +195,26 @@ def test_forms_builds_fractions_only_where_coefficients_are_read():
 def test_polyring_builds_fractions_only_where_coefficients_are_read():
     # a Poly holds integer numerators over one denominator, as a Form does;
     # only the rational rule and the reads of its coefficients build a Fraction
-    found = _fraction_builders("polyring.py")
+    found = _callers("polyring.py", FRACTION_BUILDERS)
     assert {"Poly.terms", "Poly.eval"} <= found
     assert found <= {"_as_fraction", "Poly.terms", "Poly.eval"}, found
     assert importlib.import_module("axc.polyring").Poly.__slots__ == ("n", "_den", "_nums")
+
+
+def test_poly_and_form_share_one_numerator_arithmetic():
+    # the two classes store one format, so its arithmetic is written once, on
+    # _Numerators; __add__ is bound on each class too, for the tracer to wrap
+    polyring = importlib.import_module("axc.polyring")
+    base, poly, form = polyring._Numerators, polyring.Poly, importlib.import_module("axc.forms").Form
+    for name in ("__neg__", "__sub__", "scale", "is_zero", "__eq__", "__hash__"):
+        assert name in vars(base) and name not in vars(poly) and name not in vars(form), name
+    assert vars(poly)["__add__"] is vars(form)["__add__"] is vars(base)["__add__"]
+
+
+def test_textio_lifts_rows_into_a_form_through_forms():
+    # the parser and re-centering lift (index tuple, Poly) rows by forms._lifted;
+    # only the polynomial grammar sums numerators itself
+    assert _callers("textio.py", {"_sum_numerators"}) == {"_Parser.parse_poly_expr"}
 
 
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
@@ -275,12 +292,35 @@ def test_tracer_sees_the_calls_of_both_halves():
         print(json.dumps({name: rec.stat(name)[0] for name in sys.argv[2:]}))
     """
     names = ["forms.d", "hodge.codifferential", "homotopy.H", "homotopy.h",
-             "solvers.laplace_solve"]
+             "solvers.laplace_solve", "forms.add"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code, str(SPANS.parent), *names], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     calls = json.loads(out)
     assert all(calls[name] >= 1 for name in names), calls
+
+
+def test_tracer_sees_a_subtraction_as_an_addition():
+    # "-" adds the negated operand through the class-bound __add__ that the
+    # tracer wraps; a "-" that called _Numerators.__add__ itself would run untraced
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import spans
+        import axc
+        rec = spans.Recorder()
+        spans.install(rec)
+        p = axc.Poly.variable(2, 1)
+        w = axc.Form.from_poly(axc.Context.euclidean(2), p)
+        rec.item = 0
+        assert (p - p).is_zero and (w - w).is_zero
+        rec.item = None
+        print(json.dumps([rec.stat("polyring.add")[0], rec.stat("forms.add")[0]]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(SPANS.parent)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == [1, 1]
 
 
 def test_tracer_sees_the_clifford_rows_of_the_cli(tmp_path):
