@@ -40,7 +40,7 @@ def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     out = []
     for i, e in enumerate(exps):
         if e > 1:
-            out.append((idx, exps[:i] + (e - 2,) + exps[i + 1:], signature[i] * e * (e - 1)))
+            out.append((idx, exps[:i] + (e - 2,) + exps[i + 1:], signature[i] * e * (e - 1), 1))
     return out
 
 

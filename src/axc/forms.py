@@ -2,10 +2,11 @@
 
 A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators keyed
 by ``(index tuple, exponents)`` in the format of :class:`axc.polyring._Numerators`,
-as a ``Poly`` does, so only ``Form.terms`` builds a ``Fraction``.  The one walk
-:func:`_rows` reads rows as ``Poly``s in canonical order for ``repr``, the view
-``Form.components`` (grade -> (index tuple -> Poly)) and :mod:`axc.textio`, and
-:func:`_lifted` lifts rows back.  Clifford fields mix grades.
+as a ``Poly`` does.  Each operator is a module-level ``*_terms`` map, run by
+``Form.termwise``, whose images carry integer factor pairs, so only the read
+``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows as ``Poly``s in
+canonical order for ``repr``, ``Form.components`` (grade -> (index tuple ->
+Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
 """
 
 from __future__ import annotations
@@ -164,21 +165,14 @@ class Form(_Numerators):
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
+        if not isinstance(other, Form):
+            raise TypeError(f"cannot wedge a Form with {type(other).__name__}")
         self.ctx.require_same(other.ctx)
-        right = list(other.terms())
-
-        def wedge_terms(idx, exps):
-            for idx2, exps2, coef2 in right:
-                merged = _merge_indices(idx, idx2)
-                if merged is not None:
-                    new_idx, sign = merged
-                    yield new_idx, tuple(a + b for a, b in zip(exps, exps2)), sign * coef2
-
-        return self.termwise(wedge_terms)
+        return self.termwise(wedge_terms, other._nums.items(), other._den)
 
     def eta(self) -> "Form":
         """Grade-parity involution: (-1)^p on the grade-p part."""
-        return self.termwise(lambda idx, exps: [(idx, exps, (-1) ** len(idx))])
+        return self.termwise(lambda idx, exps: [(idx, exps, (-1) ** len(idx), 1)])
 
     def terms(self):
         """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
@@ -188,21 +182,19 @@ class Form(_Numerators):
         """Linear extension of a map on basis terms.
 
         ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
-        ``(idx', exps', factor)`` triples, each factor an ``int`` or a
-        ``Fraction``.  A term's numerator N times a factor r/s enters
+        ``(idx', exps', r, s)`` 4-tuples of the storage format: the factor r/s
+        is two ``int``s, s > 0.  A term's numerator N enters
         :func:`_sum_numerators` as the entry (N*r, s) over the form's
-        denominator: no ``Fraction`` is built per product.  ``args`` (such as
+        denominator, so no operator builds a ``Fraction``.  ``args`` (such as
         the signature) spare a closure per call.
         """
-        entries = []
-        for (idx, exps), N in self._nums.items():
-            for out_idx, out_exps, f in fn(idx, exps, *args):
-                entries.append(((out_idx, out_exps), N * f.numerator, f.denominator))
+        entries = [((out_idx, out_exps), N * r, s) for (idx, exps), N in self._nums.items()
+                   for out_idx, out_exps, r, s in fn(idx, exps, *args)]
         return _form(self.ctx, *_sum_numerators(entries, self._den))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
-        return self.termwise(lambda idx, exps: [(idx, exps, 1)] if len(idx) == k else [])
+        return self.termwise(lambda idx, exps: [(idx, exps, 1, 1)] if len(idx) == k else [])
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
@@ -216,11 +208,11 @@ class Form(_Numerators):
             raise DimensionMismatch("point length != dimension")
         zeros = (0,) * self.ctx.n
         return self.termwise(lambda idx, exps: [
-            (idx, zeros, math.prod(x ** e for x, e in zip(point, exps) if e))])
+            (idx, zeros, *math.prod(x ** e for x, e in zip(point, exps) if e).as_integer_ratio())])
 
     def at_center(self) -> "Form":
         """The constant terms: every coefficient's value at the chart center."""
-        return self.termwise(lambda idx, exps: [] if any(exps) else [(idx, exps, 1)])
+        return self.termwise(lambda idx, exps: [] if any(exps) else [(idx, exps, 1, 1)])
 
     # -- queries -----------------------------------------------------------
 
@@ -263,8 +255,17 @@ class Form(_Numerators):
 def d_terms(idx: tuple, exps: tuple) -> list:
     """d on one basis term: d(y^a dx^I) = sum_{i not in I} a_i y^(a - e_i) dx^i ^ dx^I,
     over the rows of :func:`_wedge_slots`."""
-    return [(new_idx, exps[:i] + (exps[i] - 1,) + exps[i + 1:], sign * exps[i])
+    return [(new_idx, exps[:i] + (exps[i] - 1,) + exps[i + 1:], sign * exps[i], 1)
             for i, new_idx, sign in _wedge_slots(idx, len(exps)) if exps[i]]
+
+
+def wedge_terms(idx: tuple, exps: tuple, right, den: int):
+    """y^exps dx^idx ^ the form of the ``((index tuple, exponents), numerator)``
+    items ``right`` over den, term by term."""
+    for (idx2, exps2), v in right:
+        merged = _merge_indices(idx, idx2)
+        if merged is not None:
+            yield merged[0], tuple(a + b for a, b in zip(exps, exps2)), merged[1] * v, den
 
 
 class VectorField:
@@ -303,18 +304,21 @@ class VectorField:
         return f"VectorField({list(self.components)!r})"
 
 
+def interior_terms(idx: tuple, exps: tuple, components: tuple):
+    """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over the rows of
+    :func:`_contract_slots`, for the ``Poly`` components of v."""
+    for i, rest, sign in _contract_slots(idx):
+        p = components[i]
+        for v_exps, v in p._nums.items():
+            yield rest, tuple(a + b for a, b in zip(exps, v_exps)), sign * v, p._den
+
+
 def interior(v: VectorField, omega: Form) -> Form:
-    """Insertion antiderivative i_v over the rows of :func:`_contract_slots`,
-    i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j}."""
+    """Insertion antiderivative i_v, by :func:`interior_terms`."""
+    if not isinstance(v, VectorField) or not isinstance(omega, Form):
+        raise TypeError("interior takes a VectorField and a Form")
     v.ctx.require_same(omega.ctx)
-    components = [p.terms.items() for p in v.components]
-
-    def interior_terms(idx, exps):
-        for i, rest, sign in _contract_slots(idx):
-            for v_exps, v_coef in components[i]:
-                yield rest, tuple(a + b for a, b in zip(exps, v_exps)), v_coef if sign > 0 else -v_coef
-
-    return omega.termwise(interior_terms)
+    return omega.termwise(interior_terms, v.components)
 
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:

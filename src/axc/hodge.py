@@ -8,12 +8,12 @@ Conventions (property-tested, not hand-simplified):
     delta(f dx^I) = -sum_j (-1)^j eps_{i_j} (d f / d y_{i_j}) dx^{I minus i_j}
   with j the 0-based position of i_j in I.
 
-star, star_inv and delta are maps on basis terms run by ``Form.termwise``,
-and each sign rule is written once: :func:`star_terms` holds the star rule
-(star_inv only multiplies it by its grade sign), and the (-1)^j of delta is
-read from the rows of :func:`axc.forms._contract_slots`.  ``tests/test_hodge.py``
-checks them against the replaced loops and the literal composite on random
-forms for n = 1..6.
+star, star_inv and delta are maps on basis terms run by ``Form.termwise``, each
+factor an integer over 1 (no ``Fraction``), and each sign rule is written once:
+:func:`star_terms` holds the star rule (star_inv only multiplies it by its grade
+sign), and the (-1)^j of delta is read from the rows of
+:func:`axc.forms._contract_slots`.  ``tests/test_hodge.py`` checks them against
+the replaced loops and the literal composite on random forms for n = 1..6.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False)
         sign *= signature[i - 1]
     if inverse:
         sign *= math.prod(signature) * (-1) ** (len(idx) * len(comp))
-    return [(comp, exps, sign)]
+    return [(comp, exps, sign, 1)]
 
 
 def hodge_star(omega: Form) -> Form:
@@ -62,9 +62,9 @@ def hodge_star_inv(omega: Form) -> Form:
 
 
 def codifferential_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """delta on one basis term y^exps dx^idx, as ``(idx', exps', factor)``
-    triples (the closed form of the module docstring)."""
-    return [(rest, exps[:i] + (exps[i] - 1,) + exps[i + 1:], -sign * signature[i] * exps[i])
+    """delta on one basis term y^exps dx^idx, as ``(idx', exps', r, 1)`` images
+    (the closed form of the module docstring)."""
+    return [(rest, exps[:i] + (exps[i] - 1,) + exps[i + 1:], -sign * signature[i] * exps[i], 1)
             for i, rest, sign in _contract_slots(idx) if exps[i]]
 
 

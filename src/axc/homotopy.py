@@ -10,7 +10,8 @@ space of forms:
                                     center evaluation)
 
 Both operators have a closed monomial form and run term by term through
-``Form.termwise``.  On y^a dx^I with |a| = m and |I| = k:
+``Form.termwise``, the weight the integer denominator of each image factor, so
+no ``Fraction`` is built here.  On y^a dx^I with |a| = m and |I| = k:
 
     H(y^a dx^I) =  i_K(y^a dx^I) / (m + k)        (contraction with K)
     h(y^a dx^I) = -K^flat ^ (y^a dx^I) / (m + n - k)   (zero on top grade)
@@ -25,7 +26,6 @@ against that literal composite for n = 1..6.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
@@ -66,7 +66,7 @@ def _homotopy_terms(idx: tuple, exps: tuple) -> list:
     the radial contraction i_K dx^I times the monomial's H weight, never 0
     where :func:`axc.forms._contract_slots` has a row."""
     w = sum(exps) + len(idx)
-    return [(rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], Fraction(sign, w))
+    return [(rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w)
             for i, rest, sign in _contract_slots(idx)]
 
 
@@ -83,7 +83,7 @@ def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
     the weight never 0 where :func:`axc.forms._wedge_slots` has a row."""
     w = _h_weight(idx, exps)
-    return [(new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], Fraction(-sign * signature[i], w))
+    return [(new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], -sign * signature[i], w)
             for i, new_idx, sign in _wedge_slots(idx, len(exps))]
 
 
@@ -171,4 +171,4 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
     alpha = -W(delta(omega)).
     """
     return codifferential(omega).termwise(
-        lambda idx, exps: [(idx, exps, Fraction(-1, _h_weight(idx, exps)))])
+        lambda idx, exps: [(idx, exps, -1, _h_weight(idx, exps))])

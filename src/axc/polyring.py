@@ -2,14 +2,14 @@
 
 Every coefficient the kernel hands out is a :class:`fractions.Fraction`;
 there is no floating point in any code path.  Polynomials are stored in
-coordinates ``y_i = x_i - center_i`` because the homotopy operators have a
-closed monomial form only in centered coordinates.  A :class:`Poly` and an
-:class:`axc.forms.Form` share the integer format and the arithmetic of
-:class:`_Numerators`, so arithmetic runs on integers alone:
-:func:`_sum_numerators` is the one loop that sums terms, :func:`_int_mul` the
-one product loop, :func:`_taylor_shift_axis` re-centers and :func:`_reduced`
-divides out the common gcd once per result.  Only the reads, ``Poly.terms``
-and ``Poly.eval``, build ``Fraction``s.
+coordinates ``y_i = x_i - center_i``, where the homotopy operators have a
+closed monomial form.  A :class:`Poly` and an :class:`axc.forms.Form` share
+the integer format and the arithmetic of :class:`_Numerators`, so arithmetic
+runs on integers alone: :func:`_sum_numerators` is the one loop that sums
+terms, :func:`_int_mul` the one product loop, :func:`_taylor_shift_axis`
+re-centers and :func:`_reduced` divides out the common gcd once per result.
+No operator builds a ``Fraction``: only :func:`_as_fraction`, the grammar's
+rational literal and the reads ``Poly.terms``, ``Poly.eval`` and ``Form.terms`` do.
 """
 
 from __future__ import annotations

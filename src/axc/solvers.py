@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .clifford import OperatorTag, apply_operator, box_terms, laplace_beltrami
@@ -50,26 +49,25 @@ class SolveReport(NamedTuple):
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_box(exps: tuple, signature: tuple) -> tuple:
-    """G(y^a) as ``(exponents, Fraction)`` pairs; box G(y^a) = y^a.  With
+    """G(y^a) as ``(exponents, numerator, denominator)`` triples: with
     Q = sum_i eps_i y_i^2, m = |a| and a_j = 2(j+1)(n + 2m - 2j) > 0,
     box(Q^(j+1) f) = a_j Q^j f + Q^(j+1) box f for f of degree m - 2j, so
-    G(g) = sum_j c_j Q^(j+1) box^j g, c_0 = 1/a_0, c_(j+1) = -c_j/a_(j+1),
-    telescopes.  Cached: right-hand sides repeat the same few exponents."""
+    G(g) = sum_j (-1)^j Q^(j+1) box^j g / (a_0 ... a_j), a sign over an integer
+    product, has box G(g) = g.  Cached: right-hand sides repeat the same exponents."""
     n, m = len(exps), sum(exps)
     Q = _poly(n, 1, {tuple(2 if i == j else 0 for i in range(n)): eps
                      for j, eps in enumerate(signature)})
-    term, power, c, pieces = Poly.monomial(n, exps), Q, Fraction(1), []
+    term, power, sign, prod_a, pieces = Poly.monomial(n, exps), Q, 1, 1, []
     for j in range(m // 2 + 1):
-        c /= 2 * (j + 1) * (n + 2 * m - 2 * j)
+        prod_a *= 2 * (j + 1) * (n + 2 * m - 2 * j)
         piece = power * term
-        pieces.extend((e, v * c.numerator, piece._den * c.denominator)
-                      for e, v in piece._nums.items())
+        pieces.extend((e, sign * v, piece._den * prod_a) for e, v in piece._nums.items())
         term = _poly(n, *_sum_numerators([(out_exps, v * f, term._den)
                                           for e, v in term._nums.items()
-                                          for _, out_exps, f in box_terms((), e, signature)]))
-        power, c = power * Q, -c
+                                          for _, out_exps, f, _ in box_terms((), e, signature)]))
+        power, sign = power * Q, -sign
     D, nums = _sum_numerators(pieces)
-    return tuple((e, Fraction(v, D)) for e, v in nums.items())
+    return tuple((e, v, D) for e, v in nums.items())
 
 
 def laplace_solve(rhs: Form, k: int) -> Form:
@@ -90,7 +88,7 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
     signature = ctx.signature
-    return rhs.termwise(lambda idx, exps: [(idx, e, c) for e, c in _inverse_box(exps, signature)])
+    return rhs.termwise(lambda idx, exps: [(idx, *g) for g in _inverse_box(exps, signature)])
 
 
 def _close(s: Form, k: int, exact: bool) -> tuple[Form, Form]:

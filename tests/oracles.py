@@ -51,11 +51,11 @@ def fraction_termwise(omega: Form, fn) -> Form:
     """``Form.termwise`` as a plain fold: each term's coefficient times each
     factor of its image, as one ``Fraction`` product per image term."""
     return fraction_fold(omega.ctx, [
-        (out_idx, out_exps, coef * Fraction(factor))
+        (out_idx, out_exps, coef * Fraction(r, s))
         for idx_map in omega.components.values()
         for idx, poly in idx_map.items()
         for exps, coef in poly.terms.items()
-        for out_idx, out_exps, factor in fn(idx, exps)])
+        for out_idx, out_exps, r, s in fn(idx, exps)])
 
 
 def loop_add(omega: Form, phi: Form) -> Form:

@@ -7,12 +7,14 @@ import pytest
 from axc import (Context, Form, Poly, VectorField, clifford_vec_mul, form_linear, interior,
                  k_field, kr_maxwell_couple, vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
-from axc.forms import _contract_slots, _merge_indices, _wedge_slots, d_terms
-from axc.hodge import codifferential_terms
+from axc.clifford import box_terms
+from axc.forms import (_contract_slots, _merge_indices, _wedge_slots, d_terms, interior_terms,
+                       wedge_terms)
+from axc.hodge import codifferential_terms, star_terms
 from axc.homotopy import _cohomotopy_terms, _homotopy_terms
 from axc.polyring import _as_fraction
 from axc.randforms import random_form, random_poly, sample_rng
-from tests.conftest import B, oracle_contexts, var
+from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
                            loop_wedge)
 
@@ -89,6 +91,18 @@ class TestLinear:
     def test_a_coefficient_that_is_not_a_poly_is_a_type_error(self, e2, build):
         with pytest.raises(TypeError, match="is not a Poly$"):
             build(e2)
+
+    @pytest.mark.parametrize("operation, message", [
+        (lambda ctx, w: w.wedge(3), "cannot wedge a Form with int"),
+        (lambda ctx, w: w.wedge(var(ctx, 1)), "cannot wedge a Form with Poly"),
+        (lambda ctx, w: w.wedge(k_field(ctx)), "cannot wedge a Form with VectorField"),
+        (lambda ctx, w: interior(3, w), "interior takes a VectorField and a Form"),
+        (lambda ctx, w: interior(k_field(ctx), 3), "interior takes a VectorField and a Form"),
+    ], ids=["wedge-int", "wedge-poly", "wedge-field", "interior-int-field", "interior-int-form"])
+    def test_an_operand_of_another_class_is_a_type_error(self, e2, operation, message):
+        # wedge and interior read their operands' numerators, so they check the class first
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            operation(e2, B(e2, (1,), var(e2, 2)))
 
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
@@ -421,8 +435,9 @@ def _sum_map(idx, exps):
     """A term map with int and Fraction factors whose images collide across terms."""
     s = sum(exps) + len(idx)
     zeros = (0,) * len(exps)
-    return [(idx, exps, SUM_FACTORS[s % 6]), ((), zeros, SUM_FACTORS[(s + 1) % 6]),
-            (idx, zeros, SUM_FACTORS[(s + 3) % 6])]
+    return [(idx, exps, *SUM_FACTORS[s % 6].as_integer_ratio()),
+            ((), zeros, *SUM_FACTORS[(s + 1) % 6].as_integer_ratio()),
+            (idx, zeros, *SUM_FACTORS[(s + 3) % 6].as_integer_ratio())]
 
 
 def _only_fractions(form):
@@ -464,14 +479,14 @@ class TestTermSum:
         assert list(form.components[1][(1,)].terms) == [(0, 1)]
         # y1 dx1 / 9 and 2 y2 dx1 / 11 map to 1 and -1 on the same term
         omega = Form.from_terms(e2, [((1,), (1, 0), ninth), ((1,), (0, 1), Fraction(2, 11))])
-        image = omega.termwise(lambda idx, exps: [((), (0, 0), 9 if exps[0] else Fraction(-11, 2))])
+        image = omega.termwise(lambda idx, exps: [((), (0, 0), *((9, 1) if exps[0] else (-11, 2)))])
         assert image.components == {}
 
     def test_coefficients_are_fractions_never_ints(self, e2):
         # int coefficients and int factors whose sums all have denominator 1
         form = Form.from_terms(e2, [((1,), (1, 0), 2), ((1,), (1, 0), 3), ((), (0, 2), 4)])
         assert form == fraction_fold(e2, [((1,), (1, 0), 5), ((), (0, 2), 4)])
-        for out in (form, form.termwise(lambda idx, exps: [(idx, exps, 5)]), form.d(),
+        for out in (form, form.termwise(lambda idx, exps: [(idx, exps, 5, 1)]), form.d(),
                     form + form, form.scale(Fraction(1, 5))):
             assert not out.is_zero and _only_fractions(out)
 
@@ -480,6 +495,36 @@ class TestTermSum:
         assert Form.from_terms(e2, iter(())).components == {}
         assert B(e2, (1,)).termwise(lambda idx, exps: []) == Form.zero(e2)
         assert Form.zero(e2).termwise(_sum_map) == Form.zero(e2)
+
+
+def _operator_term_maps(ctx, rng) -> list:
+    """``(name, term map, its args)`` for every operator's module-level term map on ctx."""
+    signature, right = ctx.signature, random_form(ctx, rng)
+    field = tuple(random_poly(rng, ctx.n) for _ in range(ctx.n))
+    return [("d", d_terms, ()), ("delta", codifferential_terms, (signature,)),
+            ("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
+            ("box", box_terms, (signature,)), ("H", _homotopy_terms, ()),
+            ("h", _cohomotopy_terms, (signature,)),
+            ("wedge", wedge_terms, (right._nums.items(), right._den)),
+            ("interior", interior_terms, (field,))]
+
+
+class TestTermMapContract:
+    """Every operator's term map speaks the storage format: an image is
+    ``(index tuple, exponents, r, s)``, the factor r/s two ints with s > 0."""
+
+    @pytest.mark.parametrize("ctx", all_contexts(6),
+                             ids=lambda c: "".join("+" if s == 1 else "-" for s in c.signature))
+    def test_every_image_is_two_tuples_and_an_integer_factor_pair(self, ctx):
+        rng = sample_rng(251, ctx.n)
+        maps = _operator_term_maps(ctx, rng)
+        for _ in range(20):
+            idx = tuple(sorted(rng.sample(range(1, ctx.n + 1), rng.randint(0, ctx.n))))
+            exps = tuple(rng.randint(0, 3) for _ in range(ctx.n))
+            for name, fn, args in maps:
+                for image in fn(idx, exps, *args):
+                    assert [type(x) for x in image] == [tuple, tuple, int, int], (name, image)
+                    assert image[3] > 0, (name, image)
 
 
 class TestCanonicalForm:
@@ -507,7 +552,8 @@ class TestCanonicalForm:
             # scale multiplies the numerators; the term map sums them anew
             for c in (0, -1, Fraction(3, 7), "-2/9", 5):
                 factor = _as_fraction(c)
-                self._same(w.scale(c), w.termwise(lambda idx, exps: [(idx, exps, factor)]))
+                r, s = factor.as_integer_ratio()
+                self._same(w.scale(c), w.termwise(lambda idx, exps: [(idx, exps, r, s)]))
             with pytest.raises(TypeError, match=re.escape("not an exact rational: 2.0")):
                 w.scale(2.0)
 

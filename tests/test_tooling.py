@@ -201,6 +201,17 @@ def test_polyring_builds_fractions_only_where_coefficients_are_read():
     assert importlib.import_module("axc.polyring").Poly.__slots__ == ("n", "_den", "_nums")
 
 
+def test_operators_pass_integer_factor_pairs():
+    # a term map's image factor is r/s as two ints, so the operator modules
+    # build no Fraction and termwise takes no Fraction apart
+    for module in ("hodge.py", "homotopy.py", "clifford.py", "solvers.py"):
+        assert _callers(module, FRACTION_BUILDERS) == set(), module
+    termwise = next(node for node in ast.walk(dict(_kernel_trees())["forms.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "termwise")
+    read = set().union(*map(_names, ast.walk(termwise)))
+    assert not read & {"numerator", "denominator"}, read
+
+
 def test_poly_and_form_share_one_numerator_arithmetic():
     # the two classes store one format, so its arithmetic is written once, on
     # _Numerators; __add__ is bound on each class too, for the tracer to wrap
