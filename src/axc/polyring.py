@@ -94,7 +94,7 @@ def _poly(n: int, D: int, nums: dict) -> "Poly":
 
 
 def _int_mul(p: dict, q: dict) -> dict:
-    """Product of two exponent -> integer maps; no Fraction, no gcd."""
+    """``Poly``'s product of two exponent -> integer maps; no Fraction, no gcd."""
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

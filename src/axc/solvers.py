@@ -1,7 +1,8 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
 Each pipeline composes H and h with one closing step, ``_close(s, k, exact)``,
-a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`):
+a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`,
+whose series :func:`_inverse_box` sums by Horner's rule on integer numerators):
 on the exact half it returns (beta, s + delta beta), closed, with beta =
 d G(H d s), on the coexact half (alpha, s + d alpha), coclosed, with alpha =
 delta G(h delta s).  Maxwell and Kalb-Ramond close h j and take A = H F;
@@ -30,7 +31,7 @@ from .errors import (
 from .forms import Form, _require_grade
 from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
-from .polyring import Poly, _poly, _sum_numerators
+from .polyring import _sum_numerators
 
 
 class SolveReport(NamedTuple):
@@ -49,25 +50,24 @@ class SolveReport(NamedTuple):
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_box(exps: tuple, signature: tuple) -> tuple:
-    """G(y^a) as ``(exponents, numerator, denominator)`` triples: with
-    Q = sum_i eps_i y_i^2, m = |a| and a_j = 2(j+1)(n + 2m - 2j) > 0,
-    box(Q^(j+1) f) = a_j Q^j f + Q^(j+1) box f for f of degree m - 2j, so
-    G(g) = sum_j (-1)^j Q^(j+1) box^j g / (a_0 ... a_j), a sign over an integer
-    product, has box G(g) = g.  Cached: right-hand sides repeat the same exponents."""
+    """G(y^a) as ``(exponents, numerator, denominator)`` triples.  With Q = sum_i eps_i y_i^2,
+    m = |a|, a_j = 2(j+1)(n + 2m - 2j) > 0 and b_j = box^j y^a, box(Q^(j+1) f) = a_j Q^j f
+    + Q^(j+1) box f for f of degree m - 2j, so G = sum_j (-1)^j Q^(j+1) b_j / (a_0 ... a_j)
+    has box G = y^a.  Horner's rule sums it as (Q/a_0)(b_0 - (Q/a_1)(b_1 - ... - (Q/a_J) b_J)),
+    J = m // 2, one :func:`_sum_numerators` per step: Q b_j over 1 (box has integer factors)
+    and -Q acc over a_j, Q times a map its n shifted copies.  Cached: exponents repeat."""
     n, m = len(exps), sum(exps)
-    Q = _poly(n, 1, {tuple(2 if i == j else 0 for i in range(n)): eps
-                     for j, eps in enumerate(signature)})
-    term, power, sign, prod_a, pieces = Poly.monomial(n, exps), Q, 1, 1, []
-    for j in range(m // 2 + 1):
-        prod_a *= 2 * (j + 1) * (n + 2 * m - 2 * j)
-        piece = power * term
-        pieces.extend((e, sign * v, piece._den * prod_a) for e, v in piece._nums.items())
-        term = _poly(n, *_sum_numerators([(out_exps, v * f, term._den)
-                                          for e, v in term._nums.items()
-                                          for _, out_exps, f, _ in box_terms((), e, signature)]))
-        power, sign = power * Q, -sign
-    D, nums = _sum_numerators(pieces)
-    return tuple((e, v, D) for e, v in nums.items())
+    b = [{exps: 1}]
+    for _ in range(m // 2):
+        b.append(_sum_numerators([(out, v * f, 1) for e, v in b[-1].items()
+                                  for _, out, f, _ in box_terms((), e, signature)])[1])
+    D, acc = 1, {}
+    for j in range(m // 2, -1, -1):
+        D, acc = _sum_numerators([(e[:i] + (e[i] + 2,) + e[i + 1:], sign * eps * v, den)
+                                  for nums, sign, den in ((b[j], 1, 1), (acc, -1, D))
+                                  for e, v in nums.items() for i, eps in enumerate(signature)],
+                                 2 * (j + 1) * (n + 2 * m - 2 * j))
+    return tuple((e, v, D) for e, v in acc.items())
 
 
 def laplace_solve(rhs: Form, k: int) -> Form:

@@ -13,6 +13,7 @@ so they call no ``Poly`` arithmetic at all.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from axc import Form, Poly, codifferential, k_field
@@ -176,6 +177,29 @@ def loop_anticoexact_wedge_factor(omega: Form) -> Form:
                 weighted = weighted + Poly.monomial(ctx.n, exps, Fraction(coef, sum(exps) + k))
             out = loop_add(out, loop_star_inv(Form.basis(ctx, idx, weighted)).scale(-1))
     return out
+
+
+def series_inverse_box(exps: tuple, signature: tuple) -> set:
+    """G(y^a) as the set of ``(exponents, numerator, denominator)`` triples of
+    ``solvers._inverse_box``, summed term by term as the series
+    sum_j (-1)^j Q^(j+1) box^j y^a / (a_0 ... a_j), Q = sum_i eps_i y_i^2,
+    a_j = 2(j+1)(n + 2m - 2j), with ``Poly`` powers of Q and box by partial
+    derivatives."""
+    n, m = len(exps), sum(exps)
+    Q = Poly.zero(n)
+    for i, eps in enumerate(signature, 1):
+        Q = Q + (Poly.variable(n, i) ** 2).scale(eps)
+    term, power, G, prod_a = Poly.monomial(n, exps), Q, Poly.zero(n), 1
+    for j in range(m // 2 + 1):
+        prod_a *= 2 * (j + 1) * (n + 2 * m - 2 * j)
+        G = G + (power * term).scale(Fraction((-1) ** j, prod_a))
+        power = power * Q
+        box = Poly.zero(n)
+        for i, eps in enumerate(signature, 1):
+            box = box + term.partial(i).partial(i).scale(eps)
+        term = box
+    D = math.lcm(*(c.denominator for c in G.terms.values()))
+    return {(e, int(c * D), D) for e, c in G.terms.items()}
 
 
 def composite_rows(ctx, k: int, side: tuple, bound: int) -> dict:

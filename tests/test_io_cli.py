@@ -359,6 +359,19 @@ class TestCli:
         assert "F = (-x1) dx1^dx2" in out
         assert "status: success" in out
 
+    # SHA-1 of stdout as printed when G still summed its series with Poly
+    # powers of Q: degree 50 in 2-D and degree 40 on a mixed 3-D metric take
+    # Horner chains of 26 and 21 steps, where the golden reports take a few
+    @pytest.mark.parametrize("flags, text, sha1", [
+        (["--dim", "2"], "((x1+1)^50) dx1", "afec8c71b76e0341a7f44a2787d9a6d3967664df"),
+        (["--metric", "++-"], "((x3+1)^40) dx1", "79fbb8b4220b62dcf2e248d84a565d91be3e25e4"),
+    ], ids=["2d-degree-50", "3d-degree-40"])
+    def test_high_degree_dirac_solve_is_pinned(self, tmp_path, capsys, flags, text, sha1):
+        src = tmp_path / "b.txt"
+        src.write_text(text)
+        assert main([*flags, "solve", "dirac-source", "--approach", "2", "--in", str(src)]) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha1
+
     def test_copotential_top_grade_is_input_error(self, tmp_path, capsys):
         src = tmp_path / "w.txt"
         src.write_text("dx1^dx2")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from axc.errors import (GradeMismatch, GradeOutOfRange, InconsistentSystem, NotA
                         NotConserved)
 from axc.linsolve import solve_sparse
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import _close
+from axc.solvers import _close, _inverse_box
 from tests.conftest import B, var
 from tests.oracles import (
     composite_codifferential,
@@ -36,6 +37,7 @@ from tests.oracles import (
     composite_laplace_solve,
     composite_rows,
     loop_d,
+    series_inverse_box,
 )
 
 
@@ -107,6 +109,20 @@ class TestLaplaceSolve:
         # over every degree up to deg(rhs) + 4 finds no solution it misses
         for beta, rhs, k, side in composite_cases(e3, m4):
             assert_agrees_with_elimination(beta, rhs, k, side, rhs.max_coeff_degree() + 4)
+
+    def test_horner_sum_matches_the_series(self):
+        # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to
+        # total degree 20 (Horner chains of up to 11 steps): the series costs
+        # ~1.5 s there and ~25 s uncapped.  The triples come in dict order, so
+        # they are compared as sets
+        rng, checked = random.Random(26), 0
+        while checked < 400:
+            n = rng.randint(1, 5)
+            exps = tuple(rng.randint(0, 9) for _ in range(n))
+            signature = tuple(rng.choice((1, -1)) for _ in range(n))
+            if sum(exps) <= 20:
+                assert set(_inverse_box(exps, signature)) == series_inverse_box(exps, signature)
+                checked += 1
 
 
 class TestSolveSparse:

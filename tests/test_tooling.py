@@ -212,6 +212,14 @@ def test_operators_pass_integer_factor_pairs():
     assert not read & {"numerator", "denominator"}, read
 
 
+def test_solvers_sums_g_on_integer_numerators():
+    # G is summed by Horner's rule, each step one _sum_numerators call over
+    # integer numerators, so the solvers build no Poly and multiply none
+    for node in ast.walk(dict(_kernel_trees())["solvers.py"]):
+        named = _names(node) & {"Poly", "_poly", "_int_mul"}
+        assert not named, f"solvers.py:{getattr(node, 'lineno', '?')} names {named}"
+
+
 def test_poly_and_form_share_one_numerator_arithmetic():
     # the two classes store one format, so its arithmetic is written once, on
     # _Numerators; __add__ is bound on each class too, for the tracer to wrap
