@@ -133,8 +133,9 @@ def _print_named(forms: dict, prefix: str = ""):
         print(f"{prefix}{name} = {print_form(form)}")
 
 
-def _json_named(forms: dict) -> dict:
-    return {name: form_to_json(form) for name, form in forms.items()}
+def _print_json(doc):
+    """Write a JSON document, each form in it as :func:`form_to_json` writes it."""
+    print(json.dumps(doc, indent=2, sort_keys=True, default=form_to_json))
 
 
 def _run(args) -> int:
@@ -143,14 +144,17 @@ def _run(args) -> int:
 
     unary = _OPS[args.op] if args.command == "apply" else _POTENTIALS.get(args.command)
     if unary is not None:
-        print(print_form(unary(omega), "json" if args.json else "text"))
+        if args.json:
+            _print_json(unary(omega))
+        else:
+            print(print_form(unary(omega)))
         return 0
 
     if args.command == "decompose":
         dec = decompose(omega, DecompositionMode(args.mode))
         parts = {args.mode: dec.first, "anti" + args.mode: dec.second}
         if args.json:
-            print(json.dumps(_json_named(parts), indent=2, sort_keys=True))
+            _print_json(parts)
         else:
             _print_named(parts)
         return 0
@@ -176,10 +180,8 @@ def _run(args) -> int:
     if args.command == "solve":
         report = _SYSTEMS[args.system](omega, args.approach)
         if args.json:
-            print(json.dumps({"outputs": _json_named(report.outputs),
-                              "residuals": _json_named(report.residuals),
-                              "gauge_notes": report.gauge_notes, "success": report.success},
-                             indent=2, sort_keys=True))
+            _print_json({"outputs": report.outputs, "residuals": report.residuals,
+                         "gauge_notes": report.gauge_notes, "success": report.success})
         else:
             _print_named(report.outputs)
             _print_named(report.residuals, "residual ")

@@ -322,11 +322,8 @@ def _poly_text(p: Poly) -> str:
     return text
 
 
-def print_form(omega: Form, fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps(form_to_json(omega), indent=2, sort_keys=True)
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
+def print_form(omega: Form) -> str:
+    """The canonical text of a form, in absolute coordinates."""
     back = [-c for c in omega.ctx.center]
     pieces = []
     for idx, poly in _rows(omega):

@@ -2,6 +2,7 @@ import pytest
 
 from axc import Context, Form, identities, run_identities
 from axc.identities import IdentityResult
+from tests.conftest import all_contexts
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": -2}, {"samples": 0}, {"max_degree": -1},
@@ -50,3 +51,26 @@ def test_a_failing_check_stops_at_its_first_failing_sample(monkeypatch):
     results = run_identities(Context.euclidean(2), samples=5, seed=3, names=["h2_zero", "d2_zero"])
     assert results == [IdentityResult("h2_zero", False, 5, 2), IdentityResult("d2_zero", True, 5)]
     assert len(seen) == 3
+
+
+# Faults put into the names that axc.identities imports, each on one grade of
+# its input: (name, fault of the real operator, check it breaks, lowest n it reaches)
+_FAULTS = {
+    "star doubled on grade 1": (
+        "hodge_star", lambda op: lambda w: op(w) + op(w.grade_select(1)), "star_star_law", 1),
+    "h negated on grade 1": (
+        "cohomotopy_h", lambda op: lambda w: op(w - w.grade_select(1).scale(2)), "h_sign_form", 2),
+    "star_inv negated on grade 2": (
+        "hodge_star_inv", lambda op: lambda w: op(w - w.grade_select(2).scale(2)), "h_sign_form", 3),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_a_faulty_operator_fails_the_check_it_targets(monkeypatch, fault):
+    # a whole-form equation catches each fault on every chart that its grade reaches
+    name, broken, target, low = _FAULTS[fault]
+    monkeypatch.setattr(identities, name, broken(getattr(identities, name)))
+    for ctx in all_contexts():
+        if ctx.n >= low:
+            results = run_identities(ctx, 20, 3, 7, names=["star_star_law", "h_sign_form"])
+            assert target in {r.name for r in results if not r.passed}, (fault, ctx)

@@ -6,6 +6,7 @@ checked here too."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -254,6 +255,16 @@ def test_textio_reads_rows_through_the_one_walk():
     for node in ast.walk(tree):
         assert not (isinstance(node, ast.Attribute) and node.attr == "components"), (
             f"textio.py:{node.lineno} reads components")
+
+
+def test_json_text_is_written_in_one_function():
+    # the JSON text format (two-space indent, sorted keys) is decided by the
+    # CLI's one writer; the printer returns the canonical text only
+    found = {f"{name}:{where}" for name, _ in _kernel_trees()
+             for where in _callers(name, {"dumps"})}
+    assert found == {"cli.py:_print_json"}, found
+    print_form = importlib.import_module("axc.textio").print_form
+    assert list(inspect.signature(print_form).parameters) == ["omega"]
 
 
 def test_no_lambda_only_forwards_to_a_term_map():

@@ -9,7 +9,8 @@ never run.  Run from anywhere, with optional extra pytest arguments:
     python3 tools/uncovered.py [-k EXPR ...]
 
 It writes nothing into the checkout: no byte code and no pytest cache.  The
-last line of output is the count; the exit code is pytest's.
+last line of output is the count.  The exit code is 1 when pytest passes but
+some line never ran, and pytest's in every other case, so the tool is a gate.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
         total += len(missed)
     print(f"{total} function-body lines of src/axc never ran (pytest exit code {code})")
-    return code
+    return 1 if code == 0 and total else code
 
 
 if __name__ == "__main__":
