@@ -9,7 +9,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, interior
+from .forms import Form, VectorField, _require_operand, interior
 from .hodge import codifferential, musical_flat
 from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
 
@@ -26,9 +26,9 @@ def clifford_vec_mul(v: VectorField, psi: Form) -> Form:
     """Clifford multiplication of a vector by a form: v^flat ^ psi + i_v psi.
 
     For the radial field this is exactly the split of psi into its
-    anticoexact (wedge) and antiexact (insertion) pieces.
+    anticoexact (wedge) and antiexact (insertion) pieces.  ``musical_flat``
+    checks v, and ``wedge`` psi and the shared context.
     """
-    v.ctx.require_same(psi.ctx)
     return musical_flat(v).wedge(psi) + interior(v, psi)
 
 
@@ -61,6 +61,7 @@ _OPERATORS = {
 def apply_operator(tag: OperatorTag, psi: Form) -> Form:
     if not isinstance(tag, OperatorTag):
         raise ValueError(f"unknown operator tag {tag!r}")
+    _require_operand(psi, Form)
     return _OPERATORS[tag][0](psi)
 
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _Numerators, _poly, _reduced,
+from .polyring import (Context, Poly, _as_fraction, _merged, _Numerators, _poly, _reduced,
                        _require_axis, _require_exponents, _sum_numerators)
 
 
@@ -49,6 +49,13 @@ def _contract_slots(idx: tuple) -> tuple:
     """The generator i(d/dx_a) on dx^idx: a ``(a - 1, idx minus a, (-1)^j)`` row,
     axis 0-based, per slot j of idx, a = idx[j]."""
     return tuple((a - 1, idx[:j] + idx[j + 1:], (-1) ** j) for j, a in enumerate(idx))
+
+
+def _require_operand(x, cls) -> None:
+    """An operand of a public operator is a ``cls``: another class is a
+    ``TypeError``, not the ``AttributeError`` of a member it lacks."""
+    if not isinstance(x, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
 def _require_grade(k, n: int) -> None:
@@ -179,18 +186,24 @@ class Form(_Numerators):
         return ((idx, exps, Fraction(v, self._den)) for (idx, exps), v in self._nums.items())
 
     def termwise(self, fn, *args) -> "Form":
-        """Linear extension of a map on basis terms.
+        """Linear extension of a map on basis terms, in one pass over the images.
 
         ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
         ``(idx', exps', r, s)`` 4-tuples of the storage format: the factor r/s
-        is two ``int``s, s > 0.  A term's numerator N enters
-        :func:`_sum_numerators` as the entry (N*r, s) over the form's
-        denominator, so no operator builds a ``Fraction``.  ``args`` (such as
-        the signature) spare a closure per call.
+        is two ``int``s, s > 0.  A term's numerator N adds N*r to the image
+        term's sum in the group of denominator s, and :func:`_merged` joins
+        the groups over the form's denominator, so no operator builds a
+        ``Fraction``.  ``args`` (such as the signature) spare a closure per call.
         """
-        entries = [((out_idx, out_exps), N * r, s) for (idx, exps), N in self._nums.items()
-                   for out_idx, out_exps, r, s in fn(idx, exps, *args)]
-        return _form(self.ctx, *_sum_numerators(entries, self._den))
+        groups: dict = {}
+        for (idx, exps), N in self._nums.items():
+            for out_idx, out_exps, r, s in fn(idx, exps, *args):
+                group = groups.get(s)
+                if group is None:
+                    group = groups[s] = {}
+                key = (out_idx, out_exps)
+                group[key] = group.get(key, 0) + N * r
+        return _form(self.ctx, *_merged(groups, self._den))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
@@ -255,8 +268,12 @@ class Form(_Numerators):
 def d_terms(idx: tuple, exps: tuple) -> list:
     """d on one basis term: d(y^a dx^I) = sum_{i not in I} a_i y^(a - e_i) dx^i ^ dx^I,
     over the rows of :func:`_wedge_slots`."""
-    return [(new_idx, exps[:i] + (exps[i] - 1,) + exps[i + 1:], sign * exps[i], 1)
-            for i, new_idx, sign in _wedge_slots(idx, len(exps)) if exps[i]]
+    out = []
+    for i, new_idx, sign in _wedge_slots(idx, len(exps)):
+        e = exps[i]
+        if e:
+            out.append((new_idx, exps[:i] + (e - 1,) + exps[i + 1:], sign * e, 1))
+    return out
 
 
 def wedge_terms(idx: tuple, exps: tuple, right, den: int):

@@ -29,7 +29,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _contract_slots, _wedge_slots, interior
+from .forms import Form, VectorField, _contract_slots, _require_operand, _wedge_slots, interior
 from .hodge import codifferential, musical_flat
 from .polyring import Context, Poly
 
@@ -66,11 +66,14 @@ def _homotopy_terms(idx: tuple, exps: tuple) -> list:
     the radial contraction i_K dx^I times the monomial's H weight, never 0
     where :func:`axc.forms._contract_slots` has a row."""
     w = sum(exps) + len(idx)
-    return [(rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w)
-            for i, rest, sign in _contract_slots(idx)]
+    out = []
+    for i, rest, sign in _contract_slots(idx):
+        out.append((rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w))
+    return out
 
 
 def homotopy_H(omega: Form) -> Form:
+    _require_operand(omega, Form)
     return omega.termwise(_homotopy_terms)
 
 
@@ -83,11 +86,14 @@ def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
     the weight never 0 where :func:`axc.forms._wedge_slots` has a row."""
     w = _h_weight(idx, exps)
-    return [(new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], -sign * signature[i], w)
-            for i, new_idx, sign in _wedge_slots(idx, len(exps))]
+    out = []
+    for i, new_idx, sign in _wedge_slots(idx, len(exps)):
+        out.append((new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], -sign * signature[i], w))
+    return out
 
 
 def cohomotopy_h(omega: Form) -> Form:
+    _require_operand(omega, Form)
     return omega.termwise(_cohomotopy_terms, omega.ctx.signature)
 
 

@@ -5,8 +5,10 @@ there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i``, where the homotopy operators have a
 closed monomial form.  A :class:`Poly` and an :class:`axc.forms.Form` share
 the integer format and the arithmetic of :class:`_Numerators`, so arithmetic
-runs on integers alone: :func:`_sum_numerators` is the one loop that sums
-terms, :func:`_int_mul` the one product loop, :func:`_taylor_shift_axis`
+runs on integers alone.  A sum groups its terms by denominator, as
+:func:`_sum_numerators` and ``Form.termwise`` do, and ends in :func:`_merged`,
+the one merge tail, which lifts over an lcm only when the denominators
+differ; :func:`_int_mul` is the one product loop, :func:`_taylor_shift_axis`
 re-centers and :func:`_reduced` divides out the common gcd once per result.
 No operator builds a ``Fraction``: only :func:`_as_fraction`, the grammar's
 rational literal and the reads ``Poly.terms``, ``Poly.eval`` and ``Form.terms`` do.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
@@ -65,22 +67,44 @@ def _require_exponents(exps: tuple, n: int) -> None:
         raise ValueError("negative exponent")
 
 
-def _sum_numerators(entries: list, D: int = 1) -> tuple[int, dict]:
-    """The one loop that sums terms: ``(key, numerator, denominator)`` entries,
-    each numerator / (denominator * D), summed as integers over the lcm of the
-    denominators to ``(D', {key: int})`` over the nonzero sums, gcd(D', all) == 1."""
-    dens = set(map(itemgetter(2), entries))
-    L = math.lcm(*dens)
-    lift = {den: L // den for den in dens}
-    acc: dict = {}
+def _sum_numerators(entries, D: int = 1) -> tuple[int, dict]:
+    """Sum ``(key, numerator, denominator)`` entries, each numerator /
+    (denominator * D), to the reduced ``(D', {key: int})`` of :func:`_merged`,
+    grouped by denominator as ``Form.termwise`` groups its images."""
+    groups: dict = {}
     for key, num, den in entries:
-        acc[key] = acc.get(key, 0) + num * lift[den]
-    return _reduced(D * L, {key: v for key, v in acc.items() if v})
+        group = groups.get(den)
+        if group is None:
+            group = groups[den] = {}
+        group[key] = group.get(key, 0) + num
+    return _merged(groups, D)
+
+
+def _merged(groups: dict, D: int = 1) -> tuple[int, dict]:
+    """The one merge tail of every sum: ``{denominator: {key: int}}`` groups,
+    each numerator over denominator * D, to ``(D', {key: int})`` over the
+    nonzero sums, gcd(D', all) == 1.  One group is taken as it is; only
+    several are lifted over the lcm of their denominators."""
+    if len(groups) == 1:
+        (L, acc), = groups.items()
+    elif groups:
+        L, acc = math.lcm(*groups), {}
+        for den, group in groups.items():
+            lift = L // den
+            for key, v in group.items():
+                acc[key] = acc.get(key, 0) + v * lift
+    else:
+        return 1, {}
+    if 0 in acc.values():
+        acc = {key: v for key, v in acc.items() if v}
+    return _reduced(D * L, acc)
 
 
 def _reduced(D: int, nums: dict) -> tuple[int, dict]:
     """``(D', {key: int})``, the nonzero numerators ``nums`` over D > 0 with
     their common gcd divided out, so gcd(D', all) == 1 (D' == 1 for none)."""
+    if D == 1:
+        return 1, nums
     g = math.gcd(D, *nums.values())
     return D // g, ({key: v // g for key, v in nums.items()} if g > 1 else nums)
 

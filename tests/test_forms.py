@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from axc import (Context, Form, Poly, VectorField, clifford_vec_mul, form_linear, interior,
-                 k_field, kr_maxwell_couple, vacuum_dirac_classify)
+from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_vec_mul,
+                 codifferential, cohomotopy_h, decompose, form_linear, hodge_star, hodge_star_inv,
+                 homotopy_H, interior, k_field, kr_maxwell_couple, laplace_beltrami, musical_flat,
+                 vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.clifford import box_terms
 from axc.forms import (_contract_slots, _merge_indices, _wedge_slots, d_terms, interior_terms,
@@ -343,6 +345,31 @@ def test_operands_on_different_charts_raise(e2, other, operation):
         operation(e2, other)
 
 
+# Public operators by the class of the operand slot they are handed x in.
+OPERAND_SLOTS = {
+    "hodge_star": (Form, lambda ctx, x: hodge_star(x)),
+    "hodge_star_inv": (Form, lambda ctx, x: hodge_star_inv(x)),
+    "codifferential": (Form, lambda ctx, x: codifferential(x)),
+    "homotopy_H": (Form, lambda ctx, x: homotopy_H(x)),
+    "cohomotopy_h": (Form, lambda ctx, x: cohomotopy_h(x)),
+    "decompose-exact": (Form, lambda ctx, x: decompose(x, DecompositionMode.EXACT_ANTIEXACT)),
+    "decompose-coexact": (Form, lambda ctx, x: decompose(x, DecompositionMode.COEXACT_ANTICOEXACT)),
+    "laplace_beltrami": (Form, lambda ctx, x: laplace_beltrami(x)),
+    "clifford_vec_mul-form": (Form, lambda ctx, x: clifford_vec_mul(k_field(ctx), x)),
+    "clifford_vec_mul-vector": (VectorField, lambda ctx, x: clifford_vec_mul(x, B(ctx, (1,)))),
+    "musical_flat": (VectorField, lambda ctx, x: musical_flat(x)),
+}
+
+
+@pytest.mark.parametrize("slot, operation", OPERAND_SLOTS.values(), ids=OPERAND_SLOTS.keys())
+def test_an_operand_of_another_class_is_a_type_error_everywhere(e2, slot, operation):
+    # the class is checked before any member is read, so no AttributeError escapes
+    wrong = [3, var(e2, 1), k_field(e2) if slot is Form else B(e2, (1,), var(e2, 2))]
+    for x in wrong:
+        with pytest.raises(TypeError):
+            operation(e2, x)
+
+
 class TestEvaluation:
     def test_at_center(self, e2):
         assert B(e2, (2,), var(e2, 1)).at_center().is_zero
@@ -458,15 +485,32 @@ class TestTermSum:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_termwise_matches_fraction_fold(self, seed):
+        # every operator's term map: the interior field's components lie over
+        # different denominators, so one term's images fall in several groups
         for ctx in oracle_contexts():
-            omega = fraction_fold(ctx, _sum_triples(ctx, sample_rng(seed, 10 + ctx.n), 12))
-            signature = ctx.signature
-            for fn in (_sum_map, d_terms, _homotopy_terms,
-                       lambda idx, exps: _cohomotopy_terms(idx, exps, signature),
-                       lambda idx, exps: codifferential_terms(idx, exps, signature)):
-                image = omega.termwise(fn)
-                assert image == fraction_termwise(omega, fn)
+            rng = sample_rng(seed, 10 + ctx.n)
+            omega = fraction_fold(ctx, _sum_triples(ctx, rng, 12))
+            maps = _operator_term_maps(ctx, rng)
+            field = next(args[0] for name, _, args in maps if name == "interior")
+            assert len({p._den for p in field}) == ctx.n
+            for name, fn, args in [("sum", _sum_map, ()), *maps]:
+                image = omega.termwise(fn, *args)
+                oracle = fraction_termwise(omega, lambda idx, exps: fn(idx, exps, *args))
+                assert image == oracle, name
                 assert _only_fractions(image)
+
+    @pytest.mark.parametrize("images", [
+        lambda idx, exps: [(idx, exps, 2, 5), (idx, exps, -2, 5)],
+        lambda idx, exps: [(idx, exps, 1, 2), ((), exps, 2, 3),
+                           (idx, exps, -3, 6), ((), exps, -4, 6)],
+    ], ids=["one-denominator", "several-denominators"])
+    def test_images_that_all_cancel_are_the_zero_form(self, images):
+        for ctx in oracle_contexts():
+            omega = fraction_fold(ctx, _sum_triples(ctx, sample_rng(7, ctx.n), 12))
+            assert omega._den > 1
+            image = omega.termwise(images)
+            assert (image._den, image._nums) == (1, {})
+            assert image == fraction_termwise(omega, images) == Form.zero(ctx)
 
     def test_cancelled_entries_leave_no_exponent_index_or_grade(self, e2):
         ninth, seventh = Fraction(1, 9), Fraction(2, 7)
@@ -498,9 +542,11 @@ class TestTermSum:
 
 
 def _operator_term_maps(ctx, rng) -> list:
-    """``(name, term map, its args)`` for every operator's module-level term map on ctx."""
+    """``(name, term map, its args)`` for every operator's module-level term map on ctx;
+    the interior field's i-th component is scaled by 1/11^i, so that its
+    components lie over different denominators."""
     signature, right = ctx.signature, random_form(ctx, rng)
-    field = tuple(random_poly(rng, ctx.n) for _ in range(ctx.n))
+    field = tuple(random_poly(rng, ctx.n).scale(Fraction(1, 11 ** i)) for i in range(ctx.n))
     return [("d", d_terms, ()), ("delta", codifferential_terms, (signature,)),
             ("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
             ("box", box_terms, (signature,)), ("H", _homotopy_terms, ()),

@@ -127,13 +127,22 @@ def _names(node) -> set:
 
 
 def test_only_polyring_sums_over_an_lcm():
-    # terms are summed in one loop, polyring._sum_numerators; an lcm anywhere
-    # else would be a second summation regime
+    # terms are lifted over an lcm in polyring alone, by its one merge tail;
+    # an lcm anywhere else would be a second summation regime
     for name, tree in _kernel_trees():
         if name == "polyring.py":
             continue
         for node in ast.walk(tree):
             assert "lcm" not in _names(node), f"{name}:{node.lineno} calls lcm"
+
+
+def test_one_merge_tail_lifts_over_an_lcm_and_one_function_divides_by_a_gcd():
+    # termwise and _sum_numerators group their terms by denominator and end
+    # in polyring._merged, the one function that lifts over an lcm, and
+    # _reduced is the one gcd tail
+    calls = {called: {f"{module}:{where}" for module, _ in _kernel_trees()
+                      for where in _callers(module, {called})} for called in ("lcm", "gcd")}
+    assert calls == {"lcm": {"polyring.py:_merged"}, "gcd": {"polyring.py:_reduced"}}, calls
 
 
 def _new_callers(cls: str) -> list[str]:
