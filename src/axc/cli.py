@@ -11,10 +11,9 @@ and the ``--in`` form is read once, before the subcommand runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import errors
+from . import errors, identities, solvers
 from .clifford import OperatorTag, apply_operator, oscillator_eigencheck
 from .forms import Form
 from .hodge import codifferential, hodge_star, hodge_star_inv
@@ -28,16 +27,7 @@ from .homotopy import (
     membership,
     potential,
 )
-from .identities import CHECKS, run_identities
 from .polyring import Context
-from .solvers import (
-    VacuumDiracKind,
-    dirac_source_solve,
-    kalb_ramond_solve,
-    maxwell_solve,
-    maxwell_solve_magnetic,
-    vacuum_dirac_classify,
-)
 from .textio import check_dimension, form_to_json, load_form_text, parse_rational, print_form
 
 _OPS = {
@@ -55,12 +45,13 @@ _OPS = {
 
 _POTENTIALS = {"potential": potential, "copotential": copotential}
 
-# solve systems: (source, --approach) -> SolveReport
+# solve systems: (source, --approach) -> SolveReport; each row reads its solver
+# when called, so that only `solve` loads the solvers module
 _SYSTEMS = {
-    "maxwell": lambda j, _: maxwell_solve(j),
-    "maxwell-magnetic": lambda j, _: maxwell_solve_magnetic(j),
-    "kalb-ramond": lambda J, _: kalb_ramond_solve(J),
-    "dirac-source": dirac_source_solve,
+    "maxwell": lambda j, _: solvers.maxwell_solve(j),
+    "maxwell-magnetic": lambda j, _: solvers.maxwell_solve_magnetic(j),
+    "kalb-ramond": lambda J, _: solvers.kalb_ramond_solve(J),
+    "dirac-source": lambda j, approach: solvers.dirac_source_solve(j, approach),
 }
 
 
@@ -135,6 +126,8 @@ def _print_named(forms: dict, prefix: str = ""):
 
 def _print_json(doc):
     """Write a JSON document, each form in it as :func:`form_to_json` writes it."""
+    import json  # here, so that a text-only command never loads it
+
     print(json.dumps(doc, indent=2, sort_keys=True, default=form_to_json))
 
 
@@ -169,8 +162,8 @@ def _run(args) -> int:
                                  ("--max-degree", args.max_degree, 0)):
             if value < low:
                 raise ValueError(f"{flag} {value} is below {low}")
-        results = run_identities(ctx, args.samples, args.max_degree, args.seed)
-        width = max(len(name) for name in CHECKS)
+        results = identities.run_identities(ctx, args.samples, args.max_degree, args.seed)
+        width = max(len(name) for name in identities.CHECKS)
         for r in results:
             status = "ok  " if r.passed else "FAIL"
             extra = "" if r.passed else f"  (sample {r.first_failure})"
@@ -191,12 +184,12 @@ def _run(args) -> int:
         return 0 if report.success else 1
 
     if args.command == "classify":
-        result = vacuum_dirac_classify(_read_form(args.alpha, ctx), _read_form(args.beta, ctx),
-                                       args.grade)
+        result = solvers.vacuum_dirac_classify(_read_form(args.alpha, ctx),
+                                               _read_form(args.beta, ctx), args.grade)
         print(result.kind.value)
         for name, passed in result.harmonic_checks.items():
             print(f"check {name}: {'true' if passed else 'false'}")
-        if result.kind is VacuumDiracKind.NOT_A_SOLUTION:
+        if result.kind is solvers.VacuumDiracKind.NOT_A_SOLUTION:
             _print_named({name: form for name, form in result.residuals.items()
                           if not form.is_zero}, "residual ")
             return 1

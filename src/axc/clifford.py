@@ -92,6 +92,7 @@ class OscillatorReport(NamedTuple):
 
 def oscillator_eigencheck(omega: Form) -> OscillatorReport:
     """Classify a homogeneous middle-grade form against H-bar's +-1 spectrum."""
+    _require_operand(omega, Form)
     k = omega.homogeneous_grade()
     n = omega.ctx.n
     if k is None or not 0 < k < n:

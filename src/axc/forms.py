@@ -340,4 +340,6 @@ def interior(v: VectorField, omega: Form) -> Form:
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:
     """a*omega + b*phi, gradewise."""
+    _require_operand(omega, Form)
+    _require_operand(phi, Form)
     return omega.scale(a) + phi.scale(b)

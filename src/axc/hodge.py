@@ -36,6 +36,7 @@ def musical_flat(v: VectorField) -> Form:
 
 def musical_sharp(alpha: Form) -> VectorField:
     """Inverse of flat; defined on homogeneous 1-forms (and zero)."""
+    _require_operand(alpha, Form)
     ctx = alpha.ctx
     grade = alpha.homogeneous_grade()
     if grade not in (None, 1):

@@ -125,6 +125,7 @@ def decompose(omega: Form, mode: DecompositionMode) -> Decomposition:
 
 
 def membership(omega: Form, tag: SpaceTag) -> bool:
+    _require_operand(omega, Form)
     if tag is SpaceTag.EXACT:
         return omega.d().is_zero
     if tag is SpaceTag.COEXACT:
@@ -146,6 +147,7 @@ def potential(omega: Form) -> Form:
 
     Gauge freedom -- adding any closed form -- is the caller's concern.
     """
+    _require_operand(omega, Form)
     grade = omega.homogeneous_grade()
     if grade is None:
         return Form.zero(omega.ctx)
@@ -158,6 +160,7 @@ def potential(omega: Form) -> Form:
 
 def copotential(omega: Form) -> Form:
     """The canonical copotential h(omega) of a coclosed form of grade < n."""
+    _require_operand(omega, Form)
     grade = omega.homogeneous_grade()
     if grade is None:
         return Form.zero(omega.ctx)

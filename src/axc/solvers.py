@@ -28,7 +28,7 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, _require_grade
+from .forms import Form, _require_grade, _require_operand
 from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
 from .polyring import _sum_numerators
@@ -80,6 +80,7 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     ``laplace_solve(homotopy_H(g), k - 1).d()`` is closed and solves
     laplace(beta) = g, since laplace commutes with d and d H g = g.
     """
+    _require_operand(rhs, Form)
     ctx = rhs.ctx
     if rhs.is_zero and type(k) is int:  # G(0) = 0 at every int grade, in 0..n or not
         return Form.zero(ctx)
@@ -108,6 +109,7 @@ def _field(j: Form, k: int, exact: bool, names: str, notes: list[str]) -> SolveR
     exact half (electric, A = H F) or the coexact half (magnetic, A = h F):
     F closes or cocloses the dual homotopy of j.  ``names`` spells the
     symbols for F, A, the gauge form and j."""
+    _require_operand(j, Form)
     F_, A_, gauge_, j_ = names.split()
     op, inv, _, o = _side(exact)
     dual, dual_inv, _, du = _side(not exact)
@@ -142,6 +144,7 @@ def kalb_ramond_solve(J: Form) -> SolveReport:
 
 def maxwell_solve_magnetic(j: Form) -> SolveReport:
     """Magnetic-monopole variant: dF = j, delta F = 0 for a closed 3-form j."""
+    _require_operand(j, Form)
     if j.ctx.n < 3:
         raise GradeMismatch("magnetic current is a 3-form; need dimension >= 3")
     return _field(j, 3, False, "F A alpha j", [
@@ -184,6 +187,7 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
     beta = h(d alpha - B) and closes it with delta w.  Either gauge form is
     zero whenever the integrated component already meets its constraint.
     """
+    _require_operand(B, Form)
     k = B.homogeneous_grade()
     if type(approach) is not int or approach not in (1, 2):
         raise ValueError("approach must be 1 or 2")
@@ -231,6 +235,8 @@ def vacuum_dirac_classify(alpha: Form, beta: Form, k: int | None = None) -> Vacu
     alpha has grade k-1 and beta grade k+1 for some 0 < k < n; either kind of
     solution is certified by recomputing the defining equations.
     """
+    _require_operand(alpha, Form)
+    _require_operand(beta, Form)
     alpha.ctx.require_same(beta.ctx)
     ctx = alpha.ctx
     ga = alpha.homogeneous_grade()
@@ -278,6 +284,8 @@ def massive_dirac_check(alpha: Form, beta: Form, v: Form, w: Form) -> SolveRepor
     equations, the two integral-form equations for the given v and w, and the
     two eigen-equations.
     """
+    for x in (alpha, beta, v, w):
+        _require_operand(x, Form)
     alpha.ctx.require_same(beta.ctx)
     ga = alpha.homogeneous_grade()
     gb = beta.homogeneous_grade()

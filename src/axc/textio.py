@@ -27,14 +27,13 @@ JSON carries every number as an exact string or integer -- never a float.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _form, _lifted, _merge_indices, _rows
+from .forms import Form, _form, _lifted, _merge_indices, _require_operand, _rows
 from .polyring import Context, Poly, _as_fraction, _poly, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
@@ -324,6 +323,7 @@ def _poly_text(p: Poly) -> str:
 
 def print_form(omega: Form) -> str:
     """The canonical text of a form, in absolute coordinates."""
+    _require_operand(omega, Form)
     back = [-c for c in omega.ctx.center]
     pieces = []
     for idx, poly in _rows(omega):
@@ -336,6 +336,7 @@ def print_form(omega: Form) -> str:
 
 def form_to_json(omega: Form) -> dict:
     """Exact JSON dict: rationals as strings, coordinates absolute."""
+    _require_operand(omega, Form)
     back = [-c for c in omega.ctx.center]
     components = {}
     for idx, poly in _rows(omega):
@@ -402,6 +403,8 @@ def load_form_text(text: str, ctx: Context) -> Form:
     """Dispatch on content: JSON documents start with '{', else grammar text."""
     stripped = text.strip()
     if stripped.startswith("{"):
+        import json  # here, so that reading grammar text never loads it
+
         try:
             data = json.loads(stripped)
         except RecursionError:

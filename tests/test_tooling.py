@@ -1,8 +1,8 @@
 """The benchmark's span recorder wraps kernel functions by name; every name
 it lists must resolve, so a rename fails here instead of in a traced run.
 The kernel's import, environment and ``Fraction`` rules, the README's lists
-of CLI choices, the CLI's shared flags and the absence of unused imports are
-checked here too."""
+of CLI choices, the CLI's shared flags, the absence of unused imports and the
+modules that one CLI command runs are checked here too."""
 
 import ast
 import importlib
@@ -62,6 +62,55 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert not {"dataclasses", "inspect"} & set(json.loads(out))
+
+
+# `python -m axc.cli ARGV` in process under an audit hook on "exec", which sees
+# every module body that runs, compiled from source or read from __pycache__.
+# The report goes to stderr as one literal, so stdout and the exit code are the CLI's.
+AUDITED_CLI = """if True:
+    import os, runpy, sys
+    ran = set()
+    def hook(event, args):
+        if event == "exec":
+            ran.add(os.path.basename(getattr(args[0], "co_filename", "")))
+    sys.addaudithook(hook)
+    sys.argv = ["axc", *sys.argv[1:]]
+    try:
+        runpy.run_module("axc.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+    print(repr((sorted(ran), "json" in sys.modules)), file=sys.stderr)
+    sys.exit(code)
+"""
+
+
+def _audited_cli(tmp_path, text: str, *argv: str):
+    """(exit code, stdout, module files run, json loaded) of ``axc --dim 2 ARGV --in FILE``
+    in a fresh interpreter that turns every warning into an error."""
+    src = tmp_path / "w.txt"
+    src.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", AUDITED_CLI,
+                           "--dim", "2", *argv, "--in", str(src)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    ran, json_loaded = ast.literal_eval(done.stderr.splitlines()[-1])
+    return done.returncode, done.stdout, set(ran), json_loaded
+
+
+def test_a_text_command_runs_no_solver_identity_or_json_code(tmp_path):
+    # import axc registers the modules unexecuted, so `apply` runs only what it uses
+    code, out, ran, json_loaded = _audited_cli(tmp_path, "(x1*x2) dx1", "apply", "--op", "d")
+    assert (code, out) == (0, "(-x1) dx1^dx2\n")
+    assert {"cli.py", "forms.py", "textio.py"} <= ran
+    assert not ran & {"solvers.py", "identities.py", "randforms.py", "linsolve.py"}
+    assert not json_loaded
+
+
+def test_a_solve_command_runs_the_solvers(tmp_path):
+    code, out, ran, _ = _audited_cli(tmp_path, "dx1", "solve", "maxwell")
+    assert (code, out.splitlines()[0], out.splitlines()[-1]) == (
+        0, "F = (x2) dx1^dx2", "status: success")
+    assert "solvers.py" in ran
 
 
 def test_identity_checks_are_a_table():
