@@ -5,10 +5,13 @@ a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`,
 whose series :func:`_inverse_box` sums by Horner's rule on integer numerators):
 on the exact half it returns (beta, s + delta beta), closed, with beta =
 d G(H d s), on the coexact half (alpha, s + d alpha), coclosed, with alpha =
-delta G(h delta s).  Maxwell and Kalb-Ramond close h j and take A = H F;
-magnetic Maxwell, the same body on the coexact half, cocloses H j and takes
-A = h F.  Dirac approach 1 closes B, applies H and cocloses (gauge form dv);
-approach 2 cocloses -B, applies h and closes (gauge form delta w).
+delta G(h delta s).  d G and delta G run as one term map, :func:`_op_g_terms`,
+reading d/dy_i G(y^a) from a gradient cached per monomial
+(:func:`_inverse_box_grad`), so no G(u) form is built on the way.  Maxwell
+and Kalb-Ramond close h j and take A = H F; magnetic Maxwell, the same body
+on the coexact half, cocloses H j and takes A = h F.  Dirac approach 1
+closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
+applies h and closes (gauge form delta w).
 
 Every solver returns a :class:`SolveReport` whose residuals are recomputed
 from scratch through the operator kernel, so a report marked successful is
@@ -28,8 +31,8 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, _require_grade, _require_operand
-from .hodge import codifferential
+from .forms import Form, _require_grade, _require_operand, _wedge_slots
+from .hodge import _codifferential_row, codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
 from .polyring import _sum_numerators
 
@@ -70,6 +73,32 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     return tuple((e, v, D) for e, v in acc.items())
 
 
+@functools.lru_cache(maxsize=4096)
+def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
+    """``(D, columns)``: column i holds d/dy_i G(y^a) as ``(exponents, numerator)``
+    pairs over G's denominator D, read off :func:`_inverse_box`'s triples.  d/dy_i
+    sends distinct monomials to distinct monomials, so nothing is summed.  G is
+    summed past its cache: a solve reads only this gradient, so caching both
+    would keep every high-degree G twice over."""
+    G = _inverse_box.__wrapped__(exps, signature)
+    return G[0][2], tuple(
+        tuple((e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v, _ in G if e[i])
+        for i in range(len(exps)))
+
+
+def _op_g_terms(idx: tuple, exps: tuple, signature: tuple, exact: bool) -> list:
+    """d G (``exact``) or delta G on one basis term y^a dx^I: each row ``(i, I', sign)``
+    of d's :func:`axc.forms._wedge_slots` or delta's :func:`axc.hodge._codifferential_row`
+    takes sign * d/dy_i G(y^a) dx^I', its column read off the cached gradient."""
+    D, grad = _inverse_box_grad(exps, signature)
+    out = []
+    for i, out_idx, sign in (_wedge_slots(idx, len(exps)) if exact
+                             else _codifferential_row(idx, signature)):
+        for e, v in grad[i]:
+            out.append((out_idx, e, sign * v, D))
+    return out
+
+
 def laplace_solve(rhs: Form, k: int) -> Form:
     """The right inverse G of laplace on a k-form right-hand side: laplace acts
     on the coefficients alone, so G applies :func:`_inverse_box` term by term
@@ -96,9 +125,11 @@ def _close(s: Form, k: int, exact: bool) -> tuple[Form, Form]:
     """Closes (``exact``) or cocloses the k-form s.  With op, inv the
     differential and homotopy of that half and dual the other differential,
     gauge = op G(inv op s) has op gauge = 0 and laplace gauge = op inv op s =
-    op s, so op(s + dual gauge) = op s - laplace gauge = 0."""
+    op s, so op(s + dual gauge) = op s - laplace gauge = 0.  op G runs as one
+    term map on the cached gradient of G, so no G(inv op s) form is built;
+    every caller recomputes its residuals through op and dual themselves."""
     op, inv, _, _ = _side(exact)
-    gauge = op(laplace_solve(inv(op(s)), k))
+    gauge = inv(op(s)).termwise(_op_g_terms, s.ctx.signature, exact)
     return gauge, s + _side(not exact)[0](gauge)
 
 

@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
 from .forms import Form, _form, _lifted, _merge_indices, _require_operand, _rows
-from .polyring import Context, Poly, _as_fraction, _poly, _sum_numerators
+from .polyring import Context, Poly, _as_fraction, _poly, _reduced, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -139,13 +140,18 @@ class _Parser:
             value /= int(den[1])
         return value
 
-    def parse_poly_base(self) -> Poly:
+    def parse_poly_base(self) -> tuple:
+        """A base as ``(c, a, p)``, the value c y^a p: a rational or a variable is a
+        monomial, p None (read as 1); a parenthesized base, negated or not, is
+        ``(+-1, 0, Poly)``."""
         kind, value, position = self.peek()
+        n = self.ctx.n
         if kind == "int":
-            return Poly.const(self.ctx.n, self.parse_rational())
+            return self.parse_rational(), (0,) * n, None
         if kind == "name":
             self.take("name")
-            return Poly.variable(self.ctx.n, self.axis_of(value, position))
+            axis = self.axis_of(value, position)
+            return 1, (0,) * (axis - 1) + (1,) + (0,) * (n - axis), None
         if kind not in ("(", "-"):
             raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
         self.depth += 1
@@ -153,14 +159,16 @@ class _Parser:
             raise FormSyntaxError(f"polynomial nested deeper than {MAX_NESTING}", position)
         self.take(kind)
         if kind == "(":
-            p = self.parse_poly_expr()
+            base = 1, (0,) * n, self.parse_poly_expr()
             self.take(")")
         else:
-            p = -self.parse_poly_base()
+            c, a, p = self.parse_poly_base()
+            base = -c, a, p
         self.depth -= 1
-        return p
+        return base
 
-    def parse_poly_factor(self) -> Poly:
+    def parse_poly_factor(self) -> tuple:
+        """A base and its optional power, as ``(c, a, p)``."""
         base = self.parse_poly_base()
         if self.peek()[0] != "^":
             return base
@@ -169,20 +177,30 @@ class _Parser:
         e = int(digits)
         if e > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
-        # a power of t terms is a sum over the multisets of e of them
-        terms = math.comb(len(base._nums) + e - 1, e) if e else 1
-        _require_terms(_term_bound(self.ctx.n, terms, e * _degree(base)), position)
-        return base ** e
+        c, a, p = base
+        if p is not None:
+            # a power of t terms is a sum over the multisets of e of them
+            terms = math.comb(len(p._nums) + e - 1, e) if e else 1
+            _require_terms(_term_bound(self.ctx.n, terms, e * _degree(p)), position)
+            p = p ** e
+        return c ** e, tuple(x * e for x in a), p
 
-    def parse_poly_term(self) -> Poly:
-        out = self.parse_poly_factor()
+    def parse_poly_term(self) -> tuple:
+        """Factors joined by "*" as one ``(c, a, p)``: rationals and variables multiply
+        into the monomial c y^a, and only parenthesized factors into the ``Poly`` p.
+        A "*" that meets a ``Poly`` first checks the term-count bound of the
+        product so far, counted as for the expanded ``Poly``."""
+        c, a, p = self.parse_poly_factor()
         while self.peek()[0] == "*":
             position = self.take("*")[2]
-            factor = self.parse_poly_factor()
-            terms = len(out._nums) * len(factor._nums)
-            _require_terms(_term_bound(self.ctx.n, terms, _degree(out) + _degree(factor)), position)
-            out = out * factor
-        return out
+            c2, a2, p2 = self.parse_poly_factor()
+            if p is not None or p2 is not None:
+                (t, deg), (t2, deg2) = _size(c, a, p), _size(c2, a2, p2)
+                _require_terms(_term_bound(self.ctx.n, t * t2, deg + deg2), position)
+            if p2 is not None:
+                p = p2 if p is None else p * p2
+            c, a = c * c2, tuple(map(add, a, a2))
+        return c, a, p
 
     def take_sign(self) -> int:
         """Consume an optional "+" or "-" and return its sign."""
@@ -197,9 +215,11 @@ class _Parser:
             yield self.take_sign(), parse_one()
 
     def parse_poly_expr(self) -> Poly:
-        return _poly(self.ctx.n, *_sum_numerators([
-            (exps, sign * v, poly._den) for sign, poly in self.signed(self.parse_poly_term)
-            for exps, v in poly._nums.items()]))
+        entries = []
+        for sign, term in self.signed(self.parse_poly_term):
+            D, nums = _expanded(*term)
+            entries += [(exps, sign * v, D) for exps, v in nums.items()]
+        return _poly(self.ctx.n, *_sum_numerators(entries))
 
     # -- form grammar ------------------------------------------------------
 
@@ -228,7 +248,7 @@ class _Parser:
         if self.at_basis():
             poly = Poly.const(self.ctx.n, 1)
         else:
-            poly = self.parse_poly_factor()
+            poly = _poly(self.ctx.n, *_reduced(*_expanded(*self.parse_poly_factor())))
             if self.peek()[0] == "*":
                 self.take("*")
             if not self.at_basis():
@@ -245,6 +265,24 @@ class _Parser:
 
 def _degree(p: Poly) -> int:
     return max(map(sum, p._nums), default=0)
+
+
+def _size(c, a: tuple, p) -> tuple[int, int]:
+    """(terms, degree) of the parser's c y^a p, p a ``Poly`` or None (read as 1),
+    as the product ``Poly`` would have them; the degree counts only with terms."""
+    if p is None:
+        return int(c != 0), sum(a)
+    return (len(p._nums) if c else 0), sum(a) + _degree(p)
+
+
+def _expanded(c, a: tuple, p) -> tuple[int, dict]:
+    """The parser's c y^a p as ``(D, {exponents: int})``, not yet reduced."""
+    if not c:
+        return 1, {}
+    if p is None:
+        return c.denominator, {a: c.numerator}
+    return p._den * c.denominator, {tuple(map(add, e, a)): v * c.numerator
+                                    for e, v in p._nums.items()}
 
 
 def _term_bound(n: int, terms: int, degree: int) -> int:

@@ -125,6 +125,20 @@ class TestParser:
         got = parse_form(text, Context.euclidean(n))
         assert len(got.coefficient((1,)).terms) == terms
 
+    def test_term_is_the_product_of_its_factors(self, e2):
+        # rationals and variables fold into one monomial, and only parenthesized
+        # factors multiply as Polys; the term is still the product of them all
+        x1, x2, one = var(e2, 1), var(e2, 2), Poly.const(2, 1)
+        cases = {
+            "(2/3*x1^2*-x2*x1) dx1": (x1 * x1 * x2 * x1).scale(Fraction(-2, 3)),
+            "(x2*(x1 + 1)^2*-3) dx1": x2 * (x1 + one) * (x1 + one) * Poly.const(2, -3),
+            "(-(x1 - x2)*x1*(x1 + x2)*1/2) dx1": ((x2 - x1) * x1 * (x1 + x2)).scale(Fraction(1, 2)),
+            "(0*(x1 + 1)*x2 + x1*(x2 - x2)) dx1": Poly.zero(2),
+            "-(x1 + 1)^2 dx1": -((x1 + one) * (x1 + one)),
+        }
+        for text, coeff in cases.items():
+            assert parse_form(text, e2) == B(e2, (1,), coeff), text
+
     def test_rejects_garbage(self, e2):
         with pytest.raises(FormSyntaxError):
             parse_form("dx1 ^^ dx2", e2)

@@ -29,8 +29,8 @@ from axc.errors import (GradeMismatch, GradeOutOfRange, InconsistentSystem, NotA
                         NotConserved)
 from axc.linsolve import solve_sparse
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import _close, _inverse_box
-from tests.conftest import B, var
+from axc.solvers import _close, _inverse_box, _op_g_terms
+from tests.conftest import B, oracle_contexts, var
 from tests.oracles import (
     composite_codifferential,
     composite_laplace_beltrami,
@@ -109,6 +109,18 @@ class TestLaplaceSolve:
         # over every degree up to deg(rhs) + 4 finds no solution it misses
         for beta, rhs, k, side in composite_cases(e3, m4):
             assert_agrees_with_elimination(beta, rhs, k, side, rhs.max_coeff_degree() + 4)
+
+    @pytest.mark.parametrize("ctx", oracle_contexts(), ids=lambda c: f"n{c.n}{c.signature}")
+    def test_fused_op_g_map_equals_op_after_g(self, ctx):
+        # _close applies d G or delta G as one term map on the cached gradient
+        # of G; at every grade each equals the form G(u) followed by the
+        # kernel's own d or delta
+        for k in range(ctx.n + 1):
+            for i in range(3):
+                u = random_homogeneous(ctx, sample_rng(307, 10 * k + i), k, 4, 3)
+                G = laplace_solve(u, k)
+                assert u.termwise(_op_g_terms, ctx.signature, True) == G.d()
+                assert u.termwise(_op_g_terms, ctx.signature, False) == codifferential(G)
 
     def test_horner_sum_matches_the_series(self):
         # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to

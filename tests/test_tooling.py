@@ -279,6 +279,15 @@ def test_solvers_sums_g_on_integer_numerators():
         assert not named, f"solvers.py:{getattr(node, 'lineno', '?')} names {named}"
 
 
+def test_close_applies_op_g_without_building_g():
+    # _close runs d G or delta G as one term map on the cached gradient of G;
+    # a laplace_solve there would build G(u) and differentiate it again
+    assert "_close" not in _callers("solvers.py", {"laplace_solve"})
+    # the delta sign -(-1)^j eps_i has one home, read by delta and delta G alike
+    assert _callers("hodge.py", {"_contract_slots"}) == {"_codifferential_row"}
+    assert _callers("solvers.py", {"_contract_slots"}) == set()
+
+
 def test_poly_and_form_share_one_numerator_arithmetic():
     # the two classes store one format, so its arithmetic is written once, on
     # _Numerators; __add__ is bound on each class too, for the tracer to wrap
@@ -374,6 +383,7 @@ def test_tracer_sees_the_calls_of_both_halves():
         w = axc.Form.basis(ctx, (1,), x1) + axc.Form.basis(ctx, (2, 3), x1)
         rec.item = 0
         assert axc.maxwell_solve_magnetic(j).success
+        assert not axc.laplace_solve(j, 3).is_zero
         for mode in axc.DecompositionMode:
             axc.decompose(w, mode)
         rec.item = None
