@@ -7,6 +7,10 @@ as a ``Poly`` does.  Each operator is a module-level ``*_terms`` map, run by
 ``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows as ``Poly``s in
 canonical order for ``repr``, ``Form.components`` (grade -> (index tuple ->
 Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
+
+d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name:
+:func:`_lower_terms` runs d and delta over it, :func:`_raise_terms` H and h,
+and :func:`axc.solvers._op_g_terms` d G and delta G.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ def _merge_indices(a: tuple, b: tuple):
     return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
 
 
-@functools.lru_cache(maxsize=4096)
 def _wedge_slots(idx: tuple, n: int) -> tuple:
     """The generator dx^i ^ on dx^idx: a ``(i - 1, sorted idx + (i,), sign)`` row,
     axis 0-based, per i in 1..n not in idx; the sign is :func:`_merge_indices`'s."""
@@ -49,6 +52,44 @@ def _contract_slots(idx: tuple) -> tuple:
     """The generator i(d/dx_a) on dx^idx: a ``(a - 1, idx minus a, (-1)^j)`` row,
     axis 0-based, per slot j of idx, a = idx[j]."""
     return tuple((a - 1, idx[:j] + idx[j + 1:], (-1) ** j) for j, a in enumerate(idx))
+
+
+@functools.lru_cache(maxsize=4096)
+def _op_rows(op: str, idx: tuple, signature: tuple) -> tuple:
+    """The ``(i, I', sign)`` rows, axis i 0-based, of "d" and "H" on dx^idx, the
+    generators :func:`_wedge_slots` and :func:`_contract_slots`, and of their
+    star-conjugates "delta" and "h", the same generators swapped, each sign times
+    -eps_i: the one place that twist is written.  Cached as ``_star_row`` is."""
+    rows = _wedge_slots(idx, len(signature)) if op in ("d", "h") else _contract_slots(idx)
+    if op in ("d", "H"):
+        return rows
+    return tuple((i, out, -sign * signature[i]) for i, out, sign in rows)
+
+
+def _lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """d or delta on y^a dx^I: sum of sign * d/dy_i (y^a) dx^I' over op's rows."""
+    out = []
+    for i, out_idx, sign in _op_rows(op, idx, signature):
+        e = exps[i]
+        if e:
+            out.append((out_idx, exps[:i] + (e - 1,) + exps[i + 1:], sign * e, 1))
+    return out
+
+
+def _raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """H or h on y^a dx^I: sign * y_i y^a dx^I' over op's rows, divided by :func:`_weight`."""
+    rows = _op_rows(op, idx, signature)
+    w = _weight(exps, rows)
+    out = []
+    for i, out_idx, sign in rows:
+        out.append((out_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w))
+    return out
+
+
+def _weight(exps: tuple, rows: tuple) -> int:
+    """|a| + (number of rows), |a| + k for H and |a| + n - k for h: the Koszul weight
+    (Arnold, Falk & Winther 2006, section 3), never 0 where a row exists."""
+    return sum(exps) + len(rows)
 
 
 def _require_operand(x, cls) -> None:
@@ -211,7 +252,7 @@ class Form(_Numerators):
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
-        return self.termwise(d_terms)
+        return self.termwise(_lower_terms, "d", self.ctx.signature)
 
     def eval_at(self, point) -> "Form":
         """Freeze coefficients to their value at a point; result is a
@@ -263,17 +304,6 @@ class Form(_Numerators):
         bits = [f"({poly!r})*" + ("^".join(f"dx{i}" for i in idx) or "1")
                 for idx, poly in _rows(self)]
         return "Form(" + (" + ".join(bits) or "0") + ")"
-
-
-def d_terms(idx: tuple, exps: tuple) -> list:
-    """d on one basis term: d(y^a dx^I) = sum_{i not in I} a_i y^(a - e_i) dx^i ^ dx^I,
-    over the rows of :func:`_wedge_slots`."""
-    out = []
-    for i, new_idx, sign in _wedge_slots(idx, len(exps)):
-        e = exps[i]
-        if e:
-            out.append((new_idx, exps[:i] + (e - 1,) + exps[i + 1:], sign * e, 1))
-    return out
 
 
 def wedge_terms(idx: tuple, exps: tuple, right, den: int):

@@ -11,9 +11,8 @@ Conventions (property-tested, not hand-simplified):
 star, star_inv and delta are maps on basis terms run by ``Form.termwise``, each
 factor an integer over 1 (no ``Fraction``), and each sign rule is written once:
 the row of :func:`_star_row`, cached per index tuple, holds the star rule
-(star_inv only multiplies it by its grade sign), and the row of
-:func:`_codifferential_row`, cached per index tuple and signature, holds the
-delta rule -(-1)^j eps_{i_j}, which :mod:`axc.solvers` reads too.
+(star_inv only multiplies it by its grade sign), and delta's rule
+-(-1)^j eps_{i_j} is its rows in the one table :func:`axc.forms._op_rows`.
 ``tests/test_hodge.py`` checks them against the replaced loops and the
 literal composite on random forms for n = 1..6.
 """
@@ -24,7 +23,7 @@ import functools
 import math
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _contract_slots, _merge_indices, _require_operand
+from .forms import Form, VectorField, _lower_terms, _merge_indices, _require_operand
 
 
 def musical_flat(v: VectorField) -> Form:
@@ -76,25 +75,6 @@ def hodge_star_inv(omega: Form) -> Form:
     return omega.termwise(star_terms, omega.ctx.signature, True)
 
 
-@functools.lru_cache(maxsize=4096)
-def _codifferential_row(idx: tuple, signature: tuple) -> tuple:
-    """``(i - 1, I minus i, -(-1)^j eps_i)`` per slot j of I, i = I[j]: the one delta
-    sign rule, over the rows of :func:`axc.forms._contract_slots`, so that
-    delta(f dx^I) is the sum of sign * (d f / d y_i) dx^{I minus i} over them."""
-    return tuple((i, rest, -sign * signature[i]) for i, rest, sign in _contract_slots(idx))
-
-
-def codifferential_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """delta on one basis term y^exps dx^idx, as ``(idx', exps', r, 1)`` images
-    (the closed form of the module docstring)."""
-    out = []
-    for i, rest, sign in _codifferential_row(idx, signature):
-        e = exps[i]
-        if e:
-            out.append((rest, exps[:i] + (e - 1,) + exps[i + 1:], sign * e, 1))
-    return out
-
-
 def codifferential(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(codifferential_terms, omega.ctx.signature)
+    return omega.termwise(_lower_terms, "delta", omega.ctx.signature)

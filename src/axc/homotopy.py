@@ -18,9 +18,9 @@ no ``Fraction`` is built here.  On y^a dx^I with |a| = m and |I| = k:
 
 with K = sum_i y_i d/dx_i the radial field and K^flat = sum_i eps_i y_i dx^i.
 The h rule is the star-conjugate eta star_inv H star worked out per term.
-Both read their signs from the generator tables of :mod:`axc.forms`, H as
-delta does and h as ``d`` does, and ``tests/test_homotopy.py`` checks h
-against that literal composite for n = 1..6.
+Both run :func:`axc.forms._raise_terms` over their rows in the one table
+:func:`axc.forms._op_rows`, H over delta's generators and h over d's, and
+``tests/test_homotopy.py`` checks h against that literal composite for n = 1..6.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _contract_slots, _require_operand, _wedge_slots, interior
+from .forms import Form, VectorField, _op_rows, _raise_terms, _require_operand, _weight, interior
 from .hodge import codifferential, musical_flat
 from .polyring import Context, Poly
 
@@ -61,40 +61,14 @@ def k_field(ctx: Context) -> VectorField:
     return VectorField(ctx, [Poly.variable(ctx.n, i) for i in range(1, ctx.n + 1)])
 
 
-def _homotopy_terms(idx: tuple, exps: tuple) -> list:
-    """H(y^a dx^I) = sum_j (-1)^j y^(a + e_{i_j}) dx^{I minus i_j} / (|a| + k):
-    the radial contraction i_K dx^I times the monomial's H weight, never 0
-    where :func:`axc.forms._contract_slots` has a row."""
-    w = sum(exps) + len(idx)
-    out = []
-    for i, rest, sign in _contract_slots(idx):
-        out.append((rest, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w))
-    return out
-
-
 def homotopy_H(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(_homotopy_terms)
-
-
-def _h_weight(idx: tuple, exps: tuple) -> int:
-    """|a| + n - k: h divides y^a dx^I by it below top grade."""
-    return sum(exps) + len(exps) - len(idx)
-
-
-def _cohomotopy_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """h(y^a dx^I) = -sum_{i not in I} eps_i y^(a + e_i) dx^i ^ dx^I / (|a| + n - k),
-    the weight never 0 where :func:`axc.forms._wedge_slots` has a row."""
-    w = _h_weight(idx, exps)
-    out = []
-    for i, new_idx, sign in _wedge_slots(idx, len(exps)):
-        out.append((new_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], -sign * signature[i], w))
-    return out
+    return omega.termwise(_raise_terms, "H", omega.ctx.signature)
 
 
 def cohomotopy_h(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(_cohomotopy_terms, omega.ctx.signature)
+    return omega.termwise(_raise_terms, "h", omega.ctx.signature)
 
 
 def center_pullback(omega: Form) -> Form:
@@ -176,8 +150,9 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
 
     Constructive version of the structure result that anticoexact forms are
     K^flat-multiples.  Members satisfy omega = h(delta(omega)), and
-    h = -K^flat ^ W with W the division by :func:`_h_weight`, so
+    h = -K^flat ^ W with W the division by h's weight on its rows, so
     alpha = -W(delta(omega)).
     """
-    return codifferential(omega).termwise(
-        lambda idx, exps: [(idx, exps, -1, _h_weight(idx, exps))])
+    delta = codifferential(omega)
+    return delta.termwise(lambda idx, exps, signature: [
+        (idx, exps, -1, _weight(exps, _op_rows("h", idx, signature)))], delta.ctx.signature)

@@ -1,13 +1,13 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
-Each pipeline composes H and h with one closing step, ``_close(s, k, exact)``,
+Each pipeline composes H and h with one closing step, ``_close(s, exact)``,
 a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`,
 whose series :func:`_inverse_box` sums by Horner's rule on integer numerators):
 on the exact half it returns (beta, s + delta beta), closed, with beta =
 d G(H d s), on the coexact half (alpha, s + d alpha), coclosed, with alpha =
 delta G(h delta s).  d G and delta G run as one term map, :func:`_op_g_terms`,
-reading d/dy_i G(y^a) from a gradient cached per monomial
-(:func:`_inverse_box_grad`), so no G(u) form is built on the way.  Maxwell
+over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i G(y^a) from a
+gradient cached per monomial (:func:`_inverse_box_grad`), building no G(u).  Maxwell
 and Kalb-Ramond close h j and take A = H F; magnetic Maxwell, the same body
 on the coexact half, cocloses H j and takes A = h F.  Dirac approach 1
 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
@@ -31,8 +31,8 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, _require_grade, _require_operand, _wedge_slots
-from .hodge import _codifferential_row, codifferential
+from .forms import Form, _op_rows, _require_grade, _require_operand
+from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
 from .polyring import _sum_numerators
 
@@ -86,14 +86,13 @@ def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
         for i in range(len(exps)))
 
 
-def _op_g_terms(idx: tuple, exps: tuple, signature: tuple, exact: bool) -> list:
-    """d G (``exact``) or delta G on one basis term y^a dx^I: each row ``(i, I', sign)``
-    of d's :func:`axc.forms._wedge_slots` or delta's :func:`axc.hodge._codifferential_row`
-    takes sign * d/dy_i G(y^a) dx^I', its column read off the cached gradient."""
+def _op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """op G on one basis term y^a dx^I, op "d" or "delta": each of op's rows
+    ``(i, I', sign)`` in :func:`axc.forms._op_rows` takes sign * d/dy_i G(y^a)
+    dx^I', its column read off the cached gradient."""
     D, grad = _inverse_box_grad(exps, signature)
     out = []
-    for i, out_idx, sign in (_wedge_slots(idx, len(exps)) if exact
-                             else _codifferential_row(idx, signature)):
+    for i, out_idx, sign in _op_rows(op, idx, signature):
         for e, v in grad[i]:
             out.append((out_idx, e, sign * v, D))
     return out
@@ -121,15 +120,15 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     return rhs.termwise(lambda idx, exps: [(idx, *g) for g in _inverse_box(exps, signature)])
 
 
-def _close(s: Form, k: int, exact: bool) -> tuple[Form, Form]:
-    """Closes (``exact``) or cocloses the k-form s.  With op, inv the
+def _close(s: Form, exact: bool) -> tuple[Form, Form]:
+    """Closes (``exact``) or cocloses the form s.  With op, inv the
     differential and homotopy of that half and dual the other differential,
     gauge = op G(inv op s) has op gauge = 0 and laplace gauge = op inv op s =
     op s, so op(s + dual gauge) = op s - laplace gauge = 0.  op G runs as one
     term map on the cached gradient of G, so no G(inv op s) form is built;
     every caller recomputes its residuals through op and dual themselves."""
-    op, inv, _, _ = _side(exact)
-    gauge = inv(op(s)).termwise(_op_g_terms, s.ctx.signature, exact)
+    op, inv, _, name = _side(exact)
+    gauge = inv(op(s)).termwise(_op_g_terms, name, s.ctx.signature)
     return gauge, s + _side(not exact)[0](gauge)
 
 
@@ -148,7 +147,7 @@ def _field(j: Form, k: int, exact: bool, names: str, notes: list[str]) -> SolveR
         raise GradeMismatch(f"{'' if exact else 'magnetic '}current must be a {k}-form")
     if not dual(j).is_zero:
         raise NotConserved(f"{du} {j_} != 0")
-    gauge, F = _close(dual_inv(j), k + 1 if exact else k - 1, exact)
+    gauge, F = _close(dual_inv(j), exact)
     A = inv(F)
     return SolveReport(
         outputs={F_: F, A_: A, gauge_: gauge},
@@ -228,13 +227,13 @@ def dirac_source_solve(B: Form, approach: int = 1) -> SolveReport:
     elif not 0 < k < B.ctx.n:
         raise GradeOutOfRange("source must be homogeneous of grade strictly between 0 and n")
     elif approach == 1:
-        beta, closed = _close(B, k, True)
-        v, alpha = _close(homotopy_H(closed), k - 1, False)
+        beta, closed = _close(B, True)
+        v, alpha = _close(homotopy_H(closed), False)
         notes = ["v = 0 in alpha = H(delta beta + B) + dv" if v.is_zero else
                  "v solved from {laplace v = delta H(delta beta + B), delta v = 0}"]
     else:
-        alpha, coclosed = _close(-B, k, False)
-        w, beta = _close(cohomotopy_h(coclosed), k + 1, True)
+        alpha, coclosed = _close(-B, False)
+        w, beta = _close(cohomotopy_h(coclosed), True)
         notes = ["w = 0 in beta = h(d alpha - B) + delta w" if w.is_zero else
                  "w solved from {laplace w = d h(d alpha - B), d w = 0}"]
     return SolveReport(

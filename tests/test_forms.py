@@ -10,12 +10,12 @@ from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_v
                  vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.clifford import box_terms
-from axc.forms import (_contract_slots, _merge_indices, _wedge_slots, d_terms, interior_terms,
-                       wedge_terms)
-from axc.hodge import codifferential_terms, star_terms
-from axc.homotopy import _cohomotopy_terms, _homotopy_terms
+from axc.forms import (_contract_slots, _lower_terms, _merge_indices, _raise_terms, _wedge_slots,
+                       interior_terms, wedge_terms)
+from axc.hodge import star_terms
 from axc.polyring import _as_fraction
 from axc.randforms import random_form, random_poly, sample_rng
+from axc.solvers import _op_g_terms
 from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
                            loop_wedge)
@@ -547,10 +547,11 @@ def _operator_term_maps(ctx, rng) -> list:
     components lie over different denominators."""
     signature, right = ctx.signature, random_form(ctx, rng)
     field = tuple(random_poly(rng, ctx.n).scale(Fraction(1, 11 ** i)) for i in range(ctx.n))
-    return [("d", d_terms, ()), ("delta", codifferential_terms, (signature,)),
+    return [("d", _lower_terms, ("d", signature)), ("delta", _lower_terms, ("delta", signature)),
             ("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
-            ("box", box_terms, (signature,)), ("H", _homotopy_terms, ()),
-            ("h", _cohomotopy_terms, (signature,)),
+            ("box", box_terms, (signature,)), ("H", _raise_terms, ("H", signature)),
+            ("h", _raise_terms, ("h", signature)),
+            ("d G", _op_g_terms, ("d", signature)), ("delta G", _op_g_terms, ("delta", signature)),
             ("wedge", wedge_terms, (right._nums.items(), right._den)),
             ("interior", interior_terms, (field,))]
 

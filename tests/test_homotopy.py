@@ -22,7 +22,8 @@ from axc import (
     potential,
 )
 from axc.errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from axc.homotopy import _cohomotopy_terms, _homotopy_terms, center_pullback, center_top_eval
+from axc.forms import _raise_terms
+from axc.homotopy import center_pullback, center_top_eval
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import B, all_contexts, oracle_contexts, var
 from tests.oracles import (
@@ -89,8 +90,8 @@ def test_constants_with_zero_weight_map_to_zero(ctx):
     # whose generator tables are empty
     n, zeros = ctx.n, (0,) * ctx.n
     top = tuple(range(1, n + 1))
-    assert _homotopy_terms((), zeros) == []
-    assert _cohomotopy_terms(top, zeros, ctx.signature) == []
+    assert _raise_terms((), zeros, "H", ctx.signature) == []
+    assert _raise_terms(top, zeros, "h", ctx.signature) == []
     assert homotopy_H(Form.scalar(ctx, Fraction(-3, 2))).is_zero
     assert cohomotopy_h(B(ctx, top, Poly.const(n, 5))).is_zero
 

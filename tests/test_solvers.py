@@ -51,9 +51,9 @@ def composite_cases(e3, m4):
     w3 = random_homogeneous(m4, sample_rng(199, 3), 2, 2)
     g = random_homogeneous(mixed, sample_rng(199, 4), 1)
     return [
-        (_close(w1, 1, True)[0], w1.d(), 2, ("d",)),
-        (_close(w2, 2, True)[0], w2.d(), 3, ("d",)),
-        (_close(w3, 2, False)[0], codifferential(w3), 1, ("delta",)),
+        (_close(w1, True)[0], w1.d(), 2, ("d",)),
+        (_close(w2, True)[0], w2.d(), 3, ("d",)),
+        (_close(w3, False)[0], codifferential(w3), 1, ("delta",)),
         (laplace_solve(g, 1), g, 1, ()),
     ]
 
@@ -74,12 +74,12 @@ class TestLaplaceSolve:
 
     def test_side_conditions_hold(self, e3):
         s = random_homogeneous(e3, sample_rng(197, 0), 1)
-        beta, closed = _close(s, 1, True)
+        beta, closed = _close(s, True)
         assert laplace_beltrami(beta) == s.d()
         assert beta.d().is_zero
         assert closed.d().is_zero
         s = random_homogeneous(e3, sample_rng(197, 1), 2)
-        alpha, coclosed = _close(s, 2, False)
+        alpha, coclosed = _close(s, False)
         assert laplace_beltrami(alpha) == codifferential(s)
         assert codifferential(alpha).is_zero
         assert codifferential(coclosed).is_zero
@@ -119,8 +119,8 @@ class TestLaplaceSolve:
             for i in range(3):
                 u = random_homogeneous(ctx, sample_rng(307, 10 * k + i), k, 4, 3)
                 G = laplace_solve(u, k)
-                assert u.termwise(_op_g_terms, ctx.signature, True) == G.d()
-                assert u.termwise(_op_g_terms, ctx.signature, False) == codifferential(G)
+                assert u.termwise(_op_g_terms, "d", ctx.signature) == G.d()
+                assert u.termwise(_op_g_terms, "delta", ctx.signature) == codifferential(G)
 
     def test_horner_sum_matches_the_series(self):
         # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to

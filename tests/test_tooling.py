@@ -283,9 +283,15 @@ def test_close_applies_op_g_without_building_g():
     # _close runs d G or delta G as one term map on the cached gradient of G;
     # a laplace_solve there would build G(u) and differentiate it again
     assert "_close" not in _callers("solvers.py", {"laplace_solve"})
-    # the delta sign -(-1)^j eps_i has one home, read by delta and delta G alike
-    assert _callers("hodge.py", {"_contract_slots"}) == {"_codifferential_row"}
-    assert _callers("solvers.py", {"_contract_slots"}) == set()
+    # the rows of d, delta, H and h have one home, forms._op_rows, read by the
+    # two term maps, by h's weight and by op G alike; op G reads them by the
+    # differential's name, with no flag to branch on
+    readers = {f"{name}:{where}" for name, _ in _kernel_trees()
+               for where in _callers(name, {"_op_rows"})}
+    assert readers == {"forms.py:_lower_terms", "forms.py:_raise_terms",
+                       "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g_terms"}, readers
+    op_g_terms = importlib.import_module("axc.solvers")._op_g_terms
+    assert list(inspect.signature(op_g_terms).parameters) == ["idx", "exps", "op", "signature"]
 
 
 def test_poly_and_form_share_one_numerator_arithmetic():
@@ -304,15 +310,50 @@ def test_textio_lifts_rows_into_a_form_through_forms():
     assert _callers("textio.py", {"_sum_numerators"}) == {"_Parser.parse_poly_expr"}
 
 
+def _eps_twists() -> set:
+    """``(module, function, line)`` of each negation or product in the kernel
+    that both negates and reads an entry of ``signature``: the -eps_i twist
+    that makes delta and h the star-conjugates of d and H."""
+    found = set()
+
+    def twists(node) -> bool:
+        inside = list(ast.walk(node))
+        return (any(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub) for x in inside)
+                and any(isinstance(x, ast.Subscript) and "signature" in _names(x.value)
+                        for x in inside))
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if ((isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))) and twists(node):
+            found.add((module, where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for name, tree in _kernel_trees():
+        visit(tree, name, "<module>")
+    return found
+
+
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
     # forms builds the generator tables from _merge_indices, hodge the star's
     # complement sign and textio the parser's basis sort; every other rule
-    # reads its sign from forms._wedge_slots or forms._contract_slots
+    # reads its sign from the row table forms._op_rows, or from
+    # forms._contract_slots for interior
     for name, tree in _kernel_trees():
         if name in ("forms.py", "hodge.py", "textio.py"):
             continue
         for node in ast.walk(tree):
             assert "_merge_indices" not in _names(node), f"{name}:{node.lineno}"
+    # the -eps_i twist of delta and h is written once, in that table, and the
+    # operator modules read no generator table past it
+    assert [where for _, where, _ in _eps_twists()] == ["_op_rows"], _eps_twists()
+    trees = dict(_kernel_trees())
+    for name in ("homotopy.py", "hodge.py", "solvers.py"):
+        for node in ast.walk(trees[name]):
+            named = _names(node) & {"_wedge_slots", "_contract_slots"}
+            assert not named, f"{name}:{getattr(node, 'lineno', '?')} reads {named}"
 
 
 def test_textio_reads_rows_through_the_one_walk():
@@ -445,6 +486,40 @@ def test_tracer_sees_the_clifford_rows_of_the_cli(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(SPANS.parent), str(src)], env=env,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert int(out) == 4
+
+
+def _unread_parameters() -> list[str]:
+    """``module:line function(parameter)`` of each parameter of a kernel function
+    or lambda that its body never reads.  The checks in ``identities.CHECKS`` all
+    take ``(ctx, w, rng)``, read or not, so their parameters are exempt, as are
+    a method's receiver (``self`` or ``cls``) and a slot named ``_``."""
+    found = []
+    for name, tree in _kernel_trees():
+        protocol = set()
+        for node in tree.body:
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "CHECKS":
+                protocol = {value.id for value in node.value.values}
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            where = getattr(node, "name", "<lambda>")
+            if where in protocol:
+                continue
+            a = node.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+            if id(node) in methods and not any("staticmethod" in _names(d)
+                                               for d in node.decorator_list):
+                params = params[1:]
+            read = {x.id for x in ast.walk(node) if isinstance(x, ast.Name)}
+            found += [f"{name}:{node.lineno} {where}({p})" for p in params
+                      if p not in read and p != "_"]
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter that no body reads is an argument every caller passes for nothing
+    assert _unread_parameters() == []
 
 
 def _unused_imports(path: Path) -> list[str]:
