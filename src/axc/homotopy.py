@@ -21,6 +21,13 @@ The h rule is the star-conjugate eta star_inv H star worked out per term.
 Both run :func:`axc.forms._raise_terms` over their rows in the one table
 :func:`axc.forms._op_rows`, H over delta's generators and h over d's, and
 ``tests/test_homotopy.py`` checks h against that literal composite for n = 1..6.
+
+The antiexact space is A = ker H and the anticoexact space Y = ker h, each
+with no constant term (omega vanishing at the center).  On the block of
+coefficient degree m and grade k, H is i_K / (m + k) and h is
+-K^flat ^ / (m + n - k), each weight nonzero wherever the operator has a row and
+distinct blocks landing in distinct blocks, so ker H = ker i_K and
+ker h = ker K^flat ^, and :func:`membership` builds neither K nor K^flat.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _op_rows, _raise_terms, _require_operand, _weight, interior
-from .hodge import codifferential, musical_flat
+from .forms import Form, VectorField, _op_rows, _raise_terms, _require_operand, _weight
+from .hodge import codifferential
 from .polyring import Context, Poly
 
 
@@ -99,16 +106,23 @@ def decompose(omega: Form, mode: DecompositionMode) -> Decomposition:
 
 
 def membership(omega: Form, tag: SpaceTag) -> bool:
+    """Whether omega lies in the space of ``tag``, decided exactly.
+
+    E = ker d and C = ker delta; A = ker H and Y = ker h, each with no
+    constant term.  H and h are i_K and -K^flat ^ divided by a weight that is
+    constant and nonzero on each (degree, grade) block they do not kill, and
+    distinct blocks map to distinct blocks, so their kernels are those of
+    i_K and K^flat ^.  The harmonic tags intersect E with C and A with Y.
+    """
     _require_operand(omega, Form)
     if tag is SpaceTag.EXACT:
         return omega.d().is_zero
     if tag is SpaceTag.COEXACT:
         return codifferential(omega).is_zero
     if tag is SpaceTag.ANTIEXACT:
-        return interior(k_field(omega.ctx), omega).is_zero and omega.at_center().is_zero
+        return homotopy_H(omega).is_zero and omega.at_center().is_zero
     if tag is SpaceTag.ANTICOEXACT:
-        kflat = musical_flat(k_field(omega.ctx))
-        return kflat.wedge(omega).is_zero and omega.at_center().is_zero
+        return cohomotopy_h(omega).is_zero and omega.at_center().is_zero
     if tag is SpaceTag.HODGE_HARMONIC:
         return membership(omega, SpaceTag.EXACT) and membership(omega, SpaceTag.COEXACT)
     if tag is SpaceTag.HODGE_ANTIHARMONIC:

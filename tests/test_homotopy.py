@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from axc import (
+    Context,
     DecompositionMode,
     Form,
     Poly,
@@ -83,8 +84,12 @@ class TestHomotopyOperator:
                 assert homotopy_H(w) == contraction_homotopy_H(w)
 
 
-@pytest.mark.parametrize("ctx", all_contexts(),
-                         ids=lambda c: "".join("+" if s == 1 else "-" for s in c.signature))
+def _chart_id(ctx) -> str:
+    signs = "".join("+" if s == 1 else "-" for s in ctx.signature)
+    return signs + ("-offcenter" if any(ctx.center) else "")
+
+
+@pytest.mark.parametrize("ctx", all_contexts(), ids=_chart_id)
 def test_constants_with_zero_weight_map_to_zero(ctx):
     # H divides by |a| + k and h by |a| + n - k: both are 0 on these terms,
     # whose generator tables are empty
@@ -240,6 +245,60 @@ class TestMembership:
                             and membership(w, SpaceTag.ANTIEXACT))
                 assert not (membership(w, SpaceTag.COEXACT)
                             and membership(w, SpaceTag.ANTICOEXACT))
+
+
+# The K-based definitions of the antiexact and anticoexact spaces, kept as the
+# oracle of membership, which tests the same spaces through H and h.
+def _antiexact_by_contraction(w):
+    return interior(k_field(w.ctx), w).is_zero and w.at_center().is_zero
+
+
+def _anticoexact_by_wedge(w):
+    return musical_flat(k_field(w.ctx)).wedge(w).is_zero and w.at_center().is_zero
+
+
+MEMBERSHIP_CHARTS = all_contexts() + [
+    Context(3, (Fraction(1, 7), Fraction(-2, 3), Fraction(5, 2)), (1, -1, 1))]
+
+
+def _blocks(w) -> set:
+    """The (coefficient degree, grade) blocks a form has terms in."""
+    return {(sum(exps), len(idx)) for idx, exps, _ in w.terms()}
+
+
+def _membership_samples(ctx):
+    """Seeded forms with both parts of each decomposition, then hand-built
+    edges: 0-forms (H has no rows), top-grade forms (h has no rows) and a
+    constant top form, where h's weight r + n - k is 0."""
+    n, top = ctx.n, tuple(range(1, ctx.n + 1))
+    for i in range(8):
+        w = random_form(ctx, sample_rng(113, 10 * ctx.n + i))
+        yield w
+        for mode in DecompositionMode:
+            yield from decompose(w, mode)[:2]
+    yield Form.scalar(ctx, Fraction(-3, 2))
+    yield Form.from_poly(ctx, var(ctx, 1) + Poly.const(n, 2))
+    yield Form.from_poly(ctx, var(ctx, n) * var(ctx, 1))
+    yield B(ctx, top, var(ctx, 1))
+    yield B(ctx, top, var(ctx, 1) + Poly.const(n, 1)) + B(ctx, (1,), var(ctx, n))
+    yield B(ctx, top, Poly.const(n, 5))
+
+
+@pytest.mark.parametrize("ctx", MEMBERSHIP_CHARTS, ids=_chart_id)
+def test_membership_through_H_and_h_matches_the_radial_field(ctx):
+    # H is i_K / (r + k) and h is -K^flat ^ / (r + n - k) on the block of
+    # degree r and grade k, so the kernels agree on every form
+    verdicts = {SpaceTag.ANTIEXACT: set(), SpaceTag.ANTICOEXACT: set()}
+    mixed = 0
+    for w in _membership_samples(ctx):
+        mixed += len(_blocks(w)) > 1
+        for tag, oracle in ((SpaceTag.ANTIEXACT, _antiexact_by_contraction),
+                            (SpaceTag.ANTICOEXACT, _anticoexact_by_wedge)):
+            verdict = membership(w, tag)
+            assert verdict == oracle(w), (tag, w)
+            verdicts[tag].add(verdict)
+    assert verdicts == {SpaceTag.ANTIEXACT: {True, False}, SpaceTag.ANTICOEXACT: {True, False}}
+    assert mixed >= 8, mixed
 
 
 class TestPotential:

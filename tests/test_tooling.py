@@ -294,6 +294,20 @@ def test_close_applies_op_g_without_building_g():
     assert list(inspect.signature(op_g_terms).parameters) == ["idx", "exps", "op", "signature"]
 
 
+def test_membership_reads_H_and_h_and_the_radial_field_is_built_once_per_chart():
+    # the antiexact and anticoexact spaces are the kernels of H and h (with no
+    # constant term), so membership builds no K or K^flat and runs neither
+    # i_K nor K^flat ^; only the identity checks of i_K and K^flat ^ build
+    # them, by the public constructors, in one cached helper per chart
+    membership = next(node for node in ast.walk(dict(_kernel_trees())["homotopy.py"])
+                      if isinstance(node, ast.FunctionDef) and node.name == "membership")
+    named = set().union(*map(_names, ast.walk(membership)))
+    assert {"homotopy_H", "cohomotopy_h"} <= named, named
+    assert not named & {"k_field", "musical_flat", "interior", "wedge"}, named
+    assert _callers("identities.py", {"k_field", "musical_flat"}) == {"_radial"}
+    assert callable(importlib.import_module("axc.identities")._radial.cache_info)
+
+
 def test_poly_and_form_share_one_numerator_arithmetic():
     # the two classes store one format, so its arithmetic is written once, on
     # _Numerators; __add__ is bound on each class too, for the tracer to wrap
