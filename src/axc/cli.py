@@ -57,7 +57,7 @@ _SYSTEMS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="axc", description="exact exterior-calculus kernel")
-    parser.add_argument("--dim", type=int, default=2, help="chart dimension n")
+    parser.add_argument("--dim", type=int, default=None, help="chart dimension n (default 2)")
     parser.add_argument("--metric", default=None, help="signature string of + and -, e.g. +---")
     parser.add_argument("--center", default=None, help="comma-separated rationals for the star center")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,7 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _context_from_args(args) -> Context:
-    n = check_dimension(args.dim if args.metric is None else len(args.metric))
+    if args.metric is not None and args.dim not in (None, len(args.metric)):
+        raise errors.DimensionMismatch(f"--dim {args.dim} disagrees with --metric {args.metric!r}")
+    n = check_dimension(len(args.metric) if args.metric is not None
+                        else 2 if args.dim is None else args.dim)
     metric = "+" * n if args.metric is None else args.metric
     if set(metric) - {"+", "-"}:
         raise errors.DimensionMismatch(f"bad metric string {metric!r}")

@@ -10,7 +10,7 @@ Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
 
 d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name:
 :func:`_lower_terms` runs d and delta over it, :func:`_raise_terms` H and h,
-and :func:`axc.solvers._op_g_terms` d G and delta G.
+:func:`axc.solvers._op_g_terms` d G and delta G, :func:`interior_terms` i_v.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def _wedge_slots(idx: tuple, n: int) -> tuple:
     return tuple((i - 1, *_merge_indices((i,), idx)) for i in range(1, n + 1) if i not in idx)
 
 
-@functools.lru_cache(maxsize=4096)
 def _contract_slots(idx: tuple) -> tuple:
     """The generator i(d/dx_a) on dx^idx: a ``(a - 1, idx minus a, (-1)^j)`` row,
     axis 0-based, per slot j of idx, a = idx[j]."""
@@ -351,10 +350,10 @@ class VectorField:
         return f"VectorField({list(self.components)!r})"
 
 
-def interior_terms(idx: tuple, exps: tuple, components: tuple):
-    """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over the rows of
-    :func:`_contract_slots`, for the ``Poly`` components of v."""
-    for i, rest, sign in _contract_slots(idx):
+def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple):
+    """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over H's rows in
+    :func:`_op_rows`, for the ``Poly`` components of v."""
+    for i, rest, sign in _op_rows("H", idx, signature):
         p = components[i]
         for v_exps, v in p._nums.items():
             yield rest, tuple(a + b for a, b in zip(exps, v_exps)), sign * v, p._den
@@ -365,7 +364,7 @@ def interior(v: VectorField, omega: Form) -> Form:
     if not isinstance(v, VectorField) or not isinstance(omega, Form):
         raise TypeError("interior takes a VectorField and a Form")
     v.ctx.require_same(omega.ctx)
-    return omega.termwise(interior_terms, v.components)
+    return omega.termwise(interior_terms, v.components, omega.ctx.signature)
 
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:

@@ -1,13 +1,14 @@
 """Field-equation pipelines built on the homotopy decompositions.
 
 Each pipeline composes H and h with one closing step, ``_close(s, exact)``,
-a formula in H, h and the right inverse G of laplace (:func:`laplace_solve`,
-whose series :func:`_inverse_box` sums by Horner's rule on integer numerators):
-on the exact half it returns (beta, s + delta beta), closed, with beta =
-d G(H d s), on the coexact half (alpha, s + d alpha), coclosed, with alpha =
+a formula in H, h and the right inverse G of laplace, whose series
+:func:`_inverse_box` sums by Horner's rule on integer numerators: on the
+exact half it returns (beta, s + delta beta), closed, with beta = d G(H d s),
+on the coexact half (alpha, s + d alpha), coclosed, with alpha =
 delta G(h delta s).  d G and delta G run as one term map, :func:`_op_g_terms`,
 over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i G(y^a) from a
-gradient cached per monomial (:func:`_inverse_box_grad`), building no G(u).  Maxwell
+gradient cached per monomial (:func:`_inverse_box_grad`), building no G(u)
+and calling no :func:`laplace_solve`, which applies G to a whole form.  Maxwell
 and Kalb-Ramond close h j and take A = H F; magnetic Maxwell, the same body
 on the coexact half, cocloses H j and takes A = h F.  Dirac approach 1
 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
@@ -51,14 +52,13 @@ class SolveReport(NamedTuple):
         return not self.failed
 
 
-@functools.lru_cache(maxsize=4096)
 def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     """G(y^a) as ``(exponents, numerator, denominator)`` triples.  With Q = sum_i eps_i y_i^2,
     m = |a|, a_j = 2(j+1)(n + 2m - 2j) > 0 and b_j = box^j y^a, box(Q^(j+1) f) = a_j Q^j f
     + Q^(j+1) box f for f of degree m - 2j, so G = sum_j (-1)^j Q^(j+1) b_j / (a_0 ... a_j)
     has box G = y^a.  Horner's rule sums it as (Q/a_0)(b_0 - (Q/a_1)(b_1 - ... - (Q/a_J) b_J)),
     J = m // 2, one :func:`_sum_numerators` per step: Q b_j over 1 (box has integer factors)
-    and -Q acc over a_j, Q times a map its n shifted copies.  Cached: exponents repeat."""
+    and -Q acc over a_j, Q times a map its n shifted copies."""
     n, m = len(exps), sum(exps)
     b = [{exps: 1}]
     for _ in range(m // 2):
@@ -77,10 +77,9 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
 def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
     """``(D, columns)``: column i holds d/dy_i G(y^a) as ``(exponents, numerator)``
     pairs over G's denominator D, read off :func:`_inverse_box`'s triples.  d/dy_i
-    sends distinct monomials to distinct monomials, so nothing is summed.  G is
-    summed past its cache: a solve reads only this gradient, so caching both
-    would keep every high-degree G twice over."""
-    G = _inverse_box.__wrapped__(exps, signature)
+    sends distinct monomials to distinct monomials, so nothing is summed.  The one
+    cache of G: a solve reads only this gradient."""
+    G = _inverse_box(exps, signature)
     return G[0][2], tuple(
         tuple((e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v, _ in G if e[i])
         for i in range(len(exps)))
@@ -110,8 +109,6 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     """
     _require_operand(rhs, Form)
     ctx = rhs.ctx
-    if rhs.is_zero and type(k) is int:  # G(0) = 0 at every int grade, in 0..n or not
-        return Form.zero(ctx)
     _require_grade(k, ctx.n)
     grade = rhs.homogeneous_grade()
     if grade not in (None, k):

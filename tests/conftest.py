@@ -64,18 +64,23 @@ def var(ctx, i):
 
 
 def all_contexts(max_dim=4):
+    """A Euclidean and a Minkowski chart per n; at n = 1, where the two agree,
+    the signature (-) in place of Minkowski."""
     out = []
     for n in range(1, max_dim + 1):
         out.append(Context.euclidean(n))
-        out.append(Context.minkowski(n))
+        out.append(Context.minkowski(n) if n > 1 else Context(1, (0,), (-1,)))
     return out
 
 
 def oracle_contexts(max_dim=6):
-    """Euclidean, Minkowski and an alternating (-, +, -, ...) signature per n."""
+    """The charts of :func:`all_contexts` and an alternating (-, +, -, ...)
+    signature per n, where that is not already among them."""
     out = all_contexts(max_dim)
     for n in range(1, max_dim + 1):
-        out.append(Context(n, (0,) * n, tuple(-1 if i % 2 == 0 else 1 for i in range(n))))
+        ctx = Context(n, (0,) * n, tuple(-1 if i % 2 == 0 else 1 for i in range(n)))
+        if ctx not in out:
+            out.append(ctx)
     return out
 
 

@@ -553,7 +553,7 @@ def _operator_term_maps(ctx, rng) -> list:
             ("h", _raise_terms, ("h", signature)),
             ("d G", _op_g_terms, ("d", signature)), ("delta G", _op_g_terms, ("delta", signature)),
             ("wedge", wedge_terms, (right._nums.items(), right._den)),
-            ("interior", interior_terms, (field,))]
+            ("interior", interior_terms, (field, signature))]
 
 
 class TestTermMapContract:

@@ -607,6 +607,21 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert out == "(1) dx2^dx3^dx4"
 
+    def test_dim_must_agree_with_metric(self, tmp_path, capsys):
+        # --metric sets the dimension; a --dim beside it may only repeat it
+        src = tmp_path / "w.txt"
+        src.write_text("x1 dx2")
+        argv = ["apply", "--op", "d", "--in", str(src)]
+        assert main(["--dim", "2", "--metric", "+-", *argv]) == 0
+        assert capsys.readouterr().out == "(1) dx1^dx2\n"
+        assert main(["--dim", "3", "--metric", "++", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "--dim 3" in err and "--metric '++'" in err
+        args = cli._build_parser().parse_args(["--dim", "3", "--metric", "++", *argv])
+        with pytest.raises(DimensionMismatch):
+            cli._context_from_args(args)
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         src = tmp_path / "w.txt"
         src.write_text("(x1^2) dx1")

@@ -284,11 +284,11 @@ def test_close_applies_op_g_without_building_g():
     # a laplace_solve there would build G(u) and differentiate it again
     assert "_close" not in _callers("solvers.py", {"laplace_solve"})
     # the rows of d, delta, H and h have one home, forms._op_rows, read by the
-    # two term maps, by h's weight and by op G alike; op G reads them by the
-    # differential's name, with no flag to branch on
+    # two term maps, by h's weight, by op G and by interior's contraction alike;
+    # op G reads them by the differential's name, with no flag to branch on
     readers = {f"{name}:{where}" for name, _ in _kernel_trees()
                for where in _callers(name, {"_op_rows"})}
-    assert readers == {"forms.py:_lower_terms", "forms.py:_raise_terms",
+    assert readers == {"forms.py:_lower_terms", "forms.py:_raise_terms", "forms.py:interior_terms",
                        "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g_terms"}, readers
     op_g_terms = importlib.import_module("axc.solvers")._op_g_terms
     assert list(inspect.signature(op_g_terms).parameters) == ["idx", "exps", "op", "signature"]
@@ -352,22 +352,43 @@ def _eps_twists() -> set:
 
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
     # forms builds the generator tables from _merge_indices, hodge the star's
-    # complement sign and textio the parser's basis sort; every other rule
-    # reads its sign from the row table forms._op_rows, or from
-    # forms._contract_slots for interior
+    # complement sign and textio the parser's basis sort; every other rule,
+    # interior's included, reads its sign from the row table forms._op_rows
     for name, tree in _kernel_trees():
         if name in ("forms.py", "hodge.py", "textio.py"):
             continue
         for node in ast.walk(tree):
             assert "_merge_indices" not in _names(node), f"{name}:{node.lineno}"
-    # the -eps_i twist of delta and h is written once, in that table, and the
-    # operator modules read no generator table past it
+    # the -eps_i twist of delta and h is written once, in that table, and
+    # nothing but that table reads a generator table
     assert [where for _, where, _ in _eps_twists()] == ["_op_rows"], _eps_twists()
-    trees = dict(_kernel_trees())
-    for name in ("homotopy.py", "hodge.py", "solvers.py"):
-        for node in ast.walk(trees[name]):
-            named = _names(node) & {"_wedge_slots", "_contract_slots"}
+    slots = {"_wedge_slots", "_contract_slots"}
+    readers = {f"{name}:{where}" for name, _ in _kernel_trees() for where in _callers(name, slots)}
+    assert readers == {"forms.py:_op_rows"}, readers
+    for name, tree in _kernel_trees():
+        if name == "forms.py":
+            continue
+        for node in ast.walk(tree):
+            named = _names(node) & slots
             assert not named, f"{name}:{getattr(node, 'lineno', '?')} reads {named}"
+
+
+def test_kernel_caches_are_the_five_tables_read_again():
+    # the index merge, the row table, the star's rows, the radial field per
+    # chart and the gradient of G, the one cache of G; G itself and the
+    # generator tables are read through them, so a cache on either would keep
+    # a second copy of what those tables hold
+    cached, uses = set(), 0
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            uses += bool(_names(node) & {"lru_cache", "cache"})
+            if isinstance(node, ast.FunctionDef) and any(
+                    set().union(*map(_names, ast.walk(dec))) & {"lru_cache", "cache"}
+                    for dec in node.decorator_list):
+                cached.add(f"{name}:{node.name}")
+    assert cached == {"forms.py:_merge_indices", "forms.py:_op_rows", "hodge.py:_star_row",
+                      "identities.py:_radial", "solvers.py:_inverse_box_grad"}, cached
+    assert uses == len(cached), "a cache made other than as a decorator"
 
 
 def test_textio_reads_rows_through_the_one_walk():
