@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
@@ -71,7 +71,9 @@ def _lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     for i, out_idx, sign in _op_rows(op, idx, signature):
         e = exps[i]
         if e:
-            out.append((out_idx, exps[:i] + (e - 1,) + exps[i + 1:], sign * e, 1))
+            stepped = list(exps)
+            stepped[i] = e - 1
+            out.append((out_idx, tuple(stepped), sign * e, 1))
     return out
 
 
@@ -81,7 +83,9 @@ def _raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     w = _weight(exps, rows)
     out = []
     for i, out_idx, sign in rows:
-        out.append((out_idx, exps[:i] + (exps[i] + 1,) + exps[i + 1:], sign, w))
+        stepped = list(exps)
+        stepped[i] += 1
+        out.append((out_idx, tuple(stepped), sign, w))
     return out
 
 
@@ -305,13 +309,15 @@ class Form(_Numerators):
         return "Form(" + (" + ".join(bits) or "0") + ")"
 
 
-def wedge_terms(idx: tuple, exps: tuple, right, den: int):
+def wedge_terms(idx: tuple, exps: tuple, right, den: int) -> list:
     """y^exps dx^idx ^ the form of the ``((index tuple, exponents), numerator)``
     items ``right`` over den, term by term."""
+    out = []
     for (idx2, exps2), v in right:
         merged = _merge_indices(idx, idx2)
         if merged is not None:
-            yield merged[0], tuple(a + b for a, b in zip(exps, exps2)), merged[1] * v, den
+            out.append((merged[0], tuple(map(add, exps, exps2)), merged[1] * v, den))
+    return out
 
 
 class VectorField:
@@ -350,13 +356,15 @@ class VectorField:
         return f"VectorField({list(self.components)!r})"
 
 
-def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple):
+def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple) -> list:
     """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over H's rows in
     :func:`_op_rows`, for the ``Poly`` components of v."""
+    out = []
     for i, rest, sign in _op_rows("H", idx, signature):
         p = components[i]
         for v_exps, v in p._nums.items():
-            yield rest, tuple(a + b for a, b in zip(exps, v_exps)), sign * v, p._den
+            out.append((rest, tuple(map(add, exps, v_exps)), sign * v, p._den))
+    return out
 
 
 def interior(v: VectorField, omega: Form) -> Form:

@@ -28,6 +28,10 @@ coefficient degree m and grade k, H is i_K / (m + k) and h is
 -K^flat ^ / (m + n - k), each weight nonzero wherever the operator has a row and
 distinct blocks landing in distinct blocks, so ker H = ker i_K and
 ker h = ker K^flat ^, and :func:`membership` builds neither K nor K^flat.
+
+The center maps s*_{x0} (:func:`center_pullback`) and S_{x0}
+(:func:`center_top_eval`) are one term map each, :func:`_center_terms`: a term
+stays only if its grade is 0 (resp. n) and its coefficient is a constant.
 """
 
 from __future__ import annotations
@@ -78,14 +82,21 @@ def cohomotopy_h(omega: Form) -> Form:
     return omega.termwise(_raise_terms, "h", omega.ctx.signature)
 
 
+def _center_terms(idx: tuple, exps: tuple, k: int) -> list:
+    """y^a dx^I kept as it is when it has grade k and a = 0, else dropped."""
+    return [(idx, exps, 1, 1)] if len(idx) == k and not any(exps) else []
+
+
 def center_pullback(omega: Form) -> Form:
-    """s*_{x0}: kills positive grades, freezes the 0-form part at the center."""
-    return omega.grade_select(0).at_center()
+    """s*_{x0}: kills positive grades, freezes the 0-form part at the center.
+    One term map: a term stays only if it is a constant of grade 0."""
+    return omega.termwise(_center_terms, 0)
 
 
 def center_top_eval(omega: Form) -> Form:
-    """S_{x0}: nonzero only on the top grade, which it freezes at the center."""
-    return omega.grade_select(omega.ctx.n).at_center()
+    """S_{x0}: nonzero only on the top grade, which it freezes at the center.
+    One term map: a term stays only if it is a constant of grade n."""
+    return omega.termwise(_center_terms, omega.ctx.n)
 
 
 def _side(exact: bool) -> tuple:

@@ -3,6 +3,9 @@
 Every check below is an algebraic identity that must hold bit-exactly on
 polynomial forms; a single failing sample falsifies the kernel.  The suite
 doubles as the CLI `identities` subcommand and as the acceptance harness.
+Each check computes each operator image once: an image that appears twice in
+its equation (H(w) in HdH = H, d(w) in dHd = d, delta h(w) in the projector
+law) is bound to a name and read again.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ def _check_H2(ctx, w, rng):
 
 
 def _check_HdH(ctx, w, rng):
-    return homotopy_H(homotopy_H(w).d()) == homotopy_H(w)
+    Hw = homotopy_H(w)
+    return homotopy_H(Hw.d()) == Hw
 
 
 def _check_dHd(ctx, w, rng):
-    return homotopy_H(w.d()).d() == w.d()
+    dw = w.d()
+    return homotopy_H(dw).d() == dw
 
 
 def _check_iK_H(ctx, w, rng):
@@ -80,11 +85,13 @@ def _check_h2(ctx, w, rng):
 
 
 def _check_delta_h_delta(ctx, w, rng):
-    return codifferential(cohomotopy_h(codifferential(w))) == codifferential(w)
+    delta_w = codifferential(w)
+    return codifferential(cohomotopy_h(delta_w)) == delta_w
 
 
 def _check_h_delta_h(ctx, w, rng):
-    return cohomotopy_h(codifferential(cohomotopy_h(w))) == cohomotopy_h(w)
+    hw = cohomotopy_h(w)
+    return cohomotopy_h(codifferential(hw)) == hw
 
 
 def _check_cohomotopy_invariance(ctx, w, rng):
@@ -119,7 +126,8 @@ def _check_h_sign_form(ctx, w, rng):
 
 
 def _check_projectors(ctx, w, rng):
-    return _dh(_dh(w)) == _dh(w) and _hd(_hd(w)) == _hd(w)
+    dh_w, hd_w = _dh(w), _hd(w)
+    return _dh(dh_w) == dh_w and _hd(hd_w) == hd_w
 
 
 def _check_decompose_exact(ctx, w, rng):

@@ -100,7 +100,8 @@ def _op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
 def laplace_solve(rhs: Form, k: int) -> Form:
     """The right inverse G of laplace on a k-form right-hand side: laplace acts
     on the coefficients alone, so G applies :func:`_inverse_box` term by term
-    and ``laplace(laplace_solve(g, k)) = g``.  The gauge is G's.
+    and ``laplace(laplace_solve(g, k)) = g``.  The gauge is G's.  G is summed
+    once per distinct monomial of g, into a map that lives for the call.
 
     A closed or coclosed solution is a formula on top of G, as in
     :func:`_close`: for g closed off grade 0,
@@ -113,8 +114,8 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     grade = rhs.homogeneous_grade()
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
-    signature = ctx.signature
-    return rhs.termwise(lambda idx, exps: [(idx, *g) for g in _inverse_box(exps, signature)])
+    G = {exps: _inverse_box(exps, ctx.signature) for exps in {exps for _, exps in rhs._nums}}
+    return rhs.termwise(lambda idx, exps: [(idx, *g) for g in G[exps]])
 
 
 def _close(s: Form, exact: bool) -> tuple[Form, Form]:

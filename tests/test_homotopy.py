@@ -301,6 +301,21 @@ def test_membership_through_H_and_h_matches_the_radial_field(ctx):
     assert mixed >= 8, mixed
 
 
+@pytest.mark.parametrize("ctx", MEMBERSHIP_CHARTS, ids=_chart_id)
+def test_center_maps_match_grade_select_then_at_center(ctx):
+    # each center map is one term map; the two-pass composite is its oracle
+    n, top = ctx.n, tuple(range(1, ctx.n + 1))
+    samples = [random_form(ctx, sample_rng(139, 10 * n + i)) for i in range(8)]
+    samples += [Form.scalar(ctx, Fraction(-3, 2)), B(ctx, top, Poly.const(n, 5))]
+    kept = {0: 0, n: 0}
+    for w in samples:
+        for k, center in ((0, center_pullback), (n, center_top_eval)):
+            got = center(w)
+            assert got == w.grade_select(k).at_center(), (k, w)
+            kept[k] += not got.is_zero
+    assert all(kept.values()), kept
+
+
 class TestPotential:
     def test_of_area_form(self, e2):
         expected = (B(e2, (2,), var(e2, 1)) - B(e2, (1,), var(e2, 2))).scale(Fraction(1, 2))

@@ -2,6 +2,7 @@ import pytest
 
 from axc import Context, Form, identities, run_identities
 from axc.identities import IdentityResult
+from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
 
 
@@ -74,3 +75,31 @@ def test_a_faulty_operator_fails_the_check_it_targets(monkeypatch, fault):
         if ctx.n >= low:
             results = run_identities(ctx, 20, 3, 7, names=["star_star_law", "h_sign_form"])
             assert target in {r.name for r in results if not r.passed}, (fault, ctx)
+
+
+# Form.termwise calls per check on one sample: each image that appears twice
+# in a check's equation is computed once, and each center map is one term map
+_TERMWISE_CALLS = {
+    "HdH_eq_H": 3, "dHd_eq_d": 3, "delta_h_delta_eq_delta": 3, "h_delta_h_eq_h": 3,
+    "projector_idempotence": 8,
+    "homotopy_invariance": 5, "cohomotopy_invariance": 5,
+    "decompose_exact_antiexact": 8, "decompose_coexact_anticoexact": 8,
+    "star_duality": 10,
+}
+
+
+@pytest.mark.parametrize("name", _TERMWISE_CALLS)
+def test_a_check_computes_each_image_once(monkeypatch, name):
+    ctx = Context.minkowski(4)
+    rng = sample_rng(151, 0)
+    w = random_form(ctx, rng)
+    assert not w.is_zero
+    termwise, calls = Form.termwise, []
+
+    def counting(self, fn, *args):
+        calls.append(fn)
+        return termwise(self, fn, *args)
+
+    monkeypatch.setattr(Form, "termwise", counting)
+    assert identities.CHECKS[name](ctx, w, rng)
+    assert len(calls) == _TERMWISE_CALLS[name], calls

@@ -101,6 +101,25 @@ class TestLaplaceSolve:
         with pytest.raises(GradeOutOfRange):
             laplace_solve(rhs, k)
 
+    def test_a_repeated_monomial_sums_g_once(self, m4, monkeypatch):
+        # y^(2,1,1,0) on all six index tuples of a 2-form: G of the monomial is
+        # summed once for the call, and the solve is the sum of the six
+        # single-term solves
+        exps = (2, 1, 1, 0)
+        terms = [(idx, exps, Fraction(j + 1, 3)) for j, idx in enumerate(
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])]
+        separate = sum((laplace_solve(Form.from_terms(m4, [t]), 2) for t in terms),
+                       Form.zero(m4))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _inverse_box(*args)
+
+        monkeypatch.setattr("axc.solvers._inverse_box", counting)
+        assert laplace_solve(Form.from_terms(m4, terms), 2) == separate
+        assert calls == [(exps, m4.signature)]
+
     def test_solution_matches_composite_assembly(self, e3, m4):
         for beta, rhs, k, side in composite_cases(e3, m4):
             assert not rhs.is_zero

@@ -271,6 +271,30 @@ def test_operators_pass_integer_factor_pairs():
     assert not read & {"numerator", "denominator"}, read
 
 
+def _is_slice(node) -> bool:
+    return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+
+
+def test_term_maps_build_each_image_in_one_step():
+    # the per-term maps return lists and step or add exponents through one
+    # list update or one map(add, ...), never a generator or a tuple glued
+    # from slices, which cost a frame or three tuples per image
+    maps = {"forms.py": {"_lower_terms", "_raise_terms", "wedge_terms", "interior_terms"},
+            "clifford.py": {"box_terms"}}
+    seen = set()
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in maps.get(name, ()):
+                seen.add(node.name)
+                for inner in ast.walk(node):
+                    where = f"{name}:{node.name}:{getattr(inner, 'lineno', '?')}"
+                    assert not isinstance(inner, (ast.Yield, ast.YieldFrom)), f"{where} yields"
+                    assert not (isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Add)
+                                and (_is_slice(inner.left) or _is_slice(inner.right))), (
+                        f"{where} adds slices")
+    assert seen == set().union(*maps.values()), seen
+
+
 def test_solvers_sums_g_on_integer_numerators():
     # G is summed by Horner's rule, each step one _sum_numerators call over
     # integer numerators, so the solvers build no Poly and multiply none
