@@ -2,15 +2,17 @@
 
 A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators keyed
 by ``(index tuple, exponents)`` in the format of :class:`axc.polyring._Numerators`,
-as a ``Poly`` does.  Each operator is a module-level ``*_terms`` map, run by
-``Form.termwise``, whose images carry integer factor pairs, so only the read
-``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows as ``Poly``s in
-canonical order for ``repr``, ``Form.components`` (grade -> (index tuple ->
-Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
+as a ``Poly`` does.  Each operator's image carries integer factor pairs, so
+only the read ``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows
+as ``Poly``s in canonical order for ``repr``, ``Form.components`` (grade ->
+(index tuple -> Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
 
-d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name:
-:func:`_lower_terms` runs d and delta over it, :func:`_raise_terms` H and h,
-:func:`axc.solvers._op_g_terms` d G and delta G, :func:`interior_terms` i_v.
+d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name,
+each as one loop over the whole form that groups its sums by denominator:
+:func:`_lower` runs d and delta, :func:`_raise` H and h, and
+:func:`axc.solvers._op_g` d G and delta G.  The other operators are
+module-level ``*_terms`` maps on basis terms, run by ``Form.termwise``;
+:func:`interior_terms`, i_v, reads H's rows.
 """
 
 from __future__ import annotations
@@ -65,28 +67,42 @@ def _op_rows(op: str, idx: tuple, signature: tuple) -> tuple:
     return tuple((i, out, -sign * signature[i]) for i, out, sign in rows)
 
 
-def _lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
-    """d or delta on y^a dx^I: sum of sign * d/dy_i (y^a) dx^I' over op's rows."""
-    out = []
-    for i, out_idx, sign in _op_rows(op, idx, signature):
-        e = exps[i]
-        if e:
+def _lower(omega: "Form", op: str) -> "Form":
+    """d (op "d") or delta (op "delta") on the whole form, in one loop: each
+    term y^a dx^I with numerator N adds sign * a_i * N to y^(a - e_i) dx^I' over
+    op's rows, every factor an integer, so one group over 1 holds the image."""
+    signature, acc = omega.ctx.signature, {}
+    for (idx, exps), N in omega._nums.items():
+        for i, out_idx, sign in _op_rows(op, idx, signature):
+            e = exps[i]
+            if e:
+                stepped = list(exps)
+                stepped[i] = e - 1
+                key = (out_idx, tuple(stepped))
+                acc[key] = acc.get(key, 0) + sign * e * N
+    return _form(omega.ctx, *_merged({1: acc}, omega._den))
+
+
+def _raise(omega: "Form", op: str) -> "Form":
+    """H (op "H") or h (op "h") on the whole form, in one loop: each term
+    y^a dx^I with numerator N adds sign * N to y^(a + e_i) dx^I' over op's rows,
+    in the group of its :func:`_weight`.  A term with no rows adds nothing and
+    opens no group: its weight may be 0, which no lcm lifts over."""
+    signature, groups = omega.ctx.signature, {}
+    for (idx, exps), N in omega._nums.items():
+        rows = _op_rows(op, idx, signature)
+        if not rows:
+            continue
+        w = _weight(exps, rows)
+        group = groups.get(w)
+        if group is None:
+            group = groups[w] = {}
+        for i, out_idx, sign in rows:
             stepped = list(exps)
-            stepped[i] = e - 1
-            out.append((out_idx, tuple(stepped), sign * e, 1))
-    return out
-
-
-def _raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
-    """H or h on y^a dx^I: sign * y_i y^a dx^I' over op's rows, divided by :func:`_weight`."""
-    rows = _op_rows(op, idx, signature)
-    w = _weight(exps, rows)
-    out = []
-    for i, out_idx, sign in rows:
-        stepped = list(exps)
-        stepped[i] += 1
-        out.append((out_idx, tuple(stepped), sign, w))
-    return out
+            stepped[i] += 1
+            key = (out_idx, tuple(stepped))
+            group[key] = group.get(key, 0) + sign * N
+    return _form(omega.ctx, *_merged(groups, omega._den))
 
 
 def _weight(exps: tuple, rows: tuple) -> int:
@@ -255,7 +271,7 @@ class Form(_Numerators):
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
-        return self.termwise(_lower_terms, "d", self.ctx.signature)
+        return _lower(self, "d")
 
     def eval_at(self, point) -> "Form":
         """Freeze coefficients to their value at a point; result is a

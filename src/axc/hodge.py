@@ -8,11 +8,12 @@ Conventions (property-tested, not hand-simplified):
     delta(f dx^I) = -sum_j (-1)^j eps_{i_j} (d f / d y_{i_j}) dx^{I minus i_j}
   with j the 0-based position of i_j in I.
 
-star, star_inv and delta are maps on basis terms run by ``Form.termwise``, each
-factor an integer over 1 (no ``Fraction``), and each sign rule is written once:
-the row of :func:`_star_row`, cached per index tuple, holds the star rule
-(star_inv only multiplies it by its grade sign), and delta's rule
--(-1)^j eps_{i_j} is its rows in the one table :func:`axc.forms._op_rows`.
+star and star_inv are a map on basis terms run by ``Form.termwise``, and delta
+is the whole-form loop :func:`axc.forms._lower`; each factor is an integer
+over 1 (no ``Fraction``), and each sign rule is written once: the row of
+:func:`_star_row`, cached per index tuple, holds the star rule (star_inv only
+multiplies it by its grade sign), and delta's rule -(-1)^j eps_{i_j} is its
+rows in the one table :func:`axc.forms._op_rows`.
 ``tests/test_hodge.py`` checks them against the replaced loops and the
 literal composite on random forms for n = 1..6.
 """
@@ -23,7 +24,7 @@ import functools
 import math
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _lower_terms, _merge_indices, _require_operand
+from .forms import Form, VectorField, _lower, _merge_indices, _require_operand
 
 
 def musical_flat(v: VectorField) -> Form:
@@ -77,4 +78,4 @@ def hodge_star_inv(omega: Form) -> Form:
 
 def codifferential(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(_lower_terms, "delta", omega.ctx.signature)
+    return _lower(omega, "delta")

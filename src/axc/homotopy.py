@@ -9,18 +9,19 @@ space of forms:
     coexact (+) anticoexact    via  delta h + h delta = I - (top-grade
                                     center evaluation)
 
-Both operators have a closed monomial form and run term by term through
-``Form.termwise``, the weight the integer denominator of each image factor, so
-no ``Fraction`` is built here.  On y^a dx^I with |a| = m and |I| = k:
+Both operators have a closed monomial form and run as one loop over the whole
+form, :func:`axc.forms._raise`, which sums each term's image in the group of
+its weight, an integer denominator, so no ``Fraction`` is built here.  On
+y^a dx^I with |a| = m and |I| = k:
 
     H(y^a dx^I) =  i_K(y^a dx^I) / (m + k)        (contraction with K)
     h(y^a dx^I) = -K^flat ^ (y^a dx^I) / (m + n - k)   (zero on top grade)
 
 with K = sum_i y_i d/dx_i the radial field and K^flat = sum_i eps_i y_i dx^i.
 The h rule is the star-conjugate eta star_inv H star worked out per term.
-Both run :func:`axc.forms._raise_terms` over their rows in the one table
-:func:`axc.forms._op_rows`, H over delta's generators and h over d's, and
-``tests/test_homotopy.py`` checks h against that literal composite for n = 1..6.
+Both read their rows in the one table :func:`axc.forms._op_rows`, H over
+delta's generators and h over d's, and ``tests/test_homotopy.py`` checks h
+against that literal composite for n = 1..6.
 
 The antiexact space is A = ker H and the anticoexact space Y = ker h, each
 with no constant term (omega vanishing at the center).  On the block of
@@ -40,7 +41,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _op_rows, _raise_terms, _require_operand, _weight
+from .forms import Form, VectorField, _op_rows, _raise, _require_operand, _weight
 from .hodge import codifferential
 from .polyring import Context, Poly
 
@@ -74,12 +75,12 @@ def k_field(ctx: Context) -> VectorField:
 
 def homotopy_H(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(_raise_terms, "H", omega.ctx.signature)
+    return _raise(omega, "H")
 
 
 def cohomotopy_h(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(_raise_terms, "h", omega.ctx.signature)
+    return _raise(omega, "h")
 
 
 def _center_terms(idx: tuple, exps: tuple, k: int) -> list:

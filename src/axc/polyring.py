@@ -5,8 +5,9 @@ there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i``, where the homotopy operators have a
 closed monomial form.  A :class:`Poly` and an :class:`axc.forms.Form` share
 the integer format and the arithmetic of :class:`_Numerators`, so arithmetic
-runs on integers alone.  A sum groups its terms by denominator, as
-:func:`_sum_numerators` and ``Form.termwise`` do, and ends in :func:`_merged`,
+runs on integers alone.  A sum groups its terms by denominator, as ``+``,
+:func:`_sum_numerators`, ``Form.termwise`` and the whole-form operator loops
+of :mod:`axc.forms` and :mod:`axc.solvers` do, and ends in :func:`_merged`,
 the one merge tail, which lifts over an lcm only when the denominators
 differ; :func:`_int_mul` is the one product loop, :func:`_taylor_shift_axis`
 re-centers and :func:`_reduced` divides out the common gcd once per result.
@@ -226,8 +227,15 @@ class _Numerators:
         if not isinstance(other, type(self)):
             return NotImplemented
         _require_same(self._space, other._space)
-        return self._build(self._space, *_sum_numerators(
-            [(key, v, x._den) for x in (self, other) for key, v in x._nums.items()]))
+        D1, D2 = self._den, other._den
+        if D1 == D2:
+            acc = dict(self._nums)
+            for key, v in other._nums.items():
+                acc[key] = acc.get(key, 0) + v
+            groups = {D1: acc}
+        else:
+            groups = {D1: self._nums, D2: other._nums}
+        return self._build(self._space, *_merged(groups))
 
     def __neg__(self):
         return self._build(self._space, self._den, {key: -v for key, v in self._nums.items()})

@@ -5,10 +5,11 @@ a formula in H, h and the right inverse G of laplace, whose series
 :func:`_inverse_box` sums by Horner's rule on integer numerators: on the
 exact half it returns (beta, s + delta beta), closed, with beta = d G(H d s),
 on the coexact half (alpha, s + d alpha), coclosed, with alpha =
-delta G(h delta s).  d G and delta G run as one term map, :func:`_op_g_terms`,
-over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i G(y^a) from a
-gradient cached per monomial (:func:`_inverse_box_grad`), building no G(u)
-and calling no :func:`laplace_solve`, which applies G to a whole form.  Maxwell
+delta G(h delta s).  d G and delta G run as one loop over the whole form,
+:func:`_op_g`, over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i
+G(y^a) from a gradient cached per monomial (:func:`_inverse_box_grad`),
+building no G(u) and calling no :func:`laplace_solve`, which applies G to a
+whole form through ``Form.termwise``.  Maxwell
 and Kalb-Ramond close h j and take A = H F; magnetic Maxwell, the same body
 on the coexact half, cocloses H j and takes A = h F.  Dirac approach 1
 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
@@ -32,10 +33,10 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, _op_rows, _require_grade, _require_operand
+from .forms import Form, _form, _op_rows, _require_grade, _require_operand
 from .hodge import codifferential
 from .homotopy import SpaceTag, _side, cohomotopy_h, homotopy_H, membership
-from .polyring import _sum_numerators
+from .polyring import _merged, _sum_numerators
 
 
 class SolveReport(NamedTuple):
@@ -85,16 +86,26 @@ def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
         for i in range(len(exps)))
 
 
-def _op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
-    """op G on one basis term y^a dx^I, op "d" or "delta": each of op's rows
-    ``(i, I', sign)`` in :func:`axc.forms._op_rows` takes sign * d/dy_i G(y^a)
-    dx^I', its column read off the cached gradient."""
-    D, grad = _inverse_box_grad(exps, signature)
-    out = []
-    for i, out_idx, sign in _op_rows(op, idx, signature):
-        for e, v in grad[i]:
-            out.append((out_idx, e, sign * v, D))
-    return out
+def _op_g(u: Form, op: str) -> Form:
+    """op G on the whole form u, op "d" or "delta", in one loop: each term
+    y^a dx^I with numerator N and each of op's rows ``(i, I', sign)`` in
+    :func:`axc.forms._op_rows` add sign * N * d/dy_i G(y^a) dx^I', its column
+    read off the cached gradient, in the group of G's denominator."""
+    signature, groups = u.ctx.signature, {}
+    for (idx, exps), N in u._nums.items():
+        rows = _op_rows(op, idx, signature)
+        if not rows:
+            continue
+        D, grad = _inverse_box_grad(exps, signature)
+        group = groups.get(D)
+        if group is None:
+            group = groups[D] = {}
+        for i, out_idx, sign in rows:
+            sN = sign * N
+            for e, v in grad[i]:
+                key = (out_idx, e)
+                group[key] = group.get(key, 0) + sN * v
+    return _form(u.ctx, *_merged(groups, u._den))
 
 
 def laplace_solve(rhs: Form, k: int) -> Form:
@@ -123,10 +134,10 @@ def _close(s: Form, exact: bool) -> tuple[Form, Form]:
     differential and homotopy of that half and dual the other differential,
     gauge = op G(inv op s) has op gauge = 0 and laplace gauge = op inv op s =
     op s, so op(s + dual gauge) = op s - laplace gauge = 0.  op G runs as one
-    term map on the cached gradient of G, so no G(inv op s) form is built;
+    loop on the cached gradient of G, so no G(inv op s) form is built;
     every caller recomputes its residuals through op and dual themselves."""
     op, inv, _, name = _side(exact)
-    gauge = inv(op(s)).termwise(_op_g_terms, name, s.ctx.signature)
+    gauge = _op_g(inv(op(s)), name)
     return gauge, s + _side(not exact)[0](gauge)
 
 

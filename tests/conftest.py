@@ -73,6 +73,18 @@ def all_contexts(max_dim=4):
     return out
 
 
+def offcenter_contexts():
+    """The charts of :func:`all_contexts` and one off-center rational chart of
+    mixed signature."""
+    return all_contexts() + [Context(3, (Fraction(1, 7), Fraction(-2, 3), Fraction(5, 2)), (1, -1, 1))]
+
+
+def chart_id(ctx) -> str:
+    """A chart's signature as signs, marked when its center is off the origin."""
+    signs = "".join("+" if s == 1 else "-" for s in ctx.signature)
+    return signs + ("-offcenter" if any(ctx.center) else "")
+
+
 def oracle_contexts(max_dim=6):
     """The charts of :func:`all_contexts` and an alternating (-, +, -, ...)
     signature per n, where that is not already among them."""

@@ -17,8 +17,9 @@ import math
 from fractions import Fraction
 
 from axc import Form, Poly, codifferential, k_field
-from axc.forms import _merge_indices
+from axc.forms import _merge_indices, _op_rows, _weight
 from axc.linsolve import solve_sparse
+from axc.solvers import _inverse_box_grad
 
 
 def _form(ctx, acc: dict) -> Form:
@@ -57,6 +58,42 @@ def fraction_termwise(omega: Form, fn) -> Form:
         for idx, poly in idx_map.items()
         for exps, coef in poly.terms.items()
         for out_idx, out_exps, r, s in fn(idx, exps)])
+
+
+# The per-term maps that d, delta, H, h, d G and delta G ran through
+# ``Form.termwise`` before each became one loop over the whole form; with
+# :func:`fraction_termwise` they are that loop's reference.
+
+def lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """d or delta on y^a dx^I: sum of sign * d/dy_i (y^a) dx^I' over op's rows."""
+    out = []
+    for i, out_idx, sign in _op_rows(op, idx, signature):
+        e = exps[i]
+        if e:
+            stepped = list(exps)
+            stepped[i] = e - 1
+            out.append((out_idx, tuple(stepped), sign * e, 1))
+    return out
+
+
+def raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """H or h on y^a dx^I: sign * y_i y^a dx^I' over op's rows, divided by the weight."""
+    rows = _op_rows(op, idx, signature)
+    w = _weight(exps, rows)
+    out = []
+    for i, out_idx, sign in rows:
+        stepped = list(exps)
+        stepped[i] += 1
+        out.append((out_idx, tuple(stepped), sign, w))
+    return out
+
+
+def op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
+    """op G on y^a dx^I, op "d" or "delta": each of op's rows ``(i, I', sign)``
+    takes sign * d/dy_i G(y^a) dx^I', its column read off the cached gradient."""
+    D, grad = _inverse_box_grad(exps, signature)
+    return [(out_idx, e, sign * v, D) for i, out_idx, sign in _op_rows(op, idx, signature)
+            for e, v in grad[i]]
 
 
 def loop_add(omega: Form, phi: Form) -> Form:

@@ -10,15 +10,16 @@ from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_v
                  vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
 from axc.clifford import box_terms
-from axc.forms import (_contract_slots, _lower_terms, _merge_indices, _raise_terms, _wedge_slots,
+from axc.forms import (_contract_slots, _lower, _merge_indices, _raise, _wedge_slots,
                        interior_terms, wedge_terms)
 from axc.hodge import star_terms
+from axc.homotopy import _center_terms
 from axc.polyring import _as_fraction
-from axc.randforms import random_form, random_poly, sample_rng
-from axc.solvers import _op_g_terms
-from tests.conftest import B, all_contexts, oracle_contexts, var
+from axc.randforms import random_form, random_homogeneous, random_poly, sample_rng
+from axc.solvers import _op_g
+from tests.conftest import B, all_contexts, chart_id, offcenter_contexts, oracle_contexts, var
 from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
-                           loop_wedge)
+                           loop_wedge, lower_terms, op_g_terms, raise_terms)
 
 
 class TestLinear:
@@ -547,13 +548,49 @@ def _operator_term_maps(ctx, rng) -> list:
     components lie over different denominators."""
     signature, right = ctx.signature, random_form(ctx, rng)
     field = tuple(random_poly(rng, ctx.n).scale(Fraction(1, 11 ** i)) for i in range(ctx.n))
-    return [("d", _lower_terms, ("d", signature)), ("delta", _lower_terms, ("delta", signature)),
-            ("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
-            ("box", box_terms, (signature,)), ("H", _raise_terms, ("H", signature)),
-            ("h", _raise_terms, ("h", signature)),
-            ("d G", _op_g_terms, ("d", signature)), ("delta G", _op_g_terms, ("delta", signature)),
+    return [("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
+            ("box", box_terms, (signature,)),
             ("wedge", wedge_terms, (right._nums.items(), right._den)),
-            ("interior", interior_terms, (field, signature))]
+            ("interior", interior_terms, (field, signature)),
+            ("s*", _center_terms, (0,)), ("S", _center_terms, (ctx.n,))]
+
+
+def _loop_samples(ctx, seed):
+    """Forms for the whole-form loops: every grade at once with coefficient
+    degrees 0..4, so H and h sum over several weights; the same with a
+    constant 0-form and a constant top form added, whose terms H and h
+    (weight 0, no rows) skip; and the zero form."""
+    n, top = ctx.n, tuple(range(1, ctx.n + 1))
+    for i in range(4):
+        rng = sample_rng(seed, 10 * n + i)
+        w = Form.zero(ctx)
+        for k in range(n + 1):
+            w = w + random_homogeneous(ctx, rng, k, 4, 2)
+        yield w
+        yield w + Form.scalar(ctx, Fraction(-3, 2)) + B(ctx, top, Poly.const(n, Fraction(5, 3)))
+    yield Form.zero(ctx)
+
+
+class TestWholeFormLoops:
+    """d, delta, H, h, d G and delta G each run as one loop over the whole
+    form; each equals the per-term map it replaced, folded in ``Fraction``s."""
+
+    LOOPS = [("d", _lower, lower_terms), ("delta", _lower, lower_terms),
+             ("H", _raise, raise_terms), ("h", _raise, raise_terms),
+             ("d", _op_g, op_g_terms), ("delta", _op_g, op_g_terms)]
+
+    @pytest.mark.parametrize("ctx", offcenter_contexts(), ids=chart_id)
+    def test_each_loop_matches_its_per_term_map(self, ctx):
+        signature, weights = ctx.signature, set()
+        for omega in _loop_samples(ctx, 509):
+            for op, loop, terms in self.LOOPS:
+                image = loop(omega, op)
+                assert image == fraction_termwise(
+                    omega, lambda idx, exps: terms(idx, exps, op, signature)), (loop, op)
+                assert _only_fractions(image)
+            # H's weight |a| + k on each term it has rows on: H groups over several
+            weights |= {sum(exps) + len(idx) for idx, exps, _ in omega.terms() if idx}
+        assert len(weights) >= 3, weights
 
 
 class TestTermMapContract:

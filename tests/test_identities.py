@@ -1,6 +1,6 @@
 import pytest
 
-from axc import Context, Form, identities, run_identities
+from axc import Context, Form, forms, hodge, homotopy, identities, run_identities, solvers
 from axc.identities import IdentityResult
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
@@ -77,18 +77,21 @@ def test_a_faulty_operator_fails_the_check_it_targets(monkeypatch, fault):
             assert target in {r.name for r in results if not r.passed}, (fault, ctx)
 
 
-# Form.termwise calls per check on one sample: each image that appears twice
-# in a check's equation is computed once, and each center map is one term map
-_TERMWISE_CALLS = {
+# Operator passes per check on one sample, each a Form.termwise call or a run
+# of one of the whole-form loops of d, delta, H, h and op G: each image that
+# appears twice in a check's equation is computed once, and each center map is
+# one term map
+_OPERATOR_PASSES = {
     "HdH_eq_H": 3, "dHd_eq_d": 3, "delta_h_delta_eq_delta": 3, "h_delta_h_eq_h": 3,
     "projector_idempotence": 8,
     "homotopy_invariance": 5, "cohomotopy_invariance": 5,
     "decompose_exact_antiexact": 8, "decompose_coexact_anticoexact": 8,
     "star_duality": 10,
 }
+_LOOPS = ("_lower", "_raise", "_op_g")
 
 
-@pytest.mark.parametrize("name", _TERMWISE_CALLS)
+@pytest.mark.parametrize("name", _OPERATOR_PASSES)
 def test_a_check_computes_each_image_once(monkeypatch, name):
     ctx = Context.minkowski(4)
     rng = sample_rng(151, 0)
@@ -100,6 +103,17 @@ def test_a_check_computes_each_image_once(monkeypatch, name):
         calls.append(fn)
         return termwise(self, fn, *args)
 
+    def counted(loop):
+        def run(omega, op):
+            calls.append((loop.__name__, op))
+            return loop(omega, op)
+        return run
+
     monkeypatch.setattr(Form, "termwise", counting)
+    # each module that calls a loop holds its own binding of it
+    for module in (forms, hodge, homotopy, solvers):
+        for loop in _LOOPS:
+            if hasattr(module, loop):
+                monkeypatch.setattr(module, loop, counted(getattr(module, loop)))
     assert identities.CHECKS[name](ctx, w, rng)
-    assert len(calls) == _TERMWISE_CALLS[name], calls
+    assert len(calls) == _OPERATOR_PASSES[name], calls

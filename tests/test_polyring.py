@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 import re
@@ -228,6 +229,80 @@ class TestCanonicalForm:
             p.terms = {}
         p.terms.clear()  # a fresh dict per read: clearing it leaves p as it was
         assert p == y(1) + c("1/3")
+
+
+# (index tuple, exponents, coefficient) operands of "+"; a Poly keeps the exponents
+_SUM_OPERANDS = {
+    "thirds": [((1,), (1, 0), Fraction(1, 3)), ((), (0, 1), Fraction(2, 3))],
+    "thirds-part-cancel": [((1,), (1, 0), Fraction(2, 3)), ((1, 2), (0, 0), Fraction(-1, 3))],
+    "thirds-to-integers": [((1,), (1, 0), Fraction(2, 3)), ((), (0, 1), Fraction(1, 3))],
+    "tenths": [((), (0, 1), Fraction(1, 5)), ((2,), (0, 0), Fraction(7, 2))],
+    "zero": [],
+}
+
+
+def _operand(kind: str, name: str):
+    negated = name.startswith("-")
+    triples = _SUM_OPERANDS[name.lstrip("-")]
+    if kind == "Poly":
+        x = Poly.from_terms(2, [(exps, v) for _, exps, v in triples])
+    else:
+        x = Form.from_terms(Context.euclidean(2), triples)
+    return -x if negated else x
+
+
+def _fraction_values(x) -> dict:
+    if isinstance(x, Poly):
+        return dict(x.terms)
+    return {(idx, exps): v for idx, exps, v in x.terms()}
+
+
+class TestSum:
+    """``+`` sums its two operands' numerators directly: over one denominator
+    when theirs are equal, lifted over the lcm when they differ."""
+
+    @pytest.mark.parametrize("kind", ["Poly", "Form"])
+    @pytest.mark.parametrize("left, right, same_den", [
+        ("thirds", "thirds-part-cancel", True), ("thirds", "thirds-to-integers", True),
+        ("thirds", "tenths", False), ("tenths", "thirds", False),
+        ("thirds", "zero", False), ("zero", "tenths", False), ("zero", "zero", True),
+        ("thirds", "-thirds", True), ("-tenths", "tenths", True),
+    ])
+    def test_sum_matches_a_fraction_sum_and_shares_no_numerators(self, kind, left, right,
+                                                                 same_den):
+        x, y = _operand(kind, left), _operand(kind, right)
+        assert (x._den == y._den) == same_den
+        before = (dict(x._nums), dict(y._nums))
+        total = x + y
+        expected = _fraction_values(x)
+        for key, v in _fraction_values(y).items():
+            expected[key] = expected.get(key, Fraction(0)) + v
+        assert _fraction_values(total) == {key: v for key, v in expected.items() if v}
+        assert math.gcd(total._den, *total._nums.values()) == 1
+        if not total._nums:
+            assert total._den == 1
+        assert total._nums is not x._nums and total._nums is not y._nums
+        assert (dict(x._nums), dict(y._nums)) == before
+
+    @pytest.mark.parametrize("kind", ["Poly", "Form"])
+    def test_full_cancellation_is_the_canonical_zero(self, kind):
+        for name in ("thirds", "tenths", "thirds-to-integers"):
+            x = _operand(kind, name)
+            assert x._den > 1
+            total = x + _operand(kind, "-" + name)
+            assert (total._den, total._nums) == (1, {})
+            assert total == (Poly.zero(2) if kind == "Poly" else Form.zero(Context.euclidean(2)))
+
+    @pytest.mark.parametrize("kind", ["Poly", "Form"])
+    def test_a_zero_operand_gives_the_other_back_unshared(self, kind):
+        zero = _operand(kind, "zero")
+        for name in ("thirds", "tenths"):
+            x = _operand(kind, name)
+            for total in (x + zero, zero + x):
+                assert total == x and hash(total) == hash(x)
+                assert total._nums is not x._nums
+            total._nums.clear()
+            assert x == _operand(kind, name)
 
 
 class TestRandomDraws:

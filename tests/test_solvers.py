@@ -29,7 +29,7 @@ from axc.errors import (GradeMismatch, GradeOutOfRange, InconsistentSystem, NotA
                         NotConserved)
 from axc.linsolve import solve_sparse
 from axc.randforms import random_homogeneous, sample_rng
-from axc.solvers import _close, _inverse_box, _op_g_terms
+from axc.solvers import _close, _inverse_box, _op_g
 from tests.conftest import B, oracle_contexts, var
 from tests.oracles import (
     composite_codifferential,
@@ -133,15 +133,15 @@ class TestLaplaceSolve:
 
     @pytest.mark.parametrize("ctx", oracle_contexts(), ids=lambda c: f"n{c.n}{c.signature}")
     def test_fused_op_g_map_equals_op_after_g(self, ctx):
-        # _close applies d G or delta G as one term map on the cached gradient
+        # _close applies d G or delta G as one loop on the cached gradient
         # of G; at every grade each equals the form G(u) followed by the
         # kernel's own d or delta
         for k in range(ctx.n + 1):
             for i in range(3):
                 u = random_homogeneous(ctx, sample_rng(307, 10 * k + i), k, 4, 3)
                 G = laplace_solve(u, k)
-                assert u.termwise(_op_g_terms, "d", ctx.signature) == G.d()
-                assert u.termwise(_op_g_terms, "delta", ctx.signature) == codifferential(G)
+                assert _op_g(u, "d") == G.d()
+                assert _op_g(u, "delta") == codifferential(G)
 
     def test_horner_sum_matches_the_series(self):
         # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to

@@ -276,11 +276,12 @@ def _is_slice(node) -> bool:
 
 
 def test_term_maps_build_each_image_in_one_step():
-    # the per-term maps return lists and step or add exponents through one
-    # list update or one map(add, ...), never a generator or a tuple glued
-    # from slices, which cost a frame or three tuples per image
-    maps = {"forms.py": {"_lower_terms", "_raise_terms", "wedge_terms", "interior_terms"},
-            "clifford.py": {"box_terms"}}
+    # the per-term maps and the whole-form loops of d, delta, H, h and op G
+    # step or add exponents through one list update or one map(add, ...),
+    # never a generator or a tuple glued from slices, which cost a frame or
+    # three tuples per image
+    maps = {"forms.py": {"_lower", "_raise", "wedge_terms", "interior_terms"},
+            "clifford.py": {"box_terms"}, "solvers.py": {"_op_g"}}
     seen = set()
     for name, tree in _kernel_trees():
         for node in ast.walk(tree):
@@ -304,18 +305,33 @@ def test_solvers_sums_g_on_integer_numerators():
 
 
 def test_close_applies_op_g_without_building_g():
-    # _close runs d G or delta G as one term map on the cached gradient of G;
+    # _close runs d G or delta G as one loop on the cached gradient of G;
     # a laplace_solve there would build G(u) and differentiate it again
     assert "_close" not in _callers("solvers.py", {"laplace_solve"})
     # the rows of d, delta, H and h have one home, forms._op_rows, read by the
-    # two term maps, by h's weight, by op G and by interior's contraction alike;
-    # op G reads them by the differential's name, with no flag to branch on
+    # two whole-form loops, by h's weight, by op G and by interior's
+    # contraction alike; op G reads them by the differential's name, with no
+    # flag to branch on
     readers = {f"{name}:{where}" for name, _ in _kernel_trees()
                for where in _callers(name, {"_op_rows"})}
-    assert readers == {"forms.py:_lower_terms", "forms.py:_raise_terms", "forms.py:interior_terms",
-                       "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g_terms"}, readers
-    op_g_terms = importlib.import_module("axc.solvers")._op_g_terms
-    assert list(inspect.signature(op_g_terms).parameters) == ["idx", "exps", "op", "signature"]
+    assert readers == {"forms.py:_lower", "forms.py:_raise", "forms.py:interior_terms",
+                       "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g"}, readers
+    op_g = importlib.import_module("axc.solvers")._op_g
+    assert list(inspect.signature(op_g).parameters) == ["u", "op"]
+
+
+def test_d_delta_H_h_and_op_g_run_as_whole_form_loops():
+    # each of these operators has one path, its loop over the whole form:
+    # no per-term map of theirs is left, and none of them calls termwise
+    for name, tree in _kernel_trees():
+        named = set().union(*map(_names, ast.walk(tree)))
+        left = named & {"_lower_terms", "_raise_terms", "_op_g_terms"}
+        assert not left, f"{name} names {left}"
+    operators = {"forms.py": {"Form.d"}, "hodge.py": {"codifferential"},
+                 "homotopy.py": {"homotopy_H", "cohomotopy_h"}, "solvers.py": {"_close"}}
+    for name, wheres in operators.items():
+        assert not wheres & _callers(name, {"termwise"}), name
+        assert wheres <= _callers(name, {"_lower", "_raise", "_op_g"}), name
 
 
 def test_membership_reads_H_and_h_and_the_radial_field_is_built_once_per_chart():
