@@ -9,9 +9,10 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _require_operand, interior
+from .forms import Form, VectorField, _form, _require_operand, interior
 from .hodge import codifferential, musical_flat
 from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
+from .polyring import _sum_numerators
 
 
 class OperatorTag(enum.Enum):
@@ -32,17 +33,17 @@ def clifford_vec_mul(v: VectorField, psi: Form) -> Form:
     return musical_flat(v).wedge(psi) + interior(v, psi)
 
 
-def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """Laplace-Beltrami -(delta d + d delta) on one basis term, the one rule
-    for it: on a constant diagonal +-1 metric it is the wave operator
-    box = sum_i eps_i d^2/dy_i^2 on the coefficient, with no sign and no
+def box_terms(exps: tuple, signature: tuple) -> list:
+    """Laplace-Beltrami -(delta d + d delta) on y^a as ``(exponents, int factor)``
+    pairs, the one rule for it: on a constant diagonal +-1 metric it is the wave
+    operator box = sum_i eps_i d^2/dy_i^2 on the coefficient, with no sign and no
     change of basis term, so it lowers coefficient degree by exactly 2."""
     out = []
     for i, e in enumerate(exps):
         if e > 1:
             stepped = list(exps)
             stepped[i] = e - 2
-            out.append((idx, tuple(stepped), signature[i] * e * (e - 1), 1))
+            out.append((tuple(stepped), signature[i] * e * (e - 1)))
     return out
 
 
@@ -52,7 +53,9 @@ def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
 _OPERATORS = {
     OperatorTag.DIRAC: (lambda psi: psi.d() - codifferential(psi), (-1, +1)),
     OperatorTag.ANTI_DIRAC: (lambda psi: cohomotopy_h(psi) - homotopy_H(psi), (-1, +1)),
-    OperatorTag.LAPLACE_BELTRAMI: (lambda psi: psi.termwise(box_terms, psi.ctx.signature), (0,)),
+    OperatorTag.LAPLACE_BELTRAMI: (lambda psi: _form(psi.ctx, *_sum_numerators(
+        [((idx, out), f * N, 1) for (idx, exps), N in psi._nums.items()
+         for out, f in box_terms(exps, psi.ctx.signature)], psi._den)), (0,)),
     OperatorTag.ANTI_LAPLACE: (
         lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))), (0,)),
     OperatorTag.OSCILLATOR_HBAR: (

@@ -2,17 +2,18 @@
 
 A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators keyed
 by ``(index tuple, exponents)`` in the format of :class:`axc.polyring._Numerators`,
-as a ``Poly`` does.  Each operator's image carries integer factor pairs, so
-only the read ``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows
-as ``Poly``s in canonical order for ``repr``, ``Form.components`` (grade ->
-(index tuple -> Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
+as a ``Poly`` does.  Every operator sums integers, so only the read
+``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows as ``Poly``s in
+canonical order for ``repr``, ``Form.components`` (grade -> (index tuple ->
+Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
 
 d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name,
 each as one loop over the whole form that groups its sums by denominator:
 :func:`_lower` runs d and delta, :func:`_raise` H and h, and
-:func:`axc.solvers._op_g` d G and delta G.  The other operators are
-module-level ``*_terms`` maps on basis terms, run by ``Form.termwise``;
-:func:`interior_terms`, i_v, reads H's rows.
+:func:`axc.solvers._op_g` d G and delta G.  ``Form.wedge`` is one such loop
+over a single group, and :func:`interior`, i_v, hands its images over H's rows
+to :func:`axc.polyring._sum_numerators`.  Terms are summed only where they can
+meet: eta and the filters ``Form._kept`` keep the form's keys, so they sum nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _merge_indices(a: tuple, b: tuple):
     """dx^a ^ dx^b for any index tuples a and b, in any order.
 
     Returns (sorted tuple, (-1)^(inversions of a + b)) or None when an index
-    repeats.  Cached: every term map asks for the same few index pairs again
-    and again.
+    repeats.  Cached: the wedge loop and the row tables ask for the same few
+    index pairs again and again.
     """
     s = a + b
     if len(set(s)) < len(s):
@@ -232,42 +233,39 @@ class Form(_Numerators):
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
+        """One loop: each pair of terms adds sign * N * M to their merged basis
+        term, all integers, so one group over the two denominators' product holds it."""
         if not isinstance(other, Form):
             raise TypeError(f"cannot wedge a Form with {type(other).__name__}")
         self.ctx.require_same(other.ctx)
-        return self.termwise(wedge_terms, other._nums.items(), other._den)
+        right, acc = other._nums.items(), {}
+        for (idx, exps), N in self._nums.items():
+            for (idx2, exps2), M in right:
+                merged = _merge_indices(idx, idx2)
+                if merged is not None:
+                    key = (merged[0], tuple(map(add, exps, exps2)))
+                    acc[key] = acc.get(key, 0) + merged[1] * N * M
+        return _form(self.ctx, *_merged({1: acc}, self._den * other._den))
 
     def eta(self) -> "Form":
-        """Grade-parity involution: (-1)^p on the grade-p part."""
-        return self.termwise(lambda idx, exps: [(idx, exps, (-1) ** len(idx), 1)])
+        """Grade-parity involution: (-1)^p on the grade-p part; a sign flip sums nothing."""
+        return _form(self.ctx, self._den, {key: -N if len(key[0]) % 2 else N
+                                           for key, N in self._nums.items()})
 
     def terms(self):
         """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
         return ((idx, exps, Fraction(v, self._den)) for (idx, exps), v in self._nums.items())
 
-    def termwise(self, fn, *args) -> "Form":
-        """Linear extension of a map on basis terms, in one pass over the images.
-
-        ``fn(idx, exps, *args)`` returns the image of ``y^exps dx^idx`` as
-        ``(idx', exps', r, s)`` 4-tuples of the storage format: the factor r/s
-        is two ``int``s, s > 0.  A term's numerator N adds N*r to the image
-        term's sum in the group of denominator s, and :func:`_merged` joins
-        the groups over the form's denominator, so no operator builds a
-        ``Fraction``.  ``args`` (such as the signature) spare a closure per call.
-        """
-        groups: dict = {}
-        for (idx, exps), N in self._nums.items():
-            for out_idx, out_exps, r, s in fn(idx, exps, *args):
-                group = groups.get(s)
-                if group is None:
-                    group = groups[s] = {}
-                key = (out_idx, out_exps)
-                group[key] = group.get(key, 0) + N * r
-        return _form(self.ctx, *_merged(groups, self._den))
+    def _kept(self, k, constant: bool) -> "Form":
+        """The terms of grade k (any grade for None), only the constant ones if
+        ``constant``: a filter sums nothing, and only the common gcd can drop."""
+        return _form(self.ctx, *_reduced(self._den, {
+            key: N for key, N in self._nums.items()
+            if (k is None or len(key[0]) == k) and not (constant and any(key[1]))}))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
-        return self.termwise(lambda idx, exps: [(idx, exps, 1, 1)] if len(idx) == k else [])
+        return self._kept(k, False)
 
     def d(self) -> "Form":
         """Exterior derivative (coordinate chart, so d = sum_i dx_i ^ d/dy_i)."""
@@ -279,13 +277,15 @@ class Form(_Numerators):
         point = [_as_fraction(v) for v in point]
         if len(point) != self.ctx.n:
             raise DimensionMismatch("point length != dimension")
-        zeros = (0,) * self.ctx.n
-        return self.termwise(lambda idx, exps: [
-            (idx, zeros, *math.prod(x ** e for x, e in zip(point, exps) if e).as_integer_ratio())])
+        zeros, entries = (0,) * self.ctx.n, []
+        for (idx, exps), N in self._nums.items():
+            r, s = math.prod(x ** e for x, e in zip(point, exps) if e).as_integer_ratio()
+            entries.append(((idx, zeros), N * r, s))
+        return _form(self.ctx, *_sum_numerators(entries, self._den))
 
     def at_center(self) -> "Form":
         """The constant terms: every coefficient's value at the chart center."""
-        return self.termwise(lambda idx, exps: [] if any(exps) else [(idx, exps, 1, 1)])
+        return self._kept(None, True)
 
     # -- queries -----------------------------------------------------------
 
@@ -325,17 +325,6 @@ class Form(_Numerators):
         return "Form(" + (" + ".join(bits) or "0") + ")"
 
 
-def wedge_terms(idx: tuple, exps: tuple, right, den: int) -> list:
-    """y^exps dx^idx ^ the form of the ``((index tuple, exponents), numerator)``
-    items ``right`` over den, term by term."""
-    out = []
-    for (idx2, exps2), v in right:
-        merged = _merge_indices(idx, idx2)
-        if merged is not None:
-            out.append((merged[0], tuple(map(add, exps, exps2)), merged[1] * v, den))
-    return out
-
-
 class VectorField:
     """n polynomial components in the coordinate frame d/dx_i."""
 
@@ -372,23 +361,20 @@ class VectorField:
         return f"VectorField({list(self.components)!r})"
 
 
-def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple) -> list:
-    """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over H's rows in
-    :func:`_op_rows`, for the ``Poly`` components of v."""
-    out = []
-    for i, rest, sign in _op_rows("H", idx, signature):
-        p = components[i]
-        for v_exps, v in p._nums.items():
-            out.append((rest, tuple(map(add, exps, v_exps)), sign * v, p._den))
-    return out
-
-
 def interior(v: VectorField, omega: Form) -> Form:
-    """Insertion antiderivative i_v, by :func:`interior_terms`."""
+    """Insertion antiderivative i_v: i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a
+    dx^{I minus i_j} over H's rows in :func:`_op_rows`, each image over the
+    denominator of its component of v, summed by :func:`_sum_numerators`."""
     if not isinstance(v, VectorField) or not isinstance(omega, Form):
         raise TypeError("interior takes a VectorField and a Form")
     v.ctx.require_same(omega.ctx)
-    return omega.termwise(interior_terms, v.components, omega.ctx.signature)
+    signature, entries = omega.ctx.signature, []
+    for (idx, exps), N in omega._nums.items():
+        for i, rest, sign in _op_rows("H", idx, signature):
+            p = v.components[i]
+            for v_exps, c in p._nums.items():
+                entries.append(((rest, tuple(map(add, exps, v_exps))), sign * N * c, p._den))
+    return _form(omega.ctx, *_sum_numerators(entries, omega._den))
 
 
 def form_linear(a, omega: Form, b, phi: Form) -> Form:

@@ -8,12 +8,11 @@ Conventions (property-tested, not hand-simplified):
     delta(f dx^I) = -sum_j (-1)^j eps_{i_j} (d f / d y_{i_j}) dx^{I minus i_j}
   with j the 0-based position of i_j in I.
 
-star and star_inv are a map on basis terms run by ``Form.termwise``, and delta
-is the whole-form loop :func:`axc.forms._lower`; each factor is an integer
-over 1 (no ``Fraction``), and each sign rule is written once: the row of
-:func:`_star_row`, cached per index tuple, holds the star rule (star_inv only
-multiplies it by its grade sign), and delta's rule -(-1)^j eps_{i_j} is its
-rows in the one table :func:`axc.forms._op_rows`.
+star and star_inv are one relabelling I -> I^c with a sign, :func:`_star`,
+which sums nothing, and delta is the whole-form loop :func:`axc.forms._lower`.
+Each sign rule is written once: the row of :func:`_star_row`, cached per index
+tuple, holds the star rule (star_inv only multiplies it by its grade sign), and
+delta's rule -(-1)^j eps_{i_j} is its rows in the one table :func:`axc.forms._op_rows`.
 ``tests/test_hodge.py`` checks them against the replaced loops and the
 literal composite on random forms for n = 1..6.
 """
@@ -24,7 +23,7 @@ import functools
 import math
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _lower, _merge_indices, _require_operand
+from .forms import Form, VectorField, _form, _lower, _merge_indices, _require_operand
 
 
 def musical_flat(v: VectorField) -> Form:
@@ -60,20 +59,24 @@ def _star_row(idx: tuple, signature: tuple, inverse: bool) -> tuple:
     return comp, sign
 
 
-def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:
-    """star (or star_inv) on y^a dx^I: y^a times the row of :func:`_star_row`."""
-    comp, sign = _star_row(idx, signature, inverse)
-    return [(comp, exps, sign, 1)]
+def _star(omega: Form, inverse: bool) -> Form:
+    """star (or star_inv): y^a dx^I goes to sign * y^a dx^{I^c} by the row of
+    :func:`_star_row`.  Keys stay distinct and the gcd 1, so nothing is summed."""
+    signature, nums = omega.ctx.signature, {}
+    for (idx, exps), N in omega._nums.items():
+        comp, sign = _star_row(idx, signature, inverse)
+        nums[(comp, exps)] = sign * N
+    return _form(omega.ctx, omega._den, nums)
 
 
 def hodge_star(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(star_terms, omega.ctx.signature)
+    return _star(omega, False)
 
 
 def hodge_star_inv(omega: Form) -> Form:
     _require_operand(omega, Form)
-    return omega.termwise(star_terms, omega.ctx.signature, True)
+    return _star(omega, True)
 
 
 def codifferential(omega: Form) -> Form:

@@ -31,8 +31,8 @@ distinct blocks landing in distinct blocks, so ker H = ker i_K and
 ker h = ker K^flat ^, and :func:`membership` builds neither K nor K^flat.
 
 The center maps s*_{x0} (:func:`center_pullback`) and S_{x0}
-(:func:`center_top_eval`) are one term map each, :func:`_center_terms`: a term
-stays only if its grade is 0 (resp. n) and its coefficient is a constant.
+(:func:`center_top_eval`) are one filter each, ``Form._kept``: a term stays
+only if its grade is 0 (resp. n) and its coefficient is a constant.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _op_rows, _raise, _require_operand, _weight
+from .forms import Form, VectorField, _form, _op_rows, _raise, _require_operand, _weight
 from .hodge import codifferential
-from .polyring import Context, Poly
+from .polyring import Context, Poly, _sum_numerators
 
 
 class SpaceTag(enum.Enum):
@@ -83,21 +83,16 @@ def cohomotopy_h(omega: Form) -> Form:
     return _raise(omega, "h")
 
 
-def _center_terms(idx: tuple, exps: tuple, k: int) -> list:
-    """y^a dx^I kept as it is when it has grade k and a = 0, else dropped."""
-    return [(idx, exps, 1, 1)] if len(idx) == k and not any(exps) else []
-
-
 def center_pullback(omega: Form) -> Form:
     """s*_{x0}: kills positive grades, freezes the 0-form part at the center.
-    One term map: a term stays only if it is a constant of grade 0."""
-    return omega.termwise(_center_terms, 0)
+    One filter: a term stays only if it is a constant of grade 0."""
+    return omega._kept(0, True)
 
 
 def center_top_eval(omega: Form) -> Form:
     """S_{x0}: nonzero only on the top grade, which it freezes at the center.
-    One term map: a term stays only if it is a constant of grade n."""
-    return omega.termwise(_center_terms, omega.ctx.n)
+    One filter: a term stays only if it is a constant of grade n."""
+    return omega._kept(omega.ctx.n, True)
 
 
 def _side(exact: bool) -> tuple:
@@ -180,5 +175,6 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
     alpha = -W(delta(omega)).
     """
     delta = codifferential(omega)
-    return delta.termwise(lambda idx, exps, signature: [
-        (idx, exps, -1, _weight(exps, _op_rows("h", idx, signature)))], delta.ctx.signature)
+    return _form(delta.ctx, *_sum_numerators(
+        [((idx, exps), -N, _weight(exps, _op_rows("h", idx, delta.ctx.signature)))
+         for (idx, exps), N in delta._nums.items()], delta._den))

@@ -6,8 +6,8 @@ coordinates ``y_i = x_i - center_i``, where the homotopy operators have a
 closed monomial form.  A :class:`Poly` and an :class:`axc.forms.Form` share
 the integer format and the arithmetic of :class:`_Numerators`, so arithmetic
 runs on integers alone.  A sum groups its terms by denominator, as ``+``,
-:func:`_sum_numerators`, ``Form.termwise`` and the whole-form operator loops
-of :mod:`axc.forms` and :mod:`axc.solvers` do, and ends in :func:`_merged`,
+:func:`_sum_numerators` and the whole-form operator loops of :mod:`axc.forms`
+and :mod:`axc.solvers` do, and ends in :func:`_merged`,
 the one merge tail, which lifts over an lcm only when the denominators
 differ; :func:`_int_mul` is the one product loop, :func:`_taylor_shift_axis`
 re-centers and :func:`_reduced` divides out the common gcd once per result.
@@ -71,7 +71,8 @@ def _require_exponents(exps: tuple, n: int) -> None:
 def _sum_numerators(entries, D: int = 1) -> tuple[int, dict]:
     """Sum ``(key, numerator, denominator)`` entries, each numerator /
     (denominator * D), to the reduced ``(D', {key: int})`` of :func:`_merged`,
-    grouped by denominator as ``Form.termwise`` groups its images."""
+    grouped by denominator: the one driver for sums whose terms can meet and
+    whose denominators are not known before the loop."""
     groups: dict = {}
     for key, num, den in entries:
         group = groups.get(den)

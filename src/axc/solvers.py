@@ -8,8 +8,8 @@ on the coexact half (alpha, s + d alpha), coclosed, with alpha =
 delta G(h delta s).  d G and delta G run as one loop over the whole form,
 :func:`_op_g`, over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i
 G(y^a) from a gradient cached per monomial (:func:`_inverse_box_grad`),
-building no G(u) and calling no :func:`laplace_solve`, which applies G to a
-whole form through ``Form.termwise``.  Maxwell
+building no G(u) and calling no :func:`laplace_solve`, which sums G of each
+term of a whole form by :func:`axc.polyring._sum_numerators`.  Maxwell
 and Kalb-Ramond close h j and take A = H F; magnetic Maxwell, the same body
 on the coexact half, cocloses H j and takes A = h F.  Dirac approach 1
 closes B, applies H and cocloses (gauge form dv); approach 2 cocloses -B,
@@ -64,7 +64,7 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
     b = [{exps: 1}]
     for _ in range(m // 2):
         b.append(_sum_numerators([(out, v * f, 1) for e, v in b[-1].items()
-                                  for _, out, f, _ in box_terms((), e, signature)])[1])
+                                  for out, f in box_terms(e, signature)])[1])
     D, acc = 1, {}
     for j in range(m // 2, -1, -1):
         D, acc = _sum_numerators([(e[:i] + (e[i] + 2,) + e[i + 1:], sign * eps * v, den)
@@ -126,7 +126,8 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
     G = {exps: _inverse_box(exps, ctx.signature) for exps in {exps for _, exps in rhs._nums}}
-    return rhs.termwise(lambda idx, exps: [(idx, *g) for g in G[exps]])
+    return _form(ctx, *_sum_numerators([((idx, e), N * v, D) for (idx, exps), N in rhs._nums.items()
+                                        for e, v, D in G[exps]], rhs._den))
 
 
 def _close(s: Form, exact: bool) -> tuple[Form, Form]:

@@ -15,11 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from axc import Form, Poly, codifferential, k_field
 from axc.forms import _merge_indices, _op_rows, _weight
+from axc.hodge import _star_row
 from axc.linsolve import solve_sparse
-from axc.solvers import _inverse_box_grad
+from axc.solvers import _inverse_box, _inverse_box_grad
 
 
 def _form(ctx, acc: dict) -> Form:
@@ -50,8 +52,10 @@ def fraction_fold(ctx, triples) -> Form:
 
 
 def fraction_termwise(omega: Form, fn) -> Form:
-    """``Form.termwise`` as a plain fold: each term's coefficient times each
-    factor of its image, as one ``Fraction`` product per image term."""
+    """The linear extension of a map on basis terms as a plain fold: ``fn(idx,
+    exps)`` returns the image of y^exps dx^idx as ``(idx', exps', r, s)``
+    4-tuples, and each term's coefficient times each factor r/s of its image
+    is one ``Fraction`` product per image term."""
     return fraction_fold(omega.ctx, [
         (out_idx, out_exps, coef * Fraction(r, s))
         for idx_map in omega.components.values()
@@ -60,9 +64,11 @@ def fraction_termwise(omega: Form, fn) -> Form:
         for out_idx, out_exps, r, s in fn(idx, exps)])
 
 
-# The per-term maps that d, delta, H, h, d G and delta G ran through
-# ``Form.termwise`` before each became one loop over the whole form; with
-# :func:`fraction_termwise` they are that loop's reference.
+# The per-term maps that the operators ran through a generic term-map driver
+# before each became its own pass over the whole form: d, delta, H, h, d G and
+# delta G a loop over the row table, star, star_inv and eta a relabelling, the
+# center maps, grade_select and at_center a filter, and the rest a sum.  With
+# :func:`fraction_termwise` they are those passes' reference.
 
 def lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     """d or delta on y^a dx^I: sum of sign * d/dy_i (y^a) dx^I' over op's rows."""
@@ -94,6 +100,82 @@ def op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     D, grad = _inverse_box_grad(exps, signature)
     return [(out_idx, e, sign * v, D) for i, out_idx, sign in _op_rows(op, idx, signature)
             for e, v in grad[i]]
+
+
+def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:
+    """star (or star_inv) on y^a dx^I: y^a times the row of ``hodge._star_row``."""
+    comp, sign = _star_row(idx, signature, inverse)
+    return [(comp, exps, sign, 1)]
+
+
+def eta_terms(idx: tuple, exps: tuple) -> list:
+    """eta on y^a dx^I: the sign (-1)^|I|."""
+    return [(idx, exps, (-1) ** len(idx), 1)]
+
+
+def grade_terms(idx: tuple, exps: tuple, k: int) -> list:
+    """grade_select(k) on y^a dx^I: kept when |I| = k."""
+    return [(idx, exps, 1, 1)] if len(idx) == k else []
+
+
+def constant_terms(idx: tuple, exps: tuple) -> list:
+    """at_center on y^a dx^I: kept when a = 0."""
+    return [] if any(exps) else [(idx, exps, 1, 1)]
+
+
+def center_terms(idx: tuple, exps: tuple, k: int) -> list:
+    """s*_{x0} (k = 0) or S_{x0} (k = n) on y^a dx^I: kept when |I| = k and a = 0."""
+    return [(idx, exps, 1, 1)] if len(idx) == k and not any(exps) else []
+
+
+def wedge_terms(idx: tuple, exps: tuple, right, den: int) -> list:
+    """y^exps dx^idx ^ the form of the ``((index tuple, exponents), numerator)``
+    items ``right`` over den, term by term."""
+    out = []
+    for (idx2, exps2), v in right:
+        merged = _merge_indices(idx, idx2)
+        if merged is not None:
+            out.append((merged[0], tuple(map(add, exps, exps2)), merged[1] * v, den))
+    return out
+
+
+def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple) -> list:
+    """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over H's rows,
+    for the ``Poly`` components of v."""
+    out = []
+    for i, rest, sign in _op_rows("H", idx, signature):
+        p = components[i]
+        for v_exps, v in p._nums.items():
+            out.append((rest, tuple(map(add, exps, v_exps)), sign * v, p._den))
+    return out
+
+
+def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
+    """box = sum_i eps_i d^2/dy_i^2 on the coefficient of y^a dx^I."""
+    out = []
+    for i, e in enumerate(exps):
+        if e > 1:
+            stepped = list(exps)
+            stepped[i] = e - 2
+            out.append((idx, tuple(stepped), signature[i] * e * (e - 1), 1))
+    return out
+
+
+def eval_terms(idx: tuple, exps: tuple, point: list) -> list:
+    """eval_at(point) on y^a dx^I: the value of y^a at the point, times dx^I."""
+    value = math.prod(x ** e for x, e in zip(point, exps) if e)
+    return [(idx, (0,) * len(exps), *value.as_integer_ratio())]
+
+
+def inverse_box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
+    """laplace_solve on y^a dx^I: G(y^a) dx^I, G's triples read off ``_inverse_box``."""
+    return [(idx, e, v, D) for e, v, D in _inverse_box(exps, signature)]
+
+
+def wedge_factor_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
+    """-W on y^a dx^I, W the division by h's weight: anticoexact_wedge_factor
+    applies it to delta(omega)."""
+    return [(idx, exps, -1, _weight(exps, _op_rows("h", idx, signature)))]
 
 
 def loop_add(omega: Form, phi: Form) -> Form:

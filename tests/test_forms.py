@@ -9,17 +9,17 @@ from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_v
                  homotopy_H, interior, k_field, kr_maxwell_couple, laplace_beltrami, musical_flat,
                  vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
-from axc.clifford import box_terms
-from axc.forms import (_contract_slots, _lower, _merge_indices, _raise, _wedge_slots,
-                       interior_terms, wedge_terms)
-from axc.hodge import star_terms
-from axc.homotopy import _center_terms
-from axc.polyring import _as_fraction
+from axc.forms import _contract_slots, _form, _lower, _merge_indices, _raise, _wedge_slots
+from axc.homotopy import anticoexact_wedge_factor, center_pullback, center_top_eval
+from axc.polyring import _as_fraction, _sum_numerators
 from axc.randforms import random_form, random_homogeneous, random_poly, sample_rng
-from axc.solvers import _op_g
-from tests.conftest import B, all_contexts, chart_id, offcenter_contexts, oracle_contexts, var
-from tests.oracles import (fraction_fold, fraction_termwise, loop_add, loop_d, loop_interior,
-                           loop_wedge, lower_terms, op_g_terms, raise_terms)
+from axc.solvers import _op_g, laplace_solve
+from tests.conftest import B, chart_id, offcenter_contexts, oracle_contexts, var
+from tests.oracles import (box_terms, center_terms, constant_terms, eta_terms, eval_terms,
+                           fraction_fold, fraction_termwise, grade_terms, interior_terms,
+                           inverse_box_terms, loop_add, loop_d, loop_interior, loop_wedge,
+                           lower_terms, op_g_terms, raise_terms, star_terms, wedge_factor_terms,
+                           wedge_terms)
 
 
 class TestLinear:
@@ -472,9 +472,18 @@ def _only_fractions(form):
     return all(type(c) is Fraction for _, _, c in form.terms())
 
 
+def _summed(omega, fn):
+    """The linear extension of the term map ``fn`` by :func:`_sum_numerators`:
+    each image ``(idx', exps', r, s)`` of a term with numerator N is the entry
+    ``((idx', exps'), N * r, s)`` over the form's denominator."""
+    return _form(omega.ctx, *_sum_numerators(
+        [((out_idx, out_exps), N * r, s) for (idx, exps), N in omega._nums.items()
+         for out_idx, out_exps, r, s in fn(idx, exps)], omega._den))
+
+
 class TestTermSum:
-    """Form.from_terms and Form.termwise sum on integers over one common
-    denominator; a plain Fraction fold must give the same form."""
+    """Form.from_terms, _sum_numerators and every operator sum on integers
+    over one common denominator; a plain Fraction fold must give the same form."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_from_terms_matches_fraction_fold(self, seed):
@@ -486,17 +495,18 @@ class TestTermSum:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_termwise_matches_fraction_fold(self, seed):
-        # every operator's term map: the interior field's components lie over
-        # different denominators, so one term's images fall in several groups
-        for ctx in oracle_contexts():
+        # every operator against its old term map folded in Fractions: the
+        # interior field's components lie over different denominators, so one
+        # term's images fall in several groups
+        for ctx in [*oracle_contexts(), offcenter_contexts()[-1]]:
             rng = sample_rng(seed, 10 + ctx.n)
-            omega = fraction_fold(ctx, _sum_triples(ctx, rng, 12))
-            maps = _operator_term_maps(ctx, rng)
-            field = next(args[0] for name, _, args in maps if name == "interior")
+            omega = _operator_sample(ctx, rng)
+            cases = _operator_cases(ctx, rng, omega)
+            field = next(args[0] for name, _, _, args in cases if name == "interior")
             assert len({p._den for p in field}) == ctx.n
-            for name, fn, args in [("sum", _sum_map, ()), *maps]:
-                image = omega.termwise(fn, *args)
-                oracle = fraction_termwise(omega, lambda idx, exps: fn(idx, exps, *args))
+            assert _summed(omega, _sum_map) == fraction_termwise(omega, _sum_map)
+            for name, (image, source), fn, args in cases:
+                oracle = fraction_termwise(source, lambda idx, exps: fn(idx, exps, *args))
                 assert image == oracle, name
                 assert _only_fractions(image)
 
@@ -509,7 +519,7 @@ class TestTermSum:
         for ctx in oracle_contexts():
             omega = fraction_fold(ctx, _sum_triples(ctx, sample_rng(7, ctx.n), 12))
             assert omega._den > 1
-            image = omega.termwise(images)
+            image = _summed(omega, images)
             assert (image._den, image._nums) == (1, {})
             assert image == fraction_termwise(omega, images) == Form.zero(ctx)
 
@@ -524,35 +534,76 @@ class TestTermSum:
         assert list(form.components[1][(1,)].terms) == [(0, 1)]
         # y1 dx1 / 9 and 2 y2 dx1 / 11 map to 1 and -1 on the same term
         omega = Form.from_terms(e2, [((1,), (1, 0), ninth), ((1,), (0, 1), Fraction(2, 11))])
-        image = omega.termwise(lambda idx, exps: [((), (0, 0), *((9, 1) if exps[0] else (-11, 2)))])
+        image = _summed(omega, lambda idx, exps: [((), (0, 0), *((9, 1) if exps[0] else (-11, 2)))])
         assert image.components == {}
 
     def test_coefficients_are_fractions_never_ints(self, e2):
         # int coefficients and int factors whose sums all have denominator 1
         form = Form.from_terms(e2, [((1,), (1, 0), 2), ((1,), (1, 0), 3), ((), (0, 2), 4)])
         assert form == fraction_fold(e2, [((1,), (1, 0), 5), ((), (0, 2), 4)])
-        for out in (form, form.termwise(lambda idx, exps: [(idx, exps, 5, 1)]), form.d(),
+        for out in (form, form.wedge(Form.scalar(e2, 5)), form.d(),
                     form + form, form.scale(Fraction(1, 5))):
             assert not out.is_zero and _only_fractions(out)
 
     def test_empty_input_is_the_zero_form(self, e2):
         assert Form.from_terms(e2, []) == Form.zero(e2)
         assert Form.from_terms(e2, iter(())).components == {}
-        assert B(e2, (1,)).termwise(lambda idx, exps: []) == Form.zero(e2)
-        assert Form.zero(e2).termwise(_sum_map) == Form.zero(e2)
+        assert _sum_numerators([]) == _sum_numerators([], 7) == (1, {})
+        assert B(e2, (1,)).grade_select(0) == center_pullback(B(e2, (1,))) == Form.zero(e2)
+        assert _summed(Form.zero(e2), _sum_map) == Form.zero(e2)
+
+    @pytest.mark.parametrize("ctx", offcenter_contexts(), ids=chart_id)
+    def test_relabels_keep_the_denominator_and_filters_never_raise_it(self, ctx):
+        # star, star_inv and eta move or sign each term, so the denominator and
+        # the term count stay; a filter can only drop terms and the common gcd
+        for seed in range(4):
+            omega = _operator_sample(ctx, sample_rng(seed, 20 + ctx.n))
+            for image in (hodge_star(omega), hodge_star_inv(omega), omega.eta()):
+                assert (image._den, len(image._nums)) == (omega._den, len(omega._nums))
+            kept = [omega.at_center(), center_pullback(omega), center_top_eval(omega),
+                    *(omega.grade_select(k) for k in range(ctx.n + 1))]
+            assert all(omega._den % image._den == 0 for image in kept)
+            assert any(image._den < omega._den for image in kept)
 
 
-def _operator_term_maps(ctx, rng) -> list:
-    """``(name, term map, its args)`` for every operator's module-level term map on ctx;
-    the interior field's i-th component is scaled by 1/11^i, so that its
-    components lie over different denominators."""
+def _operator_sample(ctx, rng):
+    """A form of :func:`_sum_triples` with constant terms of grades 0, 1 and
+    n added, so that the filters keep some terms and drop others."""
+    n = ctx.n
+    constants = [((), (0,) * n, Fraction(-3, 2)), (tuple(range(1, n + 1)), (0,) * n, Fraction(5, 3)),
+                 ((n,), (0,) * n, Fraction(1, 4))]
+    return fraction_fold(ctx, _sum_triples(ctx, rng, 12) + constants)
+
+
+def _operator_cases(ctx, rng, omega) -> list:
+    """``(name, (image, source form), term map, its args)`` per operator that
+    sums, relabels or filters: the image is the operator on omega and the
+    reference folds the term map over the source form.  The interior field's
+    i-th component is scaled by 1/11^i, so that its components lie over
+    different denominators."""
     signature, right = ctx.signature, random_form(ctx, rng)
     field = tuple(random_poly(rng, ctx.n).scale(Fraction(1, 11 ** i)) for i in range(ctx.n))
-    return [("star", star_terms, (signature,)), ("star_inv", star_terms, (signature, True)),
-            ("box", box_terms, (signature,)),
-            ("wedge", wedge_terms, (right._nums.items(), right._den)),
-            ("interior", interior_terms, (field, signature)),
-            ("s*", _center_terms, (0,)), ("S", _center_terms, (ctx.n,))]
+    point = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(ctx.n)]
+    delta = codifferential(omega)
+    return [
+        ("star", (hodge_star(omega), omega), star_terms, (signature,)),
+        ("star_inv", (hodge_star_inv(omega), omega), star_terms, (signature, True)),
+        ("eta", (omega.eta(), omega), eta_terms, ()),
+        *((f"grade {k}", (omega.grade_select(k), omega), grade_terms, (k,))
+          for k in range(ctx.n + 1)),
+        ("at_center", (omega.at_center(), omega), constant_terms, ()),
+        ("s*", (center_pullback(omega), omega), center_terms, (0,)),
+        ("S", (center_top_eval(omega), omega), center_terms, (ctx.n,)),
+        ("wedge", (omega.wedge(right), omega), wedge_terms, (right._nums.items(), right._den)),
+        ("interior", (interior(VectorField(ctx, field), omega), omega), interior_terms,
+         (field, signature)),
+        ("box", (laplace_beltrami(omega), omega), box_terms, (signature,)),
+        ("eval_at", (omega.eval_at(point), omega), eval_terms, (point,)),
+        *((f"laplace_solve {k}", (laplace_solve(omega.grade_select(k), k), omega.grade_select(k)),
+           inverse_box_terms, (signature,)) for k in range(ctx.n + 1)),
+        ("wedge factor", (anticoexact_wedge_factor(omega), delta), wedge_factor_terms,
+         (signature,)),
+    ]
 
 
 def _loop_samples(ctx, seed):
@@ -593,24 +644,6 @@ class TestWholeFormLoops:
         assert len(weights) >= 3, weights
 
 
-class TestTermMapContract:
-    """Every operator's term map speaks the storage format: an image is
-    ``(index tuple, exponents, r, s)``, the factor r/s two ints with s > 0."""
-
-    @pytest.mark.parametrize("ctx", all_contexts(6),
-                             ids=lambda c: "".join("+" if s == 1 else "-" for s in c.signature))
-    def test_every_image_is_two_tuples_and_an_integer_factor_pair(self, ctx):
-        rng = sample_rng(251, ctx.n)
-        maps = _operator_term_maps(ctx, rng)
-        for _ in range(20):
-            idx = tuple(sorted(rng.sample(range(1, ctx.n + 1), rng.randint(0, ctx.n))))
-            exps = tuple(rng.randint(0, 3) for _ in range(ctx.n))
-            for name, fn, args in maps:
-                for image in fn(idx, exps, *args):
-                    assert [type(x) for x in image] == [tuple, tuple, int, int], (name, image)
-                    assert image[3] > 0, (name, image)
-
-
 class TestCanonicalForm:
     """A form reached by different routes compares and hashes the same: equal
     forms are stored alike, whatever sums and scalings built them."""
@@ -633,11 +666,11 @@ class TestCanonicalForm:
             w = random_form(ctx, sample_rng(433, ctx.n))
             self._same(w.scale(Fraction(2, 3)).scale(Fraction(3, 2)), w)
             self._same(-(-w), w)
-            # scale multiplies the numerators; the term map sums them anew
+            # scale multiplies the numerators; from_terms sums the scaled terms anew
             for c in (0, -1, Fraction(3, 7), "-2/9", 5):
                 factor = _as_fraction(c)
-                r, s = factor.as_integer_ratio()
-                self._same(w.scale(c), w.termwise(lambda idx, exps: [(idx, exps, r, s)]))
+                self._same(w.scale(c), Form.from_terms(
+                    ctx, [(idx, exps, coef * factor) for idx, exps, coef in w.terms()]))
             with pytest.raises(TypeError, match=re.escape("not an exact rational: 2.0")):
                 w.scale(2.0)
 

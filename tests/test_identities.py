@@ -1,6 +1,7 @@
 import pytest
 
-from axc import Context, Form, forms, hodge, homotopy, identities, run_identities, solvers
+from axc import (Context, Form, clifford, forms, hodge, homotopy, identities, run_identities,
+                 solvers)
 from axc.identities import IdentityResult
 from axc.randforms import random_form, sample_rng
 from tests.conftest import all_contexts
@@ -77,10 +78,11 @@ def test_a_faulty_operator_fails_the_check_it_targets(monkeypatch, fault):
             assert target in {r.name for r in results if not r.passed}, (fault, ctx)
 
 
-# Operator passes per check on one sample, each a Form.termwise call or a run
-# of one of the whole-form loops of d, delta, H, h and op G: each image that
-# appears twice in a check's equation is computed once, and each center map is
-# one term map
+# Operator passes per check on one sample, each a run of star or star_inv
+# (hodge._star), of eta, of a filter (Form._kept: the center maps, grade_select
+# and at_center), of wedge or interior, or of one of the whole-form loops of d,
+# delta, H, h and op G: each image that appears twice in a check's equation is
+# computed once, and each center map is one filter
 _OPERATOR_PASSES = {
     "HdH_eq_H": 3, "dHd_eq_d": 3, "delta_h_delta_eq_delta": 3, "h_delta_h_eq_h": 3,
     "projector_idempotence": 8,
@@ -88,7 +90,10 @@ _OPERATOR_PASSES = {
     "decompose_exact_antiexact": 8, "decompose_coexact_anticoexact": 8,
     "star_duality": 10,
 }
-_LOOPS = ("_lower", "_raise", "_op_g")
+# (module-level function or Form method, the modules that hold a binding of it)
+_PASSES = {"_lower": (forms, hodge), "_raise": (forms, homotopy), "_op_g": (solvers,),
+           "_star": (hodge,), "interior": (forms, clifford, identities),
+           "Form._kept": (), "Form.eta": (), "Form.wedge": ()}
 
 
 @pytest.mark.parametrize("name", _OPERATOR_PASSES)
@@ -97,23 +102,19 @@ def test_a_check_computes_each_image_once(monkeypatch, name):
     rng = sample_rng(151, 0)
     w = random_form(ctx, rng)
     assert not w.is_zero
-    termwise, calls = Form.termwise, []
+    calls = []
 
-    def counting(self, fn, *args):
-        calls.append(fn)
-        return termwise(self, fn, *args)
+    def counted(label, run):
+        def counting(*args):
+            calls.append(label)
+            return run(*args)
+        return counting
 
-    def counted(loop):
-        def run(omega, op):
-            calls.append((loop.__name__, op))
-            return loop(omega, op)
-        return run
-
-    monkeypatch.setattr(Form, "termwise", counting)
-    # each module that calls a loop holds its own binding of it
-    for module in (forms, hodge, homotopy, solvers):
-        for loop in _LOOPS:
-            if hasattr(module, loop):
-                monkeypatch.setattr(module, loop, counted(getattr(module, loop)))
+    for label, modules in _PASSES.items():
+        if label.startswith("Form."):
+            method = label.removeprefix("Form.")
+            monkeypatch.setattr(Form, method, counted(label, getattr(Form, method)))
+        for module in modules:
+            monkeypatch.setattr(module, label, counted(label, getattr(module, label)))
     assert identities.CHECKS[name](ctx, w, rng)
     assert len(calls) == _OPERATOR_PASSES[name], calls

@@ -186,9 +186,9 @@ def test_only_polyring_sums_over_an_lcm():
 
 
 def test_one_merge_tail_lifts_over_an_lcm_and_one_function_divides_by_a_gcd():
-    # termwise and _sum_numerators group their terms by denominator and end
-    # in polyring._merged, the one function that lifts over an lcm, and
-    # _reduced is the one gcd tail
+    # _sum_numerators and the whole-form loops group their terms by
+    # denominator and end in polyring._merged, the one function that lifts
+    # over an lcm, and _reduced is the one gcd tail
     calls = {called: {f"{module}:{where}" for module, _ in _kernel_trees()
                       for where in _callers(module, {called})} for called in ("lcm", "gcd")}
     assert calls == {"lcm": {"polyring.py:_merged"}, "gcd": {"polyring.py:_reduced"}}, calls
@@ -261,14 +261,10 @@ def test_polyring_builds_fractions_only_where_coefficients_are_read():
 
 
 def test_operators_pass_integer_factor_pairs():
-    # a term map's image factor is r/s as two ints, so the operator modules
-    # build no Fraction and termwise takes no Fraction apart
+    # every operator sums integer numerators over integer denominators, so
+    # the operator modules build no Fraction
     for module in ("hodge.py", "homotopy.py", "clifford.py", "solvers.py"):
         assert _callers(module, FRACTION_BUILDERS) == set(), module
-    termwise = next(node for node in ast.walk(dict(_kernel_trees())["forms.py"])
-                    if isinstance(node, ast.FunctionDef) and node.name == "termwise")
-    read = set().union(*map(_names, ast.walk(termwise)))
-    assert not read & {"numerator", "denominator"}, read
 
 
 def _is_slice(node) -> bool:
@@ -276,11 +272,11 @@ def _is_slice(node) -> bool:
 
 
 def test_term_maps_build_each_image_in_one_step():
-    # the per-term maps and the whole-form loops of d, delta, H, h and op G
-    # step or add exponents through one list update or one map(add, ...),
-    # never a generator or a tuple glued from slices, which cost a frame or
-    # three tuples per image
-    maps = {"forms.py": {"_lower", "_raise", "wedge_terms", "interior_terms"},
+    # box's term rule, wedge, interior and the whole-form loops of d, delta, H,
+    # h and op G step or add exponents through one list update or one
+    # map(add, ...), never a generator or a tuple glued from slices, which
+    # cost a frame or three tuples per image
+    maps = {"forms.py": {"_lower", "_raise", "wedge", "interior"},
             "clifford.py": {"box_terms"}, "solvers.py": {"_op_g"}}
     seen = set()
     for name, tree in _kernel_trees():
@@ -314,7 +310,7 @@ def test_close_applies_op_g_without_building_g():
     # flag to branch on
     readers = {f"{name}:{where}" for name, _ in _kernel_trees()
                for where in _callers(name, {"_op_rows"})}
-    assert readers == {"forms.py:_lower", "forms.py:_raise", "forms.py:interior_terms",
+    assert readers == {"forms.py:_lower", "forms.py:_raise", "forms.py:interior",
                        "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g"}, readers
     op_g = importlib.import_module("axc.solvers")._op_g
     assert list(inspect.signature(op_g).parameters) == ["u", "op"]
@@ -322,7 +318,7 @@ def test_close_applies_op_g_without_building_g():
 
 def test_d_delta_H_h_and_op_g_run_as_whole_form_loops():
     # each of these operators has one path, its loop over the whole form:
-    # no per-term map of theirs is left, and none of them calls termwise
+    # no per-term map of theirs is left
     for name, tree in _kernel_trees():
         named = set().union(*map(_names, ast.walk(tree)))
         left = named & {"_lower_terms", "_raise_terms", "_op_g_terms"}
@@ -330,8 +326,21 @@ def test_d_delta_H_h_and_op_g_run_as_whole_form_loops():
     operators = {"forms.py": {"Form.d"}, "hodge.py": {"codifferential"},
                  "homotopy.py": {"homotopy_H", "cohomotopy_h"}, "solvers.py": {"_close"}}
     for name, wheres in operators.items():
-        assert not wheres & _callers(name, {"termwise"}), name
         assert wheres <= _callers(name, {"_lower", "_raise", "_op_g"}), name
+
+
+def test_relabels_and_filters_sum_nothing():
+    # terms are summed only where they can meet: no generic term-map driver
+    # is left, star, star_inv and eta move or sign each term and keep the
+    # denominator, and the filters only divide out the common gcd
+    for name, tree in _kernel_trees():
+        named = set().union(*map(_names, ast.walk(tree)))
+        assert "termwise" not in named, name
+    sums = {"_merged", "_sum_numerators"}
+    assert not {"_star"} & _callers("hodge.py", sums | {"_reduced"})
+    assert not {"Form.eta"} & _callers("forms.py", sums | {"_reduced"})
+    assert not {"Form._kept"} & _callers("forms.py", sums)
+    assert "Form._kept" in _callers("forms.py", {"_reduced"})
 
 
 def test_membership_reads_H_and_h_and_the_radial_field_is_built_once_per_chart():
@@ -451,8 +460,8 @@ def test_json_text_is_written_in_one_function():
 
 
 def test_no_lambda_only_forwards_to_a_term_map():
-    # a term map gets its context as Form.termwise(fn, *args), not through a
-    # closure built on every call
+    # each operator passes over the form itself, so no closure around a
+    # term map is built on every call
     for name, tree in _kernel_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
@@ -610,6 +619,18 @@ def _unused_imports(path: Path) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def _python_files() -> list[Path]:
+    """Every ``.py`` file of ``src/axc``, ``tests`` and ``tools``."""
+    return sorted(p for d in ("src/axc", "tests", "tools") for p in (ROOT / d).glob("*.py"))
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; syntax that only a
+    # later grammar accepts (except*, PEP 695 type parameters) fails here
+    for path in _python_files():
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_no_file_imports_a_name_it_never_reads():
