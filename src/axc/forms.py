@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
 from .polyring import (Context, Poly, _as_fraction, _merged, _Numerators, _poly, _reduced,
-                       _require_axis, _require_exponents, _sum_numerators)
+                       _require_axis, _require_exponents, _require_operand, _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -110,13 +110,6 @@ def _weight(exps: tuple, rows: tuple) -> int:
     """|a| + (number of rows), |a| + k for H and |a| + n - k for h: the Koszul weight
     (Arnold, Falk & Winther 2006, section 3), never 0 where a row exists."""
     return sum(exps) + len(rows)
-
-
-def _require_operand(x, cls) -> None:
-    """An operand of a public operator is a ``cls``: another class is a
-    ``TypeError``, not the ``AttributeError`` of a member it lacks."""
-    if not isinstance(x, cls):
-        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
 def _require_grade(k, n: int) -> None:

@@ -70,6 +70,7 @@ class Decomposition(NamedTuple):
 
 def k_field(ctx: Context) -> VectorField:
     """The radial field with components y_i; vanishes at the star center."""
+    _require_operand(ctx, Context)
     return VectorField(ctx, [Poly.variable(ctx.n, i) for i in range(1, ctx.n + 1)])
 
 
@@ -86,12 +87,14 @@ def cohomotopy_h(omega: Form) -> Form:
 def center_pullback(omega: Form) -> Form:
     """s*_{x0}: kills positive grades, freezes the 0-form part at the center.
     One filter: a term stays only if it is a constant of grade 0."""
+    _require_operand(omega, Form)
     return omega._kept(0, True)
 
 
 def center_top_eval(omega: Form) -> Form:
     """S_{x0}: nonzero only on the top grade, which it freezes at the center.
     One filter: a term stays only if it is a constant of grade n."""
+    _require_operand(omega, Form)
     return omega._kept(omega.ctx.n, True)
 
 

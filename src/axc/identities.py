@@ -26,7 +26,7 @@ from .homotopy import (
     k_field,
     membership,
 )
-from .polyring import Context
+from .polyring import Context, _require_operand
 from .randforms import random_form, random_homogeneous, sample_rng
 
 
@@ -201,6 +201,7 @@ class IdentityResult(NamedTuple):
 
 def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
+    _require_operand(ctx, Context)
     if not (type(samples) is type(max_degree) is int and samples >= 1 and max_degree >= 0):
         raise ValueError(f"need int samples >= 1, max_degree >= 0; got {samples!r}, {max_degree!r}")
     # seeded by a check's place in CHECKS: a subset run draws the full run's samples

@@ -51,6 +51,13 @@ def _require_same(a, b) -> None:
         raise DimensionMismatch("operands live in different contexts")
 
 
+def _require_operand(x, cls) -> None:
+    """An operand of a public operator is a ``cls``: another class is a
+    ``TypeError``, not the ``AttributeError`` of a member it lacks."""
+    if not isinstance(x, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
 def _require_axis(i, n: int) -> None:
     """A 1-based axis: an ``int`` in 1..n, never coerced."""
     if type(i) is not int or not 1 <= i <= n:
@@ -408,6 +415,7 @@ class Poly(_Numerators):
 def rebase(p: Poly, old_center, new_center) -> Poly:
     """Re-express ``p`` (centered at old_center) in coordinates centered at
     new_center, as the same polynomial function of the absolute point."""
+    _require_operand(p, Poly)
     old = [_as_fraction(v) for v in old_center]
     new = [_as_fraction(v) for v in new_center]
     if len(old) != p.n or len(new) != p.n:

@@ -53,8 +53,8 @@ class SolveReport(NamedTuple):
         return not self.failed
 
 
-def _inverse_box(exps: tuple, signature: tuple) -> tuple:
-    """G(y^a) as ``(exponents, numerator, denominator)`` triples.  With Q = sum_i eps_i y_i^2,
+def _inverse_box(exps: tuple, signature: tuple) -> tuple[int, dict]:
+    """G(y^a) as ``(D, {exponents: int})``.  With Q = sum_i eps_i y_i^2,
     m = |a|, a_j = 2(j+1)(n + 2m - 2j) > 0 and b_j = box^j y^a, box(Q^(j+1) f) = a_j Q^j f
     + Q^(j+1) box f for f of degree m - 2j, so G = sum_j (-1)^j Q^(j+1) b_j / (a_0 ... a_j)
     has box G = y^a.  Horner's rule sums it as (Q/a_0)(b_0 - (Q/a_1)(b_1 - ... - (Q/a_J) b_J)),
@@ -71,18 +71,18 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple:
                                   for nums, sign, den in ((b[j], 1, 1), (acc, -1, D))
                                   for e, v in nums.items() for i, eps in enumerate(signature)],
                                  2 * (j + 1) * (n + 2 * m - 2 * j))
-    return tuple((e, v, D) for e, v in acc.items())
+    return D, acc
 
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
     """``(D, columns)``: column i holds d/dy_i G(y^a) as ``(exponents, numerator)``
-    pairs over G's denominator D, read off :func:`_inverse_box`'s triples.  d/dy_i
+    pairs over G's denominator D, read off :func:`_inverse_box`.  d/dy_i
     sends distinct monomials to distinct monomials, so nothing is summed.  The one
     cache of G: a solve reads only this gradient."""
-    G = _inverse_box(exps, signature)
-    return G[0][2], tuple(
-        tuple((e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v, _ in G if e[i])
+    D, G = _inverse_box(exps, signature)
+    return D, tuple(
+        tuple((e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v in G.items() if e[i])
         for i in range(len(exps)))
 
 
@@ -127,7 +127,7 @@ def laplace_solve(rhs: Form, k: int) -> Form:
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
     G = {exps: _inverse_box(exps, ctx.signature) for exps in {exps for _, exps in rhs._nums}}
     return _form(ctx, *_sum_numerators([((idx, e), N * v, D) for (idx, exps), N in rhs._nums.items()
-                                        for e, v, D in G[exps]], rhs._den))
+                                        for D, g in (G[exps],) for e, v in g.items()], rhs._den))
 
 
 def _close(s: Form, exact: bool) -> tuple[Form, Form]:

@@ -13,10 +13,12 @@ flags or the JSON header, never inside an expression):
               t,x,y,z -> x1..x4 when n = 4
 
 A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
-``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  Parentheses
-and unary minus signs nest at most :data:`MAX_NESTING` deep; no exponent, in
-text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension :data:`MAX_DIMENSION`,
-nor any product, power or re-centered input :data:`MAX_TERMS` terms.
+``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  The polynomial
+grammar sums integer numerators over one denominator, ``(D, {exponents: int})``
+as in the kernel, and builds a ``Fraction`` only for a rational literal.
+Parentheses and unary minus signs nest at most :data:`MAX_NESTING` deep; no
+exponent, in text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension
+:data:`MAX_DIMENSION`, nor any product, power or re-centered input :data:`MAX_TERMS` terms.
 
 Printing, JSON and re-centering read rows by one walk, :func:`axc.forms._rows`;
 the parser and re-centering lift rows back into a form by :func:`axc.forms._lifted`.
@@ -30,12 +32,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
 from .forms import Form, _form, _lifted, _merge_indices, _require_operand, _rows
-from .polyring import Context, Poly, _as_fraction, _poly, _reduced, _sum_numerators
+from .polyring import Context, Poly, _as_fraction, _int_mul, _poly, _reduced, _sum_numerators
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -140,18 +141,18 @@ class _Parser:
             value /= int(den[1])
         return value
 
-    def parse_poly_base(self) -> tuple:
-        """A base as ``(c, a, p)``, the value c y^a p: a rational or a variable is a
-        monomial, p None (read as 1); a parenthesized base, negated or not, is
-        ``(+-1, 0, Poly)``."""
+    def parse_poly_base(self) -> tuple[int, dict]:
+        """A base as ``(D, {exponents: int})``: a rational or a variable is one
+        term, a parenthesized expression is its sum, and "-" flips the signs."""
         kind, value, position = self.peek()
         n = self.ctx.n
         if kind == "int":
-            return self.parse_rational(), (0,) * n, None
+            r = self.parse_rational()
+            return r.denominator, {(0,) * n: r.numerator} if r else {}
         if kind == "name":
             self.take("name")
             axis = self.axis_of(value, position)
-            return 1, (0,) * (axis - 1) + (1,) + (0,) * (n - axis), None
+            return 1, {(0,) * (axis - 1) + (1,) + (0,) * (n - axis): 1}
         if kind not in ("(", "-"):
             raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
         self.depth += 1
@@ -159,16 +160,16 @@ class _Parser:
             raise FormSyntaxError(f"polynomial nested deeper than {MAX_NESTING}", position)
         self.take(kind)
         if kind == "(":
-            base = 1, (0,) * n, self.parse_poly_expr()
+            base = self.parse_poly_expr()
             self.take(")")
         else:
-            c, a, p = self.parse_poly_base()
-            base = -c, a, p
+            D, nums = self.parse_poly_base()
+            base = D, {a: -v for a, v in nums.items()}
         self.depth -= 1
         return base
 
-    def parse_poly_factor(self) -> tuple:
-        """A base and its optional power, as ``(c, a, p)``."""
+    def parse_poly_factor(self) -> tuple[int, dict]:
+        """A base and its optional power, as ``(D, {exponents: int})``."""
         base = self.parse_poly_base()
         if self.peek()[0] != "^":
             return base
@@ -177,30 +178,26 @@ class _Parser:
         e = int(digits)
         if e > MAX_EXPONENT:
             raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
-        c, a, p = base
-        if p is not None:
-            # a power of t terms is a sum over the multisets of e of them
-            terms = math.comb(len(p._nums) + e - 1, e) if e else 1
-            _require_terms(_term_bound(self.ctx.n, terms, e * _degree(p)), position)
-            p = p ** e
-        return c ** e, tuple(x * e for x in a), p
+        D, nums = base
+        if len(nums) == 1:
+            return D ** e, {tuple(x * e for x in a): v ** e for a, v in nums.items()}
+        # a power of t terms is a sum over the multisets of e of them
+        terms = math.comb(len(nums) + e - 1, e) if e else 1
+        _require_terms(_term_bound(self.ctx.n, terms, e * _degree(nums)), position)
+        p = _poly(self.ctx.n, *_reduced(D, nums)) ** e
+        return p._den, p._nums
 
-    def parse_poly_term(self) -> tuple:
-        """Factors joined by "*" as one ``(c, a, p)``: rationals and variables multiply
-        into the monomial c y^a, and only parenthesized factors into the ``Poly`` p.
-        A "*" that meets a ``Poly`` first checks the term-count bound of the
-        product so far, counted as for the expanded ``Poly``."""
-        c, a, p = self.parse_poly_factor()
+    def parse_poly_term(self) -> tuple[int, dict]:
+        """Factors joined by "*" as one ``(D, {exponents: int})``, not yet reduced."""
+        D, nums = self.parse_poly_factor()
         while self.peek()[0] == "*":
             position = self.take("*")[2]
-            c2, a2, p2 = self.parse_poly_factor()
-            if p is not None or p2 is not None:
-                (t, deg), (t2, deg2) = _size(c, a, p), _size(c2, a2, p2)
-                _require_terms(_term_bound(self.ctx.n, t * t2, deg + deg2), position)
-            if p2 is not None:
-                p = p2 if p is None else p * p2
-            c, a = c * c2, tuple(map(add, a, a2))
-        return c, a, p
+            D2, nums2 = self.parse_poly_factor()
+            if len(nums) > 1 or len(nums2) > 1:
+                _require_terms(_term_bound(self.ctx.n, len(nums) * len(nums2),
+                                           _degree(nums) + _degree(nums2)), position)
+            D, nums = D * D2, _int_mul(nums, nums2)
+        return D, nums
 
     def take_sign(self) -> int:
         """Consume an optional "+" or "-" and return its sign."""
@@ -214,12 +211,10 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             yield self.take_sign(), parse_one()
 
-    def parse_poly_expr(self) -> Poly:
-        entries = []
-        for sign, term in self.signed(self.parse_poly_term):
-            D, nums = _expanded(*term)
-            entries += [(exps, sign * v, D) for exps, v in nums.items()]
-        return _poly(self.ctx.n, *_sum_numerators(entries))
+    def parse_poly_expr(self) -> tuple[int, dict]:
+        return _sum_numerators([(exps, sign * v, D)
+                                for sign, (D, nums) in self.signed(self.parse_poly_term)
+                                for exps, v in nums.items()])
 
     # -- form grammar ------------------------------------------------------
 
@@ -248,7 +243,7 @@ class _Parser:
         if self.at_basis():
             poly = Poly.const(self.ctx.n, 1)
         else:
-            poly = _poly(self.ctx.n, *_reduced(*_expanded(*self.parse_poly_factor())))
+            poly = _poly(self.ctx.n, *_reduced(*self.parse_poly_factor()))
             if self.peek()[0] == "*":
                 self.take("*")
             if not self.at_basis():
@@ -263,26 +258,9 @@ class _Parser:
                                          for sign, (idx, basis_sign, poly) in pieces]))
 
 
-def _degree(p: Poly) -> int:
-    return max(map(sum, p._nums), default=0)
-
-
-def _size(c, a: tuple, p) -> tuple[int, int]:
-    """(terms, degree) of the parser's c y^a p, p a ``Poly`` or None (read as 1),
-    as the product ``Poly`` would have them; the degree counts only with terms."""
-    if p is None:
-        return int(c != 0), sum(a)
-    return (len(p._nums) if c else 0), sum(a) + _degree(p)
-
-
-def _expanded(c, a: tuple, p) -> tuple[int, dict]:
-    """The parser's c y^a p as ``(D, {exponents: int})``, not yet reduced."""
-    if not c:
-        return 1, {}
-    if p is None:
-        return c.denominator, {a: c.numerator}
-    return p._den * c.denominator, {tuple(map(add, e, a)): v * c.numerator
-                                    for e, v in p._nums.items()}
+def _degree(nums: dict) -> int:
+    """The total degree of a map of exponents to numerators; 0 for no term."""
+    return max(map(sum, nums), default=0)
 
 
 def _term_bound(n: int, terms: int, degree: int) -> int:
@@ -319,6 +297,7 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_form(text: str, ctx: Context) -> Form:
     """Parse a form expression; absolute coordinates are re-centered."""
+    _require_operand(ctx, Context)
     return _recentered(_Parser(text, ctx).parse_form())
 
 
@@ -329,7 +308,7 @@ def _recentered(absolute: Form) -> Form:
     # y^a re-centers to the product of a_i + 1 over the axes that move
     _require_terms(sum(
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
-                               for exps in poly._nums), _degree(poly))
+                               for exps in poly._nums), _degree(poly._nums))
         for _, poly in rows))
     return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows]))
 

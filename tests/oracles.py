@@ -168,8 +168,9 @@ def eval_terms(idx: tuple, exps: tuple, point: list) -> list:
 
 
 def inverse_box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """laplace_solve on y^a dx^I: G(y^a) dx^I, G's triples read off ``_inverse_box``."""
-    return [(idx, e, v, D) for e, v, D in _inverse_box(exps, signature)]
+    """laplace_solve on y^a dx^I: G(y^a) dx^I, G's ``(D, nums)`` read off ``_inverse_box``."""
+    D, nums = _inverse_box(exps, signature)
+    return [(idx, e, v, D) for e, v in nums.items()]
 
 
 def wedge_factor_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
@@ -300,7 +301,7 @@ def loop_anticoexact_wedge_factor(omega: Form) -> Form:
 
 def series_inverse_box(exps: tuple, signature: tuple) -> set:
     """G(y^a) as the set of ``(exponents, numerator, denominator)`` triples of
-    ``solvers._inverse_box``, summed term by term as the series
+    ``solvers._inverse_box``'s ``(D, nums)``, summed term by term as the series
     sum_j (-1)^j Q^(j+1) box^j y^a / (a_0 ... a_j), Q = sum_i eps_i y_i^2,
     a_j = 2(j+1)(n + 2m - 2j), with ``Poly`` powers of Q and box by partial
     derivatives."""

@@ -37,7 +37,7 @@ from axc.cli import main
 from axc.errors import (DimensionMismatch, FormSyntaxError, InconsistentSystem,
                         NonRationalLiteral, NotASolution)
 from axc.textio import (
-    MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, load_form_text, parse_rational)
+    MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, _Parser, load_form_text, parse_rational)
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import B, all_contexts, cli_choices, cli_subcommands_with, var
 from tests.oracles import loop_poly_mul
@@ -104,10 +104,12 @@ class TestParser:
     def test_exponent_cap(self, e2):
         top = Poly.monomial(2, (MAX_EXPONENT, 0))
         assert parse_form(f"x1^{MAX_EXPONENT} dx1", e2) == B(e2, (1,), top)
-        with pytest.raises(FormSyntaxError):
-            parse_form(f"x1^{MAX_EXPONENT + 1} dx1", e2)
-        with pytest.raises(FormSyntaxError):
-            parse_form(f"(x1 + 1/7)^{MAX_EXPONENT + 1}", e2)
+        # the error names the bound and the position of the exponent
+        for text, position in [(f"x1^{MAX_EXPONENT + 1} dx1", 3), (f"(x1 + 1/7)^{MAX_EXPONENT + 1}", 11)]:
+            with pytest.raises(FormSyntaxError) as raised:
+                parse_form(text, e2)
+            assert str(raised.value) == (
+                f"exponent {MAX_EXPONENT + 1} above {MAX_EXPONENT} (at position {position})")
 
     def test_explicit_star_before_a_basis(self, e2):
         got = parse_form("2*dx1 - x2*dx2^dx1", e2)
@@ -124,6 +126,23 @@ class TestParser:
         # monomials of degree at most 200
         got = parse_form(text, Context.euclidean(n))
         assert len(got.coefficient((1,)).terms) == terms
+
+    @pytest.mark.parametrize("method", ["parse_poly_factor", "parse_poly_term"])
+    def test_factors_and_terms_are_integer_numerators_over_one_denominator(self, method):
+        # the kernel's one number format, (D, {exponents: int}): a positive int D
+        # and nonzero int numerators, read to the end of each text
+        ctx = Context(3, (Fraction(1, 7), Fraction(-2, 3), Fraction(5)), (1, -1, 1))
+        texts = ["0", "3/4", "x2", "-x1^3", "(x1 - x1)", "(x1 + 1/2)^3", "-(2/3*x1 - 5/9*x2)",
+                 "(0)^0", "(x1*x2 - 1/6)^0", "--7/4^2"]
+        if method == "parse_poly_term":
+            texts += ["2/3*x1^2*-x2*(x1 + 1/5)^2", "(1/6)^2*0*x3", "(x1 + x2)*(x1 - x2)*1/3"]
+        for text in texts:
+            parser = _Parser(text, ctx)
+            D, nums = getattr(parser, method)()
+            assert parser.peek()[0] == "end", text
+            assert type(D) is int and D > 0, text
+            assert all(type(v) is int and v for v in nums.values()), text
+            assert all(len(e) == 3 and all(type(a) is int and a >= 0 for a in e) for e in nums), text
 
     def test_term_is_the_product_of_its_factors(self, e2):
         # rationals and variables fold into one monomial, and only parenthesized
@@ -506,22 +525,27 @@ class TestCli:
         assert main(["--center=1/7,-3/5", "apply", "--op", "d", "--in", str(src)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
-    @pytest.mark.parametrize("name,text,flags", [
-        ("w.txt", "(" + " + ".join(f"x{i}" for i in range(1, 10)) + ")^200 dx1", ["--dim", "9"]),
-        ("w.txt", "((1+x1)^99*(1+x2)^100) dx1", ["--dim", "2"]),
-        ("w.txt", "(x1^1000*x2^1000*x3^1000) dx1", ["--dim", "3", "--center=1/7,1/7,1/7"]),
+    @pytest.mark.parametrize("name,text,flags,bound,where", [
+        ("w.txt", "(" + " + ".join(f"x{i}" for i in range(1, 10)) + ")^200 dx1", ["--dim", "9"],
+         75_824_205_888_366, " (at position 45)"),
+        ("w.txt", "((1+x1)^99*(1+x2)^100) dx1", ["--dim", "2"], 10_100, " (at position 10)"),
+        ("w.txt", "(x1^1000*x2^1000*x3^1000) dx1", ["--dim", "3", "--center=1/7,1/7,1/7"],
+         1_003_003_001, ""),
         ("w.json", '{"n": 3, "center": ["1/7", "1/7", "1/7"], "metric": [1, 1, 1], '
                    '"components": {"1": {"[1]": [{"exp": [1000, 1000, 1000], "coef": "1"}]}}}',
-         ["--dim", "3", "--center=1/7,1/7,1/7"]),
+         ["--dim", "3", "--center=1/7,1/7,1/7"], 1_003_003_001, ""),
     ], ids=["power", "product-past-cap", "recentered-text", "recentered-json"])
-    def test_expansion_cap(self, tmp_path, capsys, name, text, flags):
+    def test_expansion_cap(self, tmp_path, capsys, name, text, flags, bound, where):
+        # the bound is C(8 + 200, 8) multisets for the power, 100 * 101 pairs for
+        # the product and 1001^3 re-centered terms; the grammar's errors name the
+        # position of the exponent or "*" they stop at
         src = tmp_path / name
         src.write_text(text)
         start = time.perf_counter()
         assert main([*flags, "apply", "--op", "d", "--in", str(src)]) == 2
         assert time.perf_counter() - start < 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"above {MAX_TERMS}" in err
+        assert capsys.readouterr().err == (
+            f"error: expansion to up to {bound} terms, above {MAX_TERMS}{where}\n")
 
     def test_high_power_off_center(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

@@ -1,6 +1,7 @@
 """Generated checks over ``axc.__all__``: every public function rejects an
-operand of the wrong class in each ``Form`` or ``VectorField`` slot, and the
-package binds exactly its public names, each on first use."""
+operand of the wrong class in each ``Form``, ``VectorField``, ``Poly`` or
+``Context`` slot, and the package binds exactly its public names, each on
+first use."""
 
 import enum
 import inspect
@@ -9,13 +10,20 @@ import pytest
 
 import axc
 from axc.forms import Form
-from axc.homotopy import k_field
+from axc.homotopy import center_pullback, center_top_eval, k_field
 from axc.polyring import Context, Poly
 
 CTX = Context.euclidean(3)
-# a well-formed operand per slot class, and the one of the other class
-OPERAND = {"Form": Form.basis(CTX, (1,), Poly.variable(3, 1)), "VectorField": k_field(CTX)}
-OTHER = {"Form": OPERAND["VectorField"], "VectorField": OPERAND["Form"]}
+# a well-formed operand per slot class, and a wrong one in every other slot
+OPERAND = {"Form": Form.basis(CTX, (1,), Poly.variable(3, 1)), "VectorField": k_field(CTX),
+           "Poly": Poly.variable(3, 1), "Context": CTX}
+# well-formed arguments for the parameters that name no operand class
+ARGUMENT = {"text": "dx1", "old_center": (0, 0, 0), "new_center": (0, 0, 0)}
+
+
+def _others(cls: str) -> list:
+    """An int and the operand of every slot class but ``cls``."""
+    return [3, *(x for name, x in OPERAND.items() if name != cls)]
 
 
 def _slots():
@@ -30,6 +38,8 @@ def _slots():
 
 def _valid(param):
     """A well-formed argument for a slot that is not under test."""
+    if param.name in ARGUMENT:
+        return ARGUMENT[param.name]
     if param.default is not param.empty:
         return param.default
     if param.annotation in OPERAND:
@@ -45,7 +55,7 @@ def test_an_operand_slot_rejects_every_other_class(name, slot):
     # the class is checked before any member is read, so no AttributeError escapes
     params = inspect.signature(getattr(axc, name)).parameters
     args = {p: _valid(param) for p, param in params.items()}
-    for x in (3, Poly.variable(3, 1), OTHER[params[slot].annotation]):
+    for x in _others(params[slot].annotation):
         with pytest.raises(TypeError):
             getattr(axc, name)(**{**args, slot: x})
 
@@ -54,7 +64,16 @@ def test_the_generated_slots_cover_the_operand_entries():
     # a signature that lost its annotation would drop out of the generated test
     names = {name for name, _ in _slots()}
     assert {"potential", "print_form", "form_to_json", "laplace_solve", "musical_sharp",
-            "vacuum_dirac_classify", "interior", "musical_flat"} <= names
+            "vacuum_dirac_classify", "interior", "musical_flat", "rebase", "k_field",
+            "run_identities", "parse_form"} <= names
+
+
+@pytest.mark.parametrize("fn", [center_pullback, center_top_eval], ids=lambda fn: fn.__name__)
+def test_the_center_maps_reject_every_other_class(fn):
+    # s* and S are public operators outside axc.__all__
+    for x in _others("Form"):
+        with pytest.raises(TypeError):
+            fn(x)
 
 
 def test_star_import_binds_every_public_name():

@@ -146,15 +146,16 @@ class TestLaplaceSolve:
     def test_horner_sum_matches_the_series(self):
         # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to
         # total degree 20 (Horner chains of up to 11 steps): the series costs
-        # ~1.5 s there and ~25 s uncapped.  The triples come in dict order, so
-        # they are compared as sets
+        # ~1.5 s there and ~25 s uncapped.  G's (D, nums) is read as the set of
+        # its (exponents, numerator, D) triples
         rng, checked = random.Random(26), 0
         while checked < 400:
             n = rng.randint(1, 5)
             exps = tuple(rng.randint(0, 9) for _ in range(n))
             signature = tuple(rng.choice((1, -1)) for _ in range(n))
             if sum(exps) <= 20:
-                assert set(_inverse_box(exps, signature)) == series_inverse_box(exps, signature)
+                D, nums = _inverse_box(exps, signature)
+                assert {(e, v, D) for e, v in nums.items()} == series_inverse_box(exps, signature)
                 checked += 1
 
 
