@@ -202,8 +202,10 @@ class IdentityResult(NamedTuple):
 def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
     _require_operand(ctx, Context)
-    if not (type(samples) is type(max_degree) is int and samples >= 1 and max_degree >= 0):
-        raise ValueError(f"need int samples >= 1, max_degree >= 0; got {samples!r}, {max_degree!r}")
+    if not (type(samples) is type(max_degree) is type(seed) is int
+            and samples >= 1 and max_degree >= 0):
+        raise ValueError("need int samples >= 1, max_degree >= 0 and seed; "
+                         f"got {samples!r}, {max_degree!r}, {seed!r}")
     # seeded by a check's place in CHECKS: a subset run draws the full run's samples
     place = {name: cidx for cidx, name in enumerate(CHECKS)}
     results = []

@@ -2,6 +2,14 @@
 
 Each sample is fully determined by (seed, sample index), independent of
 scheduling or iteration order, so suites are reproducible byte for byte.
+
+Every draw is one rejection rule on the generator's bits, :func:`_below`:
+k = n.bit_length(), draw r = getrandbits(k) and redraw while r >= n.  That
+is CPython's ``_randbelow`` for a ``random.Random``, so on CPython 3.10-3.13
+``_below(bits, n)`` is ``randrange(n)``, ``a + _below(bits, b - a + 1)`` is
+``randint(a, b)``, ``seq[_below(bits, len(seq))]`` is ``choice(seq)`` and
+:func:`_sample` is ``sample``: the draws are those of ``random``'s helpers,
+without their three Python frames per draw.
 """
 
 from __future__ import annotations
@@ -13,26 +21,54 @@ from fractions import Fraction
 from .forms import Form, _form, _require_grade
 from .polyring import Context, Poly, _poly, _sum_numerators
 
-_NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)
+_NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)  # 18: a numerator is a draw below 18
 
 
 def sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
+def _below(bits, n: int) -> int:
+    """A draw from range(n) by ``bits = rng.getrandbits``, as ``rng.randrange(n)``;
+    an empty range is a ``ValueError``, as it is there."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n!r}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(rng: random.Random, pool: list, k: int) -> list:
+    """``rng.sample(pool, k)``, consuming ``pool``.  Up to 21 members and 5
+    draws it is ``sample``'s pool rule (draw j below the members left, take
+    pool[j], move the last member left into the vacancy); beyond that
+    ``sample`` tracks a set instead and draws itself, from the same stream."""
+    n = len(pool)
+    if n > 21 or k > 5:
+        return rng.sample(pool, k)
+    bits, chosen = rng.getrandbits, []
+    for last in range(n - 1, n - 1 - k, -1):
+        j = _below(bits, last + 1)
+        chosen.append(pool[j])
+        pool[j] = pool[last]
+    return chosen
+
+
 def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NUMERATORS), rng.randint(1, 4))
+    bits = rng.getrandbits
+    return Fraction(_NUMERATORS[_below(bits, 18)], 1 + _below(bits, 4))
 
 
 def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 2) -> list:
     """``(exponents, numerator, denominator)`` draws, each as :func:`random_rational`'s."""
-    terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        budget = rng.randint(0, max_degree)
+    bits, terms = rng.getrandbits, []
+    for _ in range(1 + _below(bits, max_terms)):
         exps = [0] * n
-        for _ in range(budget):
-            exps[rng.randrange(n)] += 1
-        terms.append((tuple(exps), rng.choice(_NUMERATORS), rng.randint(1, 4)))
+        for _ in range(_below(bits, max_degree + 1)):
+            exps[_below(bits, n)] += 1
+        terms.append((tuple(exps), _NUMERATORS[_below(bits, 18)], 1 + _below(bits, 4)))
     return terms
 
 
@@ -45,8 +81,9 @@ def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,
                 max_components: int = 2) -> list:
     """``((index tuple, exponents), num, den)`` draws on 1..max_components grade-k forms."""
     index_sets = list(itertools.combinations(range(1, ctx.n + 1), k))
-    chosen = rng.sample(index_sets, min(len(index_sets), rng.randint(1, max_components)))
-    return [((idx, exps), num, den) for idx in chosen
+    count = 1 + _below(rng.getrandbits, max_components)
+    return [((idx, exps), num, den)
+            for idx in _sample(rng, index_sets, min(len(index_sets), count))
             for exps, num, den in _random_terms(rng, ctx.n, max_degree)]
 
 
@@ -57,6 +94,7 @@ def random_homogeneous(ctx: Context, rng: random.Random, k: int,
 
 
 def random_form(ctx: Context, rng: random.Random, max_degree: int = 3) -> Form:
-    grades = rng.sample(range(ctx.n + 1), rng.randint(1, min(2, ctx.n + 1)))
+    count = 1 + _below(rng.getrandbits, min(2, ctx.n + 1))
+    grades = _sample(rng, list(range(ctx.n + 1)), count)
     return _form(ctx, *_sum_numerators([entry for k in grades
                                         for entry in _random_row(ctx, rng, k, max_degree)]))

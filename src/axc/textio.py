@@ -6,9 +6,8 @@ flags or the JSON header, never inside an expression):
     form   := [sign] term { ("+" | "-") term }
     term   := factor ["*"] basis | factor | basis
     basis  := "d" var { "^" "d" var }
-    factor := base ["^" digits]
-    base   := "(" polynomial over rationals with + - * ^ ")" | rational
-              | var | "-" base
+    factor := "-" factor | base ["^" digits]
+    base   := "(" polynomial over rationals with + - * ^ ")" | rational | var
     var    := "x" digits; aliases x,y,z -> x1,x2,x3 when n <= 3 and
               t,x,y,z -> x1..x4 when n = 4
 
@@ -141,9 +140,20 @@ class _Parser:
             value /= int(den[1])
         return value
 
+    def nested(self, parse_one):
+        """Take a "(" or a unary "-" and ``parse_one()`` one level deeper:
+        parentheses and unary minus signs nest at most :data:`MAX_NESTING` deep."""
+        position = self.take()[2]
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormSyntaxError(f"polynomial nested deeper than {MAX_NESTING}", position)
+        item = parse_one()
+        self.depth -= 1
+        return item
+
     def parse_poly_base(self) -> tuple[int, dict]:
         """A base as ``(D, {exponents: int})``: a rational or a variable is one
-        term, a parenthesized expression is its sum, and "-" flips the signs."""
+        term, and a parenthesized expression is its sum."""
         kind, value, position = self.peek()
         n = self.ctx.n
         if kind == "int":
@@ -153,23 +163,18 @@ class _Parser:
             self.take("name")
             axis = self.axis_of(value, position)
             return 1, {(0,) * (axis - 1) + (1,) + (0,) * (n - axis): 1}
-        if kind not in ("(", "-"):
+        if kind != "(":
             raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise FormSyntaxError(f"polynomial nested deeper than {MAX_NESTING}", position)
-        self.take(kind)
-        if kind == "(":
-            base = self.parse_poly_expr()
-            self.take(")")
-        else:
-            D, nums = self.parse_poly_base()
-            base = D, {a: -v for a, v in nums.items()}
-        self.depth -= 1
+        base = self.nested(self.parse_poly_expr)
+        self.take(")")
         return base
 
     def parse_poly_factor(self) -> tuple[int, dict]:
-        """A base and its optional power, as ``(D, {exponents: int})``."""
+        """``"-" factor``, which flips the signs, or a base and its optional
+        power, as ``(D, {exponents: int})``: "^" binds tighter than a unary minus."""
+        if self.peek()[0] == "-":
+            D, nums = self.nested(self.parse_poly_factor)
+            return D, {a: -v for a, v in nums.items()}
         base = self.parse_poly_base()
         if self.peek()[0] != "^":
             return base

@@ -16,6 +16,14 @@ def test_out_of_range_arguments_raise(kwargs):
         run_identities(Context.euclidean(3), **kwargs)
 
 
+@pytest.mark.parametrize("seed", [0.5, True, "3", None], ids=repr)
+def test_the_seed_is_an_int(seed):
+    # a seed is read by the constructors' type(x) is int rule, as the counts
+    # are: True would draw seed 1's samples and 0.5 would seed each by a float
+    with pytest.raises(ValueError, match="seed"):
+        run_identities(Context.euclidean(3), samples=1, seed=seed)
+
+
 @pytest.mark.parametrize("ctx", [Context.euclidean(2), Context.minkowski(3)],
                          ids=["e2", "m3"])
 def test_zero_form_is_the_direct_sums_one_common_element(ctx):

@@ -97,6 +97,33 @@ class TestParser:
         with pytest.raises(FormSyntaxError):
             parse_form("-" * (MAX_NESTING + 2) + "1", e2)
 
+    @pytest.mark.parametrize("text, same_as", [
+        ("(x2 + -x1^2) dx1", "(x2 - x1^2) dx1"),
+        ("(x2*-x1^2) dx1", "(-x1^2*x2) dx1"),
+        ("-x1^2 dx1", "(-(x1^2)) dx1"),
+        ("(-x1)^2 dx1", "(x1^2) dx1"),
+        ("(-2/5^2) dx1", "(-4/25) dx1"),
+        ("(x2*--x1^3) dx1", "(x1^3*x2) dx1"),
+    ])
+    def test_unary_minus_binds_looser_than_a_power(self, e2, text, same_as):
+        # "-" factor negates the factor's power, wherever the "-" stands
+        assert parse_form(text, e2) == parse_form(same_as, e2)
+
+    def test_a_power_after_a_unary_minus_takes_no_second_power(self, e2):
+        for text in ("-x1^2^3 dx1", "(x2 + -x1^2^3) dx1"):
+            with pytest.raises(FormSyntaxError, match="found '\\^'"):
+                parse_form(text, e2)
+
+    def test_unary_minus_signs_count_toward_the_nesting_cap(self, e2):
+        # a "-" that opens a sum is its sign; the one after "*" is a unary minus
+        ok = "(" * (MAX_NESTING - 1) + "x2*-x1" + ")" * (MAX_NESTING - 1) + " dx1"
+        assert parse_form(ok, e2) == B(e2, (1,), -var(e2, 1) * var(e2, 2))
+        deep = "(" * MAX_NESTING + "x2*-x1" + ")" * MAX_NESTING + " dx1"
+        with pytest.raises(FormSyntaxError) as raised:
+            parse_form(deep, e2)
+        assert str(raised.value) == (
+            f"polynomial nested deeper than {MAX_NESTING} (at position {MAX_NESTING + 3})")
+
     def test_rejects_zero_denominator(self, e2):
         with pytest.raises(NonRationalLiteral):
             parse_form("(1/0) dx1", e2)

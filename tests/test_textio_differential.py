@@ -51,22 +51,27 @@ def _value(t, n: int) -> Poly:
 
 
 def _base(t, rng) -> str:
-    """A base: a rational, a variable or a negated base, at times in redundant
-    parentheses, and any other tree in parentheses."""
+    """A base: a rational or a variable, at times in redundant parentheses,
+    and any other tree in parentheses."""
     kind = t[0]
     if kind == "rat":
         text = str(t[1])
     elif kind == "var":
         text = f"x{t[1]}"
-    elif kind == "neg":
-        text = "-" + _base(t[1], rng)
     else:
         return f"({_expr(t, rng)})"
     return f"({text})" if rng.random() < 0.1 else text
 
 
 def _factor(t, rng) -> str:
-    return f"{_base(t[1], rng)}^{t[2]}" if t[0] == "pow" else _base(t, rng)
+    """"-" factor, or a base and its power.  "^" binds tighter than a unary
+    minus, so a negated tree is raised in parentheses, (-t)^e."""
+    if t[0] == "neg":
+        return "-" + _factor(t[1], rng)
+    if t[0] != "pow":
+        return _base(t, rng)
+    base = f"({_factor(t[1], rng)})" if t[1][0] == "neg" else _base(t[1], rng)
+    return f"{base}^{t[2]}"
 
 
 def _term(t, rng) -> str:
@@ -74,9 +79,9 @@ def _term(t, rng) -> str:
 
 
 def _lead(sign: int, term: str, rng) -> str:
-    """The first term of a sum with its sign.  A leading "-" is the sum's sign,
-    so a term that starts with "-", a negated base, is written after "+"."""
-    return ("-" if sign < 0 else "+" if term.startswith("-") else rng.choice(("", "+"))) + term
+    """The first term of a sum with its sign.  A leading "-" reads the same
+    as the sum's sign and as a unary minus on the term's first factor."""
+    return ("-" if sign < 0 else rng.choice(("", "+"))) + term
 
 
 def _expr(t, rng) -> str:

@@ -267,6 +267,24 @@ def test_operators_pass_integer_factor_pairs():
         assert _callers(module, FRACTION_BUILDERS) == set(), module
 
 
+# random's draw helpers: each would be a second rule over the generator's bits
+RANDOM_HELPERS = {"randint", "randrange", "choice", "choices", "shuffle", "random", "uniform"}
+
+
+def test_randforms_draws_by_one_rule_on_the_generators_bits():
+    # every draw is randforms._below on getrandbits; sample is handed only the
+    # draws that its pool rule does not take, and reads the same stream
+    assert _callers("randforms.py", RANDOM_HELPERS) == set()
+    assert _callers("randforms.py", {"sample"}) == {"_sample"}
+    tree = dict(_kernel_trees())["randforms.py"]
+    [fn] = [node for node in tree.body if getattr(node, "name", None) == "_sample"]
+    [branch] = [node for node in fn.body if isinstance(node, ast.If)]
+    assert ast.unparse(branch.test) == "n > 21 or k > 5"
+    delegated = {id(node) for stmt in branch.body for node in ast.walk(stmt)}
+    assert all(id(node) in delegated for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and "sample" in _names(node.func))
+
+
 def _is_slice(node) -> bool:
     return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
 
