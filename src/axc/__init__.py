@@ -21,7 +21,7 @@ _PUBLIC = {
     "clifford": ("OperatorTag", "OscillatorReport", "apply_operator", "clifford_vec_mul",
                  "grade_block_check", "laplace_beltrami", "oscillator_eigencheck"),
     "errors": (),
-    "forms": ("Form", "VectorField", "form_linear", "interior"),
+    "forms": ("Form", "VectorField", "interior"),
     "hodge": ("codifferential", "hodge_star", "hodge_star_inv", "musical_flat", "musical_sharp"),
     "homotopy": ("Decomposition", "DecompositionMode", "SpaceTag", "anticoexact_wedge_factor",
                  "cohomotopy_h", "copotential", "decompose", "homotopy_H", "k_field",
@@ -29,7 +29,7 @@ _PUBLIC = {
     "identities": ("run_identities",),
     # unused by the kernel: the tests' elimination oracle; bench/spans.py reads it from sys.modules
     "linsolve": (),
-    "polyring": ("Context", "Poly", "Rational", "rebase"),
+    "polyring": ("Context", "Poly", "rebase"),
     "randforms": (),
     "solvers": ("SolveReport", "VacuumDiracClass", "VacuumDiracKind", "dirac_source_solve",
                 "kalb_ramond_solve", "kr_maxwell_couple", "laplace_solve", "massive_dirac_check",

@@ -9,10 +9,10 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _form, _require_operand, interior
+from .forms import Form, VectorField, _form, interior
 from .hodge import codifferential, musical_flat
 from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
-from .polyring import _sum_numerators
+from .polyring import _require_operand, _sum_numerators
 
 
 class OperatorTag(enum.Enum):

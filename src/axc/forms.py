@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, GradeOutOfRange
 from .polyring import (Context, Poly, _as_fraction, _merged, _Numerators, _poly, _reduced,
-                       _require_axis, _require_exponents, _require_operand, _sum_numerators)
+                       _require_axis, _require_exponents, _require_same, _sum_numerators)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -220,9 +220,6 @@ class Form(_Numerators):
     # bound here, not only inherited, so that the tracer can wrap Form's own
     __add__ = _Numerators.__add__
 
-    def mul_poly(self, p: Poly) -> "Form":
-        return self.wedge(Form.from_poly(self.ctx, p))
-
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
@@ -230,7 +227,7 @@ class Form(_Numerators):
         term, all integers, so one group over the two denominators' product holds it."""
         if not isinstance(other, Form):
             raise TypeError(f"cannot wedge a Form with {type(other).__name__}")
-        self.ctx.require_same(other.ctx)
+        _require_same(self.ctx, other.ctx)
         right, acc = other._nums.items(), {}
         for (idx, exps), N in self._nums.items():
             for (idx2, exps2), M in right:
@@ -360,7 +357,7 @@ def interior(v: VectorField, omega: Form) -> Form:
     denominator of its component of v, summed by :func:`_sum_numerators`."""
     if not isinstance(v, VectorField) or not isinstance(omega, Form):
         raise TypeError("interior takes a VectorField and a Form")
-    v.ctx.require_same(omega.ctx)
+    _require_same(v.ctx, omega.ctx)
     signature, entries = omega.ctx.signature, []
     for (idx, exps), N in omega._nums.items():
         for i, rest, sign in _op_rows("H", idx, signature):
@@ -368,10 +365,3 @@ def interior(v: VectorField, omega: Form) -> Form:
             for v_exps, c in p._nums.items():
                 entries.append(((rest, tuple(map(add, exps, v_exps))), sign * N * c, p._den))
     return _form(omega.ctx, *_sum_numerators(entries, omega._den))
-
-
-def form_linear(a, omega: Form, b, phi: Form) -> Form:
-    """a*omega + b*phi, gradewise."""
-    _require_operand(omega, Form)
-    _require_operand(phi, Form)
-    return omega.scale(a) + phi.scale(b)

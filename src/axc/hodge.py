@@ -23,7 +23,8 @@ import functools
 import math
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _form, _lower, _merge_indices, _require_operand
+from .forms import Form, VectorField, _form, _lower, _merge_indices
+from .polyring import _require_operand
 
 
 def musical_flat(v: VectorField) -> Form:

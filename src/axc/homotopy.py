@@ -41,9 +41,9 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _form, _op_rows, _raise, _require_operand, _weight
+from .forms import Form, VectorField, _form, _op_rows, _raise, _weight
 from .hodge import codifferential
-from .polyring import Context, Poly, _sum_numerators
+from .polyring import Context, Poly, _require_operand, _sum_numerators
 
 
 class SpaceTag(enum.Enum):

@@ -206,10 +206,15 @@ def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
             and samples >= 1 and max_degree >= 0):
         raise ValueError("need int samples >= 1, max_degree >= 0 and seed; "
                          f"got {samples!r}, {max_degree!r}, {seed!r}")
+    if isinstance(names, str):
+        raise ValueError(f"names is a collection of check names, not the str {names!r}")
+    names = tuple(CHECKS if names is None else names)
+    if unknown := [name for name in names if name not in CHECKS]:
+        raise ValueError(f"unknown identity checks: {', '.join(map(repr, unknown))}")
     # seeded by a check's place in CHECKS: a subset run draws the full run's samples
     place = {name: cidx for cidx, name in enumerate(CHECKS)}
     results = []
-    for name in CHECKS if names is None else names:
+    for name in names:
         check = CHECKS[name]
         failure = None
         for i in range(samples):

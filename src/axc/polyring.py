@@ -24,8 +24,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
 
-Rational = Fraction
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -218,8 +216,6 @@ class Context(_ContextFields):
     def sig(self) -> int:
         """sig(g): product of the signature entries, +1 or -1."""
         return math.prod(self.signature)
-
-    require_same = _require_same
 
 
 class _Numerators:

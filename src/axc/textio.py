@@ -34,8 +34,9 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _form, _lifted, _merge_indices, _require_operand, _rows
-from .polyring import Context, Poly, _as_fraction, _int_mul, _poly, _reduced, _sum_numerators
+from .forms import Form, _form, _lifted, _merge_indices, _rows
+from .polyring import (Context, Poly, _as_fraction, _int_mul, _poly, _reduced, _require_operand,
+                       _sum_numerators)
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}

@@ -273,7 +273,8 @@ def contraction_homotopy_H(omega: Form) -> Form:
             contracted = loop_interior(k_field(ctx), Form.basis(ctx, idx))
             for exps, coef in poly.terms.items():
                 weight = Fraction(coef, sum(exps) + k)
-                out = loop_add(out, contracted.mul_poly(Poly.monomial(ctx.n, exps, weight)))
+                monomial = Form.from_poly(ctx, Poly.monomial(ctx.n, exps, weight))
+                out = loop_add(out, contracted.wedge(monomial))
     return out
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_vec_mul,
-                 codifferential, cohomotopy_h, decompose, form_linear, hodge_star, hodge_star_inv,
+                 codifferential, cohomotopy_h, decompose, hodge_star, hodge_star_inv,
                  homotopy_H, interior, k_field, kr_maxwell_couple, laplace_beltrami, musical_flat,
                  vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
@@ -110,7 +110,7 @@ class TestLinear:
     def test_scale_and_linear_combination(self, e2):
         half = B(e2, (1, 2), Poly.const(2, Fraction(1, 2)))
         phi = random_form(e2, sample_rng(1, 1))
-        assert form_linear(2, half, 0, phi) == B(e2, (1, 2))
+        assert half.scale(2) + phi.scale(0) == B(e2, (1, 2))
 
 
 def _cycle_sign(perm: tuple) -> int:
@@ -329,7 +329,6 @@ CROSS_CHART_OPERATIONS = {
     "sub": lambda a, b: B(a, (1,)) - B(b, (1,)),
     "wedge": lambda a, b: B(a, (1,)).wedge(B(b, (2,))),
     "interior": lambda a, b: interior(VectorField.frame(a, 1), B(b, (1,))),
-    "form_linear": lambda a, b: form_linear(1, B(a, (1,)), 1, B(b, (1,))),
     "clifford_vec_mul": lambda a, b: clifford_vec_mul(VectorField.frame(a, 1), B(b, (1,))),
     "kr_maxwell_couple": lambda a, b: kr_maxwell_couple(B(a, (1, 2)), B(b, (1,)),
                                                         Form.zero(a), Form.zero(a)),

@@ -395,5 +395,5 @@ class TestAnticoexactStructure:
         for i in range(10):
             rng = sample_rng(137, i)
             member = cohomotopy_h(codifferential(random_form(e3, rng)))
-            scaled = member.mul_poly(Poly.variable(3, 1) + Poly.const(3, 2))
+            scaled = member.wedge(Form.from_poly(e3, Poly.variable(3, 1) + Poly.const(3, 2)))
             assert membership(scaled, SpaceTag.ANTICOEXACT)

@@ -24,6 +24,18 @@ def test_the_seed_is_an_int(seed):
         run_identities(Context.euclidean(3), samples=1, seed=seed)
 
 
+@pytest.mark.parametrize("names, message", [
+    (["nope"], "^unknown identity checks: 'nope'$"),
+    (["d2_zero", "nope", 3], "^unknown identity checks: 'nope', 3$"),
+    ("d2_zero", "^names is a collection of check names, not the str 'd2_zero'$"),
+], ids=["unknown", "unknown-among-known", "bare-str"])
+def test_names_are_check_names(names, message):
+    # an unknown name is a ValueError naming it, not a KeyError; a bare str
+    # would be read one character at a time
+    with pytest.raises(ValueError, match=message):
+        run_identities(Context.euclidean(2), samples=1, names=names)
+
+
 @pytest.mark.parametrize("ctx", [Context.euclidean(2), Context.minkowski(3)],
                          ids=["e2", "m3"])
 def test_zero_form_is_the_direct_sums_one_common_element(ctx):

@@ -80,10 +80,18 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from axc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == axc.__all__
-    assert len(axc.__all__) == 47
+    assert len(axc.__all__) == 45
     assert set(axc.__all__) <= set(dir(axc))
 
 
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         axc.no_such_name
+
+
+def test_every_public_name_is_defined_in_the_package():
+    # a public name is the package's own object, never a re-exported alias of
+    # another library's
+    foreign = {name: getattr(axc, name).__module__ for name in axc.__all__
+               if not getattr(axc, name).__module__.startswith("axc.")}
+    assert foreign == {}

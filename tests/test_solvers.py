@@ -329,6 +329,8 @@ class TestCoupledSystem:
         mx = maxwell_solve(j)
         report = kr_maxwell_couple(B2, mx.outputs["F"], j, J)
         assert report.success
+        assert list(report.residuals) == ["DR_minus_(K-j)", "DK_plus_J", "deltaB", "HB",
+                                          "B_at_center"]
 
     def test_detects_non_coclosed_perturbation(self, m4):
         B2, J = coupling_instance(m4)
@@ -337,7 +339,20 @@ class TestCoupledSystem:
         bad = B2 + B(m4, (1, 2), var(m4, 1))
         with pytest.raises(NotASolution) as err:
             kr_maxwell_couple(bad, mx.outputs["F"], j, J)
-        assert err.value.failed == ("DR_minus_(K-j)", "deltaB", "B_antiexact", "B_coexact")
+        assert err.value.failed == ("DR_minus_(K-j)", "deltaB", "HB")
+
+    @pytest.mark.parametrize("coeff, failed", [
+        (lambda m4: var(m4, 1), ("DR_minus_(K-j)", "deltaB", "HB")),
+        (lambda m4: None, ("HB", "B_at_center")),
+        (lambda m4: var(m4, 3), ("HB",)),
+    ], ids=["x1", "1", "x3"])
+    def test_each_perturbation_fails_its_residuals(self, m4, coeff, failed):
+        # B is tested once per fact: coexact by deltaB, antiexact by HB and B_at_center
+        B2, J = coupling_instance(m4)
+        j = Form.zero(m4)
+        with pytest.raises(NotASolution) as err:
+            kr_maxwell_couple(B2 + B(m4, (1, 2), coeff(m4)), maxwell_solve(j).outputs["F"], j, J)
+        assert err.value.failed == failed
 
 
 def random_solvable_source(ctx, rng, k):

@@ -1,8 +1,9 @@
 """The benchmark's span recorder wraps kernel functions by name; every name
 it lists must resolve, so a rename fails here instead of in a traced run.
 The kernel's import, environment and ``Fraction`` rules, the README's lists
-of CLI choices, the CLI's shared flags, the absence of unused imports and the
-modules that one CLI command runs are checked here too."""
+of CLI choices, the CLI's shared flags, the console-script entry point, the
+absence of unused imports and the modules that one CLI command runs are
+checked here too."""
 
 import ast
 import importlib
@@ -507,6 +508,14 @@ def test_readme_lists_the_cli_choices():
     assert sorted(_readme_list("Membership spaces")) == sorted(cli_choices("member", "space"))
     assert sorted(_readme_list("switches their output to JSON")) == sorted(
         cli_subcommands_with("json"))
+
+
+def test_console_script_names_a_callable_entry_point():
+    # the installed `axc` command runs the target of [project.scripts]; a
+    # renamed module or function fails here, not at the first install
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^axc = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    assert callable(getattr(importlib.import_module(module), function))
 
 
 def test_tracer_sees_the_calls_of_both_halves():
