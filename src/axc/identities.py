@@ -202,10 +202,12 @@ class IdentityResult(NamedTuple):
 def run_identities(ctx: Context, samples: int = 100, max_degree: int = 3,
                    seed: int = 0, names=None) -> list[IdentityResult]:
     _require_operand(ctx, Context)
-    if not (type(samples) is type(max_degree) is type(seed) is int
-            and samples >= 1 and max_degree >= 0):
-        raise ValueError("need int samples >= 1, max_degree >= 0 and seed; "
+    if not type(samples) is type(max_degree) is type(seed) is int:
+        raise ValueError("need int samples, max_degree and seed; "
                          f"got {samples!r}, {max_degree!r}, {seed!r}")
+    for name, value, low in (("samples", samples, 1), ("max_degree", max_degree, 0)):
+        if value < low:
+            raise ValueError(f"{name} {value} is below {low}")
     if isinstance(names, str):
         raise ValueError(f"names is a collection of check names, not the str {names!r}")
     names = tuple(CHECKS if names is None else names)

@@ -136,16 +136,19 @@ def test_criterion_6_dirac_suites():
     e3 = Context.euclidean(3)
     y1 = Poly.variable(3, 1)
 
-    # gauge case: Hodge harmonic pair
-    verdict = vacuum_dirac_classify(Form.scalar(e3, 1), Form.basis(e3, (1, 2)), 1)
+    # gauge case: Hodge harmonic pair, d and delta kill alpha and beta
+    alpha, beta = Form.scalar(e3, 1), Form.basis(e3, (1, 2))
+    verdict = vacuum_dirac_classify(alpha, beta, 1)
     assert verdict.kind is VacuumDiracKind.GAUGE_CASE
-    assert all(verdict.harmonic_checks.values())
+    assert all(f.is_zero for f in (alpha.d(), codifferential(alpha),
+                                   beta.d(), codifferential(beta)))
 
     # non-gauge case: d(alpha) = delta(beta) = dx1, harmonic but nonzero
-    verdict = vacuum_dirac_classify(
-        Form.from_poly(e3, y1), cohomotopy_h(Form.basis(e3, (1,))), 1)
+    alpha, beta = Form.from_poly(e3, y1), cohomotopy_h(Form.basis(e3, (1,)))
+    verdict = vacuum_dirac_classify(alpha, beta, 1)
     assert verdict.kind is VacuumDiracKind.NON_GAUGE_CASE
-    assert all(verdict.harmonic_checks.values())
+    assert alpha.d() == codifferential(beta) == Form.basis(e3, (1,))
+    assert alpha.d().d().is_zero and codifferential(codifferential(beta)).is_zero
 
     # sourced solver on solvable-by-construction instances, both approaches
     for ctx in (e3, Context.minkowski(4)):

@@ -81,10 +81,10 @@ GOLDEN_SHA1 = {
     "member": "f5c84dbbd2fe47a2f871bcc466c6e80970dc6a76",
     "potential": "a9865f3ca6e682e9c4fd6258f2a2bf3b983b0b47",
     "copotential": "250adb555b75c20cd2a1ef2465926e20fa53b369",
-    "identities": "95183073f24709fbaf21d82fc30d230901e0b845",
+    "identities": "825b876d95f0f00a50ab08beaaf14c498410c3d7",
     "solve": "4f67beac47cbff55ffe40c192fb4b9c574fca968",
-    "classify": "8a4ad9dff2508762a8a7cfcda441b5490e88a171",
-    "oscillator": "2d699928cd80e69e8ce914f9bfee1223810ec64d",
+    "classify": "02d5e11e728c7694c420b8ded4b59f0704f44c50",
+    "oscillator": "f50e7b0cf75ce998c53e0c3506f107ce1c46866f",
 }
 
 

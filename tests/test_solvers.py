@@ -405,14 +405,16 @@ class TestVacuumDiracClassify:
         beta = B(e3, (1, 2))
         verdict = vacuum_dirac_classify(alpha, beta, 1)
         assert verdict.kind is VacuumDiracKind.GAUGE_CASE
-        assert all(verdict.harmonic_checks.values())
+        assert all(f.is_zero for f in (alpha.d(), codifferential(alpha),
+                                       beta.d(), codifferential(beta)))
 
     def test_constructed_non_gauge_case(self, e3):
         alpha = Form.from_poly(e3, var(e3, 1))
         beta = cohomotopy_h(B(e3, (1,)))
         verdict = vacuum_dirac_classify(alpha, beta, 1)
         assert verdict.kind is VacuumDiracKind.NON_GAUGE_CASE
-        assert all(verdict.harmonic_checks.values())
+        assert not alpha.d().is_zero
+        assert alpha.d().d().is_zero and codifferential(codifferential(beta)).is_zero
 
     def test_detection_case(self, e3):
         alpha = B(e3, (2,), var(e3, 1))
