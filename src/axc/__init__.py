@@ -19,7 +19,7 @@ import sys
 # library module -> the public names it defines
 _PUBLIC = {
     "clifford": ("OperatorTag", "OscillatorReport", "apply_operator", "clifford_vec_mul",
-                 "grade_block_check", "laplace_beltrami", "oscillator_eigencheck"),
+                 "laplace_beltrami", "oscillator_eigencheck"),
     "errors": (),
     "forms": ("Form", "VectorField", "interior"),
     "hodge": ("codifferential", "hodge_star", "hodge_star_inv", "musical_flat", "musical_sharp"),

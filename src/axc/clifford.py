@@ -1,7 +1,5 @@
-"""Clifford action on forms, Dirac-type operators, and grade bookkeeping.
-
-The five operators live in one table, ``_OPERATORS``, tag -> (image, grade-block
-offsets), read by :func:`apply_operator` and :func:`grade_block_check`."""
+"""Clifford action on forms and the Dirac-type operators, whose five images
+live in one table, ``_OPERATORS``, tag -> image, read by :func:`apply_operator`."""
 
 from __future__ import annotations
 
@@ -47,19 +45,18 @@ def box_terms(exps: tuple, signature: tuple) -> list:
     return out
 
 
-# Offsets: image grade minus k on a grade-k form, the paper's block matrices
-# reduced to what is falsifiable.  Each image reads the module globals of the
-# operators it calls at call time, so a rebinding of them is seen.
+# Each image reads the module globals of the operators it calls at call time,
+# so a rebinding of them is seen.
 _OPERATORS = {
-    OperatorTag.DIRAC: (lambda psi: psi.d() - codifferential(psi), (-1, +1)),
-    OperatorTag.ANTI_DIRAC: (lambda psi: cohomotopy_h(psi) - homotopy_H(psi), (-1, +1)),
-    OperatorTag.LAPLACE_BELTRAMI: (lambda psi: _form(psi.ctx, *_sum_numerators(
+    OperatorTag.DIRAC: lambda psi: psi.d() - codifferential(psi),
+    OperatorTag.ANTI_DIRAC: lambda psi: cohomotopy_h(psi) - homotopy_H(psi),
+    OperatorTag.LAPLACE_BELTRAMI: lambda psi: _form(psi.ctx, *_sum_numerators(
         [((idx, out), f * N, 1) for (idx, exps), N in psi._nums.items()
-         for out, f in box_terms(exps, psi.ctx.signature)], psi._den)), (0,)),
-    OperatorTag.ANTI_LAPLACE: (
-        lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))), (0,)),
-    OperatorTag.OSCILLATOR_HBAR: (
-        lambda psi: cohomotopy_h(codifferential(psi)) - codifferential(cohomotopy_h(psi)), (0,)),
+         for out, f in box_terms(exps, psi.ctx.signature)], psi._den)),
+    OperatorTag.ANTI_LAPLACE:
+        lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))),
+    OperatorTag.OSCILLATOR_HBAR:
+        lambda psi: cohomotopy_h(codifferential(psi)) - codifferential(cohomotopy_h(psi)),
 }
 
 
@@ -67,18 +64,11 @@ def apply_operator(tag: OperatorTag, psi: Form) -> Form:
     if not isinstance(tag, OperatorTag):
         raise ValueError(f"unknown operator tag {tag!r}")
     _require_operand(psi, Form)
-    return _OPERATORS[tag][0](psi)
+    return _OPERATORS[tag](psi)
 
 
 def laplace_beltrami(psi: Form) -> Form:
     return apply_operator(OperatorTag.LAPLACE_BELTRAMI, psi)
-
-
-def grade_block_check(tag: OperatorTag, omega: Form) -> bool:
-    """True iff the operator image stays in the operator's grade block."""
-    image = apply_operator(tag, omega)
-    k = omega.homogeneous_grade()
-    return k is None or all(g - k in _OPERATORS[tag][1] for g in image.grades())
 
 
 class OscillatorReport(NamedTuple):
@@ -109,7 +99,7 @@ def oscillator_eigencheck(omega: Form) -> OscillatorReport:
     n = omega.ctx.n
     if k is None or not 0 < k < n:
         raise GradeOutOfRange("oscillator spectrum is clean only for 0 < grade < n")
-    coexact, anticoexact, _ = decompose(omega, DecompositionMode.COEXACT_ANTICOEXACT)
+    coexact, anticoexact = decompose(omega, DecompositionMode.COEXACT_ANTICOEXACT)
     eigenvalue = None
     if coexact.is_zero and not anticoexact.is_zero:
         eigenvalue = +1

@@ -61,11 +61,10 @@ class DecompositionMode(enum.Enum):
 
 
 class Decomposition(NamedTuple):
-    """first + second = input exactly; first is the closed-side part."""
+    """The caller's split: first + second = input exactly, first the closed side."""
 
     first: Form
     second: Form
-    mode: DecompositionMode
 
 
 def k_field(ctx: Context) -> VectorField:
@@ -112,7 +111,7 @@ def decompose(omega: Form, mode: DecompositionMode) -> Decomposition:
     if not isinstance(mode, DecompositionMode):
         raise ValueError(f"unknown decomposition mode {mode!r}")
     op, inv, center, _ = _side(mode is DecompositionMode.EXACT_ANTIEXACT)
-    return Decomposition(op(inv(omega)) + center(omega), inv(op(omega)), mode)
+    return Decomposition(op(inv(omega)) + center(omega), inv(op(omega)))
 
 
 def membership(omega: Form, tag: SpaceTag) -> bool:
@@ -146,10 +145,7 @@ def potential(omega: Form) -> Form:
     Gauge freedom -- adding any closed form -- is the caller's concern.
     """
     _require_operand(omega, Form)
-    grade = omega.homogeneous_grade()
-    if grade is None:
-        return Form.zero(omega.ctx)
-    if grade == 0:
+    if omega.homogeneous_grade() == 0:
         raise GradeOutOfRange("closed 0-forms are constants; no 1-step potential")
     if not omega.d().is_zero:
         raise NotClosed("form is not closed")
@@ -159,10 +155,7 @@ def potential(omega: Form) -> Form:
 def copotential(omega: Form) -> Form:
     """The canonical copotential h(omega) of a coclosed form of grade < n."""
     _require_operand(omega, Form)
-    grade = omega.homogeneous_grade()
-    if grade is None:
-        return Form.zero(omega.ctx)
-    if grade == omega.ctx.n:
+    if omega.homogeneous_grade() == omega.ctx.n:
         raise NoCopotential("top-grade forms have no copotential")
     if not codifferential(omega).is_zero:
         raise NotCoclosed("form is not coclosed")

@@ -159,7 +159,7 @@ def _check_direct_sum_trivial(ctx, w, rng):
 
 def _check_duality(ctx, w, rng):
     # star maps closed to coclosed and antiexact to anticoexact
-    closed, antiexact, _ = decompose(w, DecompositionMode.EXACT_ANTIEXACT)
+    closed, antiexact = decompose(w, DecompositionMode.EXACT_ANTIEXACT)
     return membership(hodge_star(closed), SpaceTag.COEXACT) and membership(
         hodge_star(antiexact), SpaceTag.ANTICOEXACT
     )

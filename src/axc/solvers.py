@@ -315,7 +315,10 @@ def massive_dirac_check(alpha: Form, beta: Form, v: Form, w: Form) -> SolveRepor
     Over polynomial coefficients the eigen-equations force the zero solution,
     so this operation verifies rather than solves: it reports the four system
     equations, the two integral-form equations for the given v and w, and the
-    two eigen-equations.
+    two eigen-equations.  These vanish whenever the four system residuals do
+    (box alpha = -(delta d + d delta) alpha = delta beta = alpha, box beta =
+    -d alpha = beta), and stay: on a failing input they name the eigen-equation
+    that breaks, and acceptance criterion 6 reads ``laplace_alpha_minus_alpha``.
     """
     for x in (alpha, beta, v, w):
         _require_operand(x, Form)

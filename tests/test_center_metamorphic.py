@@ -6,6 +6,7 @@ re-expressing each coefficient with ``rebase``.  The moved form must name the
 same field, so it takes the same values at every absolute point, and d, delta,
 star, star^-1, eta and the Laplace-Beltrami operator must commute with the move,
 since none of them reads the center.  H and h do read it and are left out.
+Each moved form also survives the text and JSON round trips on its chart.
 Forms and centers are drawn with stdlib ``random``, seeded per chart; each
 center entry has denominator 7 or 9 and a random sign."""
 
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from axc import Context, Form, codifferential, hodge_star, hodge_star_inv, laplace_beltrami, rebase
+from axc import (Context, Form, codifferential, form_from_json, form_to_json, hodge_star,
+                 hodge_star_inv, laplace_beltrami, parse_form, print_form, rebase)
 from axc.randforms import random_form
 from tests.conftest import chart_id, oracle_contexts
 
@@ -52,3 +54,5 @@ def test_moving_the_center_commutes_with_the_center_free_operators(ctx):
         assert at(moved) == at(omega)
         for name, op in OPERATORS.items():
             assert op(moved) == _moved(op(omega), moved_ctx), name
+        assert parse_form(print_form(moved), moved_ctx) == moved
+        assert form_from_json(form_to_json(moved)) == moved

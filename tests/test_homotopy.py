@@ -230,6 +230,24 @@ class TestMembership:
         assert membership(B(e2, (1,)), SpaceTag.HODGE_HARMONIC)
         assert membership(Form.zero(e2), SpaceTag.HODGE_ANTIHARMONIC)
 
+    @pytest.mark.parametrize("ctx", oracle_contexts(), ids=lambda c: f"{c.n}{chart_id(c)}")
+    def test_only_the_zero_form_is_antiharmonic(self, ctx):
+        # i_K(K^flat ^ w) + K^flat ^ i_K w = Q w with Q = sum_i eps_i y_i^2, a
+        # nonzero polynomial, so a form in both A and Y is zero; the samples
+        # hold nonzero members of each
+        members = {SpaceTag.ANTIEXACT: 0, SpaceTag.ANTICOEXACT: 0}
+        for i in range(24):
+            w = random_form(ctx, sample_rng(127, 100 * ctx.n + i))
+            antiexact = decompose(w, DecompositionMode.EXACT_ANTIEXACT).second
+            anticoexact = decompose(w, DecompositionMode.COEXACT_ANTICOEXACT).second
+            for x in (w, antiexact, anticoexact,
+                      decompose(antiexact, DecompositionMode.COEXACT_ANTICOEXACT).second,
+                      decompose(anticoexact, DecompositionMode.EXACT_ANTIEXACT).second):
+                assert membership(x, SpaceTag.HODGE_ANTIHARMONIC) == x.is_zero, x
+                for tag in members:
+                    members[tag] += membership(x, tag) and not x.is_zero
+        assert all(members.values()), members
+
     def test_direct_sum_triviality(self):
         for ctx in all_contexts():
             for i in range(5):
@@ -331,8 +349,11 @@ class TestPotential:
             potential(Form.scalar(e2, 1))
 
     @pytest.mark.parametrize("solve", [potential, copotential])
-    def test_zero_form_has_zero_potential(self, e2, solve):
-        assert solve(Form.zero(e2)) == Form.zero(e2)
+    def test_zero_form_has_zero_potential(self, solve):
+        # the zero form has no grade, passes both closedness checks, and H and h
+        # map it to zero
+        for ctx in offcenter_contexts():
+            assert solve(Form.zero(ctx)) == Form.zero(ctx)
 
     def test_d_of_potential_recovers(self, e3):
         for i in range(10):

@@ -80,7 +80,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from axc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == axc.__all__
-    assert len(axc.__all__) == 45
+    assert len(axc.__all__) == 44
     assert set(axc.__all__) <= set(dir(axc))
 
 
