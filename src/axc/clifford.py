@@ -7,7 +7,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _form, interior
+from .forms import Form, VectorField, _exponents, _form, _packed, interior
 from .hodge import codifferential, musical_flat
 from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
 from .polyring import _require_operand, _sum_numerators
@@ -51,8 +51,9 @@ _OPERATORS = {
     OperatorTag.DIRAC: lambda psi: psi.d() - codifferential(psi),
     OperatorTag.ANTI_DIRAC: lambda psi: cohomotopy_h(psi) - homotopy_H(psi),
     OperatorTag.LAPLACE_BELTRAMI: lambda psi: _form(psi.ctx, *_sum_numerators(
-        [((idx, out), f * N, 1) for (idx, exps), N in psi._nums.items()
-         for out, f in box_terms(exps, psi.ctx.signature)], psi._den)),
+        [((key & 0xFFFF) + out, f * N, 1) for key, N in psi._nums.items() for out, f in
+         _packed(dict(box_terms(_exponents(key, psi.ctx.n), psi.ctx.signature)), psi.ctx.n)],
+        psi._den)),
     OperatorTag.ANTI_LAPLACE:
         lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))),
     OperatorTag.OSCILLATOR_HBAR:

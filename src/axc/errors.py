@@ -17,6 +17,10 @@ class GradeOutOfRange(AxcError):
     """Form grade outside the range valid for the operation."""
 
 
+class DegreeOutOfRange(AxcError):
+    """A form's total coefficient degree above ``forms.MAX_DEGREE``, its key's field width."""
+
+
 class GradeMismatch(AxcError):
     """Grades of the inputs are not compatible with the requested system."""
 

@@ -1,115 +1,137 @@
 """Graded differential forms with polynomial coefficients.
 
-A :class:`Form` stores its nonzero terms y^a dx^I as integer numerators keyed
-by ``(index tuple, exponents)`` in the format of :class:`axc.polyring._Numerators`,
-as a ``Poly`` does.  Every operator sums integers, so only the read
-``Form.terms`` builds a ``Fraction``.  :func:`_rows` reads rows as ``Poly``s in
-canonical order for ``repr``, ``Form.components`` (grade -> (index tuple ->
-Poly)) and :mod:`axc.textio`; :func:`_lifted` lifts them back.
-
-d, delta, H and h read one row table, :func:`_op_rows`, by the operator's name,
-each as one loop over the whole form that groups its sums by denominator:
-:func:`_lower` runs d and delta, :func:`_raise` H and h, and
-:func:`axc.solvers._op_g` d G and delta G.  ``Form.wedge`` is one such loop
-over a single group, and :func:`interior`, i_v, hands its images over H's rows
-to :func:`axc.polyring._sum_numerators`.  Terms are summed only where they can
-meet: eta and the filters ``Form._kept`` keep the form's keys, so they sum nothing.
+A :class:`Form` stores its terms y^a dx^I as integer numerators in the format of
+:class:`axc.polyring._Numerators`, each keyed by one ``int``, key = mask | a_1 << 16
+| ... | a_n << 16n | |a| << 16(n + 1): bit i - 1 of the 16-bit mask is dx^i,
+and each exponent and the total degree |a| (on top) get a 16-bit field.  The
+width rule: a form's total coefficient degree is at most :data:`MAX_DEGREE`, so
+no field carries into the next; past it, :func:`_packed` and, after each
+operator that raises the degree, :func:`_checked` raise ``DegreeOutOfRange``.
+Operators act on keys by integer arithmetic, the bitmap basis blades of Dorst,
+Fontijne & Mann (2007, ch. 19) with the packed exponents of Monagan & Pearce
+(CASC 2007): rows add offsets (:func:`_op_rows`), star flips the mask, a wedge
+adds keys with disjoint masks, every basis sign is :func:`_wedge_sign`'s.
+Tuples are built only at the edges: :func:`_rows` reads ``(index tuple, Poly)``
+rows in canonical order and :func:`_lifted` packs them back.  :func:`_lower`
+(d, delta), :func:`_raise` (H, h), ``Form.wedge`` and
+:func:`axc.solvers._op_g` (d G, delta G) are each one loop over the whole form
+that groups its sums by denominator; eta and ``Form._kept`` sum nothing.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import struct
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import attrgetter, mul
 from typing import Mapping
 
-from .errors import DimensionMismatch, GradeOutOfRange
-from .polyring import (Context, Poly, _as_fraction, _merged, _Numerators, _poly, _reduced,
-                       _require_axis, _require_exponents, _require_same, _sum_numerators)
+from .errors import DegreeOutOfRange, DimensionMismatch, GradeOutOfRange
+from .polyring import (MAX_DIMENSION, Context, Poly, _as_fraction, _merged, _Numerators, _poly,
+                       _reduced, _require_axis, _require_exponents, _require_same, _sum_numerators)
+
+MAX_DEGREE = 0xFFFF  # a form's largest total coefficient degree: one 16-bit field
+# per n: unit_i = 1 << 16i + 1 << 16(n + 1), y_i's key, and a Struct reading a_1..a_n
+_UNITS = tuple(tuple((1 << 16 * i) + (1 << 16 * (n + 1)) for i in range(1, n + 1))
+               for n in range(MAX_DIMENSION + 1))
+_LAYOUTS = tuple(struct.Struct(f"<2x{n}H2x") for n in range(MAX_DIMENSION + 1))
 
 
-@functools.lru_cache(maxsize=4096)
-def _merge_indices(a: tuple, b: tuple):
-    """dx^a ^ dx^b for any index tuples a and b, in any order.
+class _Table(dict):
+    """Entries built on first read by ``build(key)``, all dropped at 4 096 of them."""
 
-    Returns (sorted tuple, (-1)^(inversions of a + b)) or None when an index
-    repeats.  Cached: the wedge loop and the row tables ask for the same few
-    index pairs again and again.
-    """
-    s = a + b
-    if len(set(s)) < len(s):
-        return None
-    return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
+    __slots__ = ("build",)
 
+    def __init__(self, build):
+        self.build = build
 
-def _wedge_slots(idx: tuple, n: int) -> tuple:
-    """The generator dx^i ^ on dx^idx: a ``(i - 1, sorted idx + (i,), sign)`` row,
-    axis 0-based, per i in 1..n not in idx; the sign is :func:`_merge_indices`'s."""
-    return tuple((i - 1, *_merge_indices((i,), idx)) for i in range(1, n + 1) if i not in idx)
+    def __missing__(self, key):
+        if len(self) >= 4096:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
 
 
-def _contract_slots(idx: tuple) -> tuple:
-    """The generator i(d/dx_a) on dx^idx: a ``(a - 1, idx minus a, (-1)^j)`` row,
-    axis 0-based, per slot j of idx, a = idx[j]."""
-    return tuple((a - 1, idx[:j] + idx[j + 1:], (-1) ** j) for j, a in enumerate(idx))
+def _wedge_sign(pair: int) -> int:
+    """dx^I ^ dx^J = sign * dx^(I | J) for the masks I = pair >> 16, J = pair & 0xFFFF:
+    (-1)^(pairs i in I, j in J with i > j), the one basis sign rule; 0 if I & J."""
+    I, J = pair >> 16, pair & 0xFFFF
+    crossed = sum((I >> j).bit_count() for j in range(16) if J >> j & 1)
+    return 0 if I & J else -1 if crossed & 1 else 1
 
 
-@functools.lru_cache(maxsize=4096)
-def _op_rows(op: str, idx: tuple, signature: tuple) -> tuple:
-    """The ``(i, I', sign)`` rows, axis i 0-based, of "d" and "H" on dx^idx, the
-    generators :func:`_wedge_slots` and :func:`_contract_slots`, and of their
-    star-conjugates "delta" and "h", the same generators swapped, each sign times
-    -eps_i: the one place that twist is written.  Cached as ``_star_row`` is."""
-    rows = _wedge_slots(idx, len(signature)) if op in ("d", "h") else _contract_slots(idx)
-    if op in ("d", "H"):
-        return rows
-    return tuple((i, out, -sign * signature[i]) for i, out, sign in rows)
+_WEDGE_SIGNS = _Table(_wedge_sign)
+_INDICES = _Table(lambda mask: tuple(i + 1 for i in range(16) if mask >> i & 1))  # mask -> I
+
+
+def _op_rows(op: str, n: int, signature, mask: int) -> tuple:
+    """The ``(shift, offset, sign)`` rows of op on dx^mask, one per axis i + 1 that
+    op's generator acts on: d and h wedge dx^(i+1) on (bit i clear), H and delta
+    contract it (bit i set).  a_(i+1) lies at ``shift``; key + offset moves bit i and
+    steps a_(i+1) and |a| down for d and delta, up for H and h.  The sign is
+    :func:`_wedge_sign`'s for dx^(i+1) and the rest of the mask, times -eps_(i+1)
+    for delta and h, the one place that twist is written; d and H get no signature."""
+    wedge, lower = op in ("d", "h"), op in ("d", "delta")
+    rows = []
+    for i, unit in enumerate(_UNITS[n]):
+        bit = 1 << i
+        if bool(mask & bit) is not wedge:
+            sign = _WEDGE_SIGNS[bit << 16 | mask & ~bit] * (-signature[i] if signature else 1)
+            rows.append((16 * i + 16, (bit if wedge else -bit) + (-unit if lower else unit), sign))
+    return tuple(rows)
+
+
+# (rule, *args) -> mask -> rule(*args, mask), built per mask: the row tables (d and
+# H keyed by n alone, their rows reading no metric) and the star's signs
+_TABLES = _Table(lambda key: _Table(functools.partial(*key)))
+
+
+def _op_table(op: str, signature: tuple) -> _Table:
+    return _TABLES[_op_rows, op, len(signature), signature if op in ("delta", "h") else None]
 
 
 def _lower(omega: "Form", op: str) -> "Form":
     """d (op "d") or delta (op "delta") on the whole form, in one loop: each
     term y^a dx^I with numerator N adds sign * a_i * N to y^(a - e_i) dx^I' over
     op's rows, every factor an integer, so one group over 1 holds the image."""
-    signature, acc = omega.ctx.signature, {}
-    for (idx, exps), N in omega._nums.items():
-        for i, out_idx, sign in _op_rows(op, idx, signature):
-            e = exps[i]
+    table, acc = _op_table(op, omega.ctx.signature), {}
+    for key, N in omega._nums.items():
+        for shift, offset, sign in table[key & 0xFFFF]:
+            e = key >> shift & 0xFFFF
             if e:
-                stepped = list(exps)
-                stepped[i] = e - 1
-                key = (out_idx, tuple(stepped))
-                acc[key] = acc.get(key, 0) + sign * e * N
+                out = key + offset
+                acc[out] = acc.get(out, 0) + sign * e * N
     return _form(omega.ctx, *_merged({1: acc}, omega._den))
 
 
 def _raise(omega: "Form", op: str) -> "Form":
     """H (op "H") or h (op "h") on the whole form, in one loop: each term
     y^a dx^I with numerator N adds sign * N to y^(a + e_i) dx^I' over op's rows,
-    in the group of its :func:`_weight`.  A term with no rows adds nothing and
-    opens no group: its weight may be 0, which no lcm lifts over."""
-    signature, groups = omega.ctx.signature, {}
-    for (idx, exps), N in omega._nums.items():
-        rows = _op_rows(op, idx, signature)
+    in the group of its Koszul weight |a| + #rows (Arnold, Falk & Winther 2006,
+    section 3).  A term with no rows opens no group: its weight may be 0."""
+    ctx = omega.ctx
+    table, top, groups = _op_table(op, ctx.signature), 16 * ctx.n + 16, {}
+    for key, N in omega._nums.items():
+        rows = table[key & 0xFFFF]
         if not rows:
             continue
-        w = _weight(exps, rows)
+        w = (key >> top) + len(rows)
         group = groups.get(w)
         if group is None:
             group = groups[w] = {}
-        for i, out_idx, sign in rows:
-            stepped = list(exps)
-            stepped[i] += 1
-            key = (out_idx, tuple(stepped))
-            group[key] = group.get(key, 0) + sign * N
-    return _form(omega.ctx, *_merged(groups, omega._den))
+        for _, offset, sign in rows:
+            out = key + offset
+            group[out] = group.get(out, 0) + sign * N
+    return _checked(ctx, *_merged(groups, omega._den))
 
 
-def _weight(exps: tuple, rows: tuple) -> int:
-    """|a| + (number of rows), |a| + k for H and |a| + n - k for h: the Koszul weight
-    (Arnold, Falk & Winther 2006, section 3), never 0 where a row exists."""
-    return sum(exps) + len(rows)
+def _checked(ctx: Context, D: int, nums: dict) -> "Form":
+    """:func:`_form` of an operator's image under the width rule, read off the largest
+    key's degree field, which a carry out of an exponent past the rule only raises."""
+    if nums and max(nums) >> 16 * ctx.n + 16 > MAX_DEGREE:
+        raise DegreeOutOfRange(f"coefficient degree above {MAX_DEGREE}")
+    return _form(ctx, D, nums)
 
 
 def _require_grade(k, n: int) -> None:
@@ -127,26 +149,47 @@ def _require_indices(idx: tuple, n: int) -> None:
 
 
 def _form(ctx: Context, D: int, nums: dict) -> "Form":
-    """The form of valid, distinct, nonzero ``{(index tuple, exponents): int}``
-    numerators over D, canonical as :class:`_Numerators` states, unchecked."""
+    """The form of valid, distinct, nonzero ``{key: int}`` numerators over D,
+    canonical as :class:`_Numerators` states, unchecked."""
     f = Form.__new__(Form)
     f.ctx, f._den, f._nums = ctx, D, nums
     return f
 
 
+def _mask(idx: tuple) -> int:
+    """The mask of an index tuple of distinct indices: bit i - 1 per index i."""
+    return sum(1 << i - 1 for i in idx)
+
+
+def _packed(nums: dict, n: int) -> list:
+    """``(key, numerator)`` pairs, mask 0, of an ``{exponents: int}`` map under the
+    width rule: y^a's key is the sum of a_i * unit_i."""
+    degree = max(map(sum, nums), default=0)
+    if degree > MAX_DEGREE:
+        raise DegreeOutOfRange(f"coefficient degree {degree} above {MAX_DEGREE}")
+    units = _UNITS[n]
+    return [(sum(map(mul, exps, units)), v) for exps, v in nums.items()]
+
+
+def _exponents(key: int, n: int) -> tuple:
+    """The exponents a_1..a_n of a key: one ``Struct`` call on its bytes."""
+    return _LAYOUTS[n].unpack(key.to_bytes(2 * n + 4, "little"))
+
+
 def _rows(form: "Form") -> list:
     """The one walk over a form's rows: ``(index tuple, Poly)`` pairs, grades
     ascending and then index tuples sorted."""
-    rows: dict = {}
-    for (idx, exps), v in form._nums.items():
-        rows.setdefault(idx, {})[exps] = v
-    return [(idx, _poly(form.ctx.n, *_reduced(form._den, rows[idx])))
-            for idx in sorted(rows, key=lambda i: (len(i), i))]
+    n, rows, unpack = form.ctx.n, {}, _LAYOUTS[form.ctx.n].unpack
+    for key, v in form._nums.items():  # _exponents, inlined
+        rows.setdefault(key & 0xFFFF, {})[unpack(key.to_bytes(2 * n + 4, "little"))] = v
+    return sorted([(_INDICES[mask], _poly(n, *_reduced(form._den, row)))
+                   for mask, row in rows.items()], key=lambda r: (len(r[0]), r[0]))
 
 
-def _lifted(rows) -> tuple[int, dict]:
-    """The inverse of :func:`_rows`: ``(D, nums)`` of (index tuple, Poly) rows, summed."""
-    return _sum_numerators([((idx, e), v, p._den) for idx, p in rows for e, v in p._nums.items()])
+def _lifted(rows, n: int) -> tuple[int, dict]:
+    """The inverse of :func:`_rows`: ``(D, nums)`` of (index tuple, Poly) rows, packed, summed."""
+    return _sum_numerators([(mask + key, v, p._den) for idx, p in rows
+                            for mask in (_mask(idx),) for key, v in _packed(p._nums, n)])
 
 
 class Form(_Numerators):
@@ -177,7 +220,7 @@ class Form(_Numerators):
                     raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
-        self._den, self._nums = _lifted(rows.items())
+        self._den, self._nums = _lifted(rows.items(), ctx.n)
 
     # -- constructors ------------------------------------------------------
 
@@ -207,13 +250,13 @@ class Form(_Numerators):
         form by :func:`_sum_numerators`.  Every triple, a cancelling one too, is
         checked first: its index tuple by the constructor's rule (so its grade is
         in 0..n), its exponents and coefficient by :class:`Poly`'s."""
-        entries = []
+        rows = []
         for idx, exps, c in terms:
             idx, exps, c = tuple(idx), tuple(exps), _as_fraction(c)
             _require_indices(idx, ctx.n)
             _require_exponents(exps, ctx.n)
-            entries.append(((idx, exps), c.numerator, c.denominator))
-        return _form(ctx, *_sum_numerators(entries))
+            rows.append((idx, _poly(ctx.n, c.denominator, {exps: c.numerator})))
+        return _form(ctx, *_lifted(rows, ctx.n))
 
     # -- linear structure --------------------------------------------------
 
@@ -223,35 +266,37 @@ class Form(_Numerators):
     # -- graded operations -------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        """One loop: each pair of terms adds sign * N * M to their merged basis
-        term, all integers, so one group over the two denominators' product holds it."""
+        """One loop: each pair of terms with disjoint masks adds sign * N * M to the
+        key k1 + k2, all integers, so one group over the two denominators' product holds it."""
         if not isinstance(other, Form):
             raise TypeError(f"cannot wedge a Form with {type(other).__name__}")
         _require_same(self.ctx, other.ctx)
-        right, acc = other._nums.items(), {}
-        for (idx, exps), N in self._nums.items():
-            for (idx2, exps2), M in right:
-                merged = _merge_indices(idx, idx2)
-                if merged is not None:
-                    key = (merged[0], tuple(map(add, exps, exps2)))
-                    acc[key] = acc.get(key, 0) + merged[1] * N * M
-        return _form(self.ctx, *_merged({1: acc}, self._den * other._den))
+        signs, right, acc = _WEDGE_SIGNS, other._nums.items(), {}
+        for k1, N in self._nums.items():
+            high = (k1 & 0xFFFF) << 16
+            for k2, M in right:
+                sign = signs[high | k2 & 0xFFFF]
+                if sign:
+                    key = k1 + k2
+                    acc[key] = acc.get(key, 0) + sign * N * M
+        return _checked(self.ctx, *_merged({1: acc}, self._den * other._den))
 
     def eta(self) -> "Form":
         """Grade-parity involution: (-1)^p on the grade-p part; a sign flip sums nothing."""
-        return _form(self.ctx, self._den, {key: -N if len(key[0]) % 2 else N
+        return _form(self.ctx, self._den, {key: -N if (key & 0xFFFF).bit_count() & 1 else N
                                            for key, N in self._nums.items()})
 
     def terms(self):
         """Every basis term as an ``(index tuple, exponent tuple, Fraction)`` triple."""
-        return ((idx, exps, Fraction(v, self._den)) for (idx, exps), v in self._nums.items())
+        return ((_INDICES[key & 0xFFFF], _exponents(key, self.ctx.n), Fraction(v, self._den))
+                for key, v in self._nums.items())
 
     def _kept(self, k, constant: bool) -> "Form":
         """The terms of grade k (any grade for None), only the constant ones if
         ``constant``: a filter sums nothing, and only the common gcd can drop."""
         return _form(self.ctx, *_reduced(self._den, {
             key: N for key, N in self._nums.items()
-            if (k is None or len(key[0]) == k) and not (constant and any(key[1]))}))
+            if (k is None or (key & 0xFFFF).bit_count() == k) and not (constant and key >> 16)}))
 
     def grade_select(self, k: int) -> "Form":
         _require_grade(k, self.ctx.n)
@@ -267,10 +312,11 @@ class Form(_Numerators):
         point = [_as_fraction(v) for v in point]
         if len(point) != self.ctx.n:
             raise DimensionMismatch("point length != dimension")
-        zeros, entries = (0,) * self.ctx.n, []
-        for (idx, exps), N in self._nums.items():
+        entries = []
+        for key, N in self._nums.items():
+            exps = _exponents(key, self.ctx.n)
             r, s = math.prod(x ** e for x, e in zip(point, exps) if e).as_integer_ratio()
-            entries.append(((idx, zeros), N * r, s))
+            entries.append((key & 0xFFFF, N * r, s))
         return _form(self.ctx, *_sum_numerators(entries, self._den))
 
     def at_center(self) -> "Form":
@@ -288,7 +334,7 @@ class Form(_Numerators):
         return comps
 
     def grades(self) -> list[int]:
-        return sorted({len(idx) for idx, _ in self._nums})
+        return sorted({(key & 0xFFFF).bit_count() for key in self._nums})
 
     def homogeneous_grade(self):
         """Grade of a homogeneous form; None for zero, error if mixed."""
@@ -301,13 +347,14 @@ class Form(_Numerators):
 
     def coefficient(self, indices) -> Poly:
         """The coefficient of dx^indices; the indices follow the constructor's rule."""
-        indices = tuple(indices)
-        _require_indices(indices, self.ctx.n)
-        return _poly(self.ctx.n, *_reduced(
-            self._den, {e: v for (i, e), v in self._nums.items() if i == indices}))
+        indices, n = tuple(indices), self.ctx.n
+        _require_indices(indices, n)
+        mask = _mask(indices)
+        return _poly(n, *_reduced(self._den, {_exponents(key, n): v for key, v in
+                                              self._nums.items() if key & 0xFFFF == mask}))
 
     def max_coeff_degree(self) -> int:
-        return max((sum(exps) for _, exps in self._nums), default=-1)
+        return max(self._nums) >> 16 * self.ctx.n + 16 if self._nums else -1
 
     def __repr__(self):
         bits = [f"({poly!r})*" + ("^".join(f"dx{i}" for i in idx) or "1")
@@ -353,15 +400,18 @@ class VectorField:
 
 def interior(v: VectorField, omega: Form) -> Form:
     """Insertion antiderivative i_v: i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a
-    dx^{I minus i_j} over H's rows in :func:`_op_rows`, each image over the
-    denominator of its component of v, summed by :func:`_sum_numerators`."""
+    dx^{I minus i_j} over H's rows in :func:`_op_table`, each image over the
+    denominator of its component of v, summed by :func:`_sum_numerators`.  A
+    term of component i is stored as its key minus unit_i, which H's row added."""
     if not isinstance(v, VectorField) or not isinstance(omega, Form):
         raise TypeError("interior takes a VectorField and a Form")
     _require_same(v.ctx, omega.ctx)
-    signature, entries = omega.ctx.signature, []
-    for (idx, exps), N in omega._nums.items():
-        for i, rest, sign in _op_rows("H", idx, signature):
-            p = v.components[i]
-            for v_exps, c in p._nums.items():
-                entries.append(((rest, tuple(map(add, exps, v_exps))), sign * N * c, p._den))
-    return _form(omega.ctx, *_sum_numerators(entries, omega._den))
+    ctx, table, entries = omega.ctx, _op_table("H", omega.ctx.signature), []
+    comps = {16 * i + 16: ([(key - unit, c) for key, c in _packed(p._nums, ctx.n)], p._den)
+             for i, (p, unit) in enumerate(zip(v.components, _UNITS[ctx.n]))}
+    for key, N in omega._nums.items():
+        for shift, offset, sign in table[key & 0xFFFF]:
+            terms, den = comps[shift]
+            for step, c in terms:
+                entries.append((key + offset + step, sign * N * c, den))
+    return _checked(ctx, *_sum_numerators(entries, omega._den))

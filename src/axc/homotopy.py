@@ -19,7 +19,7 @@ y^a dx^I with |a| = m and |I| = k:
 
 with K = sum_i y_i d/dx_i the radial field and K^flat = sum_i eps_i y_i dx^i.
 The h rule is the star-conjugate eta star_inv H star worked out per term.
-Both read their rows in the one table :func:`axc.forms._op_rows`, H over
+Both read their rows from :func:`axc.forms._op_table`, H over
 delta's generators and h over d's, and ``tests/test_homotopy.py`` checks h
 against that literal composite for n = 1..6.
 
@@ -41,7 +41,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange, NoCopotential, NotClosed, NotCoclosed
-from .forms import Form, VectorField, _form, _op_rows, _raise, _weight
+from .forms import Form, VectorField, _form, _op_table, _raise
 from .hodge import codifferential
 from .polyring import Context, Poly, _require_operand, _sum_numerators
 
@@ -171,6 +171,6 @@ def anticoexact_wedge_factor(omega: Form) -> Form:
     alpha = -W(delta(omega)).
     """
     delta = codifferential(omega)
-    return _form(delta.ctx, *_sum_numerators(
-        [((idx, exps), -N, _weight(exps, _op_rows("h", idx, delta.ctx.signature)))
-         for (idx, exps), N in delta._nums.items()], delta._den))
+    table, top = _op_table("h", delta.ctx.signature), 16 * delta.ctx.n + 16
+    return _form(delta.ctx, *_sum_numerators([(key, -N, (key >> top) + len(table[key & 0xFFFF]))
+                                              for key, N in delta._nums.items()], delta._den))

@@ -24,6 +24,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AxisOutOfRange, DimensionMismatch
 
+MAX_DIMENSION = 16  # a chart's largest dimension: a form's basis blade is a 16-bit mask
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -185,6 +187,8 @@ class Context(_ContextFields):
 
     def __new__(cls, n: int, center: Iterable, signature: Iterable) -> "Context":
         _require_dimension(n)
+        if n > MAX_DIMENSION:
+            raise DimensionMismatch(f"dimension {n} above {MAX_DIMENSION}")
         center = tuple(_as_fraction(c) for c in center)
         signature = tuple(signature)
         if len(center) != n:

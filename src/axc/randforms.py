@@ -18,7 +18,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .forms import Form, _form, _require_grade
+from .forms import _UNITS, Form, _exponents, _form, _mask, _require_grade
 from .polyring import Context, Poly, _poly, _sum_numerators
 
 _NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)  # 18: a numerator is a draw below 18
@@ -62,29 +62,31 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 2) -> list:
-    """``(exponents, numerator, denominator)`` draws, each as :func:`random_rational`'s."""
-    bits, terms = rng.getrandbits, []
+    """``(monomial key, numerator, denominator)`` draws, each as :func:`random_rational`'s:
+    the key of a form term with mask 0, each exponent drawn as one more unit on its axis."""
+    bits, units, terms = rng.getrandbits, _UNITS[n], []
     for _ in range(1 + _below(bits, max_terms)):
-        exps = [0] * n
+        key = 0
         for _ in range(_below(bits, max_degree + 1)):
-            exps[_below(bits, n)] += 1
-        terms.append((tuple(exps), _NUMERATORS[_below(bits, 18)], 1 + _below(bits, 4)))
+            key += units[_below(bits, n)]
+        terms.append((key, _NUMERATORS[_below(bits, 18)], 1 + _below(bits, 4)))
     return terms
 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
     terms = _random_terms(rng, n, max_degree, max_terms)
-    return _poly(n, *_sum_numerators(terms))
+    return _poly(n, *_sum_numerators([(_exponents(key, n), num, den)
+                                      for key, num, den in terms]))
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,
                 max_components: int = 2) -> list:
-    """``((index tuple, exponents), num, den)`` draws on 1..max_components grade-k forms."""
+    """``(key, num, den)`` draws on 1..max_components grade-k forms."""
     index_sets = list(itertools.combinations(range(1, ctx.n + 1), k))
     count = 1 + _below(rng.getrandbits, max_components)
-    return [((idx, exps), num, den)
-            for idx in _sample(rng, index_sets, min(len(index_sets), count))
-            for exps, num, den in _random_terms(rng, ctx.n, max_degree)]
+    return [(mask + key, num, den)
+            for mask in map(_mask, _sample(rng, index_sets, min(len(index_sets), count)))
+            for key, num, den in _random_terms(rng, ctx.n, max_degree)]
 
 
 def random_homogeneous(ctx: Context, rng: random.Random, k: int,

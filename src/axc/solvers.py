@@ -6,7 +6,7 @@ a formula in H, h and the right inverse G of laplace, whose series
 exact half it returns (beta, s + delta beta), closed, with beta = d G(H d s),
 on the coexact half (alpha, s + d alpha), coclosed, with alpha =
 delta G(h delta s).  d G and delta G run as one loop over the whole form,
-:func:`_op_g`, over op's rows in :func:`axc.forms._op_rows`, reading d/dy_i
+:func:`_op_g`, over op's rows in :func:`axc.forms._op_table`, reading d/dy_i
 G(y^a) from a gradient cached per monomial (:func:`_inverse_box_grad`),
 building no G(u) and calling no :func:`laplace_solve`, which sums G of each
 term of a whole form by :func:`axc.polyring._sum_numerators`.  Maxwell
@@ -33,7 +33,7 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import Form, _form, _op_rows, _require_grade
+from .forms import _UNITS, Form, _exponents, _form, _op_table, _packed, _require_grade
 from .hodge import codifferential
 from .homotopy import _side, cohomotopy_h, homotopy_H
 from .polyring import _merged, _require_operand, _require_same, _sum_numerators
@@ -75,36 +75,40 @@ def _inverse_box(exps: tuple, signature: tuple) -> tuple[int, dict]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _inverse_box_grad(exps: tuple, signature: tuple) -> tuple:
-    """``(D, columns)``: column i holds d/dy_i G(y^a) as ``(exponents, numerator)``
-    pairs over G's denominator D, read off :func:`_inverse_box`.  d/dy_i
-    sends distinct monomials to distinct monomials, so nothing is summed.  The one
-    cache of G: a solve reads only this gradient."""
-    D, G = _inverse_box(exps, signature)
-    return D, tuple(
-        tuple((e[:i] + (e[i] - 1,) + e[i + 1:], v * e[i]) for e, v in G.items() if e[i])
-        for i in range(len(exps)))
+def _inverse_box_grad(monomial: int, signature: tuple) -> tuple:
+    """``(D, columns)`` for the key of y^a (mask cleared): column i, axis 0-based,
+    holds d/dy_i G(y^a) over G's denominator D as ``(step, numerator)`` pairs, a step
+    being y^b's key minus y^(a - e_i)'s, so that the image key of a d or delta row
+    on axis i plus it is y^b's.  d/dy_i sends distinct monomials to distinct ones,
+    so nothing is summed.  The one cache of G: a solve reads only this gradient."""
+    n = len(signature)
+    D, G = _inverse_box(_exponents(monomial, n), signature)
+    return D, tuple(tuple((key - monomial + unit, v) for key, v in _packed(
+        {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i] for e, v in G.items() if e[i]}, n))
+        for i, unit in enumerate(_UNITS[n]))
 
 
 def _op_g(u: Form, op: str) -> Form:
     """op G on the whole form u, op "d" or "delta", in one loop: each term
-    y^a dx^I with numerator N and each of op's rows ``(i, I', sign)`` in
-    :func:`axc.forms._op_rows` add sign * N * d/dy_i G(y^a) dx^I', its column
-    read off the cached gradient, in the group of G's denominator."""
+    y^a dx^I with numerator N and each of op's rows ``(shift, offset, sign)`` in
+    :func:`axc.forms._op_table` add sign * N * d/dy_i G(y^a) dx^I', its column
+    (axis i = shift / 16 - 1) read off the cached gradient, in the group of G's
+    denominator."""
     signature, groups = u.ctx.signature, {}
-    for (idx, exps), N in u._nums.items():
-        rows = _op_rows(op, idx, signature)
+    table = _op_table(op, signature)
+    for key, N in u._nums.items():
+        rows = table[key & 0xFFFF]
         if not rows:
             continue
-        D, grad = _inverse_box_grad(exps, signature)
+        D, grad = _inverse_box_grad(key & ~0xFFFF, signature)
         group = groups.get(D)
         if group is None:
             group = groups[D] = {}
-        for i, out_idx, sign in rows:
-            sN = sign * N
-            for e, v in grad[i]:
-                key = (out_idx, e)
-                group[key] = group.get(key, 0) + sN * v
+        for shift, offset, sign in rows:
+            image, sN = key + offset, sign * N
+            for step, v in grad[(shift >> 4) - 1]:
+                out = image + step
+                group[out] = group.get(out, 0) + sN * v
     return _form(u.ctx, *_merged(groups, u._den))
 
 
@@ -125,9 +129,11 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     grade = rhs.homogeneous_grade()
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
-    G = {exps: _inverse_box(exps, ctx.signature) for exps in {exps for _, exps in rhs._nums}}
-    return _form(ctx, *_sum_numerators([((idx, e), N * v, D) for (idx, exps), N in rhs._nums.items()
-                                        for D, g in (G[exps],) for e, v in g.items()], rhs._den))
+    G = {m: _inverse_box(_exponents(m, ctx.n), ctx.signature)  # per monomial: key & ~0xFFFF
+         for m in {key & ~0xFFFF for key in rhs._nums}}
+    return _form(ctx, *_sum_numerators([
+        ((key & 0xFFFF) + e, N * v, D) for key, N in rhs._nums.items()
+        for D, g in (G[key & ~0xFFFF],) for e, v in _packed(g, ctx.n)], rhs._den))
 
 
 def _close(s: Form, exact: bool) -> tuple[Form, Form]:

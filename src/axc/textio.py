@@ -34,9 +34,9 @@ from fractions import Fraction
 
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
-from .forms import Form, _form, _lifted, _merge_indices, _rows
-from .polyring import (Context, Poly, _as_fraction, _int_mul, _poly, _reduced, _require_operand,
-                       _sum_numerators)
+from .forms import _INDICES, _WEDGE_SIGNS, Form, _form, _lifted, _rows
+from .polyring import (MAX_DIMENSION, Context, Poly, _as_fraction, _int_mul, _poly, _reduced,
+                       _require_operand, _sum_numerators)
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -47,9 +47,6 @@ MAX_NESTING = 100
 # Larger exponents are an input error, raised before anything is multiplied
 # or re-centered: y^a expands to a + 1 terms on an off-center chart.
 MAX_EXPONENT = 1000
-# Larger dimensions are an input error (CLI --dim and --metric, JSON "n"),
-# raised before anything is built: grade n/2 alone has C(n, n/2) index tuples.
-MAX_DIMENSION = 16
 # Larger expansions are an input error, raised before each "^" and "*" of the
 # grammar and before re-centering: (x1+...+x9)^8 alone has 12 870 terms.
 MAX_TERMS = 10_000
@@ -226,18 +223,20 @@ class _Parser:
 
     def parse_basis(self) -> tuple[tuple, int]:
         """One d-monomial; returns (sorted index tuple, permutation sign) or
-        sign 0 when an index repeats."""
-        axes = []
+        sign 0 when an index repeats: each dx^i wedges onto the mask read so far."""
+        mask, sign = 0, 1
         while True:
             kind, value, position = self.take("name")
             if not value.startswith("d") or len(value) < 2:
                 raise FormSyntaxError(f"expected basis dx<i>, found {value!r}", position)
-            axes.append(self.axis_of(value[1:], position))
+            bit = 1 << self.axis_of(value[1:], position) - 1
+            sign *= _WEDGE_SIGNS[mask << 16 | bit]
+            mask |= bit
             if self.peek()[0] == "^":
                 self.take("^")
                 continue
             break
-        return _merge_indices((), tuple(axes)) or ((), 0)
+        return (_INDICES[mask], sign) if sign else ((), 0)
 
     def at_basis(self) -> bool:
         kind, value, _ = self.peek()
@@ -261,7 +260,7 @@ class _Parser:
         pieces = list(self.signed(self.parse_term))
         self.take("end")
         return _form(self.ctx, *_lifted([(idx, poly.scale(sign * basis_sign))
-                                         for sign, (idx, basis_sign, poly) in pieces]))
+                                         for sign, (idx, basis_sign, poly) in pieces], self.ctx.n))
 
 
 def _degree(nums: dict) -> int:
@@ -316,7 +315,7 @@ def _recentered(absolute: Form) -> Form:
         _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
                                for exps in poly._nums), _degree(poly._nums))
         for _, poly in rows))
-    return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows]))
+    return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows], ctx.n))
 
 
 # -- canonical printer -----------------------------------------------------

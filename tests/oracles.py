@@ -18,14 +18,54 @@ from fractions import Fraction
 from operator import add
 
 from axc import Form, Poly, codifferential, k_field
-from axc.forms import _merge_indices, _op_rows, _weight
-from axc.hodge import _star_row
 from axc.linsolve import solve_sparse
-from axc.solvers import _inverse_box, _inverse_box_grad
+from axc.solvers import _inverse_box
 
 
 def _form(ctx, acc: dict) -> Form:
     return Form(ctx, acc)
+
+
+def term_numerators(form: Form) -> list:
+    """``((index tuple, exponents), numerator)`` per term of a form, each over
+    ``form._den``: the one place the tests read terms as numerators, through
+    ``Form.terms`` and not the layout of the kernel's keys."""
+    return [((idx, exps), int(c * form._den)) for idx, exps, c in form.terms()]
+
+
+def merge_indices(a: tuple, b: tuple):
+    """dx^a ^ dx^b for any index tuples a and b, in any order: (sorted tuple,
+    (-1)^(inversions of a + b)), or None when an index repeats."""
+    s = a + b
+    if len(set(s)) < len(s):
+        return None
+    return tuple(sorted(s)), (-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
+
+
+def op_rows(op: str, idx: tuple, signature: tuple) -> list:
+    """The ``(i, I', sign)`` rows, axis i 0-based, of d and h (dx^i ^, each i not in
+    idx, signed by :func:`merge_indices`) and of H and delta (the contraction of
+    slot j of idx, signed (-1)^j), the signs of delta and h times -eps_i."""
+    if op in ("d", "h"):
+        rows = [(i - 1, *merge_indices((i,), idx)) for i in range(1, len(signature) + 1)
+                if i not in idx]
+    else:
+        rows = [(a - 1, idx[:j] + idx[j + 1:], (-1) ** j) for j, a in enumerate(idx)]
+    if op in ("d", "H"):
+        return rows
+    return [(i, out, -sign * signature[i]) for i, out, sign in rows]
+
+
+def star_row(idx: tuple, signature: tuple, inverse: bool) -> tuple:
+    """``(I^c, sign)`` of star(dx^I) = eps_I * sgn(I, I^c) * dx^{I^c}, the sign
+    times sig(g) * (-1)^{k(n-k)} for star_inv."""
+    comp = tuple(i for i in range(1, len(signature) + 1) if i not in idx)
+    sign = merge_indices(idx, comp)[1]
+    for i in idx:
+        sign *= signature[i - 1]
+    if inverse:
+        sign *= math.prod(signature) * (-1) ** (len(idx) * len(comp))
+    return comp, sign
 
 
 def _accumulate(acc: dict, k: int, idx: tuple, poly: Poly):
@@ -73,7 +113,7 @@ def fraction_termwise(omega: Form, fn) -> Form:
 def lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     """d or delta on y^a dx^I: sum of sign * d/dy_i (y^a) dx^I' over op's rows."""
     out = []
-    for i, out_idx, sign in _op_rows(op, idx, signature):
+    for i, out_idx, sign in op_rows(op, idx, signature):
         e = exps[i]
         if e:
             stepped = list(exps)
@@ -84,8 +124,8 @@ def lower_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
 
 def raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     """H or h on y^a dx^I: sign * y_i y^a dx^I' over op's rows, divided by the weight."""
-    rows = _op_rows(op, idx, signature)
-    w = _weight(exps, rows)
+    rows = op_rows(op, idx, signature)
+    w = sum(exps) + len(rows)
     out = []
     for i, out_idx, sign in rows:
         stepped = list(exps)
@@ -96,15 +136,15 @@ def raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
 
 def op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     """op G on y^a dx^I, op "d" or "delta": each of op's rows ``(i, I', sign)``
-    takes sign * d/dy_i G(y^a) dx^I', its column read off the cached gradient."""
-    D, grad = _inverse_box_grad(exps, signature)
-    return [(out_idx, e, sign * v, D) for i, out_idx, sign in _op_rows(op, idx, signature)
-            for e, v in grad[i]]
+    takes sign * d/dy_i G(y^a) dx^I', differentiated off ``_inverse_box``'s G."""
+    D, G = _inverse_box(exps, signature)
+    return [(out_idx, e[:i] + (e[i] - 1,) + e[i + 1:], sign * v * e[i], D)
+            for i, out_idx, sign in op_rows(op, idx, signature) for e, v in G.items() if e[i]]
 
 
 def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:
-    """star (or star_inv) on y^a dx^I: y^a times the row of ``hodge._star_row``."""
-    comp, sign = _star_row(idx, signature, inverse)
+    """star (or star_inv) on y^a dx^I: y^a times the row of :func:`star_row`."""
+    comp, sign = star_row(idx, signature, inverse)
     return [(comp, exps, sign, 1)]
 
 
@@ -130,10 +170,10 @@ def center_terms(idx: tuple, exps: tuple, k: int) -> list:
 
 def wedge_terms(idx: tuple, exps: tuple, right, den: int) -> list:
     """y^exps dx^idx ^ the form of the ``((index tuple, exponents), numerator)``
-    items ``right`` over den, term by term."""
+    pairs ``right`` (:func:`term_numerators`) over den, term by term."""
     out = []
     for (idx2, exps2), v in right:
-        merged = _merge_indices(idx, idx2)
+        merged = merge_indices(idx, idx2)
         if merged is not None:
             out.append((merged[0], tuple(map(add, exps, exps2)), merged[1] * v, den))
     return out
@@ -143,7 +183,7 @@ def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple)
     """i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a dx^{I minus i_j} over H's rows,
     for the ``Poly`` components of v."""
     out = []
-    for i, rest, sign in _op_rows("H", idx, signature):
+    for i, rest, sign in op_rows("H", idx, signature):
         p = components[i]
         for v_exps, v in p._nums.items():
             out.append((rest, tuple(map(add, exps, v_exps)), sign * v, p._den))
@@ -176,7 +216,7 @@ def inverse_box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
 def wedge_factor_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """-W on y^a dx^I, W the division by h's weight: anticoexact_wedge_factor
     applies it to delta(omega)."""
-    return [(idx, exps, -1, _weight(exps, _op_rows("h", idx, signature)))]
+    return [(idx, exps, -1, sum(exps) + len(op_rows("h", idx, signature)))]
 
 
 def loop_add(omega: Form, phi: Form) -> Form:
@@ -195,7 +235,7 @@ def loop_wedge(omega: Form, phi: Form) -> Form:
         for q, right in phi.components.items():
             for idx1, c1 in left.items():
                 for idx2, c2 in right.items():
-                    merged = _merge_indices(idx1, idx2)
+                    merged = merge_indices(idx1, idx2)
                     if merged is not None:
                         _accumulate(acc, p + q, merged[0], (c1 * c2).scale(merged[1]))
     return _form(omega.ctx, acc)
@@ -220,7 +260,7 @@ def loop_star(omega: Form) -> Form:
     for k, idx_map in omega.components.items():
         for idx, poly in idx_map.items():
             comp = tuple(i for i in range(1, ctx.n + 1) if i not in idx)
-            _, sign = _merge_indices(idx, comp)
+            _, sign = merge_indices(idx, comp)
             for i in idx:
                 sign *= ctx.signature[i - 1]
             _accumulate(acc, ctx.n - k, comp, poly.scale(sign))
@@ -244,7 +284,7 @@ def loop_d(omega: Form) -> Form:
     for k, idx_map in omega.components.items():
         for idx, poly in idx_map.items():
             for i in range(1, ctx.n + 1):
-                merged = _merge_indices((i,), idx)
+                merged = merge_indices((i,), idx)
                 if merged is not None:
                     new_idx, sign = merged
                     _accumulate(acc, k + 1, new_idx, poly.partial(i).scale(sign))

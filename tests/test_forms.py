@@ -7,9 +7,10 @@ import pytest
 from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_vec_mul,
                  codifferential, cohomotopy_h, decompose, hodge_star, hodge_star_inv,
                  homotopy_H, interior, k_field, kr_maxwell_couple, laplace_beltrami, musical_flat,
-                 vacuum_dirac_classify)
-from axc.errors import AxisOutOfRange, DimensionMismatch, GradeOutOfRange
-from axc.forms import _contract_slots, _form, _lower, _merge_indices, _raise, _wedge_slots
+                 parse_form, vacuum_dirac_classify)
+from axc.errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch, GradeOutOfRange
+from axc.forms import (_INDICES, _UNITS, _WEDGE_SIGNS, MAX_DEGREE, _exponents, _lower, _op_table,
+                       _packed, _raise, _Table)
 from axc.homotopy import anticoexact_wedge_factor, center_pullback, center_top_eval
 from axc.polyring import _as_fraction, _sum_numerators
 from axc.randforms import random_form, random_homogeneous, random_poly, sample_rng
@@ -18,8 +19,8 @@ from tests.conftest import B, chart_id, offcenter_contexts, oracle_contexts, var
 from tests.oracles import (box_terms, center_terms, constant_terms, eta_terms, eval_terms,
                            fraction_fold, fraction_termwise, grade_terms, interior_terms,
                            inverse_box_terms, loop_add, loop_d, loop_interior, loop_wedge,
-                           lower_terms, op_g_terms, raise_terms, star_terms, wedge_factor_terms,
-                           wedge_terms)
+                           lower_terms, op_g_terms, raise_terms, star_terms, term_numerators,
+                           wedge_factor_terms, wedge_terms)
 
 
 class TestLinear:
@@ -126,25 +127,50 @@ def _cycle_sign(perm: tuple) -> int:
     return (-1) ** (len(perm) - cycles)
 
 
+def _mask(axes) -> int:
+    """The mask of the axes named, each once."""
+    return sum(1 << (i - 1) for i in set(axes))
+
+
+def _sorted_sign(axes) -> int:
+    """dx^axes = sign * dx^sorted(axes), each dx^i wedged onto the mask of those
+    before it by the kernel's sign table, as the parser reads a basis term."""
+    sign, mask = 1, 0
+    for i in axes:
+        sign *= _WEDGE_SIGNS[mask << 16 | 1 << (i - 1)]
+        mask |= 1 << (i - 1)
+    return sign
+
+
 class TestMergeIndices:
+    """The kernel's one basis sign rule, ``forms._wedge_sign`` read through its
+    table: dx^I ^ dx^J = sign * dx^(I | J) for masks I and J."""
+
     def test_sign_is_the_permutation_parity(self):
-        # every ordering of every index set, split at every cut; b need not be
-        # sorted, as the parser passes it in the order it was written
+        # every ordering of every index set, split at every cut: sorting each
+        # part and then wedging the sorted parts sorts the whole
         for n in range(1, 7):
             for length in range(5):
                 for indices in itertools.combinations(range(1, n + 1), length):
                     for perm in itertools.permutations(indices):
                         for cut in range(length + 1):
-                            got = _merge_indices(perm[:cut], perm[cut:])
-                            assert got == (indices, _cycle_sign(perm)), (perm, cut)
+                            a, b = perm[:cut], perm[cut:]
+                            got = (_sorted_sign(a) * _sorted_sign(b)
+                                   * _WEDGE_SIGNS[_mask(a) << 16 | _mask(b)])
+                            assert got == _sorted_sign(perm) == _cycle_sign(perm), (perm, cut)
 
     def test_repeated_index_is_none(self):
+        # a repeated index leaves no basis term: sign 0, whether the repeat
+        # falls inside one part or across the two
         for n in range(1, 7):
             for length in range(2, 5):
                 for s in itertools.product(range(1, n + 1), repeat=length):
                     if len(set(s)) < length:
+                        assert _sorted_sign(s) == 0, s
                         for cut in range(length + 1):
-                            assert _merge_indices(s[:cut], s[cut:]) is None, (s, cut)
+                            a, b = s[:cut], s[cut:]
+                            if set(a) & set(b):
+                                assert _WEDGE_SIGNS[_mask(a) << 16 | _mask(b)] == 0, (s, cut)
 
 
 def _increasing_tuples(n: int):
@@ -152,21 +178,52 @@ def _increasing_tuples(n: int):
         yield from itertools.combinations(range(1, n + 1), k)
 
 
+def _decoded(op: str, idx: tuple, n: int) -> list:
+    """The rows of op on dx^idx as ``(axis 0-based, image index tuple, sign,
+    image exponents)``, each row's offset applied to y_1 ... y_n dx^idx, whose
+    exponents are all 1, so that a step down borrows from no field."""
+    key = _mask(idx) + sum(_UNITS[n])
+    out = []
+    for shift, offset, sign in _op_table(op, (1,) * n)[_mask(idx)]:
+        image, exps = key + offset, _exponents(key + offset, n)
+        assert image >> 16 * (n + 1) == sum(exps)
+        out.append((shift // 16 - 1, _INDICES[image & 0xFFFF], sign, exps))
+    return out
+
+
+def _stepped(n: int, i: int, e: int) -> tuple:
+    return tuple(e if j == i else 1 for j in range(n))
+
+
 class TestGeneratorTables:
+    """The rows of d (the wedge slots dx^i ^) and of H (the contraction slots)."""
+
+    def test_tables_build_on_first_read_and_stay_bounded(self):
+        built = []
+        table = _Table(lambda key: built.append(key) or -key)
+        assert [table[k] for k in (3, 5, 3)] == [-3, -5, -3] and built == [3, 5]
+        for key in range(4096):
+            assert table[key] == -key
+        # the 4 097th entry empties the table first, so it never holds more than 4 096
+        assert len(table) == 4096 and table[-1] == 1 and len(table) == 1
+        # a row table of n = 16 holds the masks read, not all 2^16 of them
+        rows, before = _op_table("h", (1,) * 16), len(_op_table("h", (1,) * 16))
+        assert len(rows[1 | 1 << 15]) == 14 and len(rows) <= before + 1
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_wedge_slots_carry_the_inversion_count_sign(self, n):
         for idx in _increasing_tuples(n):
             # dx^i ^ dx^idx: dx^i passes every index of idx below it
-            want = [(i - 1, tuple(sorted(idx + (i,))), (-1) ** sum(i > j for j in idx))
-                    for i in range(1, n + 1) if i not in idx]
-            assert list(_wedge_slots(idx, n)) == want, idx
+            want = [(i - 1, tuple(sorted(idx + (i,))), (-1) ** sum(i > j for j in idx),
+                     _stepped(n, i - 1, 0)) for i in range(1, n + 1) if i not in idx]
+            assert _decoded("d", idx, n) == want, idx
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_contract_slots_carry_the_slot_sign(self, n):
         for idx in _increasing_tuples(n):
-            want = [(a - 1, tuple(b for b in idx if b != a), (-1) ** j)
+            want = [(a - 1, tuple(b for b in idx if b != a), (-1) ** j, _stepped(n, a - 1, 2))
                     for j, a in enumerate(idx)]
-            assert list(_contract_slots(idx)) == want, idx
+            assert _decoded("H", idx, n) == want, idx
 
 
 class TestWedge:
@@ -474,10 +531,13 @@ def _only_fractions(form):
 def _summed(omega, fn):
     """The linear extension of the term map ``fn`` by :func:`_sum_numerators`:
     each image ``(idx', exps', r, s)`` of a term with numerator N is the entry
-    ``((idx', exps'), N * r, s)`` over the form's denominator."""
-    return _form(omega.ctx, *_sum_numerators(
-        [((out_idx, out_exps), N * r, s) for (idx, exps), N in omega._nums.items()
-         for out_idx, out_exps, r, s in fn(idx, exps)], omega._den))
+    ``((idx', exps'), N * r, s)`` over the form's denominator; the reduced sums
+    enter the form through ``Form.from_terms``, each over the common D'."""
+    D, nums = _sum_numerators(
+        [((out_idx, out_exps), N * r, s) for (idx, exps), N in term_numerators(omega)
+         for out_idx, out_exps, r, s in fn(idx, exps)], omega._den)
+    return Form.from_terms(omega.ctx, [(idx, exps, Fraction(v, D))
+                                       for (idx, exps), v in nums.items()])
 
 
 class TestTermSum:
@@ -593,7 +653,8 @@ def _operator_cases(ctx, rng, omega) -> list:
         ("at_center", (omega.at_center(), omega), constant_terms, ()),
         ("s*", (center_pullback(omega), omega), center_terms, (0,)),
         ("S", (center_top_eval(omega), omega), center_terms, (ctx.n,)),
-        ("wedge", (omega.wedge(right), omega), wedge_terms, (right._nums.items(), right._den)),
+        ("wedge", (omega.wedge(right), omega), wedge_terms,
+         (term_numerators(right), right._den)),
         ("interior", (interior(VectorField(ctx, field), omega), omega), interior_terms,
          (field, signature)),
         ("box", (laplace_beltrami(omega), omega), box_terms, (signature,)),
@@ -695,3 +756,75 @@ class TestCanonicalForm:
                     assert all(type(c) is Fraction for c in poly.terms.values())
             for idx in ((1,), (1, 2)):
                 assert all(type(c) is Fraction for c in out.coefficient(idx).terms.values())
+
+
+def _y1(ctx, e: int, idx=(), coef=1) -> Form:
+    """coef * y_1^e dx^idx."""
+    return B(ctx, idx, Poly.monomial(ctx.n, (e,) + (0,) * (ctx.n - 1), coef))
+
+
+class TestWidthRule:
+    """A form's total coefficient degree is at most MAX_DEGREE = 65 535, the
+    width of its key's fields: at each edge and after each operator that raises
+    the degree, a result of degree 65 535 passes and the next one up raises."""
+
+    TOP = "coefficient degree 65536 above 65535"
+
+    def test_the_bound_is_one_16_bit_field(self):
+        assert MAX_DEGREE == 65535 == 0xFFFF
+
+    def test_the_constructors_check_the_degree(self, e2):
+        assert Form(e2, {1: {(1,): Poly.monomial(2, (65000, 535))}}).max_coeff_degree() == 65535
+        assert Form.from_terms(e2, [((1, 2), (535, 65000), 3)]).max_coeff_degree() == 65535
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            Form(e2, {1: {(1,): Poly.monomial(2, (65000, 536))}})
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            Form.from_terms(e2, [((1, 2), (536, 65000), 3)])
+        # a single exponent past a field is past the degree too: nothing carries
+        with pytest.raises(DegreeOutOfRange, match="coefficient degree 70000 above 65535"):
+            Form.from_terms(e2, [((), (70000, 0), 1), ((), (70000, 0), -1)])
+
+    def test_the_parser_checks_the_degree(self, e2):
+        assert parse_form("((x1^1000)^65 * x2^535) dx1", e2).max_coeff_degree() == 65535
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            parse_form("((x1^1000)^65 * x2^536) dx1", e2)
+
+    @pytest.mark.parametrize("op, grade", [(homotopy_H, 1), (cohomotopy_h, 0)], ids=["H", "h"])
+    def test_H_and_h_raise_the_degree_by_one(self, op, grade):
+        e1 = Context.euclidean(1)
+        idx = (1,) * grade
+        assert op(_y1(e1, 65534, idx)).max_coeff_degree() == 65535
+        with pytest.raises(DegreeOutOfRange, match="^coefficient degree above 65535$"):
+            op(_y1(e1, 65535, idx))
+        # a term with no rows raises no degree: H of a 0-form, h of a top form
+        assert op(_y1(e1, 65535, (1,) * (1 - grade))).is_zero
+
+    def test_wedge_adds_the_degrees(self, e2):
+        left = _y1(e2, 30000, (1,))
+        assert left.wedge(_y1(e2, 35535, (2,))).max_coeff_degree() == 65535
+        with pytest.raises(DegreeOutOfRange, match="^coefficient degree above 65535$"):
+            left.wedge(_y1(e2, 35536, (2,)))
+        # terms whose masks meet give no term, so no degree
+        assert left.wedge(_y1(e2, 35536, (1,))).is_zero
+
+    def test_interior_adds_the_component_degree(self):
+        e1 = Context.euclidean(1)
+        v = VectorField(e1, [Poly.monomial(1, (1,))])
+        assert interior(v, _y1(e1, 65534, (1,))).max_coeff_degree() == 65535
+        with pytest.raises(DegreeOutOfRange, match="^coefficient degree above 65535$"):
+            interior(v, _y1(e1, 65535, (1,)))
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            interior(VectorField(e1, [Poly.monomial(1, (65536,))]), _y1(e1, 0, (1,)))
+
+    def test_op_g_packs_its_gradient_under_the_rule(self, monkeypatch):
+        # d/dy_i G(y^a) has degree |a| + 1, the degree of op G's image; G of a
+        # degree near 65 535 takes ~10^9 steps, so the end-to-end check runs
+        # with the bound lowered, and the packing itself at the real one
+        assert _packed({(65535, 0): 1}, 2) == [(65535 * _UNITS[2][0], 1)]
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            _packed({(65535, 1): 1}, 2)
+        monkeypatch.setattr("axc.forms.MAX_DEGREE", 5)
+        e1 = Context.euclidean(1)
+        assert _op_g(_y1(e1, 4), "d").max_coeff_degree() == 5
+        with pytest.raises(DegreeOutOfRange, match="^coefficient degree 6 above 5$"):
+            _op_g(_y1(e1, 5), "d")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -653,6 +654,28 @@ class TestCli:
         assert main(self._dimension_argv(tmp_path, kind, MAX_DIMENSION + 1)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_coefficient_degree_above_the_width_is_input_error(self, tmp_path, capsys):
+        # each exponent passes MAX_EXPONENT, but the power's degree 70 000 does
+        # not fit a form key's 16-bit degree field
+        src = tmp_path / "w.txt"
+        src.write_text("(x1^1000)^70 dx1")
+        assert main(["--dim", "1", "apply", "--op", "d", "--in", str(src)]) == 2
+        assert capsys.readouterr() == ("", "error: coefficient degree 70000 above 65535\n")
+
+    def test_dimension_16_builds_only_the_rows_it_reads(self, tmp_path):
+        # the row tables are built per mask on first use: all 2^16 masks'
+        # rows, built at once, took seconds and 84 MB for this one form
+        src = tmp_path / "w.txt"
+        src.write_text("(x1*x16^3) dx1^dx2 + (x5) dx3^dx9")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = run_cli(["--dim", "16", "apply", "--op", "h", "--in", str(src)])
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("(-1/18*x1*x3*x16^3) dx1^dx2^dx3 + ")
+        assert done.stdout.count(" dx") == 14 + 14
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert cpu < 1, cpu
 
     def test_metric_flag(self, tmp_path, capsys):
         src = tmp_path / "w.txt"

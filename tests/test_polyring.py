@@ -346,6 +346,13 @@ class TestContext:
         with pytest.raises(DimensionMismatch):
             Context(2, (0, 0), (1, 2))
 
+    def test_dimension_fits_the_basis_mask(self):
+        # a form key keeps its basis blade in 16 bits, so a chart has at most 16 axes
+        assert Context.minkowski(16).n == 16
+        with pytest.raises(DimensionMismatch, match="^dimension 17 above 16$"):
+            Context.euclidean(17)
+        assert Poly.monomial(17, (1,) * 17).n == 17   # a Poly has no basis blade
+
     @pytest.mark.parametrize("build", [
         lambda: Context(2.0, (0, 0), (1, 1)),
         lambda: Context(True, (0,), (1,)),

@@ -323,12 +323,12 @@ def test_close_applies_op_g_without_building_g():
     # _close runs d G or delta G as one loop on the cached gradient of G;
     # a laplace_solve there would build G(u) and differentiate it again
     assert "_close" not in _callers("solvers.py", {"laplace_solve"})
-    # the rows of d, delta, H and h have one home, forms._op_rows, read by the
-    # two whole-form loops, by h's weight, by op G and by interior's
-    # contraction alike; op G reads them by the differential's name, with no
-    # flag to branch on
+    # the rows of d, delta, H and h have one home, the tables of
+    # forms._op_table, read by the two whole-form loops, by h's weight, by op G
+    # and by interior's contraction alike; op G reads them by the differential's
+    # name, with no flag to branch on
     readers = {f"{name}:{where}" for name, _ in _kernel_trees()
-               for where in _callers(name, {"_op_rows"})}
+               for where in _callers(name, {"_op_table"})}
     assert readers == {"forms.py:_lower", "forms.py:_raise", "forms.py:interior",
                        "homotopy.py:anticoexact_wedge_factor", "solvers.py:_op_g"}, readers
     op_g = importlib.import_module("axc.solvers")._op_g
@@ -419,44 +419,94 @@ def _eps_twists() -> set:
 
 
 def test_basis_signs_are_placed_by_forms_hodge_and_textio_only():
-    # forms builds the generator tables from _merge_indices, hodge the star's
-    # complement sign and textio the parser's basis sort; every other rule,
-    # interior's included, reads its sign from the row table forms._op_rows
+    # forms builds the generator rows and the wedge from the one sign table
+    # _WEDGE_SIGNS, hodge the star's complement sign and textio the parser's
+    # basis sort; every other rule, interior's included, reads its sign from
+    # the row tables of forms._op_table
     for name, tree in _kernel_trees():
         if name in ("forms.py", "hodge.py", "textio.py"):
             continue
         for node in ast.walk(tree):
-            assert "_merge_indices" not in _names(node), f"{name}:{node.lineno}"
-    # the -eps_i twist of delta and h is written once, in that table, and
-    # nothing but that table reads a generator table
-    assert [where for _, where, _ in _eps_twists()] == ["_op_rows"], _eps_twists()
-    slots = {"_wedge_slots", "_contract_slots"}
-    readers = {f"{name}:{where}" for name, _ in _kernel_trees() for where in _callers(name, slots)}
-    assert readers == {"forms.py:_op_rows"}, readers
-    for name, tree in _kernel_trees():
-        if name == "forms.py":
-            continue
-        for node in ast.walk(tree):
-            named = _names(node) & slots
+            named = _names(node) & {"_WEDGE_SIGNS", "_wedge_sign"}
             assert not named, f"{name}:{getattr(node, 'lineno', '?')} reads {named}"
+    # the -eps_i twist of delta and h is written once, in the row builder
+    # _op_rows, and only forms' table of tables calls that builder
+    assert [where for _, where, _ in _eps_twists()] == ["_op_rows"], _eps_twists()
+    for name, tree in _kernel_trees():
+        for node in ast.walk(tree):
+            assert name == "forms.py" or "_op_rows" not in _names(node), (
+                f"{name}:{getattr(node, 'lineno', '?')} reads _op_rows")
+    assert _callers("forms.py", {"_op_rows"}) == set()  # only handed to partial, never called
 
 
 def test_kernel_caches_are_the_five_tables_read_again():
-    # the index merge, the row table, the star's rows, the radial field per
-    # chart and the gradient of G, the one cache of G; G itself and the
-    # generator tables are read through them, so a cache on either would keep
-    # a second copy of what those tables hold
-    cached, uses = set(), 0
+    # the basis sign per pair of masks, the index tuple per mask, the per-mask
+    # tables of the row builder and the star's signs (one per operator and
+    # chart), the radial field per chart and the gradient of G, the one cache
+    # of G; G itself and the builders are read through them, so a cache on any
+    # would keep a second copy of what those tables hold.  A cache is an
+    # lru_cache decorator or a module-level forms._Table, the dict that builds
+    # its entries on first read
+    cached, uses, tables = set(), 0, 0
     for name, tree in _kernel_trees():
         for node in ast.walk(tree):
             uses += bool(_names(node) & {"lru_cache", "cache"})
+            tables += isinstance(node, ast.Call) and "_Table" in _names(node.func)
             if isinstance(node, ast.FunctionDef) and any(
                     set().union(*map(_names, ast.walk(dec))) & {"lru_cache", "cache"}
                     for dec in node.decorator_list):
                 cached.add(f"{name}:{node.name}")
-    assert cached == {"forms.py:_merge_indices", "forms.py:_op_rows", "hodge.py:_star_row",
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and (
+                    "_Table" in _names(node.value.func)):
+                cached.add(f"{name}:{node.targets[0].id}")
+    assert cached == {"forms.py:_WEDGE_SIGNS", "forms.py:_INDICES", "forms.py:_TABLES",
                       "identities.py:_radial", "solvers.py:_inverse_box_grad"}, cached
-    assert uses == len(cached), "a cache made other than as a decorator"
+    assert uses == 2, "a cache made other than as a decorator"
+    # the three module-level tables and the per-mask table _TABLES builds
+    assert tables == 4, "a _Table made other than as one of the five caches"
+
+
+# The packed-key operators: each term's key is read and written as an int, so
+# no tuple is built per term or per row.
+PACKED_LOOPS = {"forms.py": {"_lower", "_raise", "wedge", "_kept"}, "hodge.py": {"_star"},
+                "solvers.py": {"_op_g"}}
+
+
+def _per_term_nodes(fn) -> list:
+    """The nodes that run once per term or row: the bodies of ``fn``'s loops and
+    the elements and conditions of its comprehensions."""
+    parts = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.For):
+            parts += node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            parts += [node.elt, *(cond for gen in node.generators for cond in gen.ifs)]
+        elif isinstance(node, ast.DictComp):
+            parts += [node.key, node.value, *(cond for gen in node.generators for cond in gen.ifs)]
+    return [inner for part in parts for inner in ast.walk(part)]
+
+
+def test_packed_operators_build_no_tuple_per_term():
+    # a parallel assignment of up to three names (``a, b = x, y``) compiles to
+    # no tuple; any other tuple display, and any tuple() call, builds one
+    seen = set()
+    for name, tree in _kernel_trees():
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in PACKED_LOOPS.get(name, ())):
+                continue
+            seen.add(fn.name)
+            parallel = {id(node.value) for node in ast.walk(fn)
+                        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                        and isinstance(node.value, ast.Tuple)
+                        and len(node.targets[0].elts) == len(node.value.elts) <= 3}
+            for node in _per_term_nodes(fn):
+                where = f"{name}:{fn.name}:{getattr(node, 'lineno', '?')}"
+                assert not (isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load)
+                            and id(node) not in parallel), f"{where} builds a tuple"
+                assert not (isinstance(node, ast.Call) and "tuple" in _names(node.func)), (
+                    f"{where} calls tuple")
+    assert seen == set().union(*PACKED_LOOPS.values()), seen
 
 
 def test_textio_reads_rows_through_the_one_walk():
