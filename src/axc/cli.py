@@ -27,8 +27,8 @@ from .homotopy import (
     membership,
     potential,
 )
-from .polyring import Context
-from .textio import check_dimension, form_to_json, load_form_text, parse_rational, print_form
+from .polyring import Context, _require_dimension
+from .textio import form_to_json, load_form_text, parse_rational, print_form
 
 _OPS = {
     "d": lambda w: w.d(),
@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _context_from_args(args) -> Context:
     if args.metric is not None and args.dim not in (None, len(args.metric)):
         raise errors.DimensionMismatch(f"--dim {args.dim} disagrees with --metric {args.metric!r}")
-    n = check_dimension(len(args.metric) if args.metric is not None
-                        else 2 if args.dim is None else args.dim)
+    n = len(args.metric) if args.metric is not None else 2 if args.dim is None else args.dim
+    _require_dimension(n)  # before "+" * n or (0,) * n is built
     metric = "+" * n if args.metric is None else args.metric
     if set(metric) - {"+", "-"}:
         raise errors.DimensionMismatch(f"bad metric string {metric!r}")

@@ -7,10 +7,10 @@ import enum
 from typing import NamedTuple
 
 from .errors import GradeOutOfRange
-from .forms import Form, VectorField, _exponents, _form, _packed, interior
+from .forms import Form, VectorField, _form, interior
 from .hodge import codifferential, musical_flat
 from .homotopy import DecompositionMode, cohomotopy_h, decompose, homotopy_H
-from .polyring import _require_operand, _sum_numerators
+from .polyring import _UNITS, _require_operand, _sum_numerators
 
 
 class OperatorTag(enum.Enum):
@@ -31,17 +31,17 @@ def clifford_vec_mul(v: VectorField, psi: Form) -> Form:
     return musical_flat(v).wedge(psi) + interior(v, psi)
 
 
-def box_terms(exps: tuple, signature: tuple) -> list:
-    """Laplace-Beltrami -(delta d + d delta) on y^a as ``(exponents, int factor)``
-    pairs, the one rule for it: on a constant diagonal +-1 metric it is the wave
-    operator box = sum_i eps_i d^2/dy_i^2 on the coefficient, with no sign and no
-    change of basis term, so it lowers coefficient degree by exactly 2."""
+def box_terms(key: int, signature: tuple) -> list:
+    """Laplace-Beltrami -(delta d + d delta) on y^a dx^I, the term's key, as
+    ``(key, int factor)`` pairs, the one rule for it: on a constant diagonal +-1
+    metric it is the wave operator box = sum_i eps_i d^2/dy_i^2 on the
+    coefficient, with no sign and no change of basis term (the mask passes
+    through), so it lowers coefficient degree by exactly 2."""
     out = []
-    for i, e in enumerate(exps):
+    for i, unit in enumerate(_UNITS[len(signature)]):
+        e = key >> 16 * i + 16 & 0xFFFF
         if e > 1:
-            stepped = list(exps)
-            stepped[i] = e - 2
-            out.append((tuple(stepped), signature[i] * e * (e - 1)))
+            out.append((key - 2 * unit, signature[i] * e * (e - 1)))
     return out
 
 
@@ -51,9 +51,8 @@ _OPERATORS = {
     OperatorTag.DIRAC: lambda psi: psi.d() - codifferential(psi),
     OperatorTag.ANTI_DIRAC: lambda psi: cohomotopy_h(psi) - homotopy_H(psi),
     OperatorTag.LAPLACE_BELTRAMI: lambda psi: _form(psi.ctx, *_sum_numerators(
-        [((key & 0xFFFF) + out, f * N, 1) for key, N in psi._nums.items() for out, f in
-         _packed(dict(box_terms(_exponents(key, psi.ctx.n), psi.ctx.signature)), psi.ctx.n)],
-        psi._den)),
+        [(out, f * N, 1) for key, N in psi._nums.items()
+         for out, f in box_terms(key, psi.ctx.signature)], psi._den)),
     OperatorTag.ANTI_LAPLACE:
         lambda psi: -(homotopy_H(cohomotopy_h(psi)) + cohomotopy_h(homotopy_H(psi))),
     OperatorTag.OSCILLATOR_HBAR:

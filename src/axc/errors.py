@@ -18,7 +18,7 @@ class GradeOutOfRange(AxcError):
 
 
 class DegreeOutOfRange(AxcError):
-    """A form's total coefficient degree above ``forms.MAX_DEGREE``, its key's field width."""
+    """A polynomial's total degree above ``polyring.MAX_DEGREE``, its key's field width."""
 
 
 class GradeMismatch(AxcError):

@@ -1,18 +1,17 @@
 """Graded differential forms with polynomial coefficients.
 
 A :class:`Form` stores its terms y^a dx^I as integer numerators in the format of
-:class:`axc.polyring._Numerators`, each keyed by one ``int``, key = mask | a_1 << 16
-| ... | a_n << 16n | |a| << 16(n + 1): bit i - 1 of the 16-bit mask is dx^i,
-and each exponent and the total degree |a| (on top) get a 16-bit field.  The
-width rule: a form's total coefficient degree is at most :data:`MAX_DEGREE`, so
-no field carries into the next; past it, :func:`_packed` and, after each
-operator that raises the degree, :func:`_checked` raise ``DegreeOutOfRange``.
+:class:`axc.polyring._Numerators`, each keyed by one ``int``, key = mask + y^a's
+key in the layout :mod:`axc.polyring` states: bit i - 1 of the 16-bit mask is
+dx^i, so a coefficient's key is ``key & ~0xFFFF`` and a row lifts by ``mask + key``.
+The width rule is :class:`Poly`'s; after each operator that raises the degree,
+:func:`_checked` raises ``DegreeOutOfRange`` past it.
 Operators act on keys by integer arithmetic, the bitmap basis blades of Dorst,
 Fontijne & Mann (2007, ch. 19) with the packed exponents of Monagan & Pearce
 (CASC 2007): rows add offsets (:func:`_op_rows`), star flips the mask, a wedge
 adds keys with disjoint masks, every basis sign is :func:`_wedge_sign`'s.
-Tuples are built only at the edges: :func:`_rows` reads ``(index tuple, Poly)``
-rows in canonical order and :func:`_lifted` packs them back.  :func:`_lower`
+Index tuples are built only at the edges: :func:`_rows` reads ``(index tuple, Poly)``
+rows in canonical order and :func:`_lifted` adds the masks back.  :func:`_lower`
 (d, delta), :func:`_raise` (H, h), ``Form.wedge`` and
 :func:`axc.solvers._op_g` (d G, delta G) are each one loop over the whole form
 that groups its sums by denominator; eta and ``Form._kept`` sum nothing.
@@ -22,20 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import DegreeOutOfRange, DimensionMismatch, GradeOutOfRange
-from .polyring import (MAX_DIMENSION, Context, Poly, _as_fraction, _merged, _Numerators, _poly,
-                       _reduced, _require_axis, _require_exponents, _require_same, _sum_numerators)
-
-MAX_DEGREE = 0xFFFF  # a form's largest total coefficient degree: one 16-bit field
-# per n: unit_i = 1 << 16i + 1 << 16(n + 1), y_i's key, and a Struct reading a_1..a_n
-_UNITS = tuple(tuple((1 << 16 * i) + (1 << 16 * (n + 1)) for i in range(1, n + 1))
-               for n in range(MAX_DIMENSION + 1))
-_LAYOUTS = tuple(struct.Struct(f"<2x{n}H2x") for n in range(MAX_DIMENSION + 1))
+from .polyring import (_UNITS, MAX_DEGREE, Context, Poly, _as_fraction, _degree, _exponents,
+                       _merged, _Numerators, _packed, _poly, _reduced, _require_axis,
+                       _require_same, _sum_numerators)
 
 
 class _Table(dict):
@@ -129,7 +122,7 @@ def _raise(omega: "Form", op: str) -> "Form":
 def _checked(ctx: Context, D: int, nums: dict) -> "Form":
     """:func:`_form` of an operator's image under the width rule, read off the largest
     key's degree field, which a carry out of an exponent past the rule only raises."""
-    if nums and max(nums) >> 16 * ctx.n + 16 > MAX_DEGREE:
+    if _degree(nums, ctx.n) > MAX_DEGREE:
         raise DegreeOutOfRange(f"coefficient degree above {MAX_DEGREE}")
     return _form(ctx, D, nums)
 
@@ -161,35 +154,20 @@ def _mask(idx: tuple) -> int:
     return sum(1 << i - 1 for i in idx)
 
 
-def _packed(nums: dict, n: int) -> list:
-    """``(key, numerator)`` pairs, mask 0, of an ``{exponents: int}`` map under the
-    width rule: y^a's key is the sum of a_i * unit_i."""
-    degree = max(map(sum, nums), default=0)
-    if degree > MAX_DEGREE:
-        raise DegreeOutOfRange(f"coefficient degree {degree} above {MAX_DEGREE}")
-    units = _UNITS[n]
-    return [(sum(map(mul, exps, units)), v) for exps, v in nums.items()]
-
-
-def _exponents(key: int, n: int) -> tuple:
-    """The exponents a_1..a_n of a key: one ``Struct`` call on its bytes."""
-    return _LAYOUTS[n].unpack(key.to_bytes(2 * n + 4, "little"))
-
-
 def _rows(form: "Form") -> list:
     """The one walk over a form's rows: ``(index tuple, Poly)`` pairs, grades
     ascending and then index tuples sorted."""
-    n, rows, unpack = form.ctx.n, {}, _LAYOUTS[form.ctx.n].unpack
-    for key, v in form._nums.items():  # _exponents, inlined
-        rows.setdefault(key & 0xFFFF, {})[unpack(key.to_bytes(2 * n + 4, "little"))] = v
-    return sorted([(_INDICES[mask], _poly(n, *_reduced(form._den, row)))
+    rows = {}
+    for key, v in form._nums.items():
+        rows.setdefault(key & 0xFFFF, {})[key & ~0xFFFF] = v
+    return sorted([(_INDICES[mask], _poly(form.ctx.n, *_reduced(form._den, row)))
                    for mask, row in rows.items()], key=lambda r: (len(r[0]), r[0]))
 
 
-def _lifted(rows, n: int) -> tuple[int, dict]:
-    """The inverse of :func:`_rows`: ``(D, nums)`` of (index tuple, Poly) rows, packed, summed."""
+def _lifted(rows) -> tuple[int, dict]:
+    """The inverse of :func:`_rows`: ``(D, nums)`` of (index tuple, Poly) rows, summed."""
     return _sum_numerators([(mask + key, v, p._den) for idx, p in rows
-                            for mask in (_mask(idx),) for key, v in _packed(p._nums, n)])
+                            for mask in (_mask(idx),) for key, v in p._nums.items()])
 
 
 class Form(_Numerators):
@@ -220,7 +198,7 @@ class Form(_Numerators):
                     raise ValueError(f"index tuple {idx} given twice")
                 rows[idx] = poly
         self.ctx = ctx
-        self._den, self._nums = _lifted(rows.items(), ctx.n)
+        self._den, self._nums = _lifted(rows.items())
 
     # -- constructors ------------------------------------------------------
 
@@ -250,13 +228,12 @@ class Form(_Numerators):
         form by :func:`_sum_numerators`.  Every triple, a cancelling one too, is
         checked first: its index tuple by the constructor's rule (so its grade is
         in 0..n), its exponents and coefficient by :class:`Poly`'s."""
-        rows = []
+        entries = []
         for idx, exps, c in terms:
-            idx, exps, c = tuple(idx), tuple(exps), _as_fraction(c)
+            idx, c = tuple(idx), _as_fraction(c)
             _require_indices(idx, ctx.n)
-            _require_exponents(exps, ctx.n)
-            rows.append((idx, _poly(ctx.n, c.denominator, {exps: c.numerator})))
-        return _form(ctx, *_lifted(rows, ctx.n))
+            entries.append((_mask(idx) + _packed(exps, ctx.n), c.numerator, c.denominator))
+        return _form(ctx, *_sum_numerators(entries))
 
     # -- linear structure --------------------------------------------------
 
@@ -350,7 +327,7 @@ class Form(_Numerators):
         indices, n = tuple(indices), self.ctx.n
         _require_indices(indices, n)
         mask = _mask(indices)
-        return _poly(n, *_reduced(self._den, {_exponents(key, n): v for key, v in
+        return _poly(n, *_reduced(self._den, {key - mask: v for key, v in
                                               self._nums.items() if key & 0xFFFF == mask}))
 
     def max_coeff_degree(self) -> int:
@@ -402,12 +379,12 @@ def interior(v: VectorField, omega: Form) -> Form:
     """Insertion antiderivative i_v: i_v(y^a dx^I) = sum_j (-1)^j v_{i_j} y^a
     dx^{I minus i_j} over H's rows in :func:`_op_table`, each image over the
     denominator of its component of v, summed by :func:`_sum_numerators`.  A
-    term of component i is stored as its key minus unit_i, which H's row added."""
+    term of component i is read as its key minus unit_i, which H's row added."""
     if not isinstance(v, VectorField) or not isinstance(omega, Form):
         raise TypeError("interior takes a VectorField and a Form")
     _require_same(v.ctx, omega.ctx)
     ctx, table, entries = omega.ctx, _op_table("H", omega.ctx.signature), []
-    comps = {16 * i + 16: ([(key - unit, c) for key, c in _packed(p._nums, ctx.n)], p._den)
+    comps = {16 * i + 16: ([(key - unit, c) for key, c in p._nums.items()], p._den)
              for i, (p, unit) in enumerate(zip(v.components, _UNITS[ctx.n]))}
     for key, N in omega._nums.items():
         for shift, offset, sign in table[key & 0xFFFF]:

@@ -5,7 +5,14 @@ there is no floating point in any code path.  Polynomials are stored in
 coordinates ``y_i = x_i - center_i``, where the homotopy operators have a
 closed monomial form.  A :class:`Poly` and an :class:`axc.forms.Form` share
 the integer format and the arithmetic of :class:`_Numerators`, so arithmetic
-runs on integers alone.  A sum groups its terms by denominator, as ``+``,
+runs on integers alone, and one monomial key, whose layout is stated here once:
+y^a is the ``int`` a_1 << 16 | ... | a_n << 16n | |a| << 16(n + 1), the sum of
+a_i * unit_i (:data:`_UNITS`), each exponent and the total degree |a| (on top)
+in a 16-bit field, the low 16 bits left to a form's basis mask.  n is at most
+:data:`MAX_DIMENSION` and, the width rule, |a| at most :data:`MAX_DEGREE`, so no
+field carries into the next: the constructors, ``*`` and ``**`` check it before a
+key is formed.  Only :func:`_packed` and :func:`_exponents` convert keys and tuples.
+A sum groups its terms by denominator, as ``+``,
 :func:`_sum_numerators` and the whole-form operator loops of :mod:`axc.forms`
 and :mod:`axc.solvers` do, and ends in :func:`_merged`,
 the one merge tail, which lifts over an lcm only when the denominators
@@ -18,13 +25,19 @@ rational literal and the reads ``Poly.terms``, ``Poly.eval`` and ``Form.terms`` 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import AxisOutOfRange, DimensionMismatch
+from .errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch
 
-MAX_DIMENSION = 16  # a chart's largest dimension: a form's basis blade is a 16-bit mask
+MAX_DIMENSION = 16  # a key's largest dimension: a form's basis blade is a 16-bit mask
+MAX_DEGREE = 0xFFFF  # a key's largest total degree: one 16-bit field
+# per n: unit_i = 1 << 16i + 1 << 16(n + 1), y_i's key, and a Struct reading a_1..a_n
+_UNITS = tuple(tuple((1 << 16 * i) + (1 << 16 * (n + 1)) for i in range(1, n + 1))
+               for n in range(MAX_DIMENSION + 1))
+_LAYOUTS = tuple(struct.Struct(f"<2x{n}H2x") for n in range(MAX_DIMENSION + 1))
 
 
 def _as_fraction(value) -> Fraction:
@@ -40,9 +53,22 @@ def _as_fraction(value) -> Fraction:
 
 def _require_dimension(n) -> None:
     """The dimension rule of :class:`Context` and :class:`Poly`: a positive
-    ``int``, never coerced (no bool, no float)."""
+    ``int``, never coerced (no bool, no float), at most :data:`MAX_DIMENSION`."""
     if type(n) is not int or n < 1:
         raise DimensionMismatch(f"dimension must be a positive integer, got {n!r}")
+    if n > MAX_DIMENSION:
+        raise DimensionMismatch(f"dimension {n} above {MAX_DIMENSION}")
+
+
+def _require_degree(degree: int) -> None:
+    """The width rule: a total degree of at most :data:`MAX_DEGREE`."""
+    if degree > MAX_DEGREE:
+        raise DegreeOutOfRange(f"coefficient degree {degree} above {MAX_DEGREE}")
+
+
+def _degree(nums: dict, n: int) -> int:
+    """The total degree of a key -> numerator map, the largest key's top field; 0 for none."""
+    return max(nums, default=0) >> 16 * n + 16
 
 
 def _require_same(a, b) -> None:
@@ -64,15 +90,23 @@ def _require_axis(i, n: int) -> None:
         raise AxisOutOfRange(f"axis {i!r} not in 1..{n}")
 
 
-def _require_exponents(exps: tuple, n: int) -> None:
-    """An exponent tuple: n ``int`` entries, never coerced (no bool, no float),
-    none negative."""
+def _packed(exps, n: int) -> int:
+    """The key of an exponent tuple, the one packer: n ``int`` entries, never
+    coerced (no bool, no float), none negative, under the width rule."""
+    exps = tuple(exps)
     if len(exps) != n:
         raise DimensionMismatch("multidegree length != dimension")
     if not all(type(e) is int for e in exps):
         raise DimensionMismatch(f"exponents must be integers, got {exps}")
     if any(e < 0 for e in exps):
         raise ValueError("negative exponent")
+    _require_degree(sum(exps))
+    return sum(map(mul, exps, _UNITS[n]))
+
+
+def _exponents(key: int, n: int) -> tuple:
+    """The exponents a_1..a_n of a key, mask ignored: one ``Struct`` call on its bytes."""
+    return _LAYOUTS[n].unpack(key.to_bytes(2 * n + 4, "little"))
 
 
 def _sum_numerators(entries, D: int = 1) -> tuple[int, dict]:
@@ -119,7 +153,7 @@ def _reduced(D: int, nums: dict) -> tuple[int, dict]:
 
 
 def _poly(n: int, D: int, nums: dict) -> "Poly":
-    """The polynomial of valid, distinct, nonzero ``{exponents: int}``
+    """The polynomial of valid, distinct, nonzero ``{key: int}``
     numerators over D, canonical as :class:`_Numerators` states, unchecked."""
     p = Poly.__new__(Poly)
     p.n, p._den, p._nums = n, D, nums
@@ -127,34 +161,35 @@ def _poly(n: int, D: int, nums: dict) -> "Poly":
 
 
 def _int_mul(p: dict, q: dict) -> dict:
-    """``Poly``'s product of two exponent -> integer maps; no Fraction, no gcd."""
+    """``Poly``'s product of two key -> integer maps, adding keys; no Fraction, no gcd."""
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return {e: v for e, v in out.items() if v}
 
 
-def _taylor_shift_axis(numerators: dict, i: int, delta: Fraction) -> tuple[dict, int]:
-    """Integer numerators of the substitution y_i -> y_i + P/Q, over a common
-    denominator Q^A times the old one, A the largest exponent of y_i; returns
-    them with Q^A.
+def _taylor_shift_axis(numerators: dict, i: int, unit: int, delta: Fraction) -> tuple[dict, int]:
+    """Integer numerators of the substitution y_i -> y_i + P/Q, y_i's key ``unit``,
+    over a common denominator Q^A times the old one, A the largest exponent of
+    y_i; returns them with Q^A.
 
-    The terms that agree off axis i form a line f(z) = sum_a N_a z^a.  Its
+    The terms that agree off axis i (key - a_i * unit) form a line f(z) = sum_a N_a z^a.  Its
     scaled copy h(z) = Q^A f(z/Q) has integer coefficients N_a Q^(A-a), and
     h(z + P) = Q^A f((z + P)/Q) comes from synthetic division by z - P, Horner
     style: O(A^2) additions and products by P.  Read back in y = z/Q, the
     coefficient of y^b in Q^A f(y + P/Q) is that of z^b in h(z + P) times Q^b.
     """
-    P, Q = delta.numerator, delta.denominator
-    A = max(exps[i] for exps in numerators)
+    P, Q, shift = delta.numerator, delta.denominator, 16 * i
+    A = max(key >> shift & 0xFFFF for key in numerators)
     q_pow = [1]
     for _ in range(A):
         q_pow.append(q_pow[-1] * Q)
     lines: dict = {}
-    for exps, v in numerators.items():
-        lines.setdefault(exps[:i] + exps[i + 1:], {})[exps[i]] = v
+    for key, v in numerators.items():
+        a = key >> shift & 0xFFFF
+        lines.setdefault(key - a * unit, {})[a] = v
     out = {}
     for rest, line in lines.items():
         top = max(line)
@@ -164,7 +199,7 @@ def _taylor_shift_axis(numerators: dict, i: int, delta: Fraction) -> tuple[dict,
                 c[j] += P * c[j + 1]
         for b, v in enumerate(c):
             if v:
-                out[rest[:i] + (b,) + rest[i:]] = v * q_pow[b]
+                out[rest + b * unit] = v * q_pow[b]
     return out, q_pow[A]
 
 
@@ -187,8 +222,6 @@ class Context(_ContextFields):
 
     def __new__(cls, n: int, center: Iterable, signature: Iterable) -> "Context":
         _require_dimension(n)
-        if n > MAX_DIMENSION:
-            raise DimensionMismatch(f"dimension {n} above {MAX_DIMENSION}")
         center = tuple(_as_fraction(c) for c in center)
         signature = tuple(signature)
         if len(center) != n:
@@ -285,14 +318,13 @@ class Poly(_Numerators):
         _require_dimension(n)
         coefs = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(exps)
-            _require_exponents(exps, n)
-            if exps in coefs:
-                raise ValueError(f"exponent tuple {exps} given twice")
-            coefs[exps] = _as_fraction(coef)
+            key = _packed(exps, n)
+            if key in coefs:
+                raise ValueError(f"exponent tuple {tuple(exps)} given twice")
+            coefs[key] = _as_fraction(coef)
         self.n = n
         self._den, self._nums = _sum_numerators(
-            [(exps, c.numerator, c.denominator) for exps, c in coefs.items()])
+            [(key, c.numerator, c.denominator) for key, c in coefs.items()])
 
     # -- constructors ------------------------------------------------------
 
@@ -309,7 +341,7 @@ class Poly(_Numerators):
         """The centered coordinate y_i, 1-based axis."""
         _require_dimension(n)
         _require_axis(i, n)
-        return _poly(n, 1, {tuple(1 if j == i - 1 else 0 for j in range(n)): 1})
+        return _poly(n, 1, {_UNITS[n][i - 1]: 1})
 
     @classmethod
     def monomial(cls, n: int, exps, coef=1) -> "Poly":
@@ -321,10 +353,8 @@ class Poly(_Numerators):
         meet, dropping terms that cancel.  Every pair, a cancelling one too,
         is checked first by the constructor's rules."""
         _require_dimension(n)
-        pairs = [(tuple(exps), _as_fraction(c)) for exps, c in pairs]
-        for exps, _ in pairs:
-            _require_exponents(exps, n)
-        return _poly(n, *_sum_numerators([(exps, c.numerator, c.denominator) for exps, c in pairs]))
+        pairs = [(_packed(exps, n), _as_fraction(c)) for exps, c in pairs]
+        return _poly(n, *_sum_numerators([(key, c.numerator, c.denominator) for key, c in pairs]))
 
     # -- ring operations ---------------------------------------------------
 
@@ -332,10 +362,11 @@ class Poly(_Numerators):
     __add__ = _Numerators.__add__
 
     def __mul__(self, other) -> "Poly":
-        """The product with a ``Poly``, or :meth:`scale` by anything else."""
+        """The product with a ``Poly``, its degree checked first, or :meth:`scale` by anything."""
         if not isinstance(other, Poly):
             return self.scale(other)
         _require_same(self.n, other.n)
+        _require_degree(_degree(self._nums, self.n) + _degree(other._nums, other.n))
         return _poly(self.n, *_reduced(self._den * other._den, _int_mul(self._nums, other._nums)))
 
     __rmul__ = __mul__
@@ -345,10 +376,9 @@ class Poly(_Numerators):
     def partial(self, i: int) -> "Poly":
         """Exact partial derivative d/dy_i, 1-based axis; sums nothing."""
         _require_axis(i, self.n)
-        j = i - 1
+        shift, unit = 16 * i, _UNITS[self.n][i - 1]
         return _poly(self.n, *_reduced(self._den, {
-            exps[:j] + (exps[j] - 1,) + exps[j + 1:]: v * exps[j]
-            for exps, v in self._nums.items() if exps[j]}))
+            key - unit: v * e for key, v in self._nums.items() if (e := key >> shift & 0xFFFF)}))
 
     def eval(self, point) -> Fraction:
         """Value at a centered point (list of n rationals)."""
@@ -371,20 +401,21 @@ class Poly(_Numerators):
         if len(delta) != self.n:
             raise DimensionMismatch("shift vector length != dimension")
         D, numerators = self._den, self._nums
-        for i, d in enumerate(delta):
+        for i, (d, unit) in enumerate(zip(delta, _UNITS[self.n]), 1):
             if d and numerators:
-                numerators, scale = _taylor_shift_axis(numerators, i, d)
+                numerators, scale = _taylor_shift_axis(numerators, i, unit, d)
                 D *= scale
         return _poly(self.n, *_reduced(D, numerators))
 
     def __pow__(self, e: int) -> "Poly":
         """self^e, e >= 0, by repeated squaring on the integer numerators,
-        reduced once at the end."""
+        reduced once at the end; its degree, e times self's, is checked first."""
         if type(e) is not int:
             raise TypeError(f"power {e!r} is not an int")
         if e < 0:
             raise ValueError("negative power")
-        out = {(0,) * self.n: 1}
+        _require_degree(e * _degree(self._nums, self.n))
+        out = {0: 1}
         for bit in bin(e)[2:]:
             out = _int_mul(out, out)
             if bit == "1":
@@ -396,7 +427,7 @@ class Poly(_Numerators):
     @property
     def terms(self) -> dict:
         """``{exponents: Fraction}`` over the nonzero terms, built anew on each read."""
-        return {exps: Fraction(v, self._den) for exps, v in self._nums.items()}
+        return {_exponents(key, self.n): Fraction(v, self._den) for key, v in self._nums.items()}
 
     def sorted_terms(self):
         """Deterministic (lexicographic by exponent tuple) term iteration."""

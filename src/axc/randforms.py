@@ -18,8 +18,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .forms import _UNITS, Form, _exponents, _form, _mask, _require_grade
-from .polyring import Context, Poly, _poly, _sum_numerators
+from .forms import Form, _form, _mask, _require_grade
+from .polyring import _UNITS, Context, Poly, _poly, _sum_numerators
 
 _NUMERATORS = tuple(v for v in range(-9, 10) if v != 0)  # 18: a numerator is a draw below 18
 
@@ -63,7 +63,7 @@ def random_rational(rng: random.Random) -> Fraction:
 
 def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 2) -> list:
     """``(monomial key, numerator, denominator)`` draws, each as :func:`random_rational`'s:
-    the key of a form term with mask 0, each exponent drawn as one more unit on its axis."""
+    a ``Poly`` key, each exponent drawn as one more unit on its axis."""
     bits, units, terms = rng.getrandbits, _UNITS[n], []
     for _ in range(1 + _below(bits, max_terms)):
         key = 0
@@ -74,9 +74,7 @@ def _random_terms(rng: random.Random, n: int, max_degree: int, max_terms: int = 
 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 2) -> Poly:
-    terms = _random_terms(rng, n, max_degree, max_terms)
-    return _poly(n, *_sum_numerators([(_exponents(key, n), num, den)
-                                      for key, num, den in terms]))
+    return _poly(n, *_sum_numerators(_random_terms(rng, n, max_degree, max_terms)))
 
 
 def _random_row(ctx: Context, rng: random.Random, k: int, max_degree: int,

@@ -33,10 +33,11 @@ from .errors import (
     NotASolution,
     NotConserved,
 )
-from .forms import _UNITS, Form, _exponents, _form, _op_table, _packed, _require_grade
+from .forms import Form, _form, _op_table, _require_grade
 from .hodge import codifferential
 from .homotopy import _side, cohomotopy_h, homotopy_H
-from .polyring import _merged, _require_operand, _require_same, _sum_numerators
+from .polyring import (_UNITS, _merged, _require_degree, _require_operand, _require_same,
+                       _sum_numerators)
 
 
 class SolveReport(NamedTuple):
@@ -53,39 +54,39 @@ class SolveReport(NamedTuple):
         return not self.failed
 
 
-def _inverse_box(exps: tuple, signature: tuple) -> tuple[int, dict]:
-    """G(y^a) as ``(D, {exponents: int})``.  With Q = sum_i eps_i y_i^2,
+def _inverse_box(monomial: int, signature: tuple) -> tuple[int, dict]:
+    """G(y^a) as ``(D, {key: int})`` for y^a's key.  With Q = sum_i eps_i y_i^2,
     m = |a|, a_j = 2(j+1)(n + 2m - 2j) > 0 and b_j = box^j y^a, box(Q^(j+1) f) = a_j Q^j f
     + Q^(j+1) box f for f of degree m - 2j, so G = sum_j (-1)^j Q^(j+1) b_j / (a_0 ... a_j)
     has box G = y^a.  Horner's rule sums it as (Q/a_0)(b_0 - (Q/a_1)(b_1 - ... - (Q/a_J) b_J)),
     J = m // 2, one :func:`_sum_numerators` per step: Q b_j over 1 (box has integer factors)
-    and -Q acc over a_j, Q times a map its n shifted copies."""
-    n, m = len(exps), sum(exps)
-    b = [{exps: 1}]
+    and -Q acc over a_j, Q times a map its n copies with keys stepped by 2 unit_i.
+    G has degree m + 2, checked first: no field of a step may carry."""
+    n, m = len(signature), monomial >> 16 * len(signature) + 16
+    _require_degree(m + 2)
+    steps = [(2 * unit, eps) for unit, eps in zip(_UNITS[n], signature)]
+    b = [{monomial: 1}]
     for _ in range(m // 2):
-        b.append(_sum_numerators([(out, v * f, 1) for e, v in b[-1].items()
-                                  for out, f in box_terms(e, signature)])[1])
+        b.append(_sum_numerators([(out, v * f, 1) for key, v in b[-1].items()
+                                  for out, f in box_terms(key, signature)])[1])
     D, acc = 1, {}
     for j in range(m // 2, -1, -1):
-        D, acc = _sum_numerators([(e[:i] + (e[i] + 2,) + e[i + 1:], sign * eps * v, den)
-                                  for nums, sign, den in ((b[j], 1, 1), (acc, -1, D))
-                                  for e, v in nums.items() for i, eps in enumerate(signature)],
-                                 2 * (j + 1) * (n + 2 * m - 2 * j))
+        entries = [(key + step, eps * v, 1) for key, v in b[j].items() for step, eps in steps]
+        entries += [(key + step, -eps * v, D) for key, v in acc.items() for step, eps in steps]
+        D, acc = _sum_numerators(entries, 2 * (j + 1) * (n + 2 * m - 2 * j))
     return D, acc
 
 
 @functools.lru_cache(maxsize=4096)
 def _inverse_box_grad(monomial: int, signature: tuple) -> tuple:
     """``(D, columns)`` for the key of y^a (mask cleared): column i, axis 0-based,
-    holds d/dy_i G(y^a) over G's denominator D as ``(step, numerator)`` pairs, a step
+    holds d/dy_i G(y^a) over G's denominator D as ``{step: numerator}``, a step
     being y^b's key minus y^(a - e_i)'s, so that the image key of a d or delta row
-    on axis i plus it is y^b's.  d/dy_i sends distinct monomials to distinct ones,
-    so nothing is summed.  The one cache of G: a solve reads only this gradient."""
-    n = len(signature)
-    D, G = _inverse_box(_exponents(monomial, n), signature)
-    return D, tuple(tuple((key - monomial + unit, v) for key, v in _packed(
-        {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i] for e, v in G.items() if e[i]}, n))
-        for i, unit in enumerate(_UNITS[n]))
+    on axis i plus it is y^b's: G's term key less y^a's.  d/dy_i sends distinct
+    monomials to distinct ones, so nothing is summed.  The one cache of G."""
+    D, G = _inverse_box(monomial, signature)
+    return D, tuple({key - monomial: v * e for key, v in G.items() if (e := key >> shift & 0xFFFF)}
+                    for shift in range(16, 16 * len(signature) + 16, 16))
 
 
 def _op_g(u: Form, op: str) -> Form:
@@ -106,7 +107,7 @@ def _op_g(u: Form, op: str) -> Form:
             group = groups[D] = {}
         for shift, offset, sign in rows:
             image, sN = key + offset, sign * N
-            for step, v in grad[(shift >> 4) - 1]:
+            for step, v in grad[(shift >> 4) - 1].items():
                 out = image + step
                 group[out] = group.get(out, 0) + sN * v
     return _form(u.ctx, *_merged(groups, u._den))
@@ -129,11 +130,10 @@ def laplace_solve(rhs: Form, k: int) -> Form:
     grade = rhs.homogeneous_grade()
     if grade not in (None, k):
         raise GradeMismatch(f"right-hand side grade {grade} != requested grade {k}")
-    G = {m: _inverse_box(_exponents(m, ctx.n), ctx.signature)  # per monomial: key & ~0xFFFF
-         for m in {key & ~0xFFFF for key in rhs._nums}}
+    G = {m: _inverse_box(m, ctx.signature) for m in {key & ~0xFFFF for key in rhs._nums}}
     return _form(ctx, *_sum_numerators([
         ((key & 0xFFFF) + e, N * v, D) for key, N in rhs._nums.items()
-        for D, g in (G[key & ~0xFFFF],) for e, v in _packed(g, ctx.n)], rhs._den))
+        for D, g in (G[key & ~0xFFFF],) for e, v in g.items()], rhs._den))
 
 
 def _close(s: Form, exact: bool) -> tuple[Form, Form]:

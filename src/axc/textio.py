@@ -13,11 +13,12 @@ flags or the JSON header, never inside an expression):
 
 A term's coefficient is one factor, so ``(x1)^3 dx2`` reads like
 ``x1^3 dx2``; a product such as ``x1*x2`` needs parentheses.  The polynomial
-grammar sums integer numerators over one denominator, ``(D, {exponents: int})``
-as in the kernel, and builds a ``Fraction`` only for a rational literal.
+grammar sums integer numerators over one denominator, ``(D, {key: int})`` with
+the kernel's monomial keys, and builds a ``Fraction`` only for a rational literal.
+Each product and power is checked by the width rule before it is formed.
 Parentheses and unary minus signs nest at most :data:`MAX_NESTING` deep; no
-exponent, in text or JSON, exceeds :data:`MAX_EXPONENT`, nor any dimension
-:data:`MAX_DIMENSION`, nor any product, power or re-centered input :data:`MAX_TERMS` terms.
+exponent, in text or JSON, exceeds :data:`MAX_EXPONENT`, nor any product, power or
+re-centered input :data:`MAX_TERMS` terms.
 
 Printing, JSON and re-centering read rows by one walk, :func:`axc.forms._rows`;
 the parser and re-centering lift rows back into a form by :func:`axc.forms._lifted`.
@@ -35,8 +36,8 @@ from fractions import Fraction
 from .errors import (AxcError, AxisOutOfRange, DimensionMismatch, FormSyntaxError,
                      GradeOutOfRange, NonRationalLiteral)
 from .forms import _INDICES, _WEDGE_SIGNS, Form, _form, _lifted, _rows
-from .polyring import (MAX_DIMENSION, Context, Poly, _as_fraction, _int_mul, _poly, _reduced,
-                       _require_operand, _sum_numerators)
+from .polyring import (_UNITS, Context, Poly, _as_fraction, _degree, _exponents, _int_mul, _poly,
+                       _reduced, _require_degree, _require_operand, _sum_numerators)
 
 _ALIASES_SMALL = {"x": 1, "y": 2, "z": 3}
 _ALIASES_FOUR = {"t": 1, "x": 2, "y": 3, "z": 4}
@@ -150,17 +151,15 @@ class _Parser:
         return item
 
     def parse_poly_base(self) -> tuple[int, dict]:
-        """A base as ``(D, {exponents: int})``: a rational or a variable is one
+        """A base as ``(D, {key: int})``: a rational or a variable is one
         term, and a parenthesized expression is its sum."""
         kind, value, position = self.peek()
-        n = self.ctx.n
         if kind == "int":
             r = self.parse_rational()
-            return r.denominator, {(0,) * n: r.numerator} if r else {}
+            return r.denominator, {0: r.numerator} if r else {}
         if kind == "name":
             self.take("name")
-            axis = self.axis_of(value, position)
-            return 1, {(0,) * (axis - 1) + (1,) + (0,) * (n - axis): 1}
+            return 1, {_UNITS[self.ctx.n][self.axis_of(value, position) - 1]: 1}
         if kind != "(":
             raise FormSyntaxError(f"expected polynomial, found {value!r}", position)
         base = self.nested(self.parse_poly_expr)
@@ -169,7 +168,7 @@ class _Parser:
 
     def parse_poly_factor(self) -> tuple[int, dict]:
         """``"-" factor``, which flips the signs, or a base and its optional
-        power, as ``(D, {exponents: int})``: "^" binds tighter than a unary minus."""
+        power, as ``(D, {key: int})``: "^" binds tighter than a unary minus."""
         if self.peek()[0] == "-":
             D, nums = self.nested(self.parse_poly_factor)
             return D, {a: -v for a, v in nums.items()}
@@ -183,22 +182,24 @@ class _Parser:
             raise FormSyntaxError(f"exponent {digits} above {MAX_EXPONENT}", position)
         D, nums = base
         if len(nums) == 1:
-            return D ** e, {tuple(x * e for x in a): v ** e for a, v in nums.items()}
+            _require_degree(e * _degree(nums, self.ctx.n))
+            return D ** e, {key * e: v ** e for key, v in nums.items()}
         # a power of t terms is a sum over the multisets of e of them
         terms = math.comb(len(nums) + e - 1, e) if e else 1
-        _require_terms(_term_bound(self.ctx.n, terms, e * _degree(nums)), position)
+        _require_terms(_term_bound(self.ctx.n, terms, e * _degree(nums, self.ctx.n)), position)
         p = _poly(self.ctx.n, *_reduced(D, nums)) ** e
         return p._den, p._nums
 
     def parse_poly_term(self) -> tuple[int, dict]:
-        """Factors joined by "*" as one ``(D, {exponents: int})``, not yet reduced."""
+        """Factors joined by "*" as one ``(D, {key: int})``, not yet reduced."""
         D, nums = self.parse_poly_factor()
         while self.peek()[0] == "*":
             position = self.take("*")[2]
             D2, nums2 = self.parse_poly_factor()
+            degree = _degree(nums, self.ctx.n) + _degree(nums2, self.ctx.n)
             if len(nums) > 1 or len(nums2) > 1:
-                _require_terms(_term_bound(self.ctx.n, len(nums) * len(nums2),
-                                           _degree(nums) + _degree(nums2)), position)
+                _require_terms(_term_bound(self.ctx.n, len(nums) * len(nums2), degree), position)
+            _require_degree(degree)
             D, nums = D * D2, _int_mul(nums, nums2)
         return D, nums
 
@@ -215,9 +216,9 @@ class _Parser:
             yield self.take_sign(), parse_one()
 
     def parse_poly_expr(self) -> tuple[int, dict]:
-        return _sum_numerators([(exps, sign * v, D)
+        return _sum_numerators([(key, sign * v, D)
                                 for sign, (D, nums) in self.signed(self.parse_poly_term)
-                                for exps, v in nums.items()])
+                                for key, v in nums.items()])
 
     # -- form grammar ------------------------------------------------------
 
@@ -260,12 +261,7 @@ class _Parser:
         pieces = list(self.signed(self.parse_term))
         self.take("end")
         return _form(self.ctx, *_lifted([(idx, poly.scale(sign * basis_sign))
-                                         for sign, (idx, basis_sign, poly) in pieces], self.ctx.n))
-
-
-def _degree(nums: dict) -> int:
-    """The total degree of a map of exponents to numerators; 0 for no term."""
-    return max(map(sum, nums), default=0)
+                                         for sign, (idx, basis_sign, poly) in pieces]))
 
 
 def _term_bound(n: int, terms: int, degree: int) -> int:
@@ -282,13 +278,6 @@ def _require_terms(bound: int, position: int | None = None):
         if position is None:
             raise DimensionMismatch(message)
         raise FormSyntaxError(message, position)
-
-
-def check_dimension(n: int) -> int:
-    """n itself; a dimension above :data:`MAX_DIMENSION` is an input error."""
-    if n > MAX_DIMENSION:
-        raise DimensionMismatch(f"dimension {n} above {MAX_DIMENSION}")
-    return n
 
 
 def parse_rational(text: str) -> Fraction:
@@ -312,10 +301,10 @@ def _recentered(absolute: Form) -> Form:
     ctx, rows = absolute.ctx, _rows(absolute)
     # y^a re-centers to the product of a_i + 1 over the axes that move
     _require_terms(sum(
-        _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(exps, ctx.center) if c)
-                               for exps in poly._nums), _degree(poly._nums))
+        _term_bound(ctx.n, sum(math.prod(a + 1 for a, c in zip(_exponents(key, ctx.n), ctx.center)
+                                         if c) for key in poly._nums), _degree(poly._nums, ctx.n))
         for _, poly in rows))
-    return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows], ctx.n))
+    return _form(ctx, *_lifted([(idx, poly.shift(ctx.center)) for idx, poly in rows]))
 
 
 # -- canonical printer -----------------------------------------------------
@@ -392,7 +381,7 @@ def form_from_json(data: dict) -> Form:
     :class:`Poly` and :class:`Form`, built once each.  Entries that share an
     index tuple and exponents add up."""
     try:
-        ctx = Context(check_dimension(data["n"]),
+        ctx = Context(data["n"],
                       tuple(_json_rational(c) for c in data["center"]),
                       tuple(data["metric"]))
     except (KeyError, ValueError, TypeError) as exc:

@@ -7,7 +7,9 @@ it checks: the stars, the interior product, the wedge and the sum below add
 up whole coefficients with ``Poly`` arithmetic, and the composites are built
 from them.  The ``Poly`` references themselves (sum, product, partial
 derivative and shift) work on plain ``dict[exponent tuple, Fraction]`` maps,
-so they call no ``Poly`` arithmetic at all.
+so they call no ``Poly`` arithmetic at all.  The ``Poly`` kernel's own integer
+rules (product, power, partial derivative, Taylor shift, box and G) are kept
+on exponent-tuple keys too, the reference for the kernel's packed ``int`` keys.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import add
 
 from axc import Form, Poly, codifferential, k_field
 from axc.linsolve import solve_sparse
-from axc.solvers import _inverse_box
+from axc.polyring import _sum_numerators
 
 
 def _form(ctx, acc: dict) -> Form:
@@ -136,10 +138,10 @@ def raise_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
 
 def op_g_terms(idx: tuple, exps: tuple, op: str, signature: tuple) -> list:
     """op G on y^a dx^I, op "d" or "delta": each of op's rows ``(i, I', sign)``
-    takes sign * d/dy_i G(y^a) dx^I', differentiated off ``_inverse_box``'s G."""
-    D, G = _inverse_box(exps, signature)
-    return [(out_idx, e[:i] + (e[i] - 1,) + e[i + 1:], sign * v * e[i], D)
-            for i, out_idx, sign in op_rows(op, idx, signature) for e, v in G.items() if e[i]]
+    takes sign * d/dy_i G(y^a) dx^I', differentiated off :func:`tuple_inverse_box`'s G."""
+    D, G = tuple_inverse_box(exps, signature)
+    return [(out_idx, e, sign * v, D) for i, out_idx, sign in op_rows(op, idx, signature)
+            for e, v in tuple_partial(G, i).items()]
 
 
 def star_terms(idx: tuple, exps: tuple, signature: tuple, inverse: bool = False) -> list:
@@ -184,21 +186,14 @@ def interior_terms(idx: tuple, exps: tuple, components: tuple, signature: tuple)
     for the ``Poly`` components of v."""
     out = []
     for i, rest, sign in op_rows("H", idx, signature):
-        p = components[i]
-        for v_exps, v in p._nums.items():
-            out.append((rest, tuple(map(add, exps, v_exps)), sign * v, p._den))
+        for v_exps, v in components[i].terms.items():
+            out.append((rest, tuple(map(add, exps, v_exps)), sign * v.numerator, v.denominator))
     return out
 
 
 def box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
     """box = sum_i eps_i d^2/dy_i^2 on the coefficient of y^a dx^I."""
-    out = []
-    for i, e in enumerate(exps):
-        if e > 1:
-            stepped = list(exps)
-            stepped[i] = e - 2
-            out.append((idx, tuple(stepped), signature[i] * e * (e - 1), 1))
-    return out
+    return [(idx, e, f, 1) for e, f in tuple_box(exps, signature).items()]
 
 
 def eval_terms(idx: tuple, exps: tuple, point: list) -> list:
@@ -208,8 +203,8 @@ def eval_terms(idx: tuple, exps: tuple, point: list) -> list:
 
 
 def inverse_box_terms(idx: tuple, exps: tuple, signature: tuple) -> list:
-    """laplace_solve on y^a dx^I: G(y^a) dx^I, G's ``(D, nums)`` read off ``_inverse_box``."""
-    D, nums = _inverse_box(exps, signature)
+    """laplace_solve on y^a dx^I: G(y^a) dx^I, G's ``(D, nums)`` of :func:`tuple_inverse_box`."""
+    D, nums = tuple_inverse_box(exps, signature)
     return [(idx, e, v, D) for e, v in nums.items()]
 
 
@@ -459,3 +454,78 @@ def product_shift(p: dict, delta) -> dict:
                 term = loop_poly_mul(term, base)
         out = loop_poly_add(out, term)
     return out
+
+
+# -- the Poly kernel's integer rules on exponent-tuple keys -----------------
+
+def numerators(p: Poly) -> dict:
+    """``{exponents: int}`` of a ``Poly`` over ``p._den``, read through ``Poly.terms``."""
+    return {e: int(c * p._den) for e, c in p.terms.items()}
+
+
+def fractions(D: int, nums: dict) -> dict:
+    """``{exponents: Fraction}`` of integer numerators over D, as ``Poly.terms`` reads."""
+    return {e: Fraction(v, D) for e, v in nums.items() if v}
+
+
+def tuple_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: v for e, v in out.items() if v}
+
+
+def tuple_power(p: dict, n: int, e: int) -> dict:
+    out = {(0,) * n: 1}
+    for bit in bin(e)[2:]:
+        out = tuple_mul(out, out)
+        if bit == "1":
+            out = tuple_mul(out, p)
+    return out
+
+
+def tuple_partial(p: dict, j: int) -> dict:
+    """d/dy_j, axis 0-based."""
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j] for e, v in p.items() if e[j]}
+
+
+def tuple_taylor_shift_axis(p: dict, i: int, delta: Fraction) -> tuple[dict, int]:
+    """y_i -> y_i + P/Q (axis 0-based), by synthetic division on each line of
+    terms that agree off axis i: the numerators over Q^A times p's, and Q^A."""
+    P, Q = delta.numerator, delta.denominator
+    A, lines, out = max(e[i] for e in p), {}, {}
+    for e, v in p.items():
+        lines.setdefault(e[:i] + e[i + 1:], {})[e[i]] = v
+    for rest, line in lines.items():
+        top = max(line)
+        c = [line.get(a, 0) * Q ** (A - a) for a in range(top + 1)]
+        for low in range(top):
+            for j in range(top - 1, low - 1, -1):
+                c[j] += P * c[j + 1]
+        out.update({rest[:i] + (b,) + rest[i:]: v * Q ** b for b, v in enumerate(c) if v})
+    return out, Q ** A
+
+
+def tuple_box(exps: tuple, signature: tuple) -> dict:
+    """box y^a = sum_i eps_i a_i (a_i - 1) y^(a - 2 e_i), as ``{exponents: int}``."""
+    return {exps[:i] + (e - 2,) + exps[i + 1:]: signature[i] * e * (e - 1)
+            for i, e in enumerate(exps) if e > 1}
+
+
+def tuple_inverse_box(exps: tuple, signature: tuple) -> tuple[int, dict]:
+    """G(y^a) as ``(D, {exponents: int})`` by Horner's rule, Q times a map its
+    n copies with a_i + 2: ``solvers._inverse_box`` on tuple keys."""
+    n, m = len(exps), sum(exps)
+    b = [{exps: 1}]
+    for _ in range(m // 2):
+        b.append(_sum_numerators([(out, v * f, 1) for e, v in b[-1].items()
+                                  for out, f in tuple_box(e, signature).items()])[1])
+    D, acc = 1, {}
+    for j in range(m // 2, -1, -1):
+        D, acc = _sum_numerators([(e[:i] + (e[i] + 2,) + e[i + 1:], sign * eps * v, den)
+                                  for nums, sign, den in ((b[j], 1, 1), (acc, -1, D))
+                                  for e, v in nums.items() for i, eps in enumerate(signature)],
+                                 2 * (j + 1) * (n + 2 * m - 2 * j))
+    return D, acc

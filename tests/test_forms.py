@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,11 @@ from axc import (Context, DecompositionMode, Form, Poly, VectorField, clifford_v
                  homotopy_H, interior, k_field, kr_maxwell_couple, laplace_beltrami, musical_flat,
                  parse_form, vacuum_dirac_classify)
 from axc.errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch, GradeOutOfRange
-from axc.forms import (_INDICES, _UNITS, _WEDGE_SIGNS, MAX_DEGREE, _exponents, _lower, _op_table,
-                       _packed, _raise, _Table)
+from axc.forms import _INDICES, _WEDGE_SIGNS, _lower, _op_table, _raise, _Table
 from axc.homotopy import anticoexact_wedge_factor, center_pullback, center_top_eval
-from axc.polyring import _as_fraction, _sum_numerators
+from axc.polyring import _UNITS, MAX_DEGREE, _as_fraction, _exponents, _packed, _sum_numerators
 from axc.randforms import random_form, random_homogeneous, random_poly, sample_rng
-from axc.solvers import _op_g, laplace_solve
+from axc.solvers import _inverse_box_grad, _op_g, laplace_solve
 from tests.conftest import B, chart_id, offcenter_contexts, oracle_contexts, var
 from tests.oracles import (box_terms, center_terms, constant_terms, eta_terms, eval_terms,
                            fraction_fold, fraction_termwise, grade_terms, interior_terms,
@@ -764,14 +764,32 @@ def _y1(ctx, e: int, idx=(), coef=1) -> Form:
 
 
 class TestWidthRule:
-    """A form's total coefficient degree is at most MAX_DEGREE = 65 535, the
-    width of its key's fields: at each edge and after each operator that raises
-    the degree, a result of degree 65 535 passes and the next one up raises."""
+    """A polynomial's total degree, and so a form's total coefficient degree, is
+    at most MAX_DEGREE = 65 535, the width of its key's fields: at each edge and
+    after each operator that raises the degree, a result of degree 65 535 passes
+    and the next one up raises."""
 
     TOP = "coefficient degree 65536 above 65535"
 
     def test_the_bound_is_one_16_bit_field(self):
         assert MAX_DEGREE == 65535 == 0xFFFF
+
+    def test_poly_constructors_products_and_powers_check_the_degree(self):
+        # deg(pq) = deg p + deg q and deg p^e = e deg p, so each is checked
+        # exactly, before a key is formed; a power past the width raises before
+        # it squares
+        y1 = Poly.variable(1, 1)
+        assert Poly.monomial(1, (65535,)).terms == {(65535,): 1}
+        assert (y1 ** 65535).terms == {(65535,): 1}
+        assert (Poly.monomial(1, (40000,)) * Poly.monomial(1, (25535,))).terms == {(65535,): 1}
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            Poly.monomial(1, (65536,))
+        start = time.process_time()
+        with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
+            y1 ** 65536
+        assert time.process_time() - start < 0.1
+        with pytest.raises(DegreeOutOfRange, match="^coefficient degree 80000 above 65535$"):
+            Poly.monomial(1, (40000,)) * Poly.monomial(1, (40000,))
 
     def test_the_constructors_check_the_degree(self, e2):
         assert Form(e2, {1: {(1,): Poly.monomial(2, (65000, 535))}}).max_coeff_degree() == 65535
@@ -820,11 +838,14 @@ class TestWidthRule:
         # d/dy_i G(y^a) has degree |a| + 1, the degree of op G's image; G of a
         # degree near 65 535 takes ~10^9 steps, so the end-to-end check runs
         # with the bound lowered, and the packing itself at the real one
-        assert _packed({(65535, 0): 1}, 2) == [(65535 * _UNITS[2][0], 1)]
+        assert _packed((65535, 0), 2) == 65535 * _UNITS[2][0]
         with pytest.raises(DegreeOutOfRange, match=f"^{self.TOP}$"):
-            _packed({(65535, 1): 1}, 2)
-        monkeypatch.setattr("axc.forms.MAX_DEGREE", 5)
+            _packed((65535, 1), 2)
+        # G itself has degree |a| + 2, checked before its keys are formed; the
+        # gradient is cached, so no entry made under the real bound is read
+        _inverse_box_grad.cache_clear()
+        monkeypatch.setattr("axc.polyring.MAX_DEGREE", 5)
         e1 = Context.euclidean(1)
-        assert _op_g(_y1(e1, 4), "d").max_coeff_degree() == 5
+        assert _op_g(_y1(e1, 3), "d").max_coeff_degree() == 4
         with pytest.raises(DegreeOutOfRange, match="^coefficient degree 6 above 5$"):
-            _op_g(_y1(e1, 5), "d")
+            _op_g(_y1(e1, 4), "d")

@@ -37,8 +37,9 @@ from axc import cli
 from axc.cli import main
 from axc.errors import (DimensionMismatch, FormSyntaxError, InconsistentSystem,
                         NonRationalLiteral, NotASolution)
+from axc.polyring import MAX_DIMENSION, _exponents, _packed
 from axc.textio import (
-    MAX_DIMENSION, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, _Parser, load_form_text, parse_rational)
+    MAX_EXPONENT, MAX_NESTING, MAX_TERMS, _Parser, load_form_text, parse_rational)
 from axc.randforms import random_form, random_homogeneous, sample_rng
 from tests.conftest import B, cli_choices, cli_subcommands_with, offcenter_contexts, var
 from tests.oracles import loop_poly_mul
@@ -157,8 +158,9 @@ class TestParser:
 
     @pytest.mark.parametrize("method", ["parse_poly_factor", "parse_poly_term"])
     def test_factors_and_terms_are_integer_numerators_over_one_denominator(self, method):
-        # the kernel's one number format, (D, {exponents: int}): a positive int D
-        # and nonzero int numerators, read to the end of each text
+        # the kernel's one number format, (D, {key: int}): a positive int D and
+        # nonzero int numerators keyed by valid monomial keys (each the packing of
+        # its own exponents, mask 0), read to the end of each text
         ctx = Context(3, (Fraction(1, 7), Fraction(-2, 3), Fraction(5)), (1, -1, 1))
         texts = ["0", "3/4", "x2", "-x1^3", "(x1 - x1)", "(x1 + 1/2)^3", "-(2/3*x1 - 5/9*x2)",
                  "(0)^0", "(x1*x2 - 1/6)^0", "--7/4^2"]
@@ -170,7 +172,7 @@ class TestParser:
             assert parser.peek()[0] == "end", text
             assert type(D) is int and D > 0, text
             assert all(type(v) is int and v for v in nums.values()), text
-            assert all(len(e) == 3 and all(type(a) is int and a >= 0 for a in e) for e in nums), text
+            assert all(type(e) is int and e == _packed(_exponents(e, 3), 3) for e in nums), text
 
     def test_term_is_the_product_of_its_factors(self, e2):
         # rationals and variables fold into one monomial, and only parenthesized
@@ -493,9 +495,10 @@ class TestCli:
         '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": 1, "coef": "1"}]}}}',
         '{"n": 1, "center": ["0"], "metric": [1], "components": {"0": {"[]": [{"exp": [1]}]}}}',
         '{"n": 1, "center": ["0"], "metric": [1], "components": {"1": [1]}}',
+        '{"n": 1, "center": ["0"], "components": {}}',
     ], ids=["float-center", "decimal-coefficient", "fractional-exponent", "bool-exponent",
             "float-header", "bool-metric", "string-dimension", "string-metric",
-            "exponent-not-a-list", "missing-coefficient", "grade-not-an-object"])
+            "exponent-not-a-list", "missing-coefficient", "grade-not-an-object", "missing-metric"])
     def test_non_rational_json_is_input_error(self, tmp_path, capsys, text):
         src = tmp_path / "w.json"
         src.write_text(text)
@@ -659,9 +662,12 @@ class TestCli:
         # each exponent passes MAX_EXPONENT, but the power's degree 70 000 does
         # not fit a form key's 16-bit degree field
         src = tmp_path / "w.txt"
-        src.write_text("(x1^1000)^70 dx1")
-        assert main(["--dim", "1", "apply", "--op", "d", "--in", str(src)]) == 2
-        assert capsys.readouterr() == ("", "error: coefficient degree 70000 above 65535\n")
+        # the grammar checks each power and product as it is formed, so one that
+        # a later factor sends to zero is an input error too
+        for text in ("(x1^1000)^70 dx1", "((x1^1000)^70 * 0) dx1"):
+            src.write_text(text)
+            assert main(["--dim", "1", "apply", "--op", "d", "--in", str(src)]) == 2
+            assert capsys.readouterr() == ("", "error: coefficient degree 70000 above 65535\n")
 
     def test_dimension_16_builds_only_the_rows_it_reads(self, tmp_path):
         # the row tables are built per mask on first use: all 2^16 masks'

@@ -10,7 +10,11 @@ import pytest
 from axc import Context, Form, Poly, rebase
 from axc.errors import AxcError, AxisOutOfRange, DimensionMismatch
 from axc.randforms import _random_terms, random_poly, random_rational, sample_rng
-from tests.oracles import loop_poly_add, loop_poly_mul, loop_poly_partial, product_shift
+from axc.clifford import laplace_beltrami
+from axc.solvers import laplace_solve
+from tests.oracles import (fractions, loop_poly_add, loop_poly_mul, loop_poly_partial, numerators,
+                           product_shift, tuple_box, tuple_inverse_box, tuple_mul, tuple_partial,
+                           tuple_power, tuple_taylor_shift_axis)
 
 
 def y(i, n=2):
@@ -347,11 +351,14 @@ class TestContext:
             Context(2, (0, 0), (1, 2))
 
     def test_dimension_fits_the_basis_mask(self):
-        # a form key keeps its basis blade in 16 bits, so a chart has at most 16 axes
+        # a key keeps a form's basis blade in 16 bits, so a chart has at most 16
+        # axes, and a Poly, keyed the same way, as many
         assert Context.minkowski(16).n == 16
-        with pytest.raises(DimensionMismatch, match="^dimension 17 above 16$"):
-            Context.euclidean(17)
-        assert Poly.monomial(17, (1,) * 17).n == 17   # a Poly has no basis blade
+        assert Poly.monomial(16, (1,) * 16).n == 16
+        for build in (lambda: Context.euclidean(17), lambda: Poly(17),
+                      lambda: Poly.variable(17, 1)):
+            with pytest.raises(DimensionMismatch, match="^dimension 17 above 16$"):
+                build()
 
     @pytest.mark.parametrize("build", [
         lambda: Context(2.0, (0, 0), (1, 1)),
@@ -556,3 +563,52 @@ class TestAgainstLoops:
         assert Poly(3, p).scale(Fraction(-2, 9)).terms == {exps: coef * Fraction(-2, 9)
                                                           for exps, coef in p.items()}
         assert Poly(3, p).scale(0).terms == {}
+
+
+class TestAgainstTupleKeys:
+    """The packed kernel against its own integer rules on exponent-tuple keys
+    (tests/oracles.py), on seeded random_poly draws, n = 1..6, read through
+    Poly.terms."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_power_partial_and_shift(self, n):
+        for i in range(8):
+            rng = sample_rng(43, 10 * n + i)
+            p, q = random_poly(rng, n, 4, 4), random_poly(rng, n, 3, 3)
+            P, Q = numerators(p), numerators(q)
+            assert (p * q).terms == fractions(p._den * q._den, tuple_mul(P, Q))
+            assert (p ** 3).terms == fractions(p._den ** 3, tuple_power(P, n, 3))
+            for j in range(n):
+                assert p.partial(j + 1).terms == fractions(p._den, tuple_partial(P, j))
+            delta = [_SHIFT_ENTRIES[(i + j) % len(_SHIFT_ENTRIES)] for j in range(n)]
+            D, nums = p._den, P
+            for axis, d in enumerate(delta):
+                if d and nums:
+                    nums, scale = tuple_taylor_shift_axis(nums, axis, d)
+                    D *= scale
+            assert p.shift(delta).terms == fractions(D, nums)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("chart", [Context.euclidean, Context.minkowski],
+                             ids=["euclidean", "minkowski"])
+    def test_box_and_g(self, n, chart):
+        ctx = chart(n)
+        for i in range(4):
+            for exps in random_poly(sample_rng(47, 10 * n + i), n, 5, 3).terms:
+                one = Form.from_poly(ctx, Poly.monomial(n, exps))
+                assert laplace_beltrami(one).coefficient(()).terms == fractions(
+                    1, tuple_box(exps, ctx.signature))
+                assert laplace_solve(one, 0).coefficient(()).terms == fractions(
+                    *tuple_inverse_box(exps, ctx.signature))
+
+    def test_every_key_is_an_int(self):
+        # each public constructor and operation keys its terms by packed ints
+        p = Poly(3, {(1, 0, 2): 1, (0, 0, 0): "1/2"})
+        q = random_poly(sample_rng(5, 0), 3, 4, 4)
+        built = [p, q, Poly.zero(3), Poly.const(3, 3), Poly.variable(3, 2),
+                 Poly.monomial(3, (0, 4, 1), -2),
+                 Poly.from_terms(3, [((1, 1, 0), 1), ((0, 1, 0), 2)]),
+                 p * q, p ** 3, p + q, -p, p.scale("2/3"), p.partial(3), p.shift([1, "1/2", -3]),
+                 rebase(q, (0, 0, 0), (1, 2, 3))]
+        for r in built:
+            assert all(type(key) is int for key in r._nums), r

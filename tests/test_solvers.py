@@ -28,6 +28,7 @@ from axc import (
 from axc.errors import (GradeMismatch, GradeOutOfRange, InconsistentSystem, NotASolution,
                         NotConserved)
 from axc.linsolve import solve_sparse
+from axc.polyring import _packed, _poly
 from axc.randforms import random_homogeneous, sample_rng
 from axc.solvers import _close, _inverse_box, _op_g
 from tests.conftest import B, oracle_contexts, var
@@ -118,7 +119,7 @@ class TestLaplaceSolve:
 
         monkeypatch.setattr("axc.solvers._inverse_box", counting)
         assert laplace_solve(Form.from_terms(m4, terms), 2) == separate
-        assert calls == [(exps, m4.signature)]
+        assert calls == [(_packed(exps, 4), m4.signature)]
 
     def test_solution_matches_composite_assembly(self, e3, m4):
         for beta, rhs, k, side in composite_cases(e3, m4):
@@ -147,15 +148,16 @@ class TestLaplaceSolve:
         # 400 seeded monomials, n = 1..5, mixed signatures, exponents 0..9 up to
         # total degree 20 (Horner chains of up to 11 steps): the series costs
         # ~1.5 s there and ~25 s uncapped.  G's (D, nums) is read as the set of
-        # its (exponents, numerator, D) triples
+        # its (exponents, numerator, D) triples, its keys read through Poly.terms
         rng, checked = random.Random(26), 0
         while checked < 400:
             n = rng.randint(1, 5)
             exps = tuple(rng.randint(0, 9) for _ in range(n))
             signature = tuple(rng.choice((1, -1)) for _ in range(n))
             if sum(exps) <= 20:
-                D, nums = _inverse_box(exps, signature)
-                assert {(e, v, D) for e, v in nums.items()} == series_inverse_box(exps, signature)
+                D, nums = _inverse_box(_packed(exps, n), signature)
+                assert {(e, int(c * D), D) for e, c in _poly(n, D, nums).terms.items()} == (
+                    series_inverse_box(exps, signature))
                 checked += 1
 
 

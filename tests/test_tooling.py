@@ -468,9 +468,14 @@ def test_kernel_caches_are_the_five_tables_read_again():
 
 
 # The packed-key operators: each term's key is read and written as an int, so
-# no tuple is built per term or per row.
+# no tuple is built per term or per row.  The Poly kernel's loops, box and G
+# hand each term to a sum or a column as one flat (key, numerator[, denominator])
+# entry, the one tuple they may build per term (ENTRIES).
 PACKED_LOOPS = {"forms.py": {"_lower", "_raise", "wedge", "_kept"}, "hodge.py": {"_star"},
-                "solvers.py": {"_op_g"}}
+                "solvers.py": {"_op_g", "_inverse_box", "_inverse_box_grad"},
+                "polyring.py": {"_int_mul", "partial", "_taylor_shift_axis"},
+                "clifford.py": {"box_terms"}}
+ENTRIES = {"_inverse_box", "box_terms"}
 
 
 def _per_term_nodes(fn) -> list:
@@ -487,26 +492,60 @@ def _per_term_nodes(fn) -> list:
     return [inner for part in parts for inner in ast.walk(part)]
 
 
+def _flat_entries(fn) -> set:
+    """``id`` of each tuple display that is a comprehension's element or an
+    ``append``'s argument and holds no tuple display or slice: a record of ints."""
+    found = set()
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            candidates = [node.elt]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append":
+            candidates = node.args
+        else:
+            continue
+        found |= {id(c) for c in candidates if isinstance(c, ast.Tuple) and not any(
+            isinstance(x, (ast.Tuple, ast.Slice)) for elt in c.elts for x in ast.walk(elt))}
+    return found
+
+
 def test_packed_operators_build_no_tuple_per_term():
     # a parallel assignment of up to three names (``a, b = x, y``) compiles to
-    # no tuple; any other tuple display, and any tuple() call, builds one
+    # no tuple; any other tuple display, any tuple() call and any slice (the
+    # glue of an exponent tuple) builds one
     seen = set()
     for name, tree in _kernel_trees():
         for fn in ast.walk(tree):
             if not (isinstance(fn, ast.FunctionDef) and fn.name in PACKED_LOOPS.get(name, ())):
                 continue
             seen.add(fn.name)
-            parallel = {id(node.value) for node in ast.walk(fn)
-                        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
-                        and isinstance(node.value, ast.Tuple)
-                        and len(node.targets[0].elts) == len(node.value.elts) <= 3}
+            allowed = {id(node.value) for node in ast.walk(fn)
+                       if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                       and isinstance(node.value, ast.Tuple)
+                       and len(node.targets[0].elts) == len(node.value.elts) <= 3}
+            if fn.name in ENTRIES:
+                allowed |= _flat_entries(fn)
             for node in _per_term_nodes(fn):
                 where = f"{name}:{fn.name}:{getattr(node, 'lineno', '?')}"
                 assert not (isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load)
-                            and id(node) not in parallel), f"{where} builds a tuple"
+                            and id(node) not in allowed), f"{where} builds a tuple"
                 assert not (isinstance(node, ast.Call) and "tuple" in _names(node.func)), (
                     f"{where} calls tuple")
+                assert not isinstance(node, ast.Slice), f"{where} slices"
     assert seen == set().union(*PACKED_LOOPS.values()), seen
+
+
+def test_exponent_tuples_are_packed_and_read_only_at_the_edges():
+    # a key is packed from an exponent tuple only where a Poly or a Form takes
+    # one from its caller, and read back only where terms go out to one: every
+    # other crossing between Poly and Form is integer arithmetic on keys
+    def callers(called):
+        return {f"{name}:{where}" for name, _ in _kernel_trees()
+                for where in _callers(name, {called})}
+
+    assert callers("_packed") == {"polyring.py:Poly.__init__", "polyring.py:Poly.from_terms",
+                                  "forms.py:Form.from_terms"}
+    assert callers("_exponents") == {"polyring.py:Poly.terms", "forms.py:Form.terms",
+                                     "forms.py:Form.eval_at", "textio.py:_recentered"}
 
 
 def test_textio_reads_rows_through_the_one_walk():
